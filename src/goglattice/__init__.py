@@ -5,9 +5,10 @@ bottom row 1..n) form a lattice under entry-wise comparison and are in
 bijection with alternating-sign matrices.  This package provides the
 validated domain objects and bijections, exact arbitrary-precision counting
 of the lattice and of its distinguished-row structure, exhaustive
-enumeration with ranking and exact uniform sampling, and the
-inclusion-exclusion census of r-tuples with trivial meet or join, together
-with the second-order decomposition of that count.
+enumeration with ranking and exact uniform sampling, and the count of
+r-tuples with trivial meet or join, by a transfer-matrix sweep over
+primitive blocks with inclusion-exclusion and census oracles, together with
+the second-order decomposition of that count.
 
 Everything is exact: counts are Python ints, probabilities are
 `fractions.Fraction`, and decimals only ever appear as presentation.
@@ -65,6 +66,7 @@ from .meet_census import (
     n_min_census,
     n_min_exact,
     p_extreme,
+    primitive_counts,
     reversed_census,
     run_histogram_report,
     theorem_report,

@@ -131,7 +131,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_pmin(args: argparse.Namespace) -> int:
     if args.method == "ie":
-        n_min = meet_census.n_min_exact(args.n, args.r, workers=args.workers)
+        n_min = meet_census.n_min_exact(args.n, args.r)
     else:
         n_min = meet_census.n_min_census(args.n, args.r)
     p_min = Fraction(n_min, counting.asm_number(args.n) ** args.r)
@@ -152,7 +152,7 @@ def cmd_pmin(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem1(args: argparse.Namespace) -> int:
-    reports = meet_census.theorem_report(args.n_max, args.r, workers=args.workers)
+    reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tp_min_num\tp_min_den\tp_min_decimal\tratio_num\tratio_den\tratio_decimal")
     for rep in reports:
         ratio = rep.theorem1_ratio
@@ -164,7 +164,7 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem2(args: argparse.Namespace) -> int:
-    reports = meet_census.theorem_report(args.n_max, args.r, workers=args.workers)
+    reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tmain\tsecond\tE\ttheta_ratio_decimal")
     for rep in reports:
         print(
@@ -207,6 +207,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+_NO_EFFECT = "accepted; has no effect"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gog",
@@ -244,21 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pmin", help="exact trivial-meet count and probability")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--method", choices=("ie", "census"), default="ie")
+    p.add_argument(
+        "--method",
+        choices=("ie", "census"),
+        default="ie",
+        help="ie: the exact transfer-matrix count (name kept for compatibility); "
+        "census: the enumeration oracle, n <= 7",
+    )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_pmin)
 
     p = sub.add_parser("theorem1", help="ratio p_min*A(n)/r trajectory")
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser("theorem2", help="second-order decomposition table")
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_theorem2)
 
     p = sub.add_parser("classes", help="trivial-meet class sizes and bounds")

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .counting import asm_number
 from .errors import FormatError, IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
 from .triangles import MonotoneTriangle, _mask_max_run, interlacing_successors
 
@@ -275,6 +276,8 @@ class CensusTable:
             total = int(head[3][6:])
         except ValueError as exc:
             raise FormatError(f"bad census header: {lines[0]!r}") from exc
+        if n < 1:
+            raise FormatError(f"bad census size n={n} in {lines[0]!r}")
         counts: dict[int, int] = {}
         previous = -1
         for line in lines[1:]:
@@ -300,10 +303,23 @@ class CensusTable:
             raise FormatError(
                 f"census counts sum to {sum(counts.values())}, header says {total}"
             )
+        # P(m) >= 1 for every gap m, so every distinguished set occurs; this
+        # also keeps a forged header from forcing A(n) for a large n.
+        if len(counts) != 1 << (n - 1):
+            raise FormatError(f"census for n={n} lacks some of the 2^{n - 1} distinguished sets")
+        if total != asm_number(n):
+            raise FormatError(f"census total {total} is not A({n}) = {asm_number(n)}")
         return cls(n, counts)
 
     def write(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_text())
+        """Write atomically: a reader sees the old file or the whole new one."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(self.to_text())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def read(cls, path: Path | str) -> "CensusTable":

@@ -3,28 +3,41 @@
 A tuple (t_1, ..., t_r) has trivial meet exactly when every row index is
 distinguished in at least one component: necessity because the entry-wise
 minimum at (i, i) must reach i, which pins that component's whole row;
-sufficiency because entries at column j never drop below j.  Counting
-over the positions of distinguished rows therefore reduces the problem to
-a double inclusion-exclusion:
+sufficiency because entries at column j never drop below j.
+
+The gap products eta_n are multiplicative over the gaps between
+distinguished rows, so the number of triangles whose distinguished set is
+exactly D (with 0 and n added as end points) is
+
+    f(D) = prod over gaps g of D of P(g),
+
+where the primitive count P(m) counts size-m triangles whose only
+distinguished row is the bottom one, from A(m) = sum_k P(k) A(m-k).
+N_min(n, r) is then a weighted count of r paths over the positions
+1..n-1, each jumping g positions at weight P(g), that together hit every
+position.  A transfer-matrix sweep (Stanley, Enumerative Combinatorics I,
+section 4.7) counts it with the multiset of the paths' last positions as
+its state, about C(n-1+r, r) states in all.  Positions before n do not
+depend on n, so one sweep to n_max - 1 yields N_min(n, r) for every
+n <= n_max.
+
+Two independent oracles stay for `verify` and the tests: the double
+inclusion-exclusion over the 2^(n-1) row subsets,
 
     N_min(n, r) = sum over T subset of [n-1] of (-1)^|T| g(T)^r,
 
-where g(T) counts triangles whose distinguished set avoids T.  g itself is
-an inclusion-exclusion over the gap products eta_n, folded into an O(|T|^2)
-signed recurrence so the outer sum stays cheap.
-
-The census route recomputes g(T) from the exact-set census table, giving an
-oracle that shares no code with the gap products.  The join-side count is
-obtained by running the same meet-side machinery on a census keyed through
-the rank-reversal bijection, which is the in-code form of p_min = p_max.
+with g(T) the triangles whose distinguished set avoids T, once from the
+gap products and once from the enumerated census.  Rank reversal maps
+distinguished rows to rows at their maximum, so N_max = N_min; the
+reversed census keeps that bijection checkable.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 from .counting import asm_number
 from .enumeration import (
@@ -37,7 +50,7 @@ from .enumeration import (
 from .errors import LimitExceeded, RowOutOfRange
 from .triangles import RowSet, _mask_max_run
 
-IE_LIMIT_DEFAULT = 18
+TRANSFER_LIMIT_DEFAULT = 6000
 
 
 def _rows_of_mask(mask: int) -> tuple[int, ...]:
@@ -80,23 +93,81 @@ def avoid_count(n: int, t_set: RowSet | tuple[int, ...] | list[int]) -> int:
     return _avoid_from_table(n, members, a)
 
 
-def _ie_partial(n: int, r: int, lo: int, hi: int) -> int:
-    a = [asm_number(i) for i in range(n + 1)]
-    total = 0
-    for mask in range(lo, hi):
-        g = _avoid_from_table(n, _rows_of_mask(mask), a)
-        term = g**r
-        total += term if mask.bit_count() % 2 == 0 else -term
-    return total
+def primitive_counts(m_max: int) -> list[int]:
+    """[P(0), ..., P(m_max)]: P(m) counts the size-m triangles whose only
+    distinguished row is the bottom one (P(0) = 0 by convention).
+
+    >>> primitive_counts(6)
+    [0, 1, 1, 4, 29, 343, 6536]
+    """
+    a = [asm_number(m) for m in range(m_max + 1)]
+    p = [0]
+    for m in range(1, m_max + 1):
+        p.append(a[m] - sum(p[k] * a[m - k] for k in range(1, m)))
+    return p
 
 
-def _ie_partial_star(args: tuple[int, int, int, int]) -> int:
-    return _ie_partial(*args)
+def _check_transfer_limit(n: int, r: int, limit: int) -> None:
+    # The sweep visits C(n-1+r, r) multisets of r last positions in
+    # [0, n-1].  Counting at least two components also charges r = 1 for the
+    # C(n+1, 2) jump weights P(b - a) that every sweep needs.  The running
+    # product grows monotonically, so stop as soon as it passes the limit.
+    k = max(r, 2)
+    states = 1
+    for i in range(min(n - 1, k)):
+        states = states * (n - 1 + k - i) // (i + 1)
+        if states > limit:
+            raise LimitExceeded(
+                f"N_min(n={n}, r={r}) needs more than {limit} transfer states; "
+                f"raise `limit` (default TRANSFER_LIMIT_DEFAULT = {TRANSFER_LIMIT_DEFAULT})"
+            )
 
 
-def n_min_exact(
-    n: int, r: int, limit: int = IE_LIMIT_DEFAULT, workers: int = 1
-) -> int:
+def _n_min_sweep(n_max: int, r: int) -> Iterator[int]:
+    """Yield N_min(n, r) for n = 1..n_max from one transfer-matrix sweep."""
+    p = primitive_counts(n_max)
+    # A state is the multiset of the components' last distinguished
+    # positions, as ascending (position, multiplicity) pairs.  Its weight
+    # counts labelled tuples, so moving k of the c components sitting at v
+    # to pos multiplies it by C(c, k) P(pos - v)^k.
+    states: dict[tuple[tuple[int, int], ...], int] = {((0, r),): 1}
+    for pos in range(1, n_max + 1):
+        total = 0
+        for state, weight in states.items():
+            for v, c in state:
+                weight *= p[pos - v] ** c
+            total += weight
+        yield total
+        if pos == n_max:
+            return
+        nxt: dict[tuple[tuple[int, int], ...], int] = {}
+        while states:  # consume the old states, so both never peak together
+            state, weight = states.popitem()
+            # per pair (v, c): (C(c, k) P(pos - v)^k, k, the pairs kept at v)
+            choices = []
+            for v, c in state:
+                g = p[pos - v]
+                factor = 1
+                options = [(1, 0, ((v, c),))]
+                for k in range(1, c + 1):
+                    factor = factor * (c - k + 1) // k * g
+                    options.append((factor, k, ((v, c - k),) if k < c else ()))
+                choices.append(options)
+            for combo in product(*choices):
+                w = weight
+                moved = 0
+                kept: tuple[tuple[int, int], ...] = ()
+                for factor, k, pairs in combo:
+                    w *= factor
+                    moved += k
+                    kept += pairs
+                if moved:  # some component must be distinguished at pos
+                    key = kept + ((pos, moved),)
+                    nxt[key] = nxt.get(key, 0) + w
+        states = nxt
+
+
+def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:
     """Number of r-tuples of size-n triangles whose meet is the minimal triangle.
 
     >>> n_min_exact(2, 2), n_min_exact(3, 2)
@@ -106,15 +177,20 @@ def n_min_exact(
         raise ValueError(f"n_min_exact needs n >= 1, got {n}")
     if r < 1:
         raise ValueError(f"n_min_exact needs r >= 1, got {r}")
-    if n > limit:
-        raise LimitExceeded(f"inclusion-exclusion limit is {limit}, got n={n}")
-    size = 1 << (n - 1)
-    if workers <= 1:
-        return _ie_partial(n, r, 0, size)
-    chunk = -(-size // workers)
-    jobs = [(n, r, lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_ie_partial_star, jobs))
+    _check_transfer_limit(n, r, limit)
+    return list(_n_min_sweep(n, r))[-1]
+
+
+def _n_min_ie(n: int, r: int) -> int:
+    """Oracle for `n_min_exact`: inclusion-exclusion over the 2^(n-1) row
+    subsets, with the avoidance counts from the gap products."""
+    a = [asm_number(i) for i in range(n + 1)]
+    total = 0
+    for mask in range(1 << (n - 1)):
+        g = _avoid_from_table(n, _rows_of_mask(mask), a)
+        term = g**r
+        total += term if mask.bit_count() % 2 == 0 else -term
+    return total
 
 
 def _ie_over_census(census: CensusTable, r: int) -> int:
@@ -130,8 +206,9 @@ def _ie_over_census(census: CensusTable, r: int) -> int:
 def n_min_census(
     n: int, r: int, census: CensusTable | None = None, limit: int = ENUM_LIMIT_DEFAULT
 ) -> int:
-    """Oracle for `n_min_exact`: the same outer sum, with the avoidance counts
-    read off the exact-set census instead of the gap products."""
+    """Oracle for `n_min_exact`: the inclusion-exclusion sum, with the
+    avoidance counts read off the exact-set census instead of the gap
+    products."""
     if r < 1:
         raise ValueError(f"n_min_census needs r >= 1, got {r}")
     if census is None:
@@ -151,20 +228,17 @@ def reversed_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     return CensusTable(n, dict(sorted(counts.items())))
 
 
-def p_extreme(n: int, r: int, which: str, workers: int = 1) -> Fraction:
+def p_extreme(n: int, r: int, which: str, limit: int = TRANSFER_LIMIT_DEFAULT) -> Fraction:
     """Probability that r uniform triangles have trivial meet ("min") or
     trivial join ("max"), as an exact reduced fraction.
 
-    The join side never reuses the meet-side counts: it runs the census
-    inclusion-exclusion on rank-reversed keys, so the equality of the two
-    exercises the reversal bijection.
+    Rank reversal is an involution taking distinguished rows to rows at
+    their maximum, so both sides are the same count; `reversed_census`
+    keeps that bijection checkable.
     """
-    denominator = asm_number(n) ** r
-    if which == "min":
-        return Fraction(n_min_exact(n, r, workers=workers), denominator)
-    if which == "max":
-        return Fraction(_ie_over_census(reversed_census(n), r), denominator)
-    raise ValueError(f"which must be 'min' or 'max', got {which!r}")
+    if which not in ("min", "max"):
+        raise ValueError(f"which must be 'min' or 'max', got {which!r}")
+    return Fraction(n_min_exact(n, r, limit=limit), asm_number(n) ** r)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +391,20 @@ def decompose(n: int, r: int, n_min: int) -> MeetCensusReport:
 
 
 def theorem_report(
-    n_max: int, r: int, limit: int = IE_LIMIT_DEFAULT, workers: int = 1
+    n_max: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT
 ) -> list[MeetCensusReport]:
-    """Decomposition reports for n = 2..n_max at fixed r.
+    """Decomposition reports for n = 2..n_max at fixed r, from one sweep.
 
     Rows start at n = 2 because the curvature denominator uses A(n-2).
     Signs of the error term are recorded, never asserted.
     """
     if n_max < 2:
         raise ValueError(f"theorem_report needs n_max >= 2, got {n_max}")
-    if n_max > limit:
-        raise LimitExceeded(f"inclusion-exclusion limit is {limit}, got n_max={n_max}")
+    if r < 1:
+        raise ValueError(f"theorem_report needs r >= 1, got {r}")
+    _check_transfer_limit(n_max, r, limit)
     return [
-        decompose(n, r, n_min_exact(n, r, limit=limit, workers=workers))
-        for n in range(2, n_max + 1)
+        decompose(n, r, n_min)
+        for n, n_min in enumerate(_n_min_sweep(n_max, r), start=1)
+        if n >= 2
     ]

@@ -190,9 +190,12 @@ def verify_theorems(n_max: int = 6) -> int:
     checks = 0
 
     for n, r in product(range(1, min(n_max, 6) + 1), (1, 2, 3)):
-        if meet_census.n_min_exact(n, r) != meet_census.n_min_census(n, r):
-            _fail(suite, f"IE and census oracle disagree at (n={n}, r={r})")
-        checks += 1
+        n_min = meet_census.n_min_exact(n, r)
+        if n_min != meet_census._n_min_ie(n, r):
+            _fail(suite, f"transfer count and IE oracle disagree at (n={n}, r={r})")
+        if n_min != meet_census.n_min_census(n, r):
+            _fail(suite, f"transfer count and census oracle disagree at (n={n}, r={r})")
+        checks += 2
 
     for n, r, expected in ((2, 2, 3), (3, 2, 15)):
         ts = list(enumeration.enumerate_triangles(n))
@@ -203,10 +206,13 @@ def verify_theorems(n_max: int = 6) -> int:
             _fail(suite, f"spot value N_min({n},{r}) != {expected}")
         checks += 1
 
-    for n, r in product(range(1, min(n_max, 5) + 1), (1, 2, 3)):
-        if meet_census.p_extreme(n, r, "min") != meet_census.p_extreme(n, r, "max"):
-            _fail(suite, f"p_min != p_max at (n={n}, r={r})")
-        checks += 1
+    # p_max = p_min by rank reversal: count the join side on reversed keys.
+    for n in range(1, min(n_max, 5) + 1):
+        table = meet_census.reversed_census(n)
+        for r in (1, 2, 3):
+            if meet_census._ie_over_census(table, r) != meet_census.n_min_exact(n, r):
+                _fail(suite, f"reversed census gives N_max != N_min at (n={n}, r={r})")
+            checks += 1
 
     for n, r in product(range(1, min(n_max, 10) + 1), (1, 2, 3)):
         a = counting.asm_number(n)
@@ -218,6 +224,8 @@ def verify_theorems(n_max: int = 6) -> int:
         for report in meet_census.theorem_report(max(2, min(n_max, 12)), r):
             if report.main_term + report.second_term + report.error_term != report.n_min:
                 _fail(suite, f"decomposition identity broke at (n={report.n}, r={r})")
+            if report.n_min != meet_census.n_min_exact(report.n, r):
+                _fail(suite, f"the one-sweep report differs at (n={report.n}, r={r})")
             checks += 1
 
     for n in range(4, min(n_max, 7) + 1):

@@ -190,11 +190,29 @@ class TestCensusFile:
             "MTCENSUS v1 n=3 total=7\n5 1\n4 4\n6 1\n7 1\n",  # not ascending
             "MTCENSUS v1 n=3 total=7\n1 4\n5 1\n6 1\n7 2\n",  # key misses bottom row
             "MTCENSUS v1 n=3 total=7\n4 x\n",
+            "MTCENSUS v1 n=5 total=3\n10 3\n",  # consistent, but A(5) = 429
+            "MTCENSUS v1 n=2 total=3\n2 1\n3 2\n",  # every set, but A(2) = 2
+            pytest.param(f"MTCENSUS v1 n=300 total=1\n{1 << 299:x} 1\n", id="forged-n300"),
+            "MTCENSUS v1 n=0 total=0\n",
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             CensusTable.from_text(text)
+
+    def test_write_is_atomic(self, tmp_path, censuses, monkeypatch):
+        path = tmp_path / "mtcensus-n3.txt"
+        censuses(3).write(path)
+        assert path.read_text() == CENSUS3_TEXT
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            CensusTable(3, {0b100: 7}).write(path)
+        assert path.read_text() == CENSUS3_TEXT
+        assert os.listdir(tmp_path) == ["mtcensus-n3.txt"]
 
     def test_load_or_build_persists(self, tmp_path):
         table = load_or_build_census(4, cache_dir=tmp_path)

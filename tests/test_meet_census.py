@@ -1,4 +1,5 @@
-"""Trivial-meet counting: the gap-product IE against brute force and the census."""
+"""Trivial-meet counting: the transfer-matrix sweep against the inclusion-exclusion
+and census oracles and brute force."""
 
 from fractions import Fraction
 from itertools import product
@@ -17,10 +18,12 @@ from goglattice import (
     n_min_census,
     n_min_exact,
     p_extreme,
+    primitive_counts,
     reversed_census,
     run_histogram_report,
     theorem_report,
 )
+from goglattice.meet_census import _ie_over_census, _n_min_ie
 
 
 class TestAvoidCount:
@@ -67,20 +70,37 @@ class TestNMin:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_census_oracle(self, r, censuses):
-        for n in range(1, 6):
+        for n in range(1, 7):
             assert n_min_exact(n, r) == n_min_census(n, r, census=censuses(n))
+
+    @pytest.mark.parametrize("r, n_top", [(1, 12), (2, 12), (3, 12), (4, 10)])
+    def test_ie_oracle(self, r, n_top):
+        for n in range(1, n_top + 1):
+            assert n_min_exact(n, r) == _n_min_ie(n, r)
+
+    def test_primitive_counts_match_census(self, censuses):
+        p = primitive_counts(7)
+        assert p == [0, 1, 1, 4, 29, 343, 6536, 202890]
+        for m in range(1, 8):
+            assert censuses(m).counts[1 << (m - 1)] == p[m]
 
     def test_lower_bound(self):
         for n in range(1, 9):
             for r in (2, 3):
                 assert n_min_exact(n, r) >= r * (asm_number(n) - 1) ** (r - 1)
 
-    def test_workers_match(self):
-        assert n_min_exact(8, 2, workers=2) == n_min_exact(8, 2)
-
     def test_limit(self):
+        for n, r in ((16, 4), (30, 3), (100, 2)):
+            assert n_min_exact(n, r) >= r * (asm_number(n) - 1) ** (r - 1)
+        assert n_min_exact(1, 10**6) == 1
+        for n, r in ((19, 4), (33, 3), (110, 2), (110, 1), (2, 6000)):
+            with pytest.raises(LimitExceeded, match="raise `limit`"):
+                n_min_exact(n, r)
         with pytest.raises(LimitExceeded):
-            n_min_exact(19, 2)
+            theorem_report(19, 4)
+        with pytest.raises(LimitExceeded):
+            p_extreme(110, 2, "max")
+        assert n_min_exact(19, 4, limit=7315) == theorem_report(19, 4, limit=7315)[-1].n_min
 
 
 class TestPExtreme:
@@ -93,7 +113,9 @@ class TestPExtreme:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_duality(self, r):
+        # the join side counted on rank-reversed keys, independently of the sweep
         for n in range(1, 6):
+            assert _ie_over_census(reversed_census(n), r) == n_min_exact(n, r)
             assert p_extreme(n, r, "min") == p_extreme(n, r, "max")
 
     def test_reversed_census_counts_maximal_rows(self, universe, censuses):
@@ -185,6 +207,12 @@ class TestTheoremReport:
             for rep in theorem_report(8, r):
                 assert rep.main_term + rep.second_term + rep.error_term == rep.n_min
                 assert rep.p_min == Fraction(rep.n_min, asm_number(rep.n) ** r)
+
+    @pytest.mark.parametrize("r, n_max", [(1, 14), (2, 14), (3, 12), (4, 10)])
+    def test_one_sweep_matches_per_n(self, r, n_max):
+        reports = theorem_report(n_max, r)
+        assert [rep.n for rep in reports] == list(range(2, n_max + 1))
+        assert [rep.n_min for rep in reports] == [n_min_exact(n, r) for n in range(2, n_max + 1)]
 
     def test_r_one_degenerates(self):
         for rep in theorem_report(6, 1):
