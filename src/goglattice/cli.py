@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,15 @@ from .triangles import (
 
 
 def _decimal(value: Fraction, sig: int = 12) -> str:
-    return f"{float(value):.{sig}g}"
+    approx = float(value)
+    if abs(approx) >= sys.float_info.min or not value:
+        return f"{approx:.{sig}g}"
+    # Zero or subnormal as a double, which holds fewer than `sig` digits:
+    # round the exact value instead.
+    with localcontext() as context:
+        context.prec = sig
+        exact = Decimal(value.numerator) / Decimal(value.denominator)
+    return f"{exact.normalize():.{sig}g}"
 
 
 def _positive_int(text: str) -> int:
@@ -77,7 +86,7 @@ def cmd_asm_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    stream = enumeration.enumerate_triangles_partitioned(args.n, args.workers)
+    stream = enumeration.enumerate_triangles(args.n)
     first = True
     for t in stream:
         if not first:
@@ -122,9 +131,7 @@ def cmd_meet(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    table = enumeration.load_or_build_census(
-        args.n, cache_dir=args.cache_dir, workers=args.workers
-    )
+    table = enumeration.load_or_build_census(args.n, cache_dir=args.cache_dir)
     sys.stdout.write(table.to_text())
     return 0
 
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all size-n triangles")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="convert between triangle/matrix forms")
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="distinguished-row census, cached on disk")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--cache-dir", help=f"cache directory; else ${enumeration.CACHE_ENV}, else .cache/")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("pmin", help="exact trivial-meet count and probability")

@@ -4,11 +4,13 @@ A(n) is the number of monotone triangles of size n,
 
     A(n) = prod_{k=0}^{n-1} (3k+1)! / (n+k)!,   A(0) = 1.
 
-The product is evaluated as one exact numerator and one exact denominator;
-the division must leave no remainder (the individual factorial ratios are
-not integers, the full product is).  `asm_number_dp` recomputes the same
-value by a row-interlacing dynamic program that never touches the formula,
-which is the in-process oracle for it.
+Successive values follow from the ratio
+A(m+1)/A(m) = (3m+1)! m! / ((2m)! (2m+1)!), and every division must leave
+no remainder.  `_asm_number_formula` evaluates the whole product as one
+exact numerator and one exact denominator, independently of the
+recurrence, and is its oracle in the tests.  `asm_number_dp` recomputes
+the same value by a row-interlacing dynamic program that never touches the
+formula, which is the in-process oracle for both.
 
 All counts are Python ints and all probabilities `fractions.Fraction`;
 nothing here rounds.
@@ -44,13 +46,20 @@ def _asm_number_formula(n: int) -> int:
 def asm_number(n: int) -> int:
     """The exact number of monotone triangles of size n (A(0) = 1).
 
+    The cache grows by the ratio recurrence, whose factorials cancel to the
+    m-term falling factorials (3m+1)!/(2m+1)! and (2m)!/m!.
+
     >>> [asm_number(n) for n in range(6)]
     [1, 1, 2, 7, 42, 429]
     """
     if n < 0:
         raise ValueError(f"asm_number needs n >= 0, got {n}")
     while len(_A_CACHE) <= n:
-        _A_CACHE.append(_asm_number_formula(len(_A_CACHE)))
+        m = len(_A_CACHE) - 1
+        value, r = divmod(_A_CACHE[m] * math.perm(3 * m + 1, m), math.perm(2 * m, m))
+        if r:
+            raise ArithmeticError(f"A({m + 1}) ratio recurrence did not divide exactly")
+        _A_CACHE.append(value)
     return _A_CACHE[n]
 
 

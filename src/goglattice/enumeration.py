@@ -2,10 +2,16 @@
 
 The canonical enumeration order is lexicographic on the reading sequence
 (rows top to bottom, left to right), so rank 0 is the minimal triangle and
-rank A(n)-1 the maximal one.  Ranking, unranking, and uniform sampling all
-walk the same row-by-row tree, weighted by memoized completion counts: the
+rank A(n)-1 the maximal one.  Everything here walks one row-by-row tree,
+whose children are the `interlacing_successors` of a row.  Enumeration and
+the census go through it depth first with one flat walker (`_walk`) that
+keeps an explicit stack of successor streams.  Ranking, unranking and
+uniform sampling go down one path of it, weighted by completion counts: the
 number of ways to finish a triangle depends only on the last fixed row,
-because interlacing is a constraint between adjacent rows only.
+because interlacing is a constraint between adjacent rows only, so one
+table per n, keyed by the row itself and seeded with the forced bottom row,
+holds every count, and `_pick` chooses the row whose block of completions
+holds a given index.
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it, and persists to a text file:
@@ -21,17 +27,17 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .counting import asm_number
+from .counting import DP_LIMIT_DEFAULT, asm_number
 from .errors import FormatError, IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
 from .triangles import MonotoneTriangle, _mask_max_run, interlacing_successors
 
 ENUM_LIMIT_DEFAULT = 7
-DP_LIMIT_DEFAULT = 12
 CACHE_ENV = "GOG_CACHE_DIR"
 
 
@@ -57,25 +63,27 @@ class TrianglePrefix:
             raise ShapeMismatch(f"prefix row entries outside [1, {self.n}]: {row}")
 
 
-def _row_mask(row: tuple[int, ...]) -> int:
-    mask = 0
-    for v in row:
-        mask |= 1 << (v - 1)
-    return mask
-
-
-_COMPLETIONS: dict[tuple[int, int], int] = {}  # (n, row bitmask) -> count; idempotent fill
+_COMPLETIONS: dict[int, dict[tuple[int, ...], int]] = {}  # n -> {row: count}; idempotent fill
 
 
 def _completions(n: int, row: tuple[int, ...]) -> int:
-    if len(row) == n:
-        return 1
-    key = (n, _row_mask(row))
-    cached = _COMPLETIONS.get(key)
-    if cached is None:
-        cached = sum(_completions(n, succ) for succ in interlacing_successors(row, n))
-        _COMPLETIONS[key] = cached
-    return cached
+    table = _COMPLETIONS.get(n)
+    if table is None:
+        table = _COMPLETIONS[n] = {tuple(range(1, n + 1)): 1}  # the forced bottom row
+
+    def count(row: tuple[int, ...]) -> int:
+        cached = table.get(row)
+        if cached is None:
+            cached = table[row] = sum(map(count, interlacing_successors(row, n)))
+        return cached
+
+    return count(row)
+
+
+def _filled(n: int) -> dict[tuple[int, ...], int]:
+    """The completion table for size n with every row counted."""
+    _completions(n, ())
+    return _COMPLETIONS[n]
 
 
 def completions_count(prefix: TrianglePrefix) -> int:
@@ -89,65 +97,63 @@ def completions_count(prefix: TrianglePrefix) -> int:
     return _completions(prefix.n, prefix.row)
 
 
+def _pick(n: int, prev: tuple[int, ...], k: int) -> tuple[tuple[int, ...], int]:
+    """The successor of `prev` whose block of completions holds index k, in
+    the enumeration order below `prev`, and k less the completions skipped
+    to reach it.  Needs 0 <= k < completions of `prev`, already counted."""
+    table = _COMPLETIONS[n]
+    for cand in interlacing_successors(prev, n):
+        c = table[cand]
+        if k < c:
+            return cand, k
+        k -= c
+    raise IndexOutOfRange(f"index beyond the completions of row {prev}")
+
+
+def _walk(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """Depth first through the row tree, in enumeration order: yield the rows
+    of each size-n triangle as one list, which the walk goes on to reuse."""
+    rows: list[tuple[int, ...]] = []
+    stack = [interlacing_successors((), n)]
+    while stack:
+        row = next(stack[-1], None)
+        if row is None:
+            stack.pop()
+            if rows:
+                rows.pop()
+        elif len(stack) == n:
+            rows.append(row)
+            yield rows
+            rows.pop()
+        else:
+            rows.append(row)
+            stack.append(interlacing_successors(row, n))
+
+
+def _check_enum_size(n: int, limit: int, what: str) -> None:
+    if n < 1:
+        raise ValueError(f"{what} needs n >= 1, got {n}")
+    if n > limit:
+        raise LimitExceeded(f"enumeration limit is {limit}, got n={n}")
+
+
 def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[MonotoneTriangle]:
     """All size-n triangles in reading-sequence lexicographic order."""
-    if n < 1:
-        raise ValueError(f"enumerate_triangles needs n >= 1, got {n}")
-    if n > limit:
-        raise LimitExceeded(f"enumeration limit is {limit}, got n={n}")
-    return _enumerate_from(n, range(1, n + 1))
-
-
-def _enumerate_from(n: int, tops: Iterable[int]) -> Iterator[MonotoneTriangle]:
-    rows: list[tuple[int, ...]] = []
-
-    def descend(level: int, row: tuple[int, ...]) -> Iterator[MonotoneTriangle]:
-        rows.append(row)
-        if level == n:
-            yield MonotoneTriangle(tuple(rows))
-        else:
-            for succ in interlacing_successors(row, n):
-                yield from descend(level + 1, succ)
-        rows.pop()
-
-    for top in tops:
-        yield from descend(1, (top,))
-
-
-def _enum_worker(args: tuple[int, tuple[int, ...]]) -> list[MonotoneTriangle]:
-    n, tops = args
-    return list(_enumerate_from(n, tops))
-
-
-def enumerate_triangles_partitioned(
-    n: int, workers: int, limit: int = ENUM_LIMIT_DEFAULT
-) -> Iterator[MonotoneTriangle]:
-    """Same stream as `enumerate_triangles`, partitioned by top-row value
-    across a process pool and merged back in ascending top order."""
-    if workers <= 1:
-        yield from enumerate_triangles(n, limit)
-        return
-    if n < 1:
-        raise ValueError(f"enumerate_triangles needs n >= 1, got {n}")
-    if n > limit:
-        raise LimitExceeded(f"enumeration limit is {limit}, got n={n}")
-    jobs = [(n, (top,)) for top in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(_enum_worker, jobs):
-            yield from batch
+    _check_enum_size(n, limit, "enumerate_triangles")
+    return (MonotoneTriangle(tuple(rows)) for rows in _walk(n))
 
 
 def rank(t: MonotoneTriangle) -> int:
     """Position of t in the enumeration order; rank of the minimal triangle is 0."""
     n = t.n
+    table = _filled(n)
     r = 0
     prev: tuple[int, ...] = ()
-    for level in range(1, n + 1):
-        target = t.rows[level - 1]
+    for target in t.rows:
         for cand in interlacing_successors(prev, n):
             if cand == target:
                 break
-            r += _completions(n, cand)
+            r += table[cand]
         prev = target
     return r
 
@@ -156,19 +162,14 @@ def unrank(n: int, k: int) -> MonotoneTriangle:
     """The triangle at position k of the enumeration order, 0 <= k < A(n)."""
     if n < 1:
         raise ValueError(f"unrank needs n >= 1, got {n}")
-    total = _completions(n, ())
+    total = _filled(n)[()]
     if not 0 <= k < total:
         raise IndexOutOfRange(f"rank {k} outside [0, {total})")
     rows: list[tuple[int, ...]] = []
     prev: tuple[int, ...] = ()
     for _ in range(n):
-        for cand in interlacing_successors(prev, n):
-            c = _completions(n, cand)
-            if k < c:
-                rows.append(cand)
-                prev = cand
-                break
-            k -= c
+        prev, k = _pick(n, prev, k)
+        rows.append(prev)
     return MonotoneTriangle(tuple(rows))
 
 
@@ -178,7 +179,8 @@ def sample_uniform(
     """Exactly uniform samples from the size-n triangles, deterministic in seed.
 
     Each row is chosen sequentially with probability proportional to the
-    completion count below it, so no rejection and no rounding occur.
+    completion count below it, so no rejection and no rounding occur: one
+    `randrange(completions of the previous row)` per level picks the row.
     """
     if n < 1:
         raise ValueError(f"sample_uniform needs n >= 1, got {n}")
@@ -186,20 +188,15 @@ def sample_uniform(
         raise ValueError(f"sample_uniform needs count >= 1, got {count}")
     if n > limit:
         raise LimitExceeded(f"sampling limit is {limit}, got n={n}")
-    rng = random.Random(seed)
+    table = _filled(n)
+    randrange = random.Random(seed).randrange
     out = []
     for _ in range(count):
         rows: list[tuple[int, ...]] = []
         prev: tuple[int, ...] = ()
         for _ in range(n):
-            u = rng.randrange(_completions(n, prev))
-            for cand in interlacing_successors(prev, n):
-                c = _completions(n, cand)
-                if u < c:
-                    rows.append(cand)
-                    prev = cand
-                    break
-                u -= c
+            prev = _pick(n, prev, randrange(table[prev]))[0]
+            rows.append(prev)
         out.append(MonotoneTriangle(tuple(rows)))
     return out
 
@@ -326,44 +323,15 @@ class CensusTable:
         return cls.from_text(Path(path).read_text())
 
 
-def _census_counts(n: int, tops: Iterable[int]) -> dict[int, int]:
-    stairs = tuple(tuple(range(1, i + 1)) for i in range(n + 1))
-    counts: dict[int, int] = {}
-
-    def descend(level: int, row: tuple[int, ...], mask: int) -> None:
-        if level == n:
-            counts[mask] = counts.get(mask, 0) + 1
-            return
-        for succ in interlacing_successors(row, n):
-            bit = 1 << level if succ == stairs[level + 1] else 0
-            descend(level + 1, succ, mask | bit)
-
-    for top in tops:
-        descend(1, (top,), 1 if top == 1 else 0)
-    return counts
-
-
-def _census_worker(args: tuple[int, tuple[int, ...]]) -> dict[int, int]:
-    return _census_counts(*args)
-
-
-def build_census(
-    n: int, limit: int = ENUM_LIMIT_DEFAULT, workers: int = 1
-) -> CensusTable:
+def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Exact distinguished-set census of the size-n triangles."""
-    if n < 1:
-        raise ValueError(f"build_census needs n >= 1, got {n}")
-    if n > limit:
-        raise LimitExceeded(f"enumeration limit is {limit}, got n={n}")
-    if workers <= 1:
-        counts = _census_counts(n, range(1, n + 1))
-    else:
-        jobs = [(n, (top,)) for top in range(1, n + 1)]
-        counts = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_census_worker, jobs):
-                for mask, c in partial.items():
-                    counts[mask] = counts.get(mask, 0) + c
+    _check_enum_size(n, limit, "build_census")
+    stairs = [tuple(range(1, i + 1)) for i in range(1, n + 1)]
+    bits = [1 << i for i in range(n)]
+    counts: dict[int, int] = {}
+    for rows in _walk(n):
+        mask = sum(compress(bits, map(eq, rows, stairs)))
+        counts[mask] = counts.get(mask, 0) + 1
     return CensusTable(n, dict(sorted(counts.items())))
 
 
@@ -389,7 +357,6 @@ def load_or_build_census(
     n: int,
     cache_dir: str | os.PathLike | None = None,
     limit: int = ENUM_LIMIT_DEFAULT,
-    workers: int = 1,
 ) -> CensusTable:
     """Read the census from the cache if present, otherwise build and persist."""
     directory = resolve_cache_dir(cache_dir)
@@ -399,7 +366,7 @@ def load_or_build_census(
         if table.n != n:
             raise FormatError(f"{path} holds a census for n={table.n}, expected {n}")
         return table
-    table = build_census(n, limit=limit, workers=workers)
+    table = build_census(n, limit=limit)
     directory.mkdir(parents=True, exist_ok=True)
     table.write(path)
     return table

@@ -448,20 +448,35 @@ def interlacing_successors(row: tuple[int, ...], n: int) -> Iterator[tuple[int, 
     The empty row yields (1,), (2,), ..., (n,).  Every strictly increasing
     row admits at least one successor (insert any missing value), which is
     what makes the last fixed row a sufficient DP state.
+
+    Entry j of a successor ranges over [max(entry j-1 + 1, row[j-1]), row[j]]
+    (the last entry up to n), so the rows are counted off like an odometer:
+    the last entry runs through its range, then the rightmost earlier entry
+    still below its bound steps up and every entry after it restarts at its
+    least value.  The ranges of the first i entries are never empty, because
+    row strictly increases.
     """
     i = len(row)
-    out = [0] * (i + 1)
-
-    def fill(j: int, lo: int) -> Iterator[tuple[int, ...]]:
-        hi = row[j] if j < i else n
-        for v in range(lo, hi + 1):
-            out[j] = v
-            if j == i:
-                yield tuple(out)
-            else:
-                yield from fill(j + 1, max(v + 1, row[j]))
-
-    return fill(0, 1)
+    values = [0] * (i + 1)
+    j = 0
+    lo = 1
+    while True:
+        for k in range(j, i):
+            values[k] = lo
+            bound = row[k]
+            lo = lo + 1 if lo >= bound else bound
+        for v in range(lo, n + 1):
+            values[i] = v
+            yield tuple(values)
+        j = i - 1
+        while j >= 0 and values[j] == row[j]:
+            j -= 1
+        if j < 0:
+            return
+        v = values[j] = values[j] + 1
+        bound = row[j]
+        lo = v + 1 if v >= bound else bound
+        j += 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +491,18 @@ def triangle_to_text(t: MonotoneTriangle) -> str:
     return str(t) + "\n"
 
 
+class _RowText(dict):
+    """Row tuple -> its text, formatted once on first lookup."""
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = " ".join(map(str, row))
+        return text
+
+
 def triangles_to_text(ts: Iterable[MonotoneTriangle]) -> str:
-    return "\n\n".join(str(t) for t in ts) + "\n"
+    # A size-n stream has at most 2^n - 1 distinct rows; format each once.
+    text = _RowText().__getitem__
+    return "\n\n".join("\n".join(map(text, t.rows)) for t in ts) + "\n"
 
 
 def matrix_to_text(m: ColumnSumMatrix | AlternatingSignMatrix) -> str:

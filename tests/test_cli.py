@@ -2,9 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import goglattice
+from goglattice import asm_number, n_min_exact
 from goglattice.cli import main
 
 FIG1_TRIANGLE_TEXT = "3\n2 4\n1 3 4\n1 2 3 4\n"
@@ -150,6 +157,14 @@ class TestPmin:
         _, b, _ = run(capsys, "pmin", "--n", "7", "--r", "2", "--json", "--workers", "2")
         assert a == b
 
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_decimal_below_float_range(self, capsys, n):
+        # p_min is far below the least double here; the decimal stays exact to 12 digits
+        _, out, _ = run(capsys, "pmin", "--n", str(n), "--r", "2", "--json")
+        printed = Fraction(json.loads(out)["p_min_decimal"])
+        exact = Fraction(n_min_exact(n, 2), asm_number(n) ** 2)
+        assert abs(printed - exact) <= Fraction(1, 10**11) * exact
+
 
 class TestTheoremTables:
     def test_theorem2_columns(self, capsys):
@@ -205,6 +220,20 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--n-max", "10")
         assert code == 0
         assert out.startswith("OK lemmas checks=")
+
+
+class TestImport:
+    def test_no_process_pool_modules(self):
+        code = (
+            "import sys, goglattice.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+        )
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out == "[]\n"
 
 
 class TestUsageErrors:

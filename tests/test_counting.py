@@ -40,6 +40,12 @@ class TestAsmNumber:
         for n in range(1, 13):
             assert asm_number(n) >= math.factorial(n)
 
+    def test_recurrence_matches_product_formula(self):
+        from goglattice.counting import _asm_number_formula
+
+        for n in range(61):
+            assert asm_number(n) == _asm_number_formula(n), n
+
 
 class TestAsmNumberDp:
     @pytest.mark.parametrize("n", range(1, 10))

@@ -1,8 +1,11 @@
 """Enumeration order, ranking, exact sampling, and the census with its file format."""
 
+import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goglattice import (
     CensusTable,
@@ -21,11 +24,42 @@ from goglattice import (
     rank,
     resolve_cache_dir,
     sample_uniform,
+    triangles_to_text,
     unrank,
 )
-from goglattice.enumeration import enumerate_triangles_partitioned
+from goglattice.cli import main
+from goglattice.enumeration import _completions, _pick
+from goglattice.triangles import _validate_rows, interlacing_successors
 
 CENSUS3_TEXT = "MTCENSUS v1 n=3 total=7\n4 4\n5 1\n6 1\n7 1\n"
+
+# Frozen outputs at n = 12: they pin the enumeration order and the sampling stream.
+UNRANK_12 = {
+    1000000000: (
+        (1,), (1, 2), (1, 2, 4), (1, 2, 3, 6), (1, 2, 3, 5, 9), (1, 2, 3, 4, 6, 11),
+        (1, 2, 3, 4, 6, 7, 11), (1, 2, 3, 4, 6, 7, 9, 12), (1, 2, 3, 4, 5, 7, 9, 11, 12),
+        (1, 2, 3, 4, 5, 6, 9, 10, 11, 12), (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    ),
+    4203770619892500: (
+        (6,), (3, 7), (3, 6, 8), (3, 6, 8, 11), (2, 4, 6, 8, 11), (2, 4, 6, 8, 9, 11),
+        (2, 3, 4, 7, 8, 10, 12), (1, 2, 4, 6, 7, 8, 10, 12), (1, 2, 3, 5, 6, 8, 10, 11, 12),
+        (1, 2, 3, 4, 6, 7, 8, 10, 11, 12), (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    ),
+    6305655929838757: (
+        (7,), (1, 7), (1, 2, 7), (1, 2, 3, 7), (1, 2, 3, 4, 7), (1, 2, 3, 4, 5, 7),
+        (1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5, 6, 7, 8, 10),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    ),
+}
+SAMPLE_12_SEED_2024 = (
+    (5,), (5, 6), (3, 5, 8), (3, 5, 7, 8), (3, 5, 6, 7, 10), (2, 4, 6, 7, 8, 11),
+    (2, 3, 5, 7, 8, 9, 12), (1, 3, 4, 5, 7, 9, 10, 12), (1, 3, 4, 5, 6, 8, 9, 11, 12),
+    (1, 3, 4, 5, 6, 7, 8, 10, 11, 12), (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+)
 
 
 class TestEnumeration:
@@ -69,9 +103,13 @@ class TestEnumeration:
         with pytest.raises(LimitExceeded):
             list(enumerate_triangles(8))
 
-    def test_partitioned_matches_sequential(self, universe):
-        parallel = list(enumerate_triangles_partitioned(4, workers=2))
-        assert parallel == universe(4)
+    def test_cli_workers_byte_identical(self, capsys, universe):
+        assert main(["enumerate", "--n", "4", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == triangles_to_text(universe(4))
+
+    def test_every_triangle_is_valid(self, universe):
+        for t in universe(6):
+            _validate_rows(t.rows)
 
 
 class TestCompletions:
@@ -117,6 +155,37 @@ class TestRankUnrank:
         with pytest.raises(IndexOutOfRange):
             unrank(3, -1)
 
+    @pytest.mark.parametrize("k,rows", sorted(UNRANK_12.items()))
+    def test_frozen_at_twelve(self, k, rows):
+        t = unrank(12, k)
+        assert t.rows == rows
+        _validate_rows(t.rows)
+        assert rank(t) == k
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rank_inverts_unrank(self, data):
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(0, asm_number(n) - 1))
+        assert rank(unrank(n, k)) == k
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pick_returns_the_residual(self, data):
+        # a row at a random level (level 0: the empty row) of a random triangle
+        n = data.draw(st.integers(1, 12))
+        t = unrank(n, data.draw(st.integers(0, asm_number(n) - 1)))
+        prev = (((),) + t.rows)[data.draw(st.integers(0, n - 1))]
+        k = data.draw(st.integers(0, _completions(n, prev) - 1))
+        row, residual = _pick(n, prev, k)
+        skipped = 0
+        for cand in interlacing_successors(prev, n):
+            if cand == row:
+                break
+            skipped += _completions(n, cand)
+        assert k - residual == skipped
+        assert 0 <= residual < _completions(n, row)
+
 
 class TestSampling:
     def test_size_one(self):
@@ -135,6 +204,20 @@ class TestSampling:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             sample_uniform(13, 1, 0)
+
+    def test_frozen_cli_stream(self, capsys):
+        assert main(["sample", "--n", "10", "--count", "50", "--seed", "3142267078"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "68074e0d7458af748f7e8b686ceeb887e81e8a066867f17bcfbdd035d1f2ac22"
+
+    def test_frozen_rank_of_a_sample(self):
+        (t,) = sample_uniform(12, 1, 2024)
+        assert t.rows == SAMPLE_12_SEED_2024
+        assert rank(t) == 3220736970139029
+
+    def test_samples_are_valid_at_twelve(self):
+        for t in sample_uniform(12, 20, 5):
+            _validate_rows(t.rows)
 
 
 class TestCensus:
@@ -163,8 +246,10 @@ class TestCensus:
     def test_run_histogram_size_three(self, censuses):
         assert censuses(3).run_histogram().counts == {1: 5, 2: 1, 3: 1}
 
-    def test_workers_match(self, censuses):
-        assert build_census(5, workers=2).counts == censuses(5).counts
+    def test_cli_workers_byte_identical(self, capsys, tmp_path, censuses):
+        argv = ["census", "--n", "5", "--cache-dir", str(tmp_path), "--workers", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == censuses(5).to_text()
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):

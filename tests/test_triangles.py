@@ -274,6 +274,19 @@ class TestSuccessors:
                 for row in combinations(range(1, n + 1), size):
                     assert next(iter(interlacing_successors(row, n)), None) is not None
 
+    def test_matches_brute_force_filter(self):
+        # every strictly increasing row (the empty row too) up to n = 8:
+        # the lex-ordered candidates of the next length that interlace it
+        for n in range(1, 9):
+            for size in range(n):
+                for row in combinations(range(1, n + 1), size):
+                    expected = [
+                        cand
+                        for cand in combinations(range(1, n + 1), size + 1)
+                        if all(cand[j] <= row[j] <= cand[j + 1] for j in range(size))
+                    ]
+                    assert list(interlacing_successors(row, n)) == expected, (row, n)
+
 
 class TestTextFormats:
     def test_triangle_roundtrip(self):
@@ -286,6 +299,11 @@ class TestTextFormats:
         text = triangles_to_text(ts)
         assert text == "1\n1 2\n1 2 3\n\n3\n2 3\n1 2 3\n"
         assert parse_triangles(text) == ts
+
+    def test_stream_matches_per_triangle_text(self, universe):
+        ts = universe(4)
+        assert triangles_to_text(ts) == "\n".join(triangle_to_text(t) for t in ts)
+        assert triangles_to_text([]) == "\n"
 
     def test_matrix_text(self):
         assert matrix_to_text(AlternatingSignMatrix(FIG1_ASM)).splitlines()[1] == "0 1 -1 1"
