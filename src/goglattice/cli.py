@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 from . import counting, enumeration, lattice, meet_census, verify
-from .errors import GogError
+from .errors import GogError, VerificationFailure
 from .triangles import (
+    MonotoneTriangle,
     matrices_to_text,
     parse_asms,
     parse_column_sums,
@@ -76,12 +78,28 @@ def _read_input(path: str | None) -> str:
     return Path(path).read_text()
 
 
+@contextmanager
+def _exact_digits():
+    """Lift CPython's cap on int-to-str digits (4300 by default) while the
+    command prints its own results, and restore it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_asm_count(args: argparse.Namespace) -> int:
     if args.method == "formula":
         value = counting.asm_number(args.n)
     else:
         value = counting.asm_number_dp(args.n)
-    print(value)
+    with _exact_digits():
+        print(value)
     return 0
 
 
@@ -104,10 +122,9 @@ _PARSERS = {
 
 
 def _convert_one(obj, target: str):
-    kind = type(obj).__name__
+    t = obj if isinstance(obj, MonotoneTriangle) else obj.to_triangle()
     if target == "triangle":
-        return obj if kind == "MonotoneTriangle" else obj.to_triangle()
-    t = obj if kind == "MonotoneTriangle" else obj.to_triangle()
+        return t
     return t.to_column_sum() if target == "column-sum" else t.to_asm()
 
 
@@ -203,14 +220,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        try:
-            checks = verify.SUITES[name](args.n_max)
-        except GogError as exc:
-            print(f"FAIL {name}: {exc}")
-            return 1
-        print(f"OK {name} checks={checks}")
+    try:
+        for name, checks in verify.run_suites(args.suite, args.n_max):
+            print(f"OK {name} checks={checks}")
+    except VerificationFailure as exc:
+        print(f"FAIL {exc}")
+        return 1
     return 0
 
 

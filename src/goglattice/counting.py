@@ -27,6 +27,7 @@ from .errors import LimitExceeded, RowOutOfRange
 from .triangles import RowSet, interlacing_successors
 
 DP_LIMIT_DEFAULT = 12
+FORMULA_LIMIT_DEFAULT = 1000  # A(0..1000) fills in about 3 s, A(0..2000) in about 47 s
 
 _A_CACHE: list[int] = [1]  # A(0); append-only, filled once per process
 
@@ -43,7 +44,7 @@ def _asm_number_formula(n: int) -> int:
     return q
 
 
-def asm_number(n: int) -> int:
+def asm_number(n: int, limit: int = FORMULA_LIMIT_DEFAULT) -> int:
     """The exact number of monotone triangles of size n (A(0) = 1).
 
     The cache grows by the ratio recurrence, whose factorials cancel to the
@@ -54,6 +55,11 @@ def asm_number(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"asm_number needs n >= 0, got {n}")
+    if n > limit:
+        raise LimitExceeded(
+            f"asm_number limit is {limit}, got n={n}; "
+            f"raise `limit` (default FORMULA_LIMIT_DEFAULT = {FORMULA_LIMIT_DEFAULT})"
+        )
     while len(_A_CACHE) <= n:
         m = len(_A_CACHE) - 1
         value, r = divmod(_A_CACHE[m] * math.perm(3 * m + 1, m), math.perm(2 * m, m))

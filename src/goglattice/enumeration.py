@@ -5,13 +5,23 @@ The canonical enumeration order is lexicographic on the reading sequence
 rank A(n)-1 the maximal one.  Everything here walks one row-by-row tree,
 whose children are the `interlacing_successors` of a row.  Enumeration and
 the census go through it depth first with one flat walker (`_walk`) that
-keeps an explicit stack of successor streams.  Ranking, unranking and
-uniform sampling go down one path of it, weighted by completion counts: the
-number of ways to finish a triangle depends only on the last fixed row,
-because interlacing is a constraint between adjacent rows only, so one
-table per n, keyed by the row itself and seeded with the forced bottom row,
-holds every count, and `_pick` chooses the row whose block of completions
-holds a given index.
+keeps an explicit stack of successor streams.
+
+Ranking, unranking and uniform sampling go down one path of it, weighted by
+completion counts: the number of ways to finish a triangle depends only on
+the last fixed row, because interlacing is a constraint between adjacent
+rows only.  One successor index per n serves them.  A row is any subset of
+[n] and its id is its bitmask (bit v-1 for entry v), so ids are dense and
+the empty top row is id 0.  The ids of each row's successors lie in one flat
+`array("H")`, in enumeration order and by row id, and the completion counts
+are a list of Python ints indexed by id (A(14) exceeds 2^63).  The index is
+built once per n: each row's successors follow from those of the row
+without its last entry, and since a successor's id exceeds its row's, one
+sweep down the ids sums the counts.  A step down the tree then is a scan
+of the row's segment in C: `pick` accumulates the counts and bisects for
+the successor whose block of completions holds an index, and a rank step
+sums the counts before the successor's position.  The `"H"` ids cap the
+index at n <= 16.
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it, and persists to a text file:
@@ -20,24 +30,27 @@ row i) to the number of triangles realizing it, and persists to a text file:
     <bitmask-hex> <decimal count>          (ascending bitmask)
 
 Default limits keep desk-scale runtimes: enumeration up to n = 7 (218,348
-triangles), completion-count DP and sampling up to n = 12.
+triangles); the successor index, and with it ranking, unranking, completion
+counts and sampling, up to n = 12.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import eq
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .counting import DP_LIMIT_DEFAULT, asm_number
 from .errors import FormatError, IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
 from .triangles import MonotoneTriangle, _mask_max_run, interlacing_successors
 
 ENUM_LIMIT_DEFAULT = 7
+INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
 CACHE_ENV = "GOG_CACHE_DIR"
 
 
@@ -63,30 +76,106 @@ class TrianglePrefix:
             raise ShapeMismatch(f"prefix row entries outside [1, {self.n}]: {row}")
 
 
-_COMPLETIONS: dict[int, dict[tuple[int, ...], int]] = {}  # n -> {row: count}; idempotent fill
+_BIT = [0] + [1 << v for v in range(INDEX_MAX_N)]  # _BIT[v]: the id bit of entry v
 
 
-def _completions(n: int, row: tuple[int, ...]) -> int:
-    table = _COMPLETIONS.get(n)
-    if table is None:
-        table = _COMPLETIONS[n] = {tuple(range(1, n + 1)): 1}  # the forced bottom row
-
-    def count(row: tuple[int, ...]) -> int:
-        cached = table.get(row)
-        if cached is None:
-            cached = table[row] = sum(map(count, interlacing_successors(row, n)))
-        return cached
-
-    return count(row)
+def _id(row: tuple[int, ...]) -> int:
+    return sum(map(_BIT.__getitem__, row))
 
 
-def _filled(n: int) -> dict[tuple[int, ...], int]:
-    """The completion table for size n with every row counted."""
-    _completions(n, ())
-    return _COMPLETIONS[n]
+def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
+    """The rows with entries in first..last, indexed by their bitmask (bit 0
+    for entry `first`)."""
+    rows: list[tuple[int, ...]] = [()]
+    for v in range(first, last + 1):
+        rows += [row + (v,) for row in rows]
+    return rows
 
 
-def completions_count(prefix: TrianglePrefix) -> int:
+class _SuccessorIndex:
+    """For every row of a size-n triangle, by id: its completion count and
+    the ids of its interlacing successors in enumeration order."""
+
+    __slots__ = ("counts", "edges", "ends", "low", "high")
+
+    def __init__(self, n: int) -> None:
+        # Imported here, so that a process that never builds an index (every
+        # `gog` command but `sample`) does not load the extension module.
+        from array import array
+
+        size = 1 << n
+        bits = _BIT[1 : n + 1]
+        # Row i's successors are edges[ends[i]:ends[i + 1]].  Those of the
+        # empty row are (1,), ..., (n,).  Those of a row with last entry b are
+        # the successors p of the row without b that end at or below b, in
+        # order, each followed by every entry from b (from b + 1 if p ends at
+        # b) to n; the row without b has a smaller id, so its run is in place.
+        self.edges = edges = array("H", bits)
+        self.ends = ends = array("L", [0]) * (size + 1)
+        ends[1] = n
+        for i in range(1, size):
+            b = i.bit_length()
+            top = 1 << (b - 1)  # the bit of entry b
+            end = top << 1  # p < end: p ends at or below b
+            from_b, past_b = bits[b - 1 :], bits[b:]
+            edges.extend([
+                p + bit
+                for p in self.successors(i ^ top)
+                if p < end
+                for bit in (from_b if p < top else past_b)
+            ])
+            ends[i + 1] = len(edges)
+        # A successor has a larger id than its row (compare them entry for
+        # entry from the last one down), so one sweep down the ids counts all.
+        self.counts = counts = [0] * size
+        counts[-1] = 1  # the forced bottom row
+        for i in range(size - 2, -1, -1):
+            counts[i] = sum(map(counts.__getitem__, self.successors(i)))
+        self.low = _rows_by_mask(1, min(n, 8))
+        self.high = _rows_by_mask(9, n)
+
+    def row(self, i: int) -> tuple[int, ...]:
+        return self.low[i & 0xFF] + self.high[i >> 8]
+
+    def successors(self, i: int) -> Sequence[int]:
+        return self.edges[self.ends[i] : self.ends[i + 1]]
+
+    def pick(self, i: int, k: int) -> tuple[int, int]:
+        """The successor of row i whose block of completions holds index k,
+        in the enumeration order below row i, and k less the completions
+        skipped to reach it.  Needs 0 <= k < counts[i]."""
+        succ = self.successors(i)
+        ends = list(accumulate(map(self.counts.__getitem__, succ), initial=0))
+        j = bisect_right(ends, k) - 1
+        return succ[j], k - ends[j]
+
+    def skipped(self, i: int, j: int) -> int:
+        """The completions below row i that come before those of its successor j."""
+        succ = self.successors(i)
+        return sum(map(self.counts.__getitem__, succ[: succ.index(j)]))
+
+
+_INDEXES: dict[int, _SuccessorIndex] = {}  # n -> index, filled once per process
+
+
+def _index(n: int) -> _SuccessorIndex:
+    index = _INDEXES.get(n)
+    if index is None:
+        index = _INDEXES[n] = _SuccessorIndex(n)
+    return index
+
+
+def _check_index_size(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise LimitExceeded(
+            f"{what} limit is {limit}, got n={n}; raise `limit` "
+            f"(default DP_LIMIT_DEFAULT = {DP_LIMIT_DEFAULT}, at most {INDEX_MAX_N})"
+        )
+    if n > INDEX_MAX_N:
+        raise LimitExceeded(f"the successor index holds n <= {INDEX_MAX_N}, got n={n}")
+
+
+def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> int:
     """Ways to extend the prefix down to the forced bottom row.
 
     At level 0 this equals A(n), independently of the product formula.
@@ -94,20 +183,8 @@ def completions_count(prefix: TrianglePrefix) -> int:
     >>> completions_count(TrianglePrefix(3, 1, (2,)))
     3
     """
-    return _completions(prefix.n, prefix.row)
-
-
-def _pick(n: int, prev: tuple[int, ...], k: int) -> tuple[tuple[int, ...], int]:
-    """The successor of `prev` whose block of completions holds index k, in
-    the enumeration order below `prev`, and k less the completions skipped
-    to reach it.  Needs 0 <= k < completions of `prev`, already counted."""
-    table = _COMPLETIONS[n]
-    for cand in interlacing_successors(prev, n):
-        c = table[cand]
-        if k < c:
-            return cand, k
-        k -= c
-    raise IndexOutOfRange(f"index beyond the completions of row {prev}")
+    _check_index_size(prefix.n, limit, "completions_count")
+    return _index(prefix.n).counts[_id(prefix.row)]
 
 
 def _walk(n: int) -> Iterator[list[tuple[int, ...]]]:
@@ -143,33 +220,33 @@ def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[Mon
     return (MonotoneTriangle(tuple(rows)) for rows in _walk(n))
 
 
-def rank(t: MonotoneTriangle) -> int:
+def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
     """Position of t in the enumeration order; rank of the minimal triangle is 0."""
-    n = t.n
-    table = _filled(n)
+    _check_index_size(t.n, limit, "rank")
+    index = _index(t.n)
     r = 0
-    prev: tuple[int, ...] = ()
-    for target in t.rows:
-        for cand in interlacing_successors(prev, n):
-            if cand == target:
-                break
-            r += table[cand]
-        prev = target
+    prev = 0
+    for row in t.rows:
+        i = _id(row)
+        r += index.skipped(prev, i)
+        prev = i
     return r
 
 
-def unrank(n: int, k: int) -> MonotoneTriangle:
+def unrank(n: int, k: int, limit: int = DP_LIMIT_DEFAULT) -> MonotoneTriangle:
     """The triangle at position k of the enumeration order, 0 <= k < A(n)."""
     if n < 1:
         raise ValueError(f"unrank needs n >= 1, got {n}")
-    total = _filled(n)[()]
+    _check_index_size(n, limit, "unrank")
+    index = _index(n)
+    total = index.counts[0]
     if not 0 <= k < total:
         raise IndexOutOfRange(f"rank {k} outside [0, {total})")
     rows: list[tuple[int, ...]] = []
-    prev: tuple[int, ...] = ()
+    i = 0
     for _ in range(n):
-        prev, k = _pick(n, prev, k)
-        rows.append(prev)
+        i, k = index.pick(i, k)
+        rows.append(index.row(i))
     return MonotoneTriangle(tuple(rows))
 
 
@@ -186,17 +263,17 @@ def sample_uniform(
         raise ValueError(f"sample_uniform needs n >= 1, got {n}")
     if count < 1:
         raise ValueError(f"sample_uniform needs count >= 1, got {count}")
-    if n > limit:
-        raise LimitExceeded(f"sampling limit is {limit}, got n={n}")
-    table = _filled(n)
+    _check_index_size(n, limit, "sampling")
+    index = _index(n)
+    counts = index.counts
     randrange = random.Random(seed).randrange
     out = []
     for _ in range(count):
         rows: list[tuple[int, ...]] = []
-        prev: tuple[int, ...] = ()
+        i = 0
         for _ in range(n):
-            prev = _pick(n, prev, randrange(table[prev]))[0]
-            rows.append(prev)
+            i = index.pick(i, randrange(counts[i]))[0]
+            rows.append(index.row(i))
         out.append(MonotoneTriangle(tuple(rows)))
     return out
 

@@ -2,14 +2,15 @@
 
 Two triangles of the same size compare entry-wise; the order has a unique
 minimum (staircase rows) and maximum.  Meet and join are the entry-wise
-minimum and maximum, folded pairwise over the input sequence; the fold order
-is irrelevant by associativity (tested, not assumed).
+minimum and maximum, taken over all operands in one pass (`map(min, *rows)`
+per row), so r operands build and validate one triangle, not r - 1; that
+this equals the pairwise fold in any order is tested, not assumed.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import reduce
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, SizeMismatch
@@ -62,31 +63,33 @@ def _checked(ts: Iterable[MonotoneTriangle]) -> Sequence[MonotoneTriangle]:
     return ts
 
 
-def _merge(a: MonotoneTriangle, b: MonotoneTriangle, pick: Callable[[int, int], int]) -> MonotoneTriangle:
-    rows = tuple(
-        tuple(pick(x, y) for x, y in zip(row_a, row_b))
-        for row_a, row_b in zip(a.rows, b.rows)
+def _entrywise(ts: Iterable[MonotoneTriangle], pick: Callable[..., int]) -> MonotoneTriangle:
+    ts = _checked(ts)
+    if len(ts) == 1:
+        return ts[0]  # map(pick, row) would call pick on single entries
+    return MonotoneTriangle(
+        tuple(tuple(map(pick, *rows)) for rows in zip(*(t.rows for t in ts)))
     )
-    return MonotoneTriangle(rows)
 
 
 def meet(ts: Iterable[MonotoneTriangle]) -> MonotoneTriangle:
     """Entry-wise minimum; the greatest lower bound under `compare`."""
-    ts = _checked(ts)
-    return reduce(lambda a, b: _merge(a, b, min), ts)
+    return _entrywise(ts, min)
 
 
 def join(ts: Iterable[MonotoneTriangle]) -> MonotoneTriangle:
     """Entry-wise maximum; the least upper bound under `compare`."""
-    ts = _checked(ts)
-    return reduce(lambda a, b: _merge(a, b, max), ts)
+    return _entrywise(ts, max)
+
+
+_extremal = lru_cache(maxsize=32)(extremal_triangle)  # immutable, so shared
 
 
 def is_trivial(ts: Iterable[MonotoneTriangle], which: str) -> bool:
     """Whether the meet is the minimal triangle / the join is the maximal one."""
     ts = _checked(ts)
     if which == "meet":
-        return meet(ts) == extremal_triangle(ts[0].n, "min")
+        return meet(ts) == _extremal(ts[0].n, "min")
     if which == "join":
-        return join(ts) == extremal_triangle(ts[0].n, "max")
+        return join(ts) == _extremal(ts[0].n, "max")
     raise ValueError(f"which must be 'meet' or 'join', got {which!r}")

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from itertools import permutations, product
+from typing import Iterator
 
 from . import counting, enumeration, lattice, meet_census
-from .errors import VerificationFailure
+from .errors import GogError, VerificationFailure
 from .lattice import OrderRelation, compare, is_trivial, join, meet
 from .triangles import (
     MonotoneTriangle,
@@ -255,10 +256,15 @@ SUITES = {
 }
 
 
-def run_suites(which: str, n_max: int) -> list[tuple[str, int]]:
-    """Run one suite or all of them; returns (name, checks) pairs."""
-    names = list(SUITES) if which == "all" else [which]
-    results = []
-    for name in names:
-        results.append((name, SUITES[name](n_max)))
-    return results
+def run_suites(which: str, n_max: int) -> Iterator[tuple[str, int]]:
+    """Run one suite or all of them, yielding (name, checks) as each passes.
+
+    A domain error in a suite stops the run as a VerificationFailure whose
+    message is the suite's name, a colon and the error's own message.
+    """
+    for name in list(SUITES) if which == "all" else [which]:
+        try:
+            checks = SUITES[name](n_max)
+        except GogError as exc:
+            raise VerificationFailure(f"{name}: {exc}") from exc
+        yield name, checks

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import goglattice
-from goglattice import asm_number, n_min_exact
+from goglattice import LimitExceeded, VerificationFailure, asm_number, n_min_exact, verify
 from goglattice.cli import main
 
 FIG1_TRIANGLE_TEXT = "3\n2 4\n1 3 4\n1 2 3 4\n"
+FIG1_COLUMN_SUM_TEXT = "0 0 1 0\n0 1 0 1\n1 0 1 1\n1 1 1 1\n"
 FIG1_ASM_TEXT = "0 0 1 0\n0 1 -1 1\n1 -1 1 0\n0 1 0 0\n"
+FIG1_TEXTS = {"triangle": FIG1_TRIANGLE_TEXT, "column-sum": FIG1_COLUMN_SUM_TEXT, "asm": FIG1_ASM_TEXT}
 
 
 def run(capsys, *argv):
@@ -36,6 +38,26 @@ class TestAsmCount:
     def test_dp_rejects_zero(self, capsys):
         code, _, err = run(capsys, "asm-count", "--n", "0", "--method", "dp")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_beyond_the_int_str_digit_cap(self, capsys, n):
+        # A(200) has 4546 digits, past CPython's default cap of 4300
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "asm-count", "--n", str(n))
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            assert int(out) == asm_number(n)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_formula_limit_names_its_knob(self, capsys):
+        code, _, err = run(capsys, "asm-count", "--n", "1001")
+        assert code == 1 and "raise `limit`" in err
+        with pytest.raises(LimitExceeded):
+            asm_number(6, limit=5)
 
 
 class TestEnumerate:
@@ -79,6 +101,13 @@ class TestConvert:
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n2 1\n"))
         code, _, err = run(capsys, "convert", "--from", "triangle", "--to", "asm")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("source", sorted(FIG1_TEXTS))
+    @pytest.mark.parametrize("target", sorted(FIG1_TEXTS))
+    def test_every_form_pair(self, capsys, monkeypatch, source, target):
+        monkeypatch.setattr("sys.stdin", io.StringIO(FIG1_TEXTS[source]))
+        code, out, _ = run(capsys, "convert", "--from", source, "--to", target)
+        assert (code, out) == (0, FIG1_TEXTS[target])
 
 
 class TestMeetJoin:
@@ -220,6 +249,36 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--n-max", "10")
         assert code == 0
         assert out.startswith("OK lemmas checks=")
+
+    def test_failure_after_passing_suites(self, capsys, monkeypatch):
+        streamed = []
+
+        def counterexample(n_max):
+            streamed.append(capsys.readouterr().out)
+            raise VerificationFailure("lemmas: margin < 0 at n=3")
+
+        def unreachable(n_max):
+            raise AssertionError("a suite ran after the failure")
+
+        monkeypatch.setattr(verify, "SUITES", {
+            "bijections": lambda n_max: 2,
+            "lattice": lambda n_max: n_max,
+            "lemmas": counterexample,
+            "census": unreachable,
+            "theorems": unreachable,
+        })
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "5")
+        assert code == 1
+        assert streamed == ["OK bijections checks=2\nOK lattice checks=5\n"]
+        assert out == "FAIL lemmas: lemmas: margin < 0 at n=3\n"
+
+    def test_any_domain_error_fails_the_suite(self, capsys, monkeypatch):
+        def too_big(n_max):
+            raise LimitExceeded(f"enumeration limit is 7, got n={n_max}")
+
+        monkeypatch.setitem(verify.SUITES, "census", too_big)
+        code, out, _ = run(capsys, "verify", "--suite", "census", "--n-max", "9")
+        assert (code, out) == (1, "FAIL census: enumeration limit is 7, got n=9\n")
 
 
 class TestImport:

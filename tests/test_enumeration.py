@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import time
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from goglattice import (
     unrank,
 )
 from goglattice.cli import main
-from goglattice.enumeration import _completions, _pick
+from goglattice.enumeration import INDEX_MAX_N, _id, _index, _rows_by_mask
 from goglattice.triangles import _validate_rows, interlacing_successors
 
 CENSUS3_TEXT = "MTCENSUS v1 n=3 total=7\n4 4\n5 1\n6 1\n7 1\n"
@@ -54,6 +56,42 @@ UNRANK_12 = {
         (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
     ),
 }
+
+
+# The linear successor walk the index replaced, kept as its oracle.
+@cache
+def linear_counts(n):
+    """Completion counts of every row, by a walk over the successor stream."""
+    table = {tuple(range(1, n + 1)): 1}
+
+    def count(row):
+        if row not in table:
+            table[row] = sum(map(count, interlacing_successors(row, n)))
+        return table[row]
+
+    count(())
+    return table
+
+
+def linear_pick(n, prev, k):
+    table = linear_counts(n)
+    for cand in interlacing_successors(prev, n):
+        if k < table[cand]:
+            return cand, k
+        k -= table[cand]
+    raise AssertionError(f"index beyond the completions of row {prev}")
+
+
+def linear_skipped(n, prev, row):
+    table = linear_counts(n)
+    skipped = 0
+    for cand in interlacing_successors(prev, n):
+        if cand == row:
+            return skipped
+        skipped += table[cand]
+    raise AssertionError(f"{row} is not a successor of {prev}")
+
+
 SAMPLE_12_SEED_2024 = (
     (5,), (5, 6), (3, 5, 8), (3, 5, 7, 8), (3, 5, 6, 7, 10), (2, 4, 6, 7, 8, 11),
     (2, 3, 5, 7, 8, 9, 12), (1, 3, 4, 5, 7, 9, 10, 12), (1, 3, 4, 5, 6, 8, 9, 11, 12),
@@ -176,15 +214,68 @@ class TestRankUnrank:
         n = data.draw(st.integers(1, 12))
         t = unrank(n, data.draw(st.integers(0, asm_number(n) - 1)))
         prev = (((),) + t.rows)[data.draw(st.integers(0, n - 1))]
-        k = data.draw(st.integers(0, _completions(n, prev) - 1))
-        row, residual = _pick(n, prev, k)
-        skipped = 0
-        for cand in interlacing_successors(prev, n):
-            if cand == row:
-                break
-            skipped += _completions(n, cand)
-        assert k - residual == skipped
-        assert 0 <= residual < _completions(n, row)
+        table = linear_counts(n)
+        k = data.draw(st.integers(0, table[prev] - 1))
+        index = _index(n)
+        succ, residual = index.pick(_id(prev), k)
+        row = index.row(succ)
+        assert (row, residual) == linear_pick(n, prev, k)
+        assert k - residual == linear_skipped(n, prev, row) == index.skipped(_id(prev), succ)
+        assert 0 <= residual < table[row] == index.counts[succ]
+
+    def test_limit(self):
+        started = time.perf_counter()
+        for call in (
+            lambda: rank(extremal_triangle(13, "min")),
+            lambda: unrank(13, 0),
+            lambda: completions_count(TrianglePrefix(13, 0, ())),
+        ):
+            with pytest.raises(LimitExceeded, match="raise `limit`"):
+                call()
+        with pytest.raises(LimitExceeded, match=f"n <= {INDEX_MAX_N}"):
+            unrank(INDEX_MAX_N + 1, 0, limit=INDEX_MAX_N + 1)
+        assert time.perf_counter() - started < 0.5
+        with pytest.raises(LimitExceeded, match="limit is 4"):
+            rank(extremal_triangle(5, "max"), limit=4)
+        assert rank(extremal_triangle(5, "max"), limit=5) == asm_number(5) - 1
+
+
+class TestSuccessorIndex:
+    @pytest.mark.parametrize("n", [*range(1, 10), 12])
+    def test_matches_linear_walk(self, n):
+        table = linear_counts(n)
+        assert len(table) == 1 << n  # every subset of [n] is a row
+        index = _index(n)
+        for row, count in table.items():
+            i = _id(row)
+            assert index.row(i) == row
+            assert index.counts[i] == count
+            succ = [_id(cand) for cand in interlacing_successors(row, n)] if len(row) < n else []
+            assert index.successors(i).tolist() == succ
+        assert len(index.edges) == (3**n - 1) // 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pick_and_skipped_exhaustive(self, n):
+        index = _index(n)
+        for prev, count in linear_counts(n).items():
+            if len(prev) == n:
+                continue
+            i = _id(prev)
+            for k in range(count):
+                succ, residual = index.pick(i, k)
+                assert (index.row(succ), residual) == linear_pick(n, prev, k)
+            for cand in interlacing_successors(prev, n):
+                assert index.skipped(i, _id(cand)) == linear_skipped(n, prev, cand)
+
+    def test_ids_cover_every_row(self):
+        # each id is a strictly increasing row, and back; both row tables in use
+        index = _index(12)
+        for i in range(1 << 12):
+            row = index.row(i)
+            assert list(row) == sorted(set(row)) and _id(row) == i
+        # the high table at the cap
+        high = _rows_by_mask(9, INDEX_MAX_N)
+        assert [_id(row) for row in high] == list(range(0, 1 << 16, 1 << 8))
 
 
 class TestSampling:

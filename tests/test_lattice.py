@@ -1,8 +1,11 @@
 """Order relation, meet/join, and the lattice laws at exhaustive small sizes."""
 
+from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goglattice import (
     EmptyInput,
@@ -15,12 +18,35 @@ from goglattice import (
     is_trivial,
     join,
     meet,
+    asm_number,
     perm_to_triangle,
+    unrank,
 )
 from goglattice.lattice import leq
 
 TAU1 = MonotoneTriangle(((3,), (1, 3), (1, 2, 3)))
 TAU2 = MonotoneTriangle(((2,), (2, 3), (1, 2, 3)))
+
+def pairwise(ts, pick):
+    """The entry-wise fold over operand pairs that the one-pass meet/join replaced."""
+    return reduce(
+        lambda a, b: MonotoneTriangle(
+            tuple(tuple(pick(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows))
+        ),
+        ts,
+    )
+
+
+def operands(r_min=1, r_max=4):
+    """r = r_min..r_max triangles of one size n <= 12, drawn by rank."""
+    return st.integers(1, 12).flatmap(
+        lambda n: st.lists(
+            st.integers(0, asm_number(n) - 1).map(lambda k: unrank(n, k)),
+            min_size=r_min,
+            max_size=r_max,
+        ).map(tuple)
+    )
+
 
 FIG2_PAIR = (
     MonotoneTriangle(((1,), (1, 2), (1, 2, 4), (1, 2, 3, 4))),
@@ -121,6 +147,63 @@ class TestLatticeLaws:
             lub = join((a, b))
             assert lub in upper
             assert all(leq(lub, c) for c in upper)
+
+
+class TestLatticeLawProperties:
+    """The laws on random operands of every size up to 12, r = 1..4."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands())
+    def test_one_pass_equals_pairwise_fold(self, ts):
+        assert meet(ts) == pairwise(ts, min)
+        assert join(ts) == pairwise(ts, max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands())
+    def test_bounds(self, ts):
+        low, high = meet(ts), join(ts)
+        assert all(leq(low, t) and leq(t, high) for t in ts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands(), st.randoms(use_true_random=False))
+    def test_commutative(self, ts, rnd):
+        shuffled = list(ts)
+        rnd.shuffle(shuffled)
+        assert meet(shuffled) == meet(ts) and join(shuffled) == join(ts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands(2), st.data())
+    def test_associative(self, ts, data):
+        cut = data.draw(st.integers(1, len(ts) - 1))
+        for op in (meet, join):
+            assert op((op(ts[:cut]), op(ts[cut:]))) == op(ts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands())
+    def test_idempotent(self, ts):
+        for op in (meet, join):
+            assert op(ts + ts) == op(ts)
+            assert all(op((t, t)) == t for t in ts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands(2, 2))
+    def test_absorption(self, ts):
+        a, b = ts
+        assert meet((a, join((a, b)))) == a
+        assert join((a, meet((a, b)))) == a
+
+    @settings(max_examples=60, deadline=None)
+    @given(operands(1, 1))
+    def test_single_operand_is_returned(self, ts):
+        (t,) = ts
+        assert meet(ts) is t and join(ts) is t
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands())
+    def test_is_trivial_is_meet_at_minimum(self, ts):
+        n = ts[0].n
+        assert is_trivial(ts, "meet") == (meet(ts) == extremal_triangle(n, "min"))
+        assert is_trivial(ts, "join") == (join(ts) == extremal_triangle(n, "max"))
 
 
 class TestTrivial:
