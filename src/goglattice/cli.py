@@ -27,6 +27,7 @@ from .triangles import (
     parse_column_sums,
     parse_triangles,
     triangles_to_text,
+    triangles_to_text_chunks,
 )
 
 
@@ -104,13 +105,8 @@ def cmd_asm_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    stream = enumeration.enumerate_triangles(args.n)
-    first = True
-    for t in stream:
-        if not first:
-            sys.stdout.write("\n")
-        sys.stdout.write(str(t) + "\n")
-        first = False
+    for chunk in triangles_to_text_chunks(enumeration.enumerate_triangles(args.n)):
+        sys.stdout.write(chunk)
     return 0
 
 

@@ -2,26 +2,32 @@
 
 The canonical enumeration order is lexicographic on the reading sequence
 (rows top to bottom, left to right), so rank 0 is the minimal triangle and
-rank A(n)-1 the maximal one.  Everything here walks one row-by-row tree,
-whose children are the `interlacing_successors` of a row.  Enumeration and
-the census go through it depth first with one flat walker (`_walk`) that
-keeps an explicit stack of successor streams.
-
-Ranking, unranking and uniform sampling go down one path of it, weighted by
-completion counts: the number of ways to finish a triangle depends only on
-the last fixed row, because interlacing is a constraint between adjacent
-rows only.  One successor index per n serves them.  A row is any subset of
-[n] and its id is its bitmask (bit v-1 for entry v), so ids are dense and
-the empty top row is id 0.  The ids of each row's successors lie in one flat
+rank A(n)-1 the maximal one.  Everything here walks one row-by-row tree: a
+row's children are the rows that can sit directly below it, in
+lexicographic order.  That tree is held once per n as a successor index.
+A row is any subset of [n] and its id is its bitmask (bit v-1 for entry v),
+so ids are dense, the empty top row is id 0 and the forced bottom row
+1, ..., n is id 2^n - 1.  The ids of each row's successors lie in one flat
 `array("H")`, in enumeration order and by row id, and the completion counts
-are a list of Python ints indexed by id (A(14) exceeds 2^63).  The index is
-built once per n: each row's successors follow from those of the row
-without its last entry, and since a successor's id exceeds its row's, one
-sweep down the ids sums the counts.  A step down the tree then is a scan
-of the row's segment in C: `pick` accumulates the counts and bisects for
-the successor whose block of completions holds an index, and a rank step
-sums the counts before the successor's position.  The `"H"` ids cap the
-index at n <= 16.
+(the ways to finish a triangle below a row, which depend only on that row
+because interlacing constrains adjacent rows only) are a list of Python
+ints indexed by id (A(14) exceeds 2^63).  The index is built once per n:
+each row's successors follow from those of the row without its last entry,
+and since a successor's id exceeds its row's, one sweep down the ids sums
+the counts.  The `"H"` ids cap the index at n <= 16.
+
+Enumeration and the census go through the tree depth first with one flat
+walker (`_walk`), whose stack holds iterators over segments of the index
+and which yields the row ids of each triangle; a row at level n-1 has one
+successor, the bottom row, so the deepest level needs no stack frame.
+Enumeration maps the ids to the index's shared row tuples, and every
+triangle is still built through `MonotoneTriangle` and fully validated; the
+census reads the distinguished rows off the ids (row i is 1, ..., i iff its
+id is 2^i - 1).  Ranking, unranking and uniform sampling go down one path of
+the tree, weighted by the completion counts, each step a scan of the row's
+segment in C: `pick` accumulates the counts and bisects for the successor
+whose block of completions holds an index, and a rank step sums the counts
+before the successor's position.
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it, and persists to a text file:
@@ -29,15 +35,16 @@ row i) to the number of triangles realizing it, and persists to a text file:
     MTCENSUS v1 n=<n> total=<decimal A(n)>
     <bitmask-hex> <decimal count>          (ascending bitmask)
 
-Default limits keep desk-scale runtimes: enumeration up to n = 7 (218,348
-triangles); the successor index, and with it ranking, unranking, completion
-counts and sampling, up to n = 12.
+Default limits keep desk-scale runtimes: enumeration and the census up to
+n = 7 (218,348 triangles); the successor index, and with it ranking,
+unranking, completion counts and sampling, up to n = 12.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
@@ -47,7 +54,7 @@ from typing import Iterator, Sequence
 
 from .counting import DP_LIMIT_DEFAULT, asm_number
 from .errors import FormatError, IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
-from .triangles import MonotoneTriangle, _mask_max_run, interlacing_successors
+from .triangles import MonotoneTriangle, _mask_max_run
 
 ENUM_LIMIT_DEFAULT = 7
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
@@ -137,6 +144,12 @@ class _SuccessorIndex:
     def row(self, i: int) -> tuple[int, ...]:
         return self.low[i & 0xFF] + self.high[i >> 8]
 
+    def rows(self) -> list[tuple[int, ...]]:
+        """Every row, by id."""
+        if len(self.high) == 1:  # n <= 8
+            return self.low
+        return list(map(self.row, range(len(self.counts))))
+
     def successors(self, i: int) -> Sequence[int]:
         return self.edges[self.ends[i] : self.ends[i + 1]]
 
@@ -165,14 +178,18 @@ def _index(n: int) -> _SuccessorIndex:
     return index
 
 
+def _check_index_cap(n: int) -> None:
+    if n > INDEX_MAX_N:
+        raise LimitExceeded(f"the successor index holds n <= {INDEX_MAX_N}, got n={n}")
+
+
 def _check_index_size(n: int, limit: int, what: str) -> None:
     if n > limit:
         raise LimitExceeded(
             f"{what} limit is {limit}, got n={n}; raise `limit` "
             f"(default DP_LIMIT_DEFAULT = {DP_LIMIT_DEFAULT}, at most {INDEX_MAX_N})"
         )
-    if n > INDEX_MAX_N:
-        raise LimitExceeded(f"the successor index holds n <= {INDEX_MAX_N}, got n={n}")
+    _check_index_cap(n)
 
 
 def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> int:
@@ -187,24 +204,33 @@ def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> 
     return _index(prefix.n).counts[_id(prefix.row)]
 
 
-def _walk(n: int) -> Iterator[list[tuple[int, ...]]]:
-    """Depth first through the row tree, in enumeration order: yield the rows
-    of each size-n triangle as one list, which the walk goes on to reuse."""
-    rows: list[tuple[int, ...]] = []
-    stack = [interlacing_successors((), n)]
-    while stack:
-        row = next(stack[-1], None)
-        if row is None:
-            stack.pop()
-            if rows:
-                rows.pop()
-        elif len(stack) == n:
-            rows.append(row)
-            yield rows
-            rows.pop()
+def _walk(n: int) -> Iterator[list[int]]:
+    """Depth first through the row tree, in enumeration order: yield the row
+    ids of each size-n triangle as one list, which the walk goes on to reuse."""
+    successors = _index(n).successors
+    ids = [(1 << n) - 1] * n  # the bottom row is forced
+    # Every row at this level has one successor: the bottom row.  (At n = 1
+    # the level is -1, and the one row is the bottom row.)
+    last = n - 2
+    stack: list[Iterator[int]] = []  # the rows left at levels 0 .. len(stack) - 1
+    i = 0  # the empty top row
+    while True:
+        run = successors(i)
+        if len(stack) < last:
+            stack.append(iter(run))
         else:
-            rows.append(row)
-            stack.append(interlacing_successors(row, n))
+            for i in run:
+                ids[last] = i
+                yield ids
+        # Step the deepest level that has rows left; stop when none has.
+        while stack:
+            i = next(stack[-1], None)
+            if i is not None:
+                ids[len(stack) - 1] = i
+                break
+            stack.pop()
+        else:
+            return
 
 
 def _check_enum_size(n: int, limit: int, what: str) -> None:
@@ -212,12 +238,14 @@ def _check_enum_size(n: int, limit: int, what: str) -> None:
         raise ValueError(f"{what} needs n >= 1, got {n}")
     if n > limit:
         raise LimitExceeded(f"enumeration limit is {limit}, got n={n}")
+    _check_index_cap(n)
 
 
 def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[MonotoneTriangle]:
     """All size-n triangles in reading-sequence lexicographic order."""
     _check_enum_size(n, limit, "enumerate_triangles")
-    return (MonotoneTriangle(tuple(rows)) for rows in _walk(n))
+    row = _index(n).rows().__getitem__
+    return (MonotoneTriangle(tuple(map(row, ids))) for ids in _walk(n))
 
 
 def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
@@ -403,11 +431,12 @@ class CensusTable:
 def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Exact distinguished-set census of the size-n triangles."""
     _check_enum_size(n, limit, "build_census")
-    stairs = [tuple(range(1, i + 1)) for i in range(1, n + 1)]
+    # Row i is distinguished iff it is 1, ..., i, whose id is 2^i - 1.
+    stairs = [(1 << i) - 1 for i in range(1, n + 1)]
     bits = [1 << i for i in range(n)]
     counts: dict[int, int] = {}
-    for rows in _walk(n):
-        mask = sum(compress(bits, map(eq, rows, stairs)))
+    for ids in _walk(n):
+        mask = sum(compress(bits, map(eq, ids, stairs)))
         counts[mask] = counts.get(mask, 0) + 1
     return CensusTable(n, dict(sorted(counts.items())))
 
@@ -435,14 +464,24 @@ def load_or_build_census(
     cache_dir: str | os.PathLike | None = None,
     limit: int = ENUM_LIMIT_DEFAULT,
 ) -> CensusTable:
-    """Read the census from the cache if present, otherwise build and persist."""
+    """Read the census from the cache if present, otherwise build and persist.
+
+    The file is derived from n alone, so one that does not parse, or that
+    holds a census for another n, is treated as a miss: it is rebuilt and
+    replaced, with a warning that names it.
+    """
     directory = resolve_cache_dir(cache_dir)
     path = census_path(directory, n)
     if path.is_file():
-        table = CensusTable.read(path)
-        if table.n != n:
-            raise FormatError(f"{path} holds a census for n={table.n}, expected {n}")
-        return table
+        try:
+            table = CensusTable.read(path)
+        except (FormatError, UnicodeDecodeError) as exc:
+            problem = str(exc)
+        else:
+            if table.n == n:
+                return table
+            problem = f"it holds a census for n={table.n}"
+        warnings.warn(f"rebuilding the census cache {path}: {problem}", stacklevel=2)
     table = build_census(n, limit=limit)
     directory.mkdir(parents=True, exist_ok=True)
     table.write(path)

@@ -22,7 +22,9 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, islice
+from operator import itemgetter, le, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -46,8 +48,64 @@ def _staircase(i: int) -> tuple[int, ...]:
     return tuple(range(1, i + 1))
 
 
+_INT = {int}
+
+
+@lru_cache(maxsize=32)
+def _fast_tables(n: int) -> tuple[tuple[int, ...], itemgetter, itemgetter, itemgetter]:
+    """For size n >= 3: the staircase 1, ..., n (the row lengths, and also the
+    bottom row), and item getters that take from the reading sequence the
+    entries a(i, j), a(i, j+1) and a(i-1, j) at every anchor (i, j),
+    2 <= i <= n, 1 <= j < i, in reading order."""
+    left: list[int] = []
+    above: list[int] = []
+    for i in range(2, n + 1):
+        start = i * (i - 1) // 2  # the flat position of a(i, 1)
+        left += range(start, start + i - 1)
+        above += range(start - (i - 1), start)  # all of row i - 1
+    return (
+        tuple(range(1, n + 1)),
+        itemgetter(*left),
+        itemgetter(*[p + 1 for p in left]),
+        itemgetter(*above),
+    )
+
+
+def _is_valid_fast(rows: Rows, n: int) -> bool:
+    """True only if `_validate_rows_slow` accepts rows, in a few C-level passes."""
+    staircase, left, right, above = _fast_tables(n)
+    try:
+        if tuple(map(len, rows)) != staircase:
+            return False
+        flat = tuple(chain.from_iterable(rows))
+    except TypeError:  # a row that is not a sized iterable
+        return False
+    if set(map(type, flat)) != _INT or flat[-n:] != staircase:
+        return False
+    a, b, c = left(flat), right(flat), above(flat)
+    return all(map(lt, a, b)) and all(map(le, a, c)) and all(map(le, c, b))
+
+
 def _validate_rows(rows: Rows) -> None:
     """Raise the first violation in reading order (top to bottom, left to right).
+
+    A valid triangle of size n >= 3 is accepted by a fast path of a few
+    C-level passes over its reading sequence: the row lengths equal the
+    staircase, every entry's type is exactly `int`, the bottom row is
+    1, ..., n, and at every anchor (i, j) three `all(map(...))` passes check
+    a(i, j) < a(i, j+1), a(i, j) <= a(i-1, j) and a(i-1, j) <= a(i, j+1).
+    Any other input, including one with `bool` or int-subclass entries, and
+    every triangle of size 1 or 2 (too few anchors for the item getters),
+    falls through to the reading-order loop `_validate_rows_slow`, which
+    accepts or raises exactly as before, so the fast path only saves time.
+    """
+    n = len(rows)
+    if n < 3 or not _is_valid_fast(rows, n):
+        _validate_rows_slow(rows)
+
+
+def _validate_rows_slow(rows: Rows) -> None:
+    """The reference check, one entry at a time in reading order.
 
     At each anchor (i, j) the strict-increase pair (j, j+1) is checked before
     the interlacing bracket at the same anchor; the bottom-row check runs last.
@@ -102,7 +160,7 @@ class MonotoneTriangle:
     rows: Rows
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         _validate_rows(rows)
         object.__setattr__(self, "rows", rows)
 
@@ -499,10 +557,27 @@ class _RowText(dict):
         return text
 
 
-def triangles_to_text(ts: Iterable[MonotoneTriangle]) -> str:
+def _triangle_texts(ts: Iterable[MonotoneTriangle]) -> Iterator[str]:
     # A size-n stream has at most 2^n - 1 distinct rows; format each once.
     text = _RowText().__getitem__
-    return "\n\n".join("\n".join(map(text, t.rows)) for t in ts) + "\n"
+    return ("\n".join(map(text, t.rows)) for t in ts)
+
+
+def triangles_to_text(ts: Iterable[MonotoneTriangle]) -> str:
+    return "\n\n".join(_triangle_texts(ts)) + "\n"
+
+
+_CHUNK_TRIANGLES = 1024  # about 60 kB of text at n = 7
+
+
+def triangles_to_text_chunks(ts: Iterable[MonotoneTriangle]) -> Iterator[str]:
+    """The text of `triangles_to_text(ts)` for a nonempty stream, in pieces
+    of a bounded number of triangles, so a long stream is never held whole."""
+    texts = _triangle_texts(ts)
+    separator = ""
+    while chunk := list(islice(texts, _CHUNK_TRIANGLES)):
+        yield separator + "\n\n".join(chunk) + "\n"
+        separator = "\n"
 
 
 def matrix_to_text(m: ColumnSumMatrix | AlternatingSignMatrix) -> str:

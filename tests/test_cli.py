@@ -145,6 +145,15 @@ class TestCensusCommand:
         assert code == 0
         assert (tmp_path / "mtcensus-n2.txt").read_text() == out
 
+    def test_truncated_cache_is_rebuilt(self, capsys, tmp_path):
+        _, expected, _ = run(capsys, "census", "--n", "5", "--cache-dir", str(tmp_path))
+        path = tmp_path / "mtcensus-n5.txt"
+        path.write_text(expected[: len(expected) // 2])
+        with pytest.warns(UserWarning, match="mtcensus-n5.txt"):
+            code, out, _ = run(capsys, "census", "--n", "5", "--cache-dir", str(tmp_path))
+        assert code == 0 and out == expected
+        assert path.read_text() == expected
+
     def test_reread_equals_cached(self, capsys, tmp_path):
         _, first, _ = run(capsys, "census", "--n", "4", "--cache-dir", str(tmp_path))
         _, second, _ = run(capsys, "census", "--n", "4", "--cache-dir", str(tmp_path))
@@ -293,6 +302,16 @@ class TestImport:
             env={**os.environ, "PYTHONPATH": src},
         ).stdout
         assert out == "[]\n"
+
+    def test_index_extension_module_loads_lazily(self):
+        # `array` is imported when a successor index is built, not on import.
+        code = "import sys, goglattice.cli; print('array' in sys.modules)"
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out == "False\n"
 
 
 class TestUsageErrors:

@@ -2,7 +2,9 @@
 
 import hashlib
 import os
+import re
 import time
+import warnings
 from functools import cache
 
 import pytest
@@ -29,6 +31,7 @@ from goglattice import (
     triangles_to_text,
     unrank,
 )
+from goglattice import enumeration
 from goglattice.cli import main
 from goglattice.enumeration import INDEX_MAX_N, _id, _index, _rows_by_mask
 from goglattice.triangles import _validate_rows, interlacing_successors
@@ -92,6 +95,36 @@ def linear_skipped(n, prev, row):
     raise AssertionError(f"{row} is not a successor of {prev}")
 
 
+# The generator-stack walk over `interlacing_successors` that the walk over
+# the successor index replaced, kept as its oracle.
+def stack_walk(n):
+    rows = []
+    stack = [interlacing_successors((), n)]
+    while stack:
+        row = next(stack[-1], None)
+        if row is None:
+            stack.pop()
+            if rows:
+                rows.pop()
+        elif len(stack) == n:
+            yield tuple(rows) + (row,)
+        else:
+            rows.append(row)
+            stack.append(interlacing_successors(row, n))
+
+
+def stack_walk_census(n):
+    stairs = [tuple(range(1, i + 1)) for i in range(1, n + 1)]
+    counts = {}
+    for rows in stack_walk(n):
+        mask = sum(1 << i for i, (row, stair) in enumerate(zip(rows, stairs)) if row == stair)
+        counts[mask] = counts.get(mask, 0) + 1
+    return counts
+
+
+ENUMERATE_7_SHA256 = "376e585da4452b291a172db232a6c3a4f47df92659f3e1ec64e5c73c8cd9b64b"
+
+
 SAMPLE_12_SEED_2024 = (
     (5,), (5, 6), (3, 5, 8), (3, 5, 7, 8), (3, 5, 6, 7, 10), (2, 4, 6, 7, 8, 11),
     (2, 3, 5, 7, 8, 9, 12), (1, 3, 4, 5, 7, 9, 10, 12), (1, 3, 4, 5, 6, 8, 9, 11, 12),
@@ -148,6 +181,24 @@ class TestEnumeration:
     def test_every_triangle_is_valid(self, universe):
         for t in universe(6):
             _validate_rows(t.rows)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_stack_walk(self, n, universe):
+        assert [t.rows for t in universe(n)] == list(stack_walk(n))
+
+    def test_size_seven_stream(self, capsys):
+        assert main(["enumerate", "--n", "7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_7_SHA256
+        blocks = out[:-1].split("\n\n")
+        assert len(blocks) == asm_number(7) == 218348
+        assert blocks[0] == str(extremal_triangle(7, "min"))
+        assert blocks[-1] == str(extremal_triangle(7, "max"))
+
+    @pytest.mark.parametrize("build", [enumerate_triangles, build_census])
+    def test_limit_beyond_the_index_cap(self, build):
+        with pytest.raises(LimitExceeded, match=f"n <= {INDEX_MAX_N}"):
+            build(INDEX_MAX_N + 1, limit=INDEX_MAX_N + 4)
 
 
 class TestCompletions:
@@ -334,6 +385,10 @@ class TestCensus:
                 members = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
                 assert table.containment_count(mask) == eta(n, members)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_stack_walk(self, n, censuses):
+        assert censuses(n).counts == stack_walk_census(n)
+
     def test_run_histogram_size_three(self, censuses):
         assert censuses(3).run_histogram().counts == {1: 5, 2: 1, 3: 1}
 
@@ -397,6 +452,36 @@ class TestCensusFile:
         assert path.read_text() == table.to_text()
         again = load_or_build_census(4, cache_dir=tmp_path)
         assert again.counts == table.counts
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+            pytest.param(lambda text: text.replace("total=429", "total=430", 1), id="forged-total"),
+            pytest.param(lambda text: build_census(4).to_text(), id="another-n"),
+            pytest.param(lambda text: "\udcff", id="not-utf8"),
+        ],
+    )
+    def test_bad_cache_file_is_rebuilt(self, tmp_path, censuses, corrupt):
+        path = tmp_path / "mtcensus-n5.txt"
+        path.write_text(corrupt(censuses(5).to_text()), errors="surrogateescape")
+        with pytest.warns(UserWarning, match=re.escape(str(path))):
+            table = load_or_build_census(5, cache_dir=tmp_path)
+        assert table.counts == censuses(5).counts
+        assert path.read_text() == censuses(5).to_text()
+        assert os.listdir(tmp_path) == ["mtcensus-n5.txt"]
+
+    def test_valid_cache_file_is_read_not_rebuilt(self, tmp_path, censuses, monkeypatch):
+        censuses(5).write(tmp_path / "mtcensus-n5.txt")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a valid cache file was rebuilt")
+
+        monkeypatch.setattr(enumeration, "build_census", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_or_build_census(5, cache_dir=tmp_path)
+        assert table.counts == censuses(5).counts
 
 
 class TestCacheDir:

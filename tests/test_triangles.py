@@ -3,11 +3,14 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goglattice import (
     AlternatingSignMatrix,
     BadBottomRow,
     ColumnSumMatrix,
+    GogError,
     InterlacingViolated,
     MonotoneTriangle,
     NotAColumnSumMatrix,
@@ -19,18 +22,27 @@ from goglattice import (
     ShapeMismatch,
     SizeTooSmall,
     StrictIncreaseViolated,
+    asm_number,
+    enumerate_triangles,
     extremal_triangle,
     interlacing_successors,
     max_consecutive_run,
     near_minimal_triangle,
     parse_asms,
+    parse_column_sums,
     parse_triangles,
     perm_to_triangle,
     triangle_to_text,
     triangles_to_text,
+    unrank,
     validate_triangle,
 )
-from goglattice.triangles import matrix_to_text
+from goglattice.triangles import (
+    _validate_rows,
+    _validate_rows_slow,
+    matrix_to_text,
+    triangles_to_text_chunks,
+)
 
 FIG1 = MonotoneTriangle(((3,), (2, 4), (1, 3, 4), (1, 2, 3, 4)))
 FIG1_CSM = ((0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1))
@@ -85,6 +97,100 @@ class TestValidation:
                 for i in range(1, n + 1):
                     for j in range(1, i + 1):
                         assert j <= t.entry(i, j) <= n - i + j
+
+
+class IntSubclass(int):
+    pass
+
+
+def outcome(check, rows):
+    """What a validator does with rows: None if it accepts them, else the
+    exception's type, message and position."""
+    try:
+        check(rows)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return None
+
+
+def assert_fast_path_agrees(rows):
+    assert outcome(_validate_rows, rows) == outcome(_validate_rows_slow, rows), rows
+
+
+@st.composite
+def mutated_rows(draw):
+    """An `unrank` triangle (n <= 12) after a few mutations of the kinds a
+    fast path could get wrong, as tuples or as lists."""
+    n = draw(st.integers(1, 12))
+    rows = [list(row) for row in unrank(n, draw(st.integers(0, asm_number(n) - 1))).rows]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, max(len(row) - 1, 0)))
+        kind = draw(st.sampled_from(("shift", "lengthen", "shorten", "bottom")))
+        if kind == "shift" and row:
+            row[j] += draw(st.sampled_from((-2, -1, 1, 2)))
+        elif kind == "lengthen":
+            row.insert(j, draw(st.integers(0, n + 1)))
+        elif kind == "shorten" and row:
+            del row[j]
+        elif kind == "bottom":
+            rows[-1] = sorted(draw(st.sets(st.integers(0, n + 2), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        if row:
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] = draw(st.sampled_from((True, False, 2.0, "3", IntSubclass(row[j]))))
+    if draw(st.booleans()):
+        return rows
+    return tuple(map(tuple, rows))
+
+
+class TestValidatorFastPath:
+    """`_validate_rows` against the reading-order loop it falls back to."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_rows())
+    def test_matches_the_loop(self, rows):
+        assert_fast_path_agrees(rows)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_single_entry_shift(self, n):
+        for t in enumerate_triangles(n):
+            assert outcome(_validate_rows, t.rows) is None
+            for i, row in enumerate(t.rows):
+                for j in range(len(row)):
+                    for step in (-1, 1):
+                        changed = list(t.rows)
+                        changed[i] = row[:j] + (row[j] + step,) + row[j + 1 :]
+                        assert_fast_path_agrees(tuple(changed))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (),
+            ((1,), (1, 2), (1, 2, 3), ()),
+            ((1,), (1, 2), 3),
+            ((1,), (1,), 3),
+            ((1,), (1, 2), (1, True, 3)),
+            ((1,), (1, 2), (1, IntSubclass(2), 3)),
+            ((1,), [1, 2], [1, 2, 3]),
+            ((2,), (1, 2), (1, 2, 3)),
+            ((1,), (1, 2), (2, 3, 4)),
+        ],
+    )
+    def test_edge_cases(self, rows):
+        assert_fast_path_agrees(rows)
+
+
+class TestParsersRaiseOnlyGogErrors:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=200), st.text(alphabet="0123 -\n", max_size=200)))
+    def test_arbitrary_text(self, text):
+        for parse in (parse_triangles, parse_column_sums, parse_asms):
+            try:
+                parse(text)
+            except GogError:
+                pass
 
 
 class TestExtremal:
@@ -304,6 +410,13 @@ class TestTextFormats:
         ts = universe(4)
         assert triangles_to_text(ts) == "\n".join(triangle_to_text(t) for t in ts)
         assert triangles_to_text([]) == "\n"
+
+    @pytest.mark.parametrize("n, pieces", [(1, 1), (4, 1), (6, 8)])
+    def test_chunks_join_to_the_stream(self, universe, n, pieces):
+        ts = universe(n)
+        chunks = list(triangles_to_text_chunks(iter(ts)))
+        assert len(chunks) == pieces  # 7436 = 7 * 1024 + 268 at n = 6
+        assert "".join(chunks) == triangles_to_text(ts)
 
     def test_matrix_text(self):
         assert matrix_to_text(AlternatingSignMatrix(FIG1_ASM)).splitlines()[1] == "0 1 -1 1"
