@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -311,9 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Library warnings, such as a rebuilt census cache, print as one line in
+    # the style of the errors below; filters and recorders still see them.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except GogError as exc:
@@ -322,6 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

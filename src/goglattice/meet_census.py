@@ -16,10 +16,22 @@ distinguished row is the bottom one, from A(m) = sum_k P(k) A(m-k).
 N_min(n, r) is then a weighted count of r paths over the positions
 1..n-1, each jumping g positions at weight P(g), that together hit every
 position.  A transfer-matrix sweep (Stanley, Enumerative Combinatorics I,
-section 4.7) counts it with the multiset of the paths' last positions as
-its state, about C(n-1+r, r) states in all.  Positions before n do not
-depend on n, so one sweep to n_max - 1 yields N_min(n, r) for every
-n <= n_max.
+section 4.7) counts it position by position.  Its state measures each path
+by its distance d from the last position swept to its last distinguished
+one, and is the homogeneous degree-r polynomial Q in variables x_d whose
+coefficients count labelled tuples, about C(n-1+r, r) monomials in all.
+Sweeping a position moves each path either one further (x_d -> x_{d+1}) or
+onto it (x_d -> P(d+1) x_0), and drops the term where none moves; by
+Taylor's formula that is
+
+    Q' = sum over k = 1..r of x_0^k (D^k Q / k!)(x_1, x_2, ...),
+
+with D = sum_d P(d+1) d/dx_d and every x_d shifted to x_{d+1}.  One D
+costs one edge per distinct distance of a monomial, and neither D nor the
+shift depends on the position, so each monomial is expanded once per sweep.
+The closing for n is Q(P(1), P(2), ...), which is D^r Q / r!, the weight of
+every path jumping to n; one sweep to n_max - 1 yields N_min(n, r) for
+every n <= n_max.
 
 Two independent oracles stay for `verify` and the tests: the double
 inclusion-exclusion over the 2^(n-1) row subsets,
@@ -50,7 +62,7 @@ from .enumeration import (
 from .errors import LimitExceeded, RowOutOfRange
 from .triangles import RowSet, _mask_max_run
 
-TRANSFER_LIMIT_DEFAULT = 6000
+TRANSFER_LIMIT_DEFAULT = 25000
 
 
 def _rows_of_mask(mask: int) -> tuple[int, ...]:
@@ -108,10 +120,11 @@ def primitive_counts(m_max: int) -> list[int]:
 
 
 def _check_transfer_limit(n: int, r: int, limit: int) -> None:
-    # The sweep visits C(n-1+r, r) multisets of r last positions in
-    # [0, n-1].  Counting at least two components also charges r = 1 for the
-    # C(n+1, 2) jump weights P(b - a) that every sweep needs.  The running
-    # product grows monotonically, so stop as soon as it passes the limit.
+    # The sweep's polynomial has up to C(n-1+r, r) monomials, the multisets
+    # of r distances in [0, n-1].  Counting at least two components also
+    # charges r = 1 for the C(n+1, 2) jump weights P(b - a) that every sweep
+    # needs.  The running product grows monotonically, so stop as soon as it
+    # passes the limit.
     k = max(r, 2)
     states = 1
     for i in range(min(n - 1, k)):
@@ -123,48 +136,58 @@ def _check_transfer_limit(n: int, r: int, limit: int) -> None:
             )
 
 
+_Key = tuple[tuple[int, int], ...]
+
+
 def _n_min_sweep(n_max: int, r: int) -> Iterator[int]:
-    """Yield N_min(n, r) for n = 1..n_max from one transfer-matrix sweep."""
+    """Yield N_min(n, r) for n = 1..n_max from one transfer-matrix sweep.
+
+    >>> list(_n_min_sweep(6, 2))
+    [1, 3, 15, 107, 1103, 17767]
+    """
     p = primitive_counts(n_max)
-    # A state is the multiset of the components' last distinguished
-    # positions, as ascending (position, multiplicity) pairs.  Its weight
-    # counts labelled tuples, so moving k of the c components sitting at v
-    # to pos multiplies it by C(c, k) P(pos - v)^k.
-    states: dict[tuple[tuple[int, int], ...], int] = {((0, r),): 1}
-    for pos in range(1, n_max + 1):
-        total = 0
-        for state, weight in states.items():
-            for v, c in state:
-                weight *= p[pos - v] ** c
-            total += weight
-        yield total
-        if pos == n_max:
-            return
-        nxt: dict[tuple[tuple[int, int], ...], int] = {}
-        while states:  # consume the old states, so both never peak together
-            state, weight = states.popitem()
-            # per pair (v, c): (C(c, k) P(pos - v)^k, k, the pairs kept at v)
-            choices = []
-            for v, c in state:
-                g = p[pos - v]
-                factor = 1
-                options = [(1, 0, ((v, c),))]
-                for k in range(1, c + 1):
-                    factor = factor * (c - k + 1) // k * g
-                    options.append((factor, k, ((v, c - k),) if k < c else ()))
-                choices.append(options)
-            for combo in product(*choices):
-                w = weight
-                moved = 0
-                kept: tuple[tuple[int, int], ...] = ()
-                for factor, k, pairs in combo:
-                    w *= factor
-                    moved += k
-                    kept += pairs
-                if moved:  # some component must be distinguished at pos
-                    key = kept + ((pos, moved),)
-                    nxt[key] = nxt.get(key, 0) + w
-        states = nxt
+    # Q maps each monomial, keyed by its ascending (distance, multiplicity)
+    # pairs, to its coefficient.  Level k holds D^k Q / k!, so dividing D of
+    # level k - 1 by k is exact.  Neither memo depends on pos, so each
+    # monomial is differentiated and shifted once per call.  An edge's factor
+    # c P(d+1) is P(d+1) itself when c = 1, so the memo copies no big P.
+    edges: dict[_Key, list[tuple[int, _Key]]] = {}  # D of the monomial
+    moved: dict[_Key, _Key] = {}  # x_0^k times the shifted monomial, k = r - degree
+    states: dict[_Key, int] = {((0, r),): 1}
+    for pos in range(1, n_max):
+        level, states = states, {}
+        for k in range(1, r + 1):
+            deriv: dict[_Key, int] = {}
+            for key, weight in level.items():
+                out = edges.get(key)
+                if out is None:
+                    out = edges[key] = [
+                        (
+                            p[d + 1] if c == 1 else c * p[d + 1],
+                            key[:i] + (((d, c - 1),) if c > 1 else ()) + key[i + 1 :],
+                        )
+                        for i, (d, c) in enumerate(key)
+                    ]
+                for factor, sub in out:
+                    deriv[sub] = deriv.get(sub, 0) + weight * factor
+            for key, weight in deriv.items():
+                if k > 1:
+                    weight //= k
+                    deriv[key] = weight
+                new = moved.get(key)
+                if new is None:
+                    new = moved[key] = ((0, k),) + tuple((d + 1, c) for d, c in key)
+                states[new] = weight
+            level = deriv
+        # D^r Q / r! = Q(P(1), P(2), ...), the weight of every component
+        # jumping to pos: the closing for n = pos comes with the step.
+        yield level[()]
+    total = 0
+    for key, weight in states.items():
+        for d, c in key:
+            weight *= p[d + 1] ** c
+        total += weight
+    yield total
 
 
 def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:

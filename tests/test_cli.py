@@ -154,6 +154,20 @@ class TestCensusCommand:
         assert code == 0 and out == expected
         assert path.read_text() == expected
 
+    def test_rebuild_warning_is_one_stderr_line(self, capsys, tmp_path):
+        _, expected, _ = run(capsys, "census", "--n", "3", "--cache-dir", str(tmp_path))
+        path = tmp_path / "mtcensus-n3.txt"
+        path.write_text("5\n")
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONWARNINGS", None)
+        argv = ["census", "--n", "3", "--cache-dir", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "goglattice.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout) == (0, expected)
+        assert done.stderr == f"warning: rebuilding the census cache {path}: bad census header: '5'\n"
+
     def test_reread_equals_cached(self, capsys, tmp_path):
         _, first, _ = run(capsys, "census", "--n", "4", "--cache-dir", str(tmp_path))
         _, second, _ = run(capsys, "census", "--n", "4", "--cache-dir", str(tmp_path))

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goglattice import (
     LimitExceeded,
@@ -23,7 +25,59 @@ from goglattice import (
     run_histogram_report,
     theorem_report,
 )
-from goglattice.meet_census import _ie_over_census, _n_min_ie
+from goglattice.meet_census import _ie_over_census, _n_min_ie, _n_min_sweep
+
+
+def product_sweep(n_max, r):
+    """Oracle for `_n_min_sweep`: the transfer matrix over the multiset of the
+    components' last positions, expanding each state into all Prod(c + 1) - 1
+    ways some of its components move to the next position."""
+    p = primitive_counts(n_max)
+    # A state is the multiset of the components' last distinguished
+    # positions, as ascending (position, multiplicity) pairs.  Its weight
+    # counts labelled tuples, so moving k of the c components sitting at v
+    # to pos multiplies it by C(c, k) P(pos - v)^k.
+    states = {((0, r),): 1}
+    for pos in range(1, n_max + 1):
+        total = 0
+        for state, weight in states.items():
+            for v, c in state:
+                weight *= p[pos - v] ** c
+            total += weight
+        yield total
+        if pos == n_max:
+            return
+        nxt = {}
+        while states:
+            state, weight = states.popitem()
+            # per pair (v, c): (C(c, k) P(pos - v)^k, k, the pairs kept at v)
+            choices = []
+            for v, c in state:
+                g = p[pos - v]
+                factor = 1
+                options = [(1, 0, ((v, c),))]
+                for k in range(1, c + 1):
+                    factor = factor * (c - k + 1) // k * g
+                    options.append((factor, k, ((v, c - k),) if k < c else ()))
+                choices.append(options)
+            for combo in product(*choices):
+                w = weight
+                moved = 0
+                kept = ()
+                for factor, k, pairs in combo:
+                    w *= factor
+                    moved += k
+                    kept += pairs
+                if moved:  # some component must be distinguished at pos
+                    key = kept + ((pos, moved),)
+                    nxt[key] = nxt.get(key, 0) + w
+        states = nxt
+
+
+# The product oracle's cost grows like Prod(c + 1): at n = 5 it takes about
+# 0.5 s for r = 17 and 20 s for r = 31, so past these sizes only the
+# inclusion-exclusion oracle, which costs 2^(n-1) terms for any r, checks.
+PRODUCT_R_MAX = {1: 31, 2: 31, 3: 31, 4: 25, 5: 14}
 
 
 class TestAvoidCount:
@@ -90,17 +144,47 @@ class TestNMin:
                 assert n_min_exact(n, r) >= r * (asm_number(n) - 1) ** (r - 1)
 
     def test_limit(self):
-        for n, r in ((16, 4), (30, 3), (100, 2)):
+        for n, r in ((26, 4), (52, 3), (223, 2)):
             assert n_min_exact(n, r) >= r * (asm_number(n) - 1) ** (r - 1)
         assert n_min_exact(1, 10**6) == 1
-        for n, r in ((19, 4), (33, 3), (110, 2), (110, 1), (2, 6000)):
+        for n, r in ((27, 4), (53, 3), (224, 2), (224, 1), (2, 25000)):
             with pytest.raises(LimitExceeded, match="raise `limit`"):
                 n_min_exact(n, r)
         with pytest.raises(LimitExceeded):
-            theorem_report(19, 4)
+            theorem_report(27, 4)
         with pytest.raises(LimitExceeded):
-            p_extreme(110, 2, "max")
-        assert n_min_exact(19, 4, limit=7315) == theorem_report(19, 4, limit=7315)[-1].n_min
+            p_extreme(224, 2, "max")
+        assert n_min_exact(27, 4, limit=27405) == theorem_report(27, 4, limit=27405)[-1].n_min
+
+
+class TestSweepOracles:
+    """The sweep against its three oracles wherever their ranges overlap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 4))
+    def test_matches_product_sweep(self, n, r):
+        assert list(_n_min_sweep(n, r)) == list(product_sweep(n, r))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 31))
+    @example(4, 31)
+    @example(5, 17)
+    @example(5, 31)
+    def test_many_components(self, n, r):
+        swept = list(_n_min_sweep(n, r))
+        assert swept[-1] == _n_min_ie(n, r)
+        if r <= PRODUCT_R_MAX[n]:
+            assert swept == list(product_sweep(n, r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4))
+    def test_matches_inclusion_exclusion(self, n, r):
+        assert list(_n_min_sweep(n, r))[-1] == _n_min_ie(n, r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8))
+    def test_matches_census(self, censuses, n, r):
+        assert list(_n_min_sweep(n, r))[-1] == n_min_census(n, r, census=censuses(n))
 
 
 class TestPExtreme:
