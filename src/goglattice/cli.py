@@ -11,25 +11,16 @@ presentation only.  Large integers are JSON strings, never numbers.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from contextlib import contextmanager
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import counting, enumeration, lattice, meet_census, verify
 from .errors import GogError, VerificationFailure
-from .triangles import (
-    MonotoneTriangle,
-    matrices_to_text,
-    parse_asms,
-    parse_column_sums,
-    parse_triangles,
-    triangles_to_text,
-    triangles_to_text_chunks,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _decimal(value: Fraction, sig: int = 12) -> str:
@@ -38,6 +29,8 @@ def _decimal(value: Fraction, sig: int = 12) -> str:
         return f"{approx:.{sig}g}"
     # Zero or subnormal as a double, which holds fewer than `sig` digits:
     # round the exact value instead.
+    from decimal import Decimal, localcontext
+
     with localcontext() as context:
         context.prec = sig
         exact = Decimal(value.numerator) / Decimal(value.denominator)
@@ -95,7 +88,13 @@ def _exact_digits():
         sys.set_int_max_str_digits(limit)
 
 
+# Each command imports the modules it runs, so that a cold `gog` process
+# compiles no more of the package than its command needs.
+
+
 def cmd_asm_count(args: argparse.Namespace) -> int:
+    from . import counting
+
     if args.method == "formula":
         value = counting.asm_number(args.n)
     else:
@@ -106,51 +105,59 @@ def cmd_asm_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    for chunk in triangles_to_text_chunks(enumeration.enumerate_triangles(args.n)):
+    from . import enumeration, triangles
+
+    for chunk in triangles.triangles_to_text_chunks(enumeration.enumerate_triangles(args.n)):
         sys.stdout.write(chunk)
     return 0
 
 
+# The parser in `triangles` for each `--from` format.
 _PARSERS = {
-    "triangle": parse_triangles,
-    "column-sum": parse_column_sums,
-    "asm": parse_asms,
+    "triangle": "parse_triangles",
+    "column-sum": "parse_column_sums",
+    "asm": "parse_asms",
 }
 
 
-def _convert_one(obj, target: str):
-    t = obj if isinstance(obj, MonotoneTriangle) else obj.to_triangle()
-    if target == "triangle":
-        return t
-    return t.to_column_sum() if target == "column-sum" else t.to_asm()
-
-
 def cmd_convert(args: argparse.Namespace) -> int:
-    objects = _PARSERS[args.source](_read_input(args.input))
-    converted = [_convert_one(obj, args.target) for obj in objects]
-    if not converted:
+    from . import triangles
+
+    objects = getattr(triangles, _PARSERS[args.source])(_read_input(args.input))
+    ts = [t if isinstance(t, triangles.MonotoneTriangle) else t.to_triangle() for t in objects]
+    if not ts:
         return 0
     if args.target == "triangle":
-        sys.stdout.write(triangles_to_text(converted))
+        sys.stdout.write(triangles.triangles_to_text(ts))
+    elif args.target == "column-sum":
+        sys.stdout.write(triangles.matrices_to_text([t.to_column_sum() for t in ts]))
     else:
-        sys.stdout.write(matrices_to_text(converted))
+        sys.stdout.write(triangles.matrices_to_text([t.to_asm() for t in ts]))
     return 0
 
 
 def cmd_meet(args: argparse.Namespace) -> int:
-    ts = parse_triangles(_read_input(args.input))
+    from . import lattice, triangles
+
+    ts = triangles.parse_triangles(_read_input(args.input))
     op = lattice.meet if args.operation == "meet" else lattice.join
     sys.stdout.write(str(op(ts)) + "\n")
     return 0
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from . import enumeration
+
     table = enumeration.load_or_build_census(args.n, cache_dir=args.cache_dir)
     sys.stdout.write(table.to_text())
     return 0
 
 
 def cmd_pmin(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import counting, meet_census
+
     if args.method == "ie":
         n_min = meet_census.n_min_exact(args.n, args.r)
     else:
@@ -165,6 +172,8 @@ def cmd_pmin(args: argparse.Namespace) -> int:
         "p_min_decimal": _decimal(p_min),
     }
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for key in sorted(payload):
@@ -173,6 +182,8 @@ def cmd_pmin(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem1(args: argparse.Namespace) -> int:
+    from . import meet_census
+
     reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tp_min_num\tp_min_den\tp_min_decimal\tratio_num\tratio_den\tratio_decimal")
     for rep in reports:
@@ -185,6 +196,8 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem2(args: argparse.Namespace) -> int:
+    from . import meet_census
+
     reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tmain\tsecond\tE\ttheta_ratio_decimal")
     for rep in reports:
@@ -196,6 +209,10 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import meet_census
+
     sizes = meet_census.class_sizes(args.n, args.r)
     print("label\tsize\tbound\tratio_decimal")
     for label, size in sizes.labels():
@@ -211,12 +228,16 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import enumeration, triangles
+
     ts = enumeration.sample_uniform(args.n, args.count, args.seed)
-    sys.stdout.write(triangles_to_text(ts))
+    sys.stdout.write(triangles.triangles_to_text(ts))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     try:
         for name, checks in verify.run_suites(args.suite, args.n_max):
             print(f"OK {name} checks={checks}")
@@ -259,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="distinguished-row census, cached on disk")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--cache-dir", help=f"cache directory; else ${enumeration.CACHE_ENV}, else .cache/")
+    p.add_argument("--cache-dir", help="cache directory; else $GOG_CACHE_DIR, else .cache/")
     p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_census)
 

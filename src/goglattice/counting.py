@@ -21,12 +21,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import LimitExceeded, RowOutOfRange
-from .triangles import RowSet, interlacing_successors
+
+if TYPE_CHECKING:
+    from .triangles import RowSet
 
 DP_LIMIT_DEFAULT = 12
+ENUM_LIMIT_DEFAULT = 7  # enumeration and the census: A(7) = 218,348 triangles
 FORMULA_LIMIT_DEFAULT = 1000  # A(0..1000) fills in about 3 s, A(0..2000) in about 47 s
 
 _A_CACHE: list[int] = [1]  # A(0); append-only, filled once per process
@@ -75,6 +78,8 @@ def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
         raise ValueError(f"asm_number_dp needs n >= 1, got {n}")
     if n > limit:
         raise LimitExceeded(f"asm_number_dp limit is {limit}, got n={n}")
+    from .triangles import interlacing_successors
+
     counts: dict[tuple[int, ...], int] = {(): 1}
     for _ in range(n):
         nxt: dict[tuple[int, ...], int] = {}
@@ -86,6 +91,8 @@ def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
 
 
 def _sorted_members(n: int, rows: RowSet | Iterable[int]) -> tuple[int, ...]:
+    from .triangles import RowSet
+
     members = rows.members if isinstance(rows, RowSet) else tuple(sorted(set(rows)))
     for i in members:
         if not 1 <= i <= n - 1:

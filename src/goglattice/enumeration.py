@@ -52,11 +52,10 @@ from operator import eq
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .counting import DP_LIMIT_DEFAULT, asm_number
+from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, asm_number
 from .errors import FormatError, IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
 from .triangles import MonotoneTriangle, _mask_max_run
 
-ENUM_LIMIT_DEFAULT = 7
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
 CACHE_ENV = "GOG_CACHE_DIR"
 

@@ -49,20 +49,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .counting import asm_number
-from .enumeration import (
-    ENUM_LIMIT_DEFAULT,
-    CensusTable,
-    RunHistogram,
-    build_census,
-    enumerate_triangles,
-)
+from .counting import ENUM_LIMIT_DEFAULT, asm_number
 from .errors import LimitExceeded, RowOutOfRange
-from .triangles import RowSet, _mask_max_run
+
+if TYPE_CHECKING:
+    from .enumeration import CensusTable, RunHistogram
+    from .triangles import RowSet
 
 TRANSFER_LIMIT_DEFAULT = 25000
+
+_P_CACHE: list[int] = [0]  # P(0); append-only, filled once per process
 
 
 def _rows_of_mask(mask: int) -> tuple[int, ...]:
@@ -97,6 +95,8 @@ def avoid_count(n: int, t_set: RowSet | tuple[int, ...] | list[int]) -> int:
     >>> avoid_count(3, (1,)), avoid_count(3, (1, 2))
     (5, 4)
     """
+    from .triangles import RowSet
+
     members = t_set.members if isinstance(t_set, RowSet) else tuple(sorted(set(t_set)))
     for i in members:
         if not 1 <= i <= n - 1:
@@ -109,14 +109,18 @@ def primitive_counts(m_max: int) -> list[int]:
     """[P(0), ..., P(m_max)]: P(m) counts the size-m triangles whose only
     distinguished row is the bottom one (P(0) = 0 by convention).
 
+    The counts are computed once per process into an append-only list; each
+    call returns a fresh copy.
+
     >>> primitive_counts(6)
     [0, 1, 1, 4, 29, 343, 6536]
     """
-    a = [asm_number(m) for m in range(m_max + 1)]
-    p = [0]
-    for m in range(1, m_max + 1):
-        p.append(a[m] - sum(p[k] * a[m - k] for k in range(1, m)))
-    return p
+    p = _P_CACHE
+    if len(p) <= m_max:
+        a = [asm_number(m) for m in range(m_max + 1)]
+        for m in range(len(p), m_max + 1):
+            p.append(a[m] - sum(p[k] * a[m - k] for k in range(1, m)))
+    return p[: m_max + 1]
 
 
 def _check_transfer_limit(n: int, r: int, limit: int) -> None:
@@ -235,6 +239,8 @@ def n_min_census(
     if r < 1:
         raise ValueError(f"n_min_census needs r >= 1, got {r}")
     if census is None:
+        from .enumeration import build_census
+
         census = build_census(n, limit=limit)
     elif census.n != n:
         raise ValueError(f"census is for n={census.n}, expected {n}")
@@ -244,6 +250,8 @@ def n_min_census(
 def reversed_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Census keyed by the distinguished rows of the rank-reversed triangle,
     i.e. by the rows equal to their maximal possible content."""
+    from .enumeration import CensusTable, enumerate_triangles
+
     counts: dict[int, int] = {}
     for t in enumerate_triangles(n, limit=limit):
         mask = t.rank_reverse().distinguished_rows().mask
@@ -319,6 +327,9 @@ def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
     tuple depends only on the components' distinguished sets)."""
     if r < 1:
         raise ValueError(f"class_sizes needs r >= 1, got {r}")
+    from .enumeration import build_census
+    from .triangles import _mask_max_run
+
     census = build_census(n, limit=limit)
     items = [(mask, count, _mask_max_run(mask)) for mask, count in census.counts.items()]
     full = (1 << n) - 1
@@ -362,6 +373,8 @@ class RunHistogramReport:
 
 
 def run_histogram_report(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> RunHistogramReport:
+    from .enumeration import build_census
+
     hist = build_census(n, limit=limit).run_histogram()
     counts = hist.counts
     head = (

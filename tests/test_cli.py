@@ -327,6 +327,61 @@ class TestImport:
         ).stdout
         assert out == "False\n"
 
+    def _package_modules(self, code, stdin=""):
+        # The `goglattice` modules a cold interpreter holds after `code`, which
+        # prints nothing to stderr.
+        code += "; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'goglattice'), file=sys.stderr)"
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        return {name.removeprefix("goglattice.") for name in done.stderr.split()}
+
+    def _modules_after_main(self, *argv, stdin=""):
+        return self._package_modules(
+            f"import sys; from goglattice.cli import main; main({list(argv)!r})", stdin
+        )
+
+    def test_bare_import_loads_no_submodule(self):
+        assert self._package_modules("import sys, goglattice") == {"goglattice"}
+
+    def test_asm_count_loads_only_counting(self):
+        loaded = self._modules_after_main("asm-count", "--n", "12")
+        assert loaded == {"goglattice", "cli", "errors", "counting"}
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("meet",), FIG1_TRIANGLE_TEXT),
+            (("join",), FIG1_TRIANGLE_TEXT),
+            (("convert", "--from", "triangle", "--to", "asm"), FIG1_TRIANGLE_TEXT),
+            (("convert", "--from", "asm", "--to", "column-sum"), FIG1_ASM_TEXT),
+        ],
+    )
+    def test_meet_and_convert_skip_the_census_modules(self, argv, stdin):
+        loaded = self._modules_after_main(*argv, stdin=stdin)
+        assert "triangles" in loaded
+        assert not loaded & {"enumeration", "meet_census", "verify"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("pmin", "--n", "6", "--r", "2", "--json"), ("theorem2", "--r", "3", "--n-max", "8")],
+    )
+    def test_trivial_meet_commands_skip_enumeration(self, argv):
+        loaded = self._modules_after_main(*argv)
+        assert "meet_census" in loaded
+        assert not loaded & {"enumeration", "lattice", "triangles", "verify"}
+
+    def test_census_help_names_the_cache_variable(self, capsys):
+        from goglattice import enumeration
+
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--help"])
+        assert exc.value.code == 0
+        assert f"${enumeration.CACHE_ENV}" in capsys.readouterr().out
+
 
 class TestUsageErrors:
     def test_missing_value_names_flag(self, capsys):

@@ -25,6 +25,7 @@ from goglattice import (
     run_histogram_report,
     theorem_report,
 )
+from goglattice import meet_census
 from goglattice.meet_census import _ie_over_census, _n_min_ie, _n_min_sweep
 
 
@@ -185,6 +186,36 @@ class TestSweepOracles:
     @given(st.integers(1, 6), st.integers(1, 8))
     def test_matches_census(self, censuses, n, r):
         assert list(_n_min_sweep(n, r))[-1] == n_min_census(n, r, census=censuses(n))
+
+
+def series_primitive_counts(m_max):
+    """Oracle for `primitive_counts`, from scratch: A(x) = 1 + P(x) A(x), so
+    P = 1 - 1/A, with 1/A inverted term by term."""
+    a = [asm_number(m) for m in range(m_max + 1)]
+    inverse = [1]
+    for m in range(1, m_max + 1):
+        inverse.append(-sum(a[k] * inverse[m - k] for k in range(1, m + 1)))
+    return [0] + [-b for b in inverse[1:]]
+
+
+PRIMITIVE_60 = series_primitive_counts(60)
+
+
+class TestPrimitiveCountsCache:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=8))
+    def test_any_call_order_matches_scratch(self, calls):
+        del meet_census._P_CACHE[1:]  # start this example from a cold cache
+        for m_max in calls:
+            p = primitive_counts(m_max)
+            assert p == PRIMITIVE_60[: m_max + 1]
+            p[-1] += 1  # the caller owns the returned list
+            p.append(7)
+        assert [primitive_counts(m) for m in calls] == [PRIMITIVE_60[: m + 1] for m in calls]
+
+    def test_sweep_reads_the_cache_unchanged(self):
+        primitive_counts(20).clear()
+        assert list(_n_min_sweep(6, 2)) == [1, 3, 15, 107, 1103, 17767]
 
 
 class TestPExtreme:
