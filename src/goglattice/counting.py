@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import LimitExceeded, RowOutOfRange
@@ -122,7 +121,6 @@ def eta(n: int, rows: RowSet | Iterable[int]) -> int:
 # Lemma-level inequalities, in exact integer form
 
 
-@dataclass
 class LemmaMargins:
     """Exact margins for the three count inequalities used by the bounds.
 
@@ -130,12 +128,22 @@ class LemmaMargins:
     ratio:     (n, c, lhs, rhs) with lhs = A(n-c) * 3^(c(2n-c-1)/2) and
                rhs = A(n) * 2^(c(2n-c-1)/2); the claim is lhs <= rhs
     corollary: (n, members, A(n-k) - eta_n(members)) over sampled subsets
+
+    A plain class, not a dataclass, so that importing `counting` (every cold
+    `gog` command does) does not load `dataclasses`.
     """
 
-    n_max: int
-    increase: list[tuple[int, int, int]] = field(default_factory=list)
-    ratio: list[tuple[int, int, int, int]] = field(default_factory=list)
-    corollary: list[tuple[int, tuple[int, ...], int]] = field(default_factory=list)
+    def __init__(
+        self,
+        n_max: int,
+        increase: list[tuple[int, int, int]] | None = None,
+        ratio: list[tuple[int, int, int, int]] | None = None,
+        corollary: list[tuple[int, tuple[int, ...], int]] | None = None,
+    ) -> None:
+        self.n_max = n_max
+        self.increase = [] if increase is None else increase
+        self.ratio = [] if ratio is None else ratio
+        self.corollary = [] if corollary is None else corollary
 
     def violations(self) -> list[str]:
         bad = [

@@ -37,7 +37,8 @@ row i) to the number of triangles realizing it, and persists to a text file:
 
 Default limits keep desk-scale runtimes: enumeration and the census up to
 n = 7 (218,348 triangles); the successor index, and with it ranking,
-unranking, completion counts and sampling, up to n = 12.
+unranking, completion counts and sampling, up to n = 12; and 100,000
+samples per `sample_uniform` call.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import FormatError, IndexOutOfRange, LimitExceeded, StrictIncreaseV
 from .triangles import MonotoneTriangle, _mask_max_run
 
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
+SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 13 s and 140 MiB
 CACHE_ENV = "GOG_CACHE_DIR"
 
 
@@ -278,7 +280,11 @@ def unrank(n: int, k: int, limit: int = DP_LIMIT_DEFAULT) -> MonotoneTriangle:
 
 
 def sample_uniform(
-    n: int, count: int, seed: int, limit: int = DP_LIMIT_DEFAULT
+    n: int,
+    count: int,
+    seed: int,
+    limit: int = DP_LIMIT_DEFAULT,
+    count_limit: int = SAMPLE_LIMIT_DEFAULT,
 ) -> list[MonotoneTriangle]:
     """Exactly uniform samples from the size-n triangles, deterministic in seed.
 
@@ -290,6 +296,11 @@ def sample_uniform(
         raise ValueError(f"sample_uniform needs n >= 1, got {n}")
     if count < 1:
         raise ValueError(f"sample_uniform needs count >= 1, got {count}")
+    if count > count_limit:
+        raise LimitExceeded(
+            f"sampling count limit is {count_limit}, got count={count}; raise `count_limit` "
+            f"(default SAMPLE_LIMIT_DEFAULT = {SAMPLE_LIMIT_DEFAULT})"
+        )
     _check_index_size(n, limit, "sampling")
     index = _index(n)
     counts = index.counts

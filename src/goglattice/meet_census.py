@@ -27,11 +27,20 @@ Taylor's formula that is
     Q' = sum over k = 1..r of x_0^k (D^k Q / k!)(x_1, x_2, ...),
 
 with D = sum_d P(d+1) d/dx_d and every x_d shifted to x_{d+1}.  One D
-costs one edge per distinct distance of a monomial, and neither D nor the
-shift depends on the position, so each monomial is expanded once per sweep.
-The closing for n is Q(P(1), P(2), ...), which is D^r Q / r!, the weight of
-every path jumping to n; one sweep to n_max - 1 yields N_min(n, r) for
-every n <= n_max.
+costs one edge per distinct distance of a monomial.  The closing for n is
+Q(P(1), P(2), ...), which is D^r Q / r!, the weight of every path jumping
+to n; one sweep to n_max - 1 yields N_min(n, r) for every n <= n_max, and
+its last step evaluates Q' at the P instead of storing it.
+
+Neither D nor the shift depends on the position or on n_max, so the sweep
+runs a transfer program per r, kept once per process: each monomial is
+interned to an int id, with its D-edges (factors included, since P(m)
+never changes once computed) and the id of its shifted image, and a later
+call at that r only adds the monomials it reaches first.  The program holds
+no coefficient: every call redoes all the arithmetic, and no N_min value
+persists between calls.  A call that ends with more than
+TRANSFER_LIMIT_DEFAULT monomials across all r drops the store, so the
+largest admitted calls leave at most that many behind.
 
 Two independent oracles stay for `verify` and the tests: the double
 inclusion-exclusion over the 2^(n-1) row subsets,
@@ -143,55 +152,101 @@ def _check_transfer_limit(n: int, r: int, limit: int) -> None:
 _Key = tuple[tuple[int, int], ...]
 
 
+class _Program:
+    """The sweep's transfer program for one r, grown on demand.
+
+    A monomial's id indexes `keys` (its ascending (distance, multiplicity)
+    pairs), `edges` (D of it, as (factor, sub id) pairs, None until first
+    needed) and `moved` (the id of x_0^k times it shifted, k = r - degree,
+    None likewise).
+    """
+
+    __slots__ = ("ids", "keys", "edges", "moved")
+
+    def __init__(self, r: int) -> None:
+        self.ids: dict[_Key, int] = {}
+        self.keys: list[_Key] = []
+        self.edges: list[tuple[tuple[int, int], ...] | None] = []
+        self.moved: list[int | None] = []
+        self.intern(((0, r),))  # id 0, the starting state x_0^r
+        self.intern(())  # id 1, the constant left by D^r
+
+    def intern(self, key: _Key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.edges.append(None)
+            self.moved.append(None)
+        return i
+
+
+# One program per r.  A call that ends with more monomials than the state
+# limit across all r drops the store by rebinding it, so a sweep still
+# suspended at a yield keeps the program it holds.
+_PROGRAMS: dict[int, _Program] = {}
+
+
 def _n_min_sweep(n_max: int, r: int) -> Iterator[int]:
     """Yield N_min(n, r) for n = 1..n_max from one transfer-matrix sweep.
 
     >>> list(_n_min_sweep(6, 2))
     [1, 3, 15, 107, 1103, 17767]
     """
+    global _PROGRAMS
     p = primitive_counts(n_max)
-    # Q maps each monomial, keyed by its ascending (distance, multiplicity)
-    # pairs, to its coefficient.  Level k holds D^k Q / k!, so dividing D of
-    # level k - 1 by k is exact.  Neither memo depends on pos, so each
-    # monomial is differentiated and shifted once per call.  An edge's factor
-    # c P(d+1) is P(d+1) itself when c = 1, so the memo copies no big P.
-    edges: dict[_Key, list[tuple[int, _Key]]] = {}  # D of the monomial
-    moved: dict[_Key, _Key] = {}  # x_0^k times the shifted monomial, k = r - degree
-    states: dict[_Key, int] = {((0, r),): 1}
-    for pos in range(1, n_max):
-        level, states = states, {}
-        for k in range(1, r + 1):
-            deriv: dict[_Key, int] = {}
-            for key, weight in level.items():
-                out = edges.get(key)
-                if out is None:
-                    out = edges[key] = [
-                        (
-                            p[d + 1] if c == 1 else c * p[d + 1],
-                            key[:i] + (((d, c - 1),) if c > 1 else ()) + key[i + 1 :],
+    program = _PROGRAMS.get(r)
+    if program is None:
+        program = _PROGRAMS[r] = _Program(r)
+    keys, edges, moved, intern = program.keys, program.edges, program.moved, program.intern
+    # Q maps monomial ids to coefficients.  Level k holds D^k Q / k!, so
+    # dividing D of level k - 1 by k is exact.  An edge's factor c P(d+1) is
+    # P(d+1) itself when c = 1, so the program copies no big P.
+    try:
+        states: dict[int, int] = {0: 1}
+        total = 1  # the closing for n_max = 1: x_0^r at P(1) = 1
+        for pos in range(1, n_max):
+            last = pos == n_max - 1
+            level, states, total = states, {}, 0
+            for k in range(1, r + 1):
+                deriv: dict[int, int] = {}
+                for i, weight in level.items():
+                    out = edges[i]
+                    if out is None:
+                        key = keys[i]
+                        out = edges[i] = tuple(
+                            (
+                                p[d + 1] if c == 1 else c * p[d + 1],
+                                intern(key[:j] + (((d, c - 1),) if c > 1 else ()) + key[j + 1 :]),
+                            )
+                            for j, (d, c) in enumerate(key)
                         )
-                        for i, (d, c) in enumerate(key)
-                    ]
-                for factor, sub in out:
-                    deriv[sub] = deriv.get(sub, 0) + weight * factor
-            for key, weight in deriv.items():
-                if k > 1:
-                    weight //= k
-                    deriv[key] = weight
-                new = moved.get(key)
-                if new is None:
-                    new = moved[key] = ((0, k),) + tuple((d + 1, c) for d, c in key)
-                states[new] = weight
-            level = deriv
-        # D^r Q / r! = Q(P(1), P(2), ...), the weight of every component
-        # jumping to pos: the closing for n = pos comes with the step.
-        yield level[()]
-    total = 0
-    for key, weight in states.items():
-        for d, c in key:
-            weight *= p[d + 1] ** c
-        total += weight
-    yield total
+                    for factor, sub in out:
+                        deriv[sub] = deriv.get(sub, 0) + weight * factor
+                for i, weight in deriv.items():
+                    if k > 1:
+                        weight //= k
+                        deriv[i] = weight
+                    if last:
+                        # The closing for n_max is Q'(P(1), P(2), ...): x_0^k
+                        # goes to P(1)^k = 1 and each shifted x_{d+1} to
+                        # P(d+2), so the last step moves nothing.
+                        for d, c in keys[i]:
+                            weight *= p[d + 2] ** c
+                        total += weight
+                        continue
+                    new = moved[i]
+                    if new is None:
+                        new = moved[i] = intern(((0, k),) + tuple((d + 1, c) for d, c in keys[i]))
+                    states[new] = weight
+                level = deriv
+            # D^r Q / r! = Q(P(1), P(2), ...), the weight of every component
+            # jumping to pos: the closing for n = pos comes with the step.
+            yield level[1]
+        yield total
+    finally:
+        if sum(len(q.keys) for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:
+            _PROGRAMS = {}
 
 
 def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:

@@ -261,6 +261,11 @@ class TestSample:
             main(["sample", "--n", "4", "--count", "5"])
         assert exc.value.code == 2
 
+    def test_count_is_bounded(self, capsys):
+        code, out, err = run(capsys, "sample", "--n", "4", "--count", "100001", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert "raise `count_limit` (default SAMPLE_LIMIT_DEFAULT = 100000)" in err
+
 
 class TestVerifyCommand:
     def test_bijections(self, capsys):
@@ -350,6 +355,15 @@ class TestImport:
     def test_asm_count_loads_only_counting(self):
         loaded = self._modules_after_main("asm-count", "--n", "12")
         assert loaded == {"goglattice", "cli", "errors", "counting"}
+
+    def test_asm_count_loads_no_dataclasses(self):
+        code = "import sys; from goglattice.cli import main; main(['asm-count', '--n', '12']); print('dataclasses' in sys.modules)"
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.splitlines() == ["12611311859677500", "False"]
 
     @pytest.mark.parametrize(
         "argv, stdin",

@@ -25,6 +25,7 @@ from goglattice import (
     eta,
     extremal_triangle,
     load_or_build_census,
+    primitive_counts,
     rank,
     resolve_cache_dir,
     sample_uniform,
@@ -33,7 +34,7 @@ from goglattice import (
 )
 from goglattice import enumeration
 from goglattice.cli import main
-from goglattice.enumeration import INDEX_MAX_N, _id, _index, _rows_by_mask
+from goglattice.enumeration import INDEX_MAX_N, SAMPLE_LIMIT_DEFAULT, _id, _index, _rows_by_mask
 from goglattice.triangles import _validate_rows, interlacing_successors
 
 CENSUS3_TEXT = "MTCENSUS v1 n=3 total=7\n4 4\n5 1\n6 1\n7 1\n"
@@ -347,6 +348,15 @@ class TestSampling:
         with pytest.raises(LimitExceeded):
             sample_uniform(13, 1, 0)
 
+    def test_count_limit(self):
+        started = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="raise `count_limit`"):
+            sample_uniform(12, SAMPLE_LIMIT_DEFAULT + 1, 0)
+        with pytest.raises(LimitExceeded, match="count limit is 2, got count=3"):
+            sample_uniform(3, 3, 0, count_limit=2)
+        assert time.perf_counter() - started < 0.5  # refused before any draw
+        assert sample_uniform(3, 3, 0, count_limit=3) == sample_uniform(3, 3, 0)
+
     def test_frozen_cli_stream(self, capsys):
         assert main(["sample", "--n", "10", "--count", "50", "--seed", "3142267078"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -405,6 +415,27 @@ class TestCensus:
 class TestCensusFile:
     def test_exact_bytes(self, censuses):
         assert censuses(3).to_text() == CENSUS3_TEXT
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_text_roundtrip_property(self, data):
+        # A census of size n from the gap products f(D) = prod P(gap), its
+        # counts shuffled over the 2^(n-1) sets: any positive counts summing
+        # to A(n) make a readable file, and the text must bring back the table.
+        n = data.draw(st.integers(1, 11))
+        p = primitive_counts(n)
+        counts = []
+        for low in range(1 << (n - 1)):
+            weight, prev = 1, 0
+            for i in range(1, n + 1):
+                if i == n or low >> (i - 1) & 1:
+                    weight *= p[i - prev]
+                    prev = i
+            counts.append(weight)
+        assert sum(counts) == asm_number(n)
+        shuffled = data.draw(st.permutations(counts))
+        table = CensusTable(n, {low | 1 << (n - 1): c for low, c in enumerate(shuffled)})
+        assert CensusTable.from_text(table.to_text()) == table
 
     def test_parse_roundtrip(self, censuses):
         for n in (1, 4, 6):

@@ -2,7 +2,9 @@
 and census oracles and brute force."""
 
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import product, zip_longest
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ from goglattice import (
     theorem_report,
 )
 from goglattice import meet_census
-from goglattice.meet_census import _ie_over_census, _n_min_ie, _n_min_sweep
+from goglattice.meet_census import TRANSFER_LIMIT_DEFAULT, _ie_over_census, _n_min_ie, _n_min_sweep
 
 
 def product_sweep(n_max, r):
@@ -216,6 +218,87 @@ class TestPrimitiveCountsCache:
     def test_sweep_reads_the_cache_unchanged(self):
         primitive_counts(20).clear()
         assert list(_n_min_sweep(6, 2)) == [1, 3, 15, 107, 1103, 17767]
+
+
+@cache
+def swept_oracle(r, n_max=14):
+    """[N_min(1, r), ..., N_min(n_max, r)] from the product oracle, once per r."""
+    return list(product_sweep(n_max, r))
+
+
+def store_size():
+    return sum(len(program.keys) for program in meet_census._PROGRAMS.values())
+
+
+class TestTransferProgram:
+    """The per-r programs that `_n_min_sweep` interns once per process."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 14), st.integers(1, 5)), min_size=1, max_size=8))
+    def test_any_call_order_matches_oracles(self, calls):
+        meet_census._PROGRAMS = {}  # start this example from an empty store
+        for n, r in calls:
+            swept = list(_n_min_sweep(n, r))
+            assert swept == swept_oracle(r)[:n]
+            if n <= 8:
+                assert swept[-1] == _n_min_ie(n, r)
+        assert store_size() <= TRANSFER_LIMIT_DEFAULT
+
+    def test_interleaved_sweeps_at_one_r(self):
+        # Each sweep interns into the program the other is reading.
+        meet_census._PROGRAMS = {}
+        sweeps = [_n_min_sweep(14, 4), _n_min_sweep(9, 4), _n_min_sweep(12, 4)]
+        got = [[], [], []]
+        for values in zip_longest(*sweeps):
+            for out, value in zip(got, values):
+                if value is not None:
+                    out.append(value)
+        assert got == [swept_oracle(4)[:n] for n in (14, 9, 12)]
+
+    @pytest.mark.parametrize("n, r", [(2, 300), (4, 31)])
+    def test_store_holds_pair_keys(self, n, r):
+        # The last step moves nothing, so the program's monomials use the
+        # n - 1 distances 0..n-2: at most C(e + n - 2, n - 2) of degree e,
+        # one per degree at n = 2, and keys of at most n - 1 pairs, never an
+        # r-long tuple of distances.
+        meet_census._PROGRAMS = {}
+        assert n_min_exact(n, r) == _n_min_ie(n, r)
+        keys = meet_census._PROGRAMS[r].keys
+        per_degree = {}
+        for key in keys:
+            assert all(c > 0 for _, c in key) and list(key) == sorted(key)
+            assert len({d for d, _ in key}) == len(key) <= n - 1
+            degree = sum(c for _, c in key)
+            per_degree[degree] = per_degree.get(degree, 0) + 1
+        assert sorted(per_degree) == list(range(r + 1))
+        for degree, count in per_degree.items():
+            assert count <= comb(degree + n - 2, n - 2)
+        assert len(keys) == {(2, 300): 301, (4, 31): 5952}[n, r]
+
+    def test_trivial_meet_set_stays(self):
+        meet_census._PROGRAMS = {}
+        for r in (2, 3, 4):
+            theorem_report(16, r)
+        kept = {r: len(program.keys) for r, program in meet_census._PROGRAMS.items()}
+        assert kept == {2: 31, 3: 256, 4: 1496}
+        theorem_report(16, 4)
+        assert store_size() == 31 + 256 + 1496  # a warm call interns nothing
+
+    def test_store_past_the_bound_is_dropped(self):
+        meet_census._PROGRAMS = {}
+        held = meet_census._PROGRAMS
+        in_flight = _n_min_sweep(16, 4)
+        head = [next(in_flight) for _ in range(8)]
+        program = held[4]
+        for n, r in ((13, 6), (17, 5)):
+            n_min_exact(n, r)
+        assert store_size() <= TRANSFER_LIMIT_DEFAULT
+        n_min_exact(26, 4)  # r = 4 grows to 6201 monomials, 25,478 in all
+        assert meet_census._PROGRAMS == {}
+        # dropped by rebinding: the suspended sweep's program is left whole
+        assert held[4] is program and len(program.keys) == 6201
+        assert head + list(in_flight) == swept_oracle(4, 16)
+        assert list(_n_min_sweep(14, 4)) == swept_oracle(4)
 
 
 class TestPExtreme:

@@ -40,6 +40,7 @@ from goglattice import (
 from goglattice.triangles import (
     _validate_rows,
     _validate_rows_slow,
+    matrices_to_text,
     matrix_to_text,
     triangles_to_text_chunks,
 )
@@ -314,6 +315,37 @@ class TestBijections:
             AlternatingSignMatrix(((0, 1), (1, -1)))  # row 2 ends with -1
         with pytest.raises(NotAnASM):
             AlternatingSignMatrix(((2, -1), (-1, 2)))  # entries outside {-1,0,1}
+
+
+def unranked(n_max=12):
+    """Strategy: `unrank(n, k)` for n <= n_max and any k in [0, A(n))."""
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.integers(0, asm_number(n) - 1).map(lambda k: unrank(n, k))
+    )
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(unranked())
+    def test_bijection_cycle(self, t):
+        csm = t.to_column_sum()
+        asm = csm.to_asm()
+        assert asm == t.to_asm()
+        assert asm.to_triangle() == t
+        assert asm.to_column_sum() == csm
+        assert csm.to_triangle() == t
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(unranked(), min_size=1, max_size=4))
+    def test_text_roundtrips(self, ts):
+        assert parse_triangles(triangles_to_text(ts)) == ts
+        assert [parse_triangles(triangle_to_text(t)) for t in ts] == [[t] for t in ts]
+        assert "".join(triangles_to_text_chunks(iter(ts))) == triangles_to_text(ts)
+        csms = [t.to_column_sum() for t in ts]
+        asms = [t.to_asm() for t in ts]
+        assert parse_column_sums(matrices_to_text(csms)) == csms
+        assert parse_asms(matrices_to_text(asms)) == asms
+        assert [parse_asms(matrix_to_text(a)) for a in asms] == [[a] for a in asms]
 
 
 class TestPermutations:
