@@ -27,8 +27,7 @@ _EXPORTS = {
         "lemma_margins",
     ),
     "enumeration": (
-        "CensusTable", "RunHistogram", "TrianglePrefix", "build_census", "completions_count",
-        "enumerate_triangles", "load_or_build_census", "rank", "resolve_cache_dir",
+        "TrianglePrefix", "build_census", "completions_count", "enumerate_triangles", "rank",
         "sample_uniform", "unrank",
     ),
     "errors": (
@@ -39,9 +38,10 @@ _EXPORTS = {
     ),
     "lattice": ("OrderRelation", "compare", "is_trivial", "join", "meet"),
     "meet_census": (
-        "ClassSizes", "MeetCensusReport", "RunHistogramReport", "avoid_count", "class_bound",
-        "class_sizes", "decompose", "n_min_census", "n_min_exact", "p_extreme",
-        "primitive_counts", "reversed_census", "run_histogram_report", "theorem_report",
+        "CensusTable", "ClassSizes", "MeetCensusReport", "RunHistogram", "RunHistogramReport",
+        "avoid_count", "class_bound", "class_sizes", "decompose", "gap_product_census",
+        "load_or_build_census", "n_min_census", "n_min_exact", "p_extreme", "primitive_counts",
+        "resolve_cache_dir", "reversed_census", "run_histogram_report", "theorem_report",
     ),
     "triangles": (
         "AlternatingSignMatrix", "ColumnSumMatrix", "MonotoneTriangle", "Permutation",

@@ -146,9 +146,9 @@ def cmd_meet(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    from . import enumeration
+    from . import meet_census
 
-    table = enumeration.load_or_build_census(args.n, cache_dir=args.cache_dir)
+    table = meet_census.load_or_build_census(args.n, cache_dir=args.cache_dir)
     sys.stdout.write(table.to_text())
     return 0
 
@@ -163,21 +163,22 @@ def cmd_pmin(args: argparse.Namespace) -> int:
     else:
         n_min = meet_census.n_min_census(args.n, args.r)
     p_min = Fraction(n_min, counting.asm_number(args.n) ** args.r)
-    payload = {
-        "n": args.n,
-        "r": args.r,
-        "n_min": str(n_min),
-        "p_min_num": str(p_min.numerator),
-        "p_min_den": str(p_min.denominator),
-        "p_min_decimal": _decimal(p_min),
-    }
-    if args.json:
-        import json
+    with _exact_digits():
+        payload = {
+            "n": args.n,
+            "r": args.r,
+            "n_min": str(n_min),
+            "p_min_num": str(p_min.numerator),
+            "p_min_den": str(p_min.denominator),
+            "p_min_decimal": _decimal(p_min),
+        }
+        if args.json:
+            import json
 
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for key in sorted(payload):
-            print(f"{key}\t{payload[key]}")
+            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        else:
+            for key in sorted(payload):
+                print(f"{key}\t{payload[key]}")
     return 0
 
 
@@ -186,12 +187,13 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
     reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tp_min_num\tp_min_den\tp_min_decimal\tratio_num\tratio_den\tratio_decimal")
-    for rep in reports:
-        ratio = rep.theorem1_ratio
-        print(
-            f"{rep.n}\t{rep.n_min}\t{rep.p_min.numerator}\t{rep.p_min.denominator}\t"
-            f"{_decimal(rep.p_min)}\t{ratio.numerator}\t{ratio.denominator}\t{_decimal(ratio)}"
-        )
+    with _exact_digits():
+        for rep in reports:
+            ratio = rep.theorem1_ratio
+            print(
+                f"{rep.n}\t{rep.n_min}\t{rep.p_min.numerator}\t{rep.p_min.denominator}\t"
+                f"{_decimal(rep.p_min)}\t{ratio.numerator}\t{ratio.denominator}\t{_decimal(ratio)}"
+            )
     return 0
 
 
@@ -200,11 +202,12 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 
     reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tmain\tsecond\tE\ttheta_ratio_decimal")
-    for rep in reports:
-        print(
-            f"{rep.n}\t{rep.n_min}\t{rep.main_term}\t{rep.second_term}\t"
-            f"{rep.error_term}\t{_decimal(rep.theta_ratio)}"
-        )
+    with _exact_digits():
+        for rep in reports:
+            print(
+                f"{rep.n}\t{rep.n_min}\t{rep.main_term}\t{rep.second_term}\t"
+                f"{rep.error_term}\t{_decimal(rep.theta_ratio)}"
+            )
     return 0
 
 

@@ -30,58 +30,72 @@ whose block of completions holds an index, and a rank step sums the counts
 before the successor's position.
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
-row i) to the number of triangles realizing it, and persists to a text file:
+row i) to the number of triangles realizing it.  Its production route, the
+gap products f(D), and its cache file live in `meet_census`, and the names
+`CensusTable`, `load_or_build_census` and the other cache helpers resolve
+here to those objects.  `build_census`, the walk, is the census oracle.
 
-    MTCENSUS v1 n=<n> total=<decimal A(n)>
-    <bitmask-hex> <decimal count>          (ascending bitmask)
-
-Default limits keep desk-scale runtimes: enumeration and the census up to
-n = 7 (218,348 triangles); the successor index, and with it ranking,
+Default limits keep desk-scale runtimes: enumeration and `build_census` up
+to n = 7 (218,348 triangles); the successor index, and with it ranking,
 unranking, completion counts and sampling, up to n = 12; and 100,000
 samples per `sample_uniform` call.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import eq
-from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, asm_number
-from .errors import FormatError, IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
-from .triangles import MonotoneTriangle, _mask_max_run
+from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT
+from .errors import IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
+from .triangles import MonotoneTriangle, _Frozen
+
+if TYPE_CHECKING:
+    from .meet_census import CensusTable
 
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
 SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 13 s and 140 MiB
-CACHE_ENV = "GOG_CACHE_DIR"
+
+# The census and its cache live in `meet_census`.  These names resolve here
+# to its objects on first use, so that enumerating or sampling does not load it.
+_FROM_MEET_CENSUS = (
+    "CACHE_ENV", "CensusTable", "RunHistogram", "census_path", "load_or_build_census",
+    "resolve_cache_dir",
+)
 
 
-@dataclass(frozen=True)
-class TrianglePrefix:
+def __getattr__(name: str):
+    if name not in _FROM_MEET_CENSUS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import meet_census
+
+    return getattr(meet_census, name)
+
+
+class TrianglePrefix(_Frozen):
     """The top `level` rows of a size-n triangle, identified by the last row."""
 
     n: int
     level: int
     row: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        row = tuple(self.row)
-        object.__setattr__(self, "row", row)
-        if not 0 <= self.level <= self.n:
-            raise ShapeMismatch(f"level {self.level} outside [0, {self.n}]")
-        if len(row) != self.level:
-            raise ShapeMismatch(f"prefix row has {len(row)} entries, expected {self.level}")
+    def __init__(self, n: int, level: int, row: Sequence[int]) -> None:
+        row = tuple(row)
+        if not 0 <= level <= n:
+            raise ShapeMismatch(f"level {level} outside [0, {n}]")
+        if len(row) != level:
+            raise ShapeMismatch(f"prefix row has {len(row)} entries, expected {level}")
         for a, b in zip(row, row[1:]):
             if a >= b:
                 raise StrictIncreaseViolated(f"prefix row not strictly increasing: {row}")
-        if row and (row[0] < 1 or row[-1] > self.n):
-            raise ShapeMismatch(f"prefix row entries outside [1, {self.n}]: {row}")
+        if row and (row[0] < 1 or row[-1] > n):
+            raise ShapeMismatch(f"prefix row entries outside [1, {n}]: {row}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "row", row)
 
 
 _BIT = [0] + [1 << v for v in range(INDEX_MAX_N)]  # _BIT[v]: the id bit of entry v
@@ -320,126 +334,9 @@ def sample_uniform(
 # Distinguished-row census
 
 
-@dataclass
-class RunHistogram:
-    """Triangle counts bucketed by the longest consecutive distinguished block."""
-
-    n: int
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def at_most(self, length: int) -> int:
-        return sum(c for run, c in self.counts.items() if run <= length)
-
-
-@dataclass
-class CensusTable:
-    """Exact-set counts: mask of the distinguished rows -> number of triangles.
-
-    Every key has bit n-1 set (the bottom row is always distinguished) and
-    the values partition the size-n triangles.
-    """
-
-    n: int
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def containment_count(self, mask: int) -> int:
-        """Triangles whose distinguished set contains every row in `mask`."""
-        return sum(c for m, c in self.counts.items() if m & mask == mask)
-
-    def avoid_count(self, mask: int) -> int:
-        """Triangles whose distinguished set avoids every row in `mask`."""
-        return sum(c for m, c in self.counts.items() if m & mask == 0)
-
-    def run_histogram(self) -> RunHistogram:
-        hist: dict[int, int] = {}
-        for mask, c in self.counts.items():
-            run = _mask_max_run(mask)
-            hist[run] = hist.get(run, 0) + c
-        return RunHistogram(self.n, dict(sorted(hist.items())))
-
-    def to_text(self) -> str:
-        lines = [f"MTCENSUS v1 n={self.n} total={self.total()}"]
-        for mask in sorted(self.counts):
-            lines.append(f"{mask:x} {self.counts[mask]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CensusTable":
-        lines = text.splitlines()
-        if not lines:
-            raise FormatError("empty census file")
-        head = lines[0].split()
-        if (
-            len(head) != 4
-            or head[0] != "MTCENSUS"
-            or head[1] != "v1"
-            or not head[2].startswith("n=")
-            or not head[3].startswith("total=")
-        ):
-            raise FormatError(f"bad census header: {lines[0]!r}")
-        try:
-            n = int(head[2][2:])
-            total = int(head[3][6:])
-        except ValueError as exc:
-            raise FormatError(f"bad census header: {lines[0]!r}") from exc
-        if n < 1:
-            raise FormatError(f"bad census size n={n} in {lines[0]!r}")
-        counts: dict[int, int] = {}
-        previous = -1
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad census line: {line!r}")
-            try:
-                mask = int(parts[0], 16)
-                count = int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"bad census line: {line!r}") from exc
-            if mask <= previous:
-                raise FormatError(f"census masks not ascending at {line!r}")
-            if count <= 0:
-                raise FormatError(f"nonpositive census count at {line!r}")
-            if mask >> n:
-                raise FormatError(f"mask {mask:#x} has rows outside [1, {n}]")
-            if not mask >> (n - 1) & 1:
-                raise FormatError(f"mask {mask:#x} lacks the bottom row {n}")
-            previous = mask
-            counts[mask] = count
-        if sum(counts.values()) != total:
-            raise FormatError(
-                f"census counts sum to {sum(counts.values())}, header says {total}"
-            )
-        # P(m) >= 1 for every gap m, so every distinguished set occurs; this
-        # also keeps a forged header from forcing A(n) for a large n.
-        if len(counts) != 1 << (n - 1):
-            raise FormatError(f"census for n={n} lacks some of the 2^{n - 1} distinguished sets")
-        if total != asm_number(n):
-            raise FormatError(f"census total {total} is not A({n}) = {asm_number(n)}")
-        return cls(n, counts)
-
-    def write(self, path: Path | str) -> None:
-        """Write atomically: a reader sees the old file or the whole new one."""
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(self.to_text())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    @classmethod
-    def read(cls, path: Path | str) -> "CensusTable":
-        return cls.from_text(Path(path).read_text())
-
-
 def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
-    """Exact distinguished-set census of the size-n triangles."""
+    """Exact distinguished-set census of the size-n triangles, by walking
+    every triangle: the oracle for `meet_census.gap_product_census`."""
     _check_enum_size(n, limit, "build_census")
     # Row i is distinguished iff it is 1, ..., i, whose id is 2^i - 1.
     stairs = [(1 << i) - 1 for i in range(1, n + 1)]
@@ -448,51 +345,7 @@ def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     for ids in _walk(n):
         mask = sum(compress(bits, map(eq, ids, stairs)))
         counts[mask] = counts.get(mask, 0) + 1
+    from .meet_census import CensusTable
+
     return CensusTable(n, dict(sorted(counts.items())))
 
-
-# ---------------------------------------------------------------------------
-# On-disk persistence
-
-
-def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
-    """CLI flag, then the GOG_CACHE_DIR environment variable, then ./.cache."""
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path(".cache")
-
-
-def census_path(cache_dir: Path, n: int) -> Path:
-    return cache_dir / f"mtcensus-n{n}.txt"
-
-
-def load_or_build_census(
-    n: int,
-    cache_dir: str | os.PathLike | None = None,
-    limit: int = ENUM_LIMIT_DEFAULT,
-) -> CensusTable:
-    """Read the census from the cache if present, otherwise build and persist.
-
-    The file is derived from n alone, so one that does not parse, or that
-    holds a census for another n, is treated as a miss: it is rebuilt and
-    replaced, with a warning that names it.
-    """
-    directory = resolve_cache_dir(cache_dir)
-    path = census_path(directory, n)
-    if path.is_file():
-        try:
-            table = CensusTable.read(path)
-        except (FormatError, UnicodeDecodeError) as exc:
-            problem = str(exc)
-        else:
-            if table.n == n:
-                return table
-            problem = f"it holds a census for n={table.n}"
-        warnings.warn(f"rebuilding the census cache {path}: {problem}", stacklevel=2)
-    table = build_census(n, limit=limit)
-    directory.mkdir(parents=True, exist_ok=True)
-    table.write(path)
-    return table

@@ -51,23 +51,40 @@ with g(T) the triangles whose distinguished set avoids T, once from the
 gap products and once from the enumerated census.  Rank reversal maps
 distinguished rows to rows at their maximum, so N_max = N_min; the
 reversed census keeps that bijection checkable.
+
+The census itself, the map from each exact distinguished set D to f(D),
+is computed here from the gap products (`gap_product_census`), the
+production route behind `load_or_build_census` and `gog census`: a DP on
+the highest member of D costs one multiply per set, with 2^(n-1) sets up
+to n = CENSUS_LIMIT_DEFAULT.  `enumeration.build_census`, which walks every
+triangle and so stops at n = 7, is its oracle in `verify` and the tests.
+A census persists to a text file, checked count by count against f(D)
+when read:
+
+    MTCENSUS v1 n=<n> total=<decimal A(n)>
+    <bitmask-hex> <decimal count>          (ascending bitmask)
+
+where a bitmask has bit i-1 for row i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import warnings
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .counting import ENUM_LIMIT_DEFAULT, asm_number
-from .errors import LimitExceeded, RowOutOfRange
+from .errors import FormatError, LimitExceeded, RowOutOfRange
 
 if TYPE_CHECKING:
-    from .enumeration import CensusTable, RunHistogram
     from .triangles import RowSet
 
 TRANSFER_LIMIT_DEFAULT = 25000
+CENSUS_LIMIT_DEFAULT = 18  # 2^17 distinguished sets, computed in about 0.02 s
+CACHE_ENV = "GOG_CACHE_DIR"
 
 _P_CACHE: list[int] = [0]  # P(0); append-only, filled once per process
 
@@ -130,6 +147,239 @@ def primitive_counts(m_max: int) -> list[int]:
         for m in range(len(p), m_max + 1):
             p.append(a[m] - sum(p[k] * a[m - k] for k in range(1, m)))
     return p[: m_max + 1]
+
+
+# ---------------------------------------------------------------------------
+# Distinguished-row census
+
+
+class _Record:
+    """Base of the report records: field-wise `==` and repr, as a dataclass
+    has them.  Each `__init__` stores the fields in `__dict__`, in
+    declaration order; the records are plain classes so that loading them
+    does not load `dataclasses`.  Defining `__eq__` leaves them unhashable.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class RunHistogram(_Record):
+    """Triangle counts bucketed by the longest consecutive distinguished block."""
+
+    def __init__(self, n: int, counts: dict[int, int]) -> None:
+        self.n = n
+        self.counts = counts
+
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def at_most(self, length: int) -> int:
+        return sum(c for run, c in self.counts.items() if run <= length)
+
+
+class CensusTable(_Record):
+    """Exact-set counts: mask of the distinguished rows -> number of triangles.
+
+    Every key has bit n-1 set (the bottom row is always distinguished) and
+    the values partition the size-n triangles.
+    """
+
+    def __init__(self, n: int, counts: dict[int, int]) -> None:
+        self.n = n
+        self.counts = counts
+
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def containment_count(self, mask: int) -> int:
+        """Triangles whose distinguished set contains every row in `mask`."""
+        return sum(c for m, c in self.counts.items() if m & mask == mask)
+
+    def avoid_count(self, mask: int) -> int:
+        """Triangles whose distinguished set avoids every row in `mask`."""
+        return sum(c for m, c in self.counts.items() if m & mask == 0)
+
+    def run_histogram(self) -> RunHistogram:
+        from .triangles import _mask_max_run
+
+        hist: dict[int, int] = {}
+        for mask, c in self.counts.items():
+            run = _mask_max_run(mask)
+            hist[run] = hist.get(run, 0) + c
+        return RunHistogram(self.n, dict(sorted(hist.items())))
+
+    def to_text(self) -> str:
+        lines = [f"MTCENSUS v1 n={self.n} total={self.total()}"]
+        for mask in sorted(self.counts):
+            lines.append(f"{mask:x} {self.counts[mask]}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "CensusTable":
+        lines = text.splitlines()
+        if not lines:
+            raise FormatError("empty census file")
+        head = lines[0].split()
+        if (
+            len(head) != 4
+            or head[0] != "MTCENSUS"
+            or head[1] != "v1"
+            or not head[2].startswith("n=")
+            or not head[3].startswith("total=")
+        ):
+            raise FormatError(f"bad census header: {lines[0]!r}")
+        try:
+            n = int(head[2][2:])
+            total = int(head[3][6:])
+        except ValueError as exc:
+            raise FormatError(f"bad census header: {lines[0]!r}") from exc
+        if n < 1:
+            raise FormatError(f"bad census size n={n} in {lines[0]!r}")
+        counts: dict[int, int] = {}
+        previous = -1
+        for line in lines[1:]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"bad census line: {line!r}")
+            try:
+                mask = int(parts[0], 16)
+                count = int(parts[1])
+            except ValueError as exc:
+                raise FormatError(f"bad census line: {line!r}") from exc
+            if mask <= previous:
+                raise FormatError(f"census masks not ascending at {line!r}")
+            if count <= 0:
+                raise FormatError(f"nonpositive census count at {line!r}")
+            if mask >> n:
+                raise FormatError(f"mask {mask:#x} has rows outside [1, {n}]")
+            if not mask >> (n - 1) & 1:
+                raise FormatError(f"mask {mask:#x} lacks the bottom row {n}")
+            previous = mask
+            counts[mask] = count
+        if sum(counts.values()) != total:
+            raise FormatError(
+                f"census counts sum to {sum(counts.values())}, header says {total}"
+            )
+        # P(m) >= 1 for every gap m, so every distinguished set occurs; this
+        # also keeps a forged header from forcing A(n) for a large n.
+        if len(counts) != 1 << (n - 1):
+            raise FormatError(f"census for n={n} lacks some of the 2^{n - 1} distinguished sets")
+        if total != asm_number(n):
+            raise FormatError(f"census total {total} is not A({n}) = {asm_number(n)}")
+        # The masks are now exactly the 2^(n-1) sets, ascending.
+        for (mask, count), expected in zip(counts.items(), _exact_set_counts(n)):
+            if count != expected:
+                raise FormatError(
+                    f"census count {count} at mask {mask:x} is not its gap product {expected}"
+                )
+        return cls(n, counts)
+
+    def write(self, path: Path | str) -> None:
+        """Write atomically: a reader sees the old file or the whole new one."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(self.to_text())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    @classmethod
+    def read(cls, path: Path | str) -> "CensusTable":
+        return cls.from_text(Path(path).read_text())
+
+
+def _exact_set_counts(n: int) -> list[int]:
+    """f(D) for each distinguished set D of the size-n triangles, ordered by
+    the mask of D, which always holds the bottom row n.
+
+    g(mask) is the product of P over the gaps of mask's rows from 0 up to
+    its highest row t, so g(mask) = g(rest) P(t - s), where rest is mask
+    without t and s its highest row (0 if rest is empty); f(D) is g(D).
+    """
+    p = primitive_counts(n)
+    g = [1]  # g of the empty mask
+    for t in range(1, n + 1):
+        # The masks with highest row t, ascending: t over each rest < 2^(t-1),
+        # taken in blocks of one highest row s.  P(1) = P(2) = 1 spares the
+        # multiply for three quarters of them.
+        for s in range(t):
+            block = g[(1 << s) >> 1 : 1 << s]
+            factor = p[t - s]
+            g += block if factor == 1 else [factor * x for x in block]
+    return g[1 << (n - 1) :]
+
+
+def _check_census_size(n: int, limit: int) -> None:
+    if n < 1:
+        raise ValueError(f"the census needs n >= 1, got {n}")
+    if n > limit:
+        raise LimitExceeded(
+            f"census limit is {limit}, got n={n}; raise `limit` "
+            f"(default CENSUS_LIMIT_DEFAULT = {CENSUS_LIMIT_DEFAULT})"
+        )
+
+
+def gap_product_census(n: int, limit: int = CENSUS_LIMIT_DEFAULT) -> CensusTable:
+    """Exact distinguished-set census of the size-n triangles, f(D) for each D.
+
+    >>> gap_product_census(3).counts
+    {4: 4, 5: 1, 6: 1, 7: 1}
+    """
+    _check_census_size(n, limit)
+    return CensusTable(n, dict(zip(range(1 << (n - 1), 1 << n), _exact_set_counts(n))))
+
+
+def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
+    """CLI flag, then the GOG_CACHE_DIR environment variable, then ./.cache."""
+    if explicit is not None:
+        return Path(explicit)
+    env = os.environ.get(CACHE_ENV)
+    if env:
+        return Path(env)
+    return Path(".cache")
+
+
+def census_path(cache_dir: Path, n: int) -> Path:
+    return cache_dir / f"mtcensus-n{n}.txt"
+
+
+def load_or_build_census(
+    n: int,
+    cache_dir: str | os.PathLike | None = None,
+    limit: int = CENSUS_LIMIT_DEFAULT,
+) -> CensusTable:
+    """Read the census from the cache if present, otherwise build and persist.
+
+    The file is derived from n alone, so one that does not parse, that
+    holds a census for another n, or whose counts are not the gap products,
+    is treated as a miss: it is rebuilt and replaced, with a warning that
+    names it.
+    """
+    _check_census_size(n, limit)
+    directory = resolve_cache_dir(cache_dir)
+    path = census_path(directory, n)
+    if path.is_file():
+        try:
+            table = CensusTable.read(path)
+        except (FormatError, UnicodeDecodeError) as exc:
+            problem = str(exc)
+        else:
+            if table.n == n:
+                return table
+            problem = f"it holds a census for n={table.n}"
+        warnings.warn(f"rebuilding the census cache {path}: {problem}", stacklevel=2)
+    table = gap_product_census(n, limit=limit)
+    directory.mkdir(parents=True, exist_ok=True)
+    table.write(path)
+    return table
 
 
 def _check_transfer_limit(n: int, r: int, limit: int) -> None:
@@ -305,7 +555,7 @@ def n_min_census(
 def reversed_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Census keyed by the distinguished rows of the rank-reversed triangle,
     i.e. by the rows equal to their maximal possible content."""
-    from .enumeration import CensusTable, enumerate_triangles
+    from .enumeration import enumerate_triangles
 
     counts: dict[int, int] = {}
     for t in enumerate_triangles(n, limit=limit):
@@ -331,8 +581,7 @@ def p_extreme(n: int, r: int, which: str, limit: int = TRANSFER_LIMIT_DEFAULT) -
 # Class decomposition
 
 
-@dataclass
-class ClassSizes:
+class ClassSizes(_Record):
     """Sizes of the overlapping classes of trivial-meet tuples.
 
     exact_sizes[v] counts tuples in which some component's longest block of
@@ -342,11 +591,14 @@ class ClassSizes:
     Membership is non-exclusive; only the union of the classes is a cover.
     """
 
-    n: int
-    r: int
-    exact_sizes: dict[int, int]
-    tail_threshold: int
-    tail_size: int
+    def __init__(
+        self, n: int, r: int, exact_sizes: dict[int, int], tail_threshold: int, tail_size: int
+    ) -> None:
+        self.n = n
+        self.r = r
+        self.exact_sizes = exact_sizes
+        self.tail_threshold = tail_threshold
+        self.tail_size = tail_size
 
     def labels(self) -> list[tuple[str, int]]:
         rows = [(f"C_{v}", self.exact_sizes[v]) for v in sorted(self.exact_sizes, reverse=True)]
@@ -379,13 +631,18 @@ def class_bound(n: int, r: int, v: int) -> int | None:
 
 def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
     """Exact class sizes, computed over tuples of census keys (the class of a
-    tuple depends only on the components' distinguished sets)."""
+    tuple depends only on the components' distinguished sets).  The 2^(r(n-1))
+    tuples keep the default limit at n = 7."""
     if r < 1:
         raise ValueError(f"class_sizes needs r >= 1, got {r}")
-    from .enumeration import build_census
+    if n > limit:
+        raise LimitExceeded(
+            f"class_sizes limit is {limit}, got n={n}; raise `limit` "
+            f"(default ENUM_LIMIT_DEFAULT = {ENUM_LIMIT_DEFAULT})"
+        )
     from .triangles import _mask_max_run
 
-    census = build_census(n, limit=limit)
+    census = gap_product_census(n, limit=limit)
     items = [(mask, count, _mask_max_run(mask)) for mask, count in census.counts.items()]
     full = (1 << n) - 1
     low = max(1, n - 6 * r)
@@ -412,8 +669,7 @@ def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
 # Block-structure and theorem reports
 
 
-@dataclass
-class RunHistogramReport:
+class RunHistogramReport(_Record):
     """Run histogram plus the two block-count checks from the refinement.
 
     head_matches: exactly 1, 1, 6 triangles at runs n, n-1, n-2 (holds from
@@ -421,16 +677,17 @@ class RunHistogramReport:
     tail_matches: A(n) - 8 triangles with run <= n-3.
     """
 
-    n: int
-    histogram: RunHistogram
-    head_matches: bool
-    tail_matches: bool
+    def __init__(
+        self, n: int, histogram: RunHistogram, head_matches: bool, tail_matches: bool
+    ) -> None:
+        self.n = n
+        self.histogram = histogram
+        self.head_matches = head_matches
+        self.tail_matches = tail_matches
 
 
-def run_histogram_report(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> RunHistogramReport:
-    from .enumeration import build_census
-
-    hist = build_census(n, limit=limit).run_histogram()
+def run_histogram_report(n: int, limit: int = CENSUS_LIMIT_DEFAULT) -> RunHistogramReport:
+    hist = gap_product_census(n, limit=limit).run_histogram()
     counts = hist.counts
     head = (
         counts.get(n, 0) == 1
@@ -441,8 +698,7 @@ def run_histogram_report(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> RunHistogra
     return RunHistogramReport(n, hist, head, tail)
 
 
-@dataclass
-class MeetCensusReport:
+class MeetCensusReport(_Record):
     """Exact decomposition N_min = main + second + E for one (n, r).
 
     main_term   = r A(n)^(r-1)          (tuples containing the minimum)
@@ -451,14 +707,25 @@ class MeetCensusReport:
     For r = 1 the decomposition degenerates to main = 1 = n_min, E = 0.
     """
 
-    n: int
-    r: int
-    n_min: int
-    p_min: Fraction
-    main_term: int
-    second_term: int
-    error_term: int
-    theta_ratio: Fraction
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        n_min: int,
+        p_min: Fraction,
+        main_term: int,
+        second_term: int,
+        error_term: int,
+        theta_ratio: Fraction,
+    ) -> None:
+        self.n = n
+        self.r = r
+        self.n_min = n_min
+        self.p_min = p_min
+        self.main_term = main_term
+        self.second_term = second_term
+        self.error_term = error_term
+        self.theta_ratio = theta_ratio
 
     @property
     def theorem1_ratio(self) -> Fraction:

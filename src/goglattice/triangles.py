@@ -21,7 +21,6 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter, le, lt
@@ -149,8 +148,37 @@ def _validate_rows_slow(rows: Rows) -> None:
             )
 
 
-@dataclass(frozen=True)
-class MonotoneTriangle:
+class _Frozen:
+    """Base of the immutable records: `==`, `hash` and repr over the fields,
+    as a frozen dataclass has them, and no assignment after construction.
+
+    Each `__init__` validates its arguments and stores the fields in
+    `__dict__`, in declaration order, through `object.__setattr__`; the
+    records are plain classes so that loading them does not load
+    `dataclasses`.  A `__dict__` rather than `__slots__` keeps pickle and copy
+    working, since they restore a `__dict__` without calling `__setattr__`.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonotoneTriangle(_Frozen):
     """An immutable, validated monotone triangle.
 
     `rows[i-1]` is row i as a strictly increasing tuple of i integers.
@@ -159,8 +187,8 @@ class MonotoneTriangle:
 
     rows: Rows
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, rows: Rows) -> None:
+        rows = tuple(map(tuple, rows))
         _validate_rows(rows)
         object.__setattr__(self, "rows", rows)
 
@@ -294,32 +322,29 @@ def near_minimal_triangle(n: int, which: str) -> MonotoneTriangle:
 
 
 def _mask_max_run(mask: int) -> int:
-    best = run = 0
+    # Each step keeps the set bits whose next higher bit is set too, so a
+    # block of L bits is gone after L steps: one step per unit of the
+    # longest block, not one per bit.
+    best = 0
     while mask:
-        if mask & 1:
-            run += 1
-            if run > best:
-                best = run
-        else:
-            run = 0
-        mask >>= 1
+        mask &= mask >> 1
+        best += 1
     return best
 
 
-@dataclass(frozen=True)
-class RowSet:
+class RowSet(_Frozen):
     """A subset of row indices [n], stored as a bitmask with bit i-1 for row i."""
 
     n: int
     mask: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise RowOutOfRange(f"row-set universe must be positive, got {self.n}")
-        if self.mask < 0 or self.mask >> self.n:
-            raise RowOutOfRange(
-                f"mask {self.mask:#x} has bits outside [1, {self.n}]"
-            )
+    def __init__(self, n: int, mask: int) -> None:
+        if n < 1:
+            raise RowOutOfRange(f"row-set universe must be positive, got {n}")
+        if mask < 0 or mask >> n:
+            raise RowOutOfRange(f"mask {mask:#x} has bits outside [1, {n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "RowSet":
@@ -358,14 +383,13 @@ def max_consecutive_run(d: RowSet) -> int:
 # Matrix forms
 
 
-@dataclass(frozen=True)
-class ColumnSumMatrix:
+class ColumnSumMatrix(_Frozen):
     """An n x n 0/1 matrix whose row i marks the entries of triangle row i."""
 
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
+        entries = tuple(tuple(row) for row in entries)
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         if n == 0:
@@ -411,15 +435,14 @@ def _check_alternating(line: Sequence[int], what: str, index: int) -> None:
             raise NotAnASM(f"{what} {index} has two consecutive nonzeros of sign {a}")
 
 
-@dataclass(frozen=True)
-class AlternatingSignMatrix:
+class AlternatingSignMatrix(_Frozen):
     """An n x n matrix over {-1, 0, 1}: each row and column sums to 1 with
     the nonzero entries alternating in sign."""
 
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
+        entries = tuple(tuple(row) for row in entries)
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         if n == 0:
@@ -457,14 +480,13 @@ class AlternatingSignMatrix:
 # Permutations
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """A permutation of [n] in one-line notation, 1-based values."""
 
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
+    def __init__(self, values: Sequence[int]) -> None:
+        values = tuple(values)
         object.__setattr__(self, "values", values)
         if sorted(values) != list(range(1, len(values) + 1)):
             raise NotAPermutation(f"{values} is not a rearrangement of 1..{len(values)}")

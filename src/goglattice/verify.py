@@ -168,13 +168,15 @@ def verify_census(n_max: int = 6) -> int:
         table = enumeration.build_census(n)
         if table.total() != counting.asm_number(n):
             _fail(suite, f"census values at n={n} do not sum to A({n})")
-        checks += 1
+        if meet_census.gap_product_census(n) != table:
+            _fail(suite, f"the gap-product census differs from the enumerated one at n={n}")
+        checks += 2
         for mask in range(1 << (n - 1)):
             members = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
             if table.containment_count(mask) != counting.eta(n, members):
                 _fail(suite, f"containment sum != eta at n={n}, I={members}")
             checks += 1
-        if enumeration.CensusTable.from_text(table.to_text()).counts != table.counts:
+        if meet_census.CensusTable.from_text(table.to_text()).counts != table.counts:
             _fail(suite, f"census text roundtrip broke at n={n}")
         checks += 1
     table3 = enumeration.build_census(3)

@@ -173,6 +173,14 @@ class TestCensusCommand:
         _, second, _ = run(capsys, "census", "--n", "4", "--cache-dir", str(tmp_path))
         assert first == second
 
+    def test_past_the_limit_names_its_knob(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "--n", "19", "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: census limit is 18, got n=19; raise `limit` (default CENSUS_LIMIT_DEFAULT = 18)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPmin:
     def test_json_exact(self, capsys):
@@ -216,6 +224,31 @@ class TestPmin:
         printed = Fraction(json.loads(out)["p_min_decimal"])
         exact = Fraction(n_min_exact(n, 2), asm_number(n) ** 2)
         assert abs(printed - exact) <= Fraction(1, 10**11) * exact
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pmin", "--n", "60", "--r", "2", "--json"),
+        ("theorem1", "--r", "2", "--n-max", "60"),
+        ("theorem2", "--r", "2", "--n-max", "100"),
+    ],
+    ids=["pmin", "theorem1", "theorem2"],
+)
+def test_prints_past_the_int_str_digit_cap(argv):
+    # A(60)^2 has 818 digits and N_min(100, 2) 1137: a cap of 640 must not
+    # change what is printed.
+    src = str(Path(goglattice.__file__).resolve().parent.parent)
+    outputs = []
+    for flags in ((), ("-X", "int_max_str_digits=640")):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "goglattice.cli", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert max(map(len, outputs[0].split())) > 640
 
 
 class TestTheoremTables:
@@ -387,6 +420,56 @@ class TestImport:
         loaded = self._modules_after_main(*argv)
         assert "meet_census" in loaded
         assert not loaded & {"enumeration", "lattice", "triangles", "verify"}
+
+    def test_census_loads_only_the_gap_products(self, tmp_path):
+        loaded = self._modules_after_main("census", "--n", "6", "--cache-dir", str(tmp_path))
+        assert loaded == {"goglattice", "cli", "errors", "counting", "meet_census"}
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("asm-count", "--n", "100"), ""),
+            (("asm-count", "--n", "9", "--method", "dp"), ""),
+            (("census", "--n", "6", "--cache-dir", "{cache}"), ""),  # a miss, then a hit
+            (("census", "--n", "6", "--cache-dir", "{cache}"), ""),
+            (("convert", "--from", "triangle", "--to", "asm"), FIG1_TRIANGLE_TEXT),
+            (("meet",), FIG1_TRIANGLE_TEXT),
+            (("pmin", "--n", "14", "--r", "2", "--json"), ""),
+            (("sample", "--n", "10", "--count", "50", "--seed", "3142267078"), ""),
+            (("theorem2", "--r", "3", "--n-max", "12"), ""),
+        ],
+        ids=[
+            "asm-count-100", "asm-count-dp", "census-miss", "census-hit", "convert", "meet",
+            "pmin", "sample", "theorem2",
+        ],
+    )
+    def test_commands_load_no_dataclasses(self, argv, stdin, tmp_path_factory):
+        cache = str(tmp_path_factory.getbasetemp() / "census-cache")
+        argv = [arg.replace("{cache}", cache) for arg in argv]
+        code = (
+            "import sys; from goglattice.cli import main; "
+            f"main({argv!r}); print('dataclasses' in sys.modules, file=sys.stderr)"
+        )
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, "False\n")
+
+    def test_no_module_imports_dataclasses(self):
+        import ast
+
+        package = Path(goglattice.__file__).resolve().parent
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                assert "dataclasses" not in names, path.name
 
     def test_census_help_names_the_cache_variable(self, capsys):
         from goglattice import enumeration

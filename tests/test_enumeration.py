@@ -32,7 +32,7 @@ from goglattice import (
     triangles_to_text,
     unrank,
 )
-from goglattice import enumeration
+from goglattice import enumeration, meet_census
 from goglattice.cli import main
 from goglattice.enumeration import INDEX_MAX_N, SAMPLE_LIMIT_DEFAULT, _id, _index, _rows_by_mask
 from goglattice.triangles import _validate_rows, interlacing_successors
@@ -121,6 +121,15 @@ def stack_walk_census(n):
         mask = sum(1 << i for i, (row, stair) in enumerate(zip(rows, stairs)) if row == stair)
         counts[mask] = counts.get(mask, 0) + 1
     return counts
+
+
+def swap_first_counts(text):
+    """A census file with the counts of its first two sets exchanged: the
+    sum, the total and the set of masks still check out."""
+    head, first, second, *rest = text.splitlines(keepends=True)
+    (mask1, count1), (mask2, count2) = first.split(), second.split()
+    assert count1 != count2
+    return head + f"{mask1} {count2}\n{mask2} {count1}\n" + "".join(rest)
 
 
 ENUMERATE_7_SHA256 = "376e585da4452b291a172db232a6c3a4f47df92659f3e1ec64e5c73c8cd9b64b"
@@ -419,9 +428,9 @@ class TestCensusFile:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_text_roundtrip_property(self, data):
-        # A census of size n from the gap products f(D) = prod P(gap), its
-        # counts shuffled over the 2^(n-1) sets: any positive counts summing
-        # to A(n) make a readable file, and the text must bring back the table.
+        # A census of size n from the gap products f(D) = prod P(gap): its text
+        # must bring back the table.  Shuffled over the 2^(n-1) sets, the
+        # counts still sum to A(n), but a file that moves any is rejected.
         n = data.draw(st.integers(1, 11))
         p = primitive_counts(n)
         counts = []
@@ -433,9 +442,13 @@ class TestCensusFile:
                     prev = i
             counts.append(weight)
         assert sum(counts) == asm_number(n)
-        shuffled = data.draw(st.permutations(counts))
-        table = CensusTable(n, {low | 1 << (n - 1): c for low, c in enumerate(shuffled)})
+        table = CensusTable(n, {low | 1 << (n - 1): c for low, c in enumerate(counts)})
         assert CensusTable.from_text(table.to_text()) == table
+        shuffled = data.draw(st.permutations(counts))
+        if shuffled != counts:
+            forged = CensusTable(n, dict(zip(table.counts, shuffled)))
+            with pytest.raises(FormatError, match="gap product"):
+                CensusTable.from_text(forged.to_text())
 
     def test_parse_roundtrip(self, censuses):
         for n in (1, 4, 6):
@@ -454,6 +467,7 @@ class TestCensusFile:
             "MTCENSUS v1 n=3 total=7\n4 x\n",
             "MTCENSUS v1 n=5 total=3\n10 3\n",  # consistent, but A(5) = 429
             "MTCENSUS v1 n=2 total=3\n2 1\n3 2\n",  # every set, but A(2) = 2
+            "MTCENSUS v1 n=3 total=7\n4 1\n5 4\n6 1\n7 1\n",  # two counts swapped
             pytest.param(f"MTCENSUS v1 n=300 total=1\n{1 << 299:x} 1\n", id="forged-n300"),
             "MTCENSUS v1 n=0 total=0\n",
         ],
@@ -491,6 +505,7 @@ class TestCensusFile:
             pytest.param(lambda text: text.replace("total=429", "total=430", 1), id="forged-total"),
             pytest.param(lambda text: build_census(4).to_text(), id="another-n"),
             pytest.param(lambda text: "\udcff", id="not-utf8"),
+            pytest.param(swap_first_counts, id="swapped-counts"),
         ],
     )
     def test_bad_cache_file_is_rebuilt(self, tmp_path, censuses, corrupt):
@@ -509,6 +524,7 @@ class TestCensusFile:
             raise AssertionError("a valid cache file was rebuilt")
 
         monkeypatch.setattr(enumeration, "build_census", fail)
+        monkeypatch.setattr(meet_census, "gap_product_census", fail)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = load_or_build_census(5, cache_dir=tmp_path)

@@ -18,7 +18,9 @@ from goglattice import (
     class_bound,
     class_sizes,
     decompose,
+    gap_product_census,
     is_trivial,
+    load_or_build_census,
     n_min_census,
     n_min_exact,
     p_extreme,
@@ -28,7 +30,14 @@ from goglattice import (
     theorem_report,
 )
 from goglattice import meet_census
-from goglattice.meet_census import TRANSFER_LIMIT_DEFAULT, _ie_over_census, _n_min_ie, _n_min_sweep
+from goglattice.meet_census import (
+    CENSUS_LIMIT_DEFAULT,
+    TRANSFER_LIMIT_DEFAULT,
+    CensusTable,
+    _ie_over_census,
+    _n_min_ie,
+    _n_min_sweep,
+)
 
 
 def product_sweep(n_max, r):
@@ -375,13 +384,41 @@ class TestClassSizes:
             assert sizes.tail_size == 0  # n - 6r - 1 < 1 at desk scale
 
 
+class TestGapProductCensus:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_enumeration_walk(self, n, censuses):
+        assert gap_product_census(n) == censuses(n)
+
+    def test_sums_to_asm_number(self):
+        for n in range(1, CENSUS_LIMIT_DEFAULT + 1):
+            table = gap_product_census(n)
+            assert list(table.counts) == list(range(1 << (n - 1), 1 << n))
+            assert table.total() == asm_number(n)
+
+    def test_reads_back_at_the_limit(self):
+        table = gap_product_census(CENSUS_LIMIT_DEFAULT)
+        assert CensusTable.from_text(table.to_text()) == table
+
+    def test_limit_names_its_knob(self, tmp_path):
+        with pytest.raises(LimitExceeded, match="CENSUS_LIMIT_DEFAULT = 18"):
+            gap_product_census(CENSUS_LIMIT_DEFAULT + 1)
+        with pytest.raises(LimitExceeded, match="CENSUS_LIMIT_DEFAULT = 18"):
+            load_or_build_census(CENSUS_LIMIT_DEFAULT + 1, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        assert gap_product_census(19, limit=19).total() == asm_number(19)
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError):
+            gap_product_census(0)
+
+
 class TestRunHistogramReport:
     def test_size_three_deviation(self):
         report = run_histogram_report(3)
         assert report.histogram.counts == {1: 5, 2: 1, 3: 1}
         assert not report.head_matches
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", range(4, 19))
     def test_one_one_six(self, n):
         report = run_histogram_report(n)
         assert report.head_matches and report.tail_matches

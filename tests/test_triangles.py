@@ -272,6 +272,12 @@ class TestRowSet:
     def test_max_consecutive_run(self, members, expected):
         assert max_consecutive_run(RowSet.from_members(4, members)) == expected
 
+    def test_max_consecutive_run_of_every_mask(self):
+        # The longest block of ones in the binary digits, for every set of 12 rows.
+        for mask in range(1 << 12):
+            longest = max(map(len, bin(mask)[2:].split("0")))
+            assert RowSet(12, mask).max_consecutive_run() == longest
+
 
 class TestBijections:
     def test_figure_one_column_sum(self):
