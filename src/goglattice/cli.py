@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (anything derived from GogError, plus
 bad argument values), 2 usage error (argparse).  Output is deterministic for
-fixed inputs, seeds, and cache state: JSON is emitted with sorted keys and
-no whitespace, integers print as exact decimal strings, and rationals carry
-exact numerator/denominator columns with 12-significant-digit decimals as
+fixed inputs and seeds: JSON is emitted with sorted keys and no whitespace,
+integers print as exact decimal strings, and rationals carry exact
+numerator/denominator columns with 12-significant-digit decimals as
 presentation only.  Large integers are JSON strings, never numbers.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -148,8 +147,7 @@ def cmd_meet(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     from . import meet_census
 
-    table = meet_census.load_or_build_census(args.n, cache_dir=args.cache_dir)
-    sys.stdout.write(table.to_text())
+    sys.stdout.write(meet_census.gap_product_census(args.n).to_text())
     return 0
 
 
@@ -281,9 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="input path; defaults to stdin")
         p.set_defaults(func=cmd_meet, operation=name)
 
-    p = sub.add_parser("census", help="distinguished-row census, cached on disk")
+    p = sub.add_parser(
+        "census",
+        help="distinguished-row census from the gap products",
+        description="Print the census, computed on every call; nothing is read or "
+        "written, and $GOG_CACHE_DIR is ignored.",
+    )
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--cache-dir", help="cache directory; else $GOG_CACHE_DIR, else .cache/")
+    p.add_argument("--cache-dir", help=_NO_EFFECT)
     p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_census)
 
@@ -336,17 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_warning(message, category, filename, lineno, line=None) -> str:
-    return f"warning: {message}\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Library warnings, such as a rebuilt census cache, print as one line in
-    # the style of the errors below; filters and recorders still see them.
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except GogError as exc:
@@ -355,8 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

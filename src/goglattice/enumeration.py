@@ -31,9 +31,10 @@ before the successor's position.
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it.  Its production route, the
-gap products f(D), and its cache file live in `meet_census`, and the names
-`CensusTable`, `load_or_build_census` and the other cache helpers resolve
-here to those objects.  `build_census`, the walk, is the census oracle.
+gap products f(D), and its text format live in `meet_census`, and the
+names `CensusTable`, `load_or_build_census` and the other census helpers
+resolve here to those objects.  `build_census`, the walk, is the census
+oracle.
 
 Default limits keep desk-scale runtimes: enumeration and `build_census` up
 to n = 7 (218,348 triangles); the successor index, and with it ranking,
@@ -59,11 +60,10 @@ if TYPE_CHECKING:
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
 SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 13 s and 140 MiB
 
-# The census and its cache live in `meet_census`.  These names resolve here
-# to its objects on first use, so that enumerating or sampling does not load it.
+# The census lives in `meet_census`.  These names resolve here to its objects
+# on first use, so that enumerating or sampling does not load it.
 _FROM_MEET_CENSUS = (
-    "CACHE_ENV", "CensusTable", "RunHistogram", "census_path", "load_or_build_census",
-    "resolve_cache_dir",
+    "CACHE_ENV", "CensusTable", "RunHistogram", "load_or_build_census", "resolve_cache_dir",
 )
 
 

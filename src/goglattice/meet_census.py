@@ -56,9 +56,10 @@ The census itself, the map from each exact distinguished set D to f(D),
 is computed here from the gap products (`gap_product_census`), the
 production route behind `load_or_build_census` and `gog census`: a DP on
 the highest member of D costs one multiply per set, with 2^(n-1) sets up
-to n = CENSUS_LIMIT_DEFAULT.  `enumeration.build_census`, which walks every
-triangle and so stops at n = 7, is its oracle in `verify` and the tests.
-A census persists to a text file, checked count by count against f(D)
+to n = CENSUS_LIMIT_DEFAULT.  Computing it is faster than reading its text
+back, so nothing here stores a census.  `enumeration.build_census`, which
+walks every triangle and so stops at n = 7, is its oracle in `verify` and
+the tests.  A census has a text form, checked count by count against f(D)
 when read:
 
     MTCENSUS v1 n=<n> total=<decimal A(n)>
@@ -70,7 +71,6 @@ where a bitmask has bit i-1 for row i.
 from __future__ import annotations
 
 import os
-import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -268,8 +268,10 @@ class CensusTable(_Record):
                 f"census counts sum to {sum(counts.values())}, header says {total}"
             )
         # P(m) >= 1 for every gap m, so every distinguished set occurs; this
-        # also keeps a forged header from forcing A(n) for a large n.
-        if len(counts) != 1 << (n - 1):
+        # also keeps a forged header from forcing A(n) for a large n.  Those
+        # 2^(n-1) lines outnumber n, and testing that first keeps a forged n
+        # from forcing the shift.
+        if n > len(lines) or len(counts) != 1 << (n - 1):
             raise FormatError(f"census for n={n} lacks some of the 2^{n - 1} distinguished sets")
         if total != asm_number(n):
             raise FormatError(f"census total {total} is not A({n}) = {asm_number(n)}")
@@ -338,7 +340,10 @@ def gap_product_census(n: int, limit: int = CENSUS_LIMIT_DEFAULT) -> CensusTable
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
-    """CLI flag, then the GOG_CACHE_DIR environment variable, then ./.cache."""
+    """CLI flag, then the GOG_CACHE_DIR environment variable, then ./.cache.
+
+    Kept for callers of the former census cache; `gog` no longer reads it.
+    """
     if explicit is not None:
         return Path(explicit)
     env = os.environ.get(CACHE_ENV)
@@ -347,39 +352,16 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path(".cache")
 
 
-def census_path(cache_dir: Path, n: int) -> Path:
-    return cache_dir / f"mtcensus-n{n}.txt"
-
-
 def load_or_build_census(
     n: int,
     cache_dir: str | os.PathLike | None = None,
     limit: int = CENSUS_LIMIT_DEFAULT,
 ) -> CensusTable:
-    """Read the census from the cache if present, otherwise build and persist.
+    """The census from the gap products, `gap_product_census(n, limit=limit)`.
 
-    The file is derived from n alone, so one that does not parse, that
-    holds a census for another n, or whose counts are not the gap products,
-    is treated as a miss: it is rebuilt and replaced, with a warning that
-    names it.
+    `cache_dir` is accepted and ignored: no file is read or written.
     """
-    _check_census_size(n, limit)
-    directory = resolve_cache_dir(cache_dir)
-    path = census_path(directory, n)
-    if path.is_file():
-        try:
-            table = CensusTable.read(path)
-        except (FormatError, UnicodeDecodeError) as exc:
-            problem = str(exc)
-        else:
-            if table.n == n:
-                return table
-            problem = f"it holds a census for n={table.n}"
-        warnings.warn(f"rebuilding the census cache {path}: {problem}", stacklevel=2)
-    table = gap_product_census(n, limit=limit)
-    directory.mkdir(parents=True, exist_ok=True)
-    table.write(path)
-    return table
+    return gap_product_census(n, limit=limit)
 
 
 def _check_transfer_limit(n: int, r: int, limit: int) -> None:
