@@ -9,7 +9,7 @@ significant digits,
 
 with E = N_min - r A(n)^(r-1) - 2r(r-1) A(n-1) A(n)^(r-2).  The file is a
 record, never asserted; tests/data/theorem_trajectory.json holds the exact
-frozen rows for n <= 14.  Run from the repository root (about 1.5 s):
+frozen rows for n <= 14.  Run from the repository root (about 0.5 s):
 
     PYTHONPATH=src python scripts/theorem_trajectories.py [OUTPUT]
 

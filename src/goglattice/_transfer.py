@@ -1,0 +1,197 @@
+"""The compiled transfer-matrix sweep behind `meet_census._n_min_sweep`.
+
+The sweep's state before position pos is the polynomial Q described in
+`meet_census`.  After the first step every monomial carries x_0, so
+Q = x_0 S with S of degree r - 1, and since D x_0 = P(1) = 1, Leibniz's rule
+gives D^k Q / k! = U_{k-1} + x_0 U_k with U_j = D^j S / j!.  A step
+therefore runs r - 1 passes of D, U_j from U_{j-1}; the closing for n = pos
+is D^r Q / r! = U_{r-1}, and the next state is
+
+    S' = sum over a of x_0^a (shift(U_a) + x_1 shift(U_{a+1})),
+
+a gather from the U_a.  Once x_0, ..., x_{pos-1} are in play, every list
+holds every monomial of its degree in them, so with the monomials of each
+degree ranked (`rank`), a pass of D is the same at every position up to its
+length: the coefficient of m in D U is the sum over d < pos of (c + 1) P(d+1)
+times the coefficient of m x_d, c the multiplicity of d in m.  A `Program`
+compiles those positions and factors into flat lists once, and `sweep`
+runs each pass as a few list-wide maps (gather, multiply, add), with no
+Python step per edge.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from math import comb, prod
+from operator import add, mul
+from typing import Iterator
+
+Monomial = tuple[tuple[int, int], ...]
+
+
+def monomials(e: int, width: int) -> Iterator[Monomial]:
+    """The monomials of degree e in x_0, ..., x_{width-1}, each as its
+    ascending (distance, multiplicity) pairs, in rank order (`rank`).
+
+    The order is colex on the sorted distances t_1 <= ... <= t_e, so for
+    every w the monomials in x_0, ..., x_{w-1} come first, C(w+e-1, e) of
+    them.
+    """
+    if e == 0:
+        yield ()
+        return
+    m: Monomial = ((0, e),)
+    while True:
+        yield m
+        (d, c), rest = m[0], m[1:]
+        if not rest and d + 1 == width:
+            return
+        # The next multiset raises the top of the lowest block of equal
+        # distances by one and sends the rest of that block to 0.
+        if rest and rest[0][0] == d + 1:
+            m = ((d + 1, rest[0][1] + 1),) + rest[1:]
+        else:
+            m = ((d + 1, 1),) + rest
+        if c > 1:
+            m = ((0, c - 1),) + m
+
+
+def rank(m: Monomial) -> int:
+    """The position of m among the monomials of its degree: sum over i of
+    C(t_i + i - 1, i), for the sorted distances t_1 <= ... <= t_e."""
+    total = slot = 0
+    for d, c in m:
+        total += comb(d + slot + c, d) - comb(d + slot, d)
+        slot += c
+    return total
+
+
+def times_x_ranks(m: Monomial, width: int) -> Iterator[tuple[int, int]]:
+    """(rank of m x_d, multiplicity of d in m) for d = 0..width-1.
+
+    Inserting d shifts the slot of every larger distance by one, so each
+    pair of m contributes one of two fixed terms to the sum in `rank`.
+    """
+    below = []  # the pair's terms where it stays in place
+    above = []  # and where it moves up one slot
+    slot = 0
+    for t, c in m:
+        below.append(comb(t + slot + c, t) - comb(t + slot, t))
+        above.append(comb(t + slot + c + 1, t) - comb(t + slot + 1, t))
+        slot += c
+    low, high, q, k = 0, sum(above), 0, 0
+    for d in range(width):
+        mult = 0
+        if k < len(m) and m[k][0] == d:
+            low += below[k]
+            high -= above[k]
+            mult = m[k][1]
+            q += mult
+            k += 1
+        yield low + comb(d + q, q + 1) + high, mult
+
+
+class Program:
+    """The sweep compiled for one r and every position up to `width`.
+
+    `rounds[e]` holds the pass into U of degree e >= 1 (degree 0 is a dot
+    product with P(1), P(2), ...): entry d * C(width+e-1, e) + i holds, for
+    the i-th monomial m and x_d, the rank of m x_d and its factor.
+    `gather` holds, for each monomial of S', the two positions it sums in
+    the concatenation of U_0, ..., U_{r-1}, each padded to its length at
+    `width` (`strides`), then a 0.  `closings[pos]` holds the weights that
+    evaluate a last step at pos, filled on first use.  `size` counts the
+    monomials of every degree below r in x_0, ..., x_{width-1}.
+    """
+
+    __slots__ = ("r", "width", "size", "rounds", "strides", "gather", "closings")
+
+    def __init__(self, r: int, width: int, p: list[int]) -> None:
+        self.r = r
+        self.width = width
+        self.size = comb(width + r - 1, r - 1)
+        self.rounds: list[tuple[list[int], list[int]] | None] = [None]
+        for e in range(1, r - 1):
+            stride = comb(width + e - 1, e)
+            ups = [0] * (width * stride)
+            factors = [0] * (width * stride)
+            for i, m in enumerate(monomials(e, width)):
+                for d, (up, mult) in enumerate(times_x_ranks(m, width)):
+                    ups[d * stride + i] = up
+                    factors[d * stride + i] = (mult + 1) * p[d + 1]
+            self.rounds.append((ups, factors))
+        # U_a has degree r - 1 - a
+        self.strides = [comb(width + r - 2 - a, r - 1 - a) for a in range(r)]
+        offsets = list(accumulate(self.strides, initial=0))
+        first: list[int] = []
+        second: list[int] = []
+        for m in monomials(r - 1, width):
+            a = m[0][1] if m and m[0][0] == 0 else 0
+            u = tuple((d - 1, c) for d, c in m[1 if a else 0 :])
+            first.append(offsets[a] + rank(u))
+            if u and u[0][0] == 0:
+                v = (((0, u[0][1] - 1),) if u[0][1] > 1 else ()) + u[1:]
+                second.append(offsets[a + 1] + rank(v))
+            else:
+                second.append(offsets[r])
+        self.gather = (first, second)
+        self.closings: dict[int, list[int]] = {}
+
+    def closing(self, pos: int, p: list[int]) -> list[int]:
+        """Weights of U_0, ..., U_{r-1} at pos, in order: the closing for the
+        next position is S'(P(1), P(2), ...), where x_0 goes to P(1) = 1 and
+        each shifted x_{d+1} to P(d+2); x_1 shift(U_{a+1}) counts twice."""
+        weights = self.closings.get(pos)
+        if weights is None:
+            weights = self.closings[pos] = [
+                (2 if a else 1) * prod([p[d + 2] ** c for d, c in m])
+                for a in range(self.r)
+                for m in monomials(self.r - 1 - a, pos)
+            ]
+        return weights
+
+    def sweep(self, n_max: int, p: list[int]) -> Iterator[int]:
+        """Yield N_min(n, r) for n = 1..n_max, 2 <= n_max <= width + 1;
+        p must reach P(n_max)."""
+        r, rounds, strides, (first, second) = self.r, self.rounds, self.strides, self.gather
+        p1 = p[1:]  # P(d+1) for d = 0, 1, ...
+        zeros = [0] * strides[0]
+        state = [1]  # S = x_0^(r-1)
+        for pos in range(1, n_max):
+            last = pos == n_max - 1
+            if last:
+                # The last step moves nothing: it evaluates S' at the P.
+                weights = iter(self.closing(pos, p))
+                total = sum(map(mul, state, weights))
+            else:
+                flat = state + zeros[: strides[0] - len(state)]
+            level = state
+            for j in range(1, r):
+                e = r - 1 - j
+                prev = level.__getitem__
+                if e:
+                    ups, factors = rounds[e]
+                    n, stride = comb(pos + e - 1, e), strides[j]
+                    level = list(map(mul, factors[:n], map(prev, ups[:n])))
+                    for o in range(stride, pos * stride, stride):
+                        terms = map(mul, factors[o : o + n], map(prev, ups[o : o + n]))
+                        level = list(map(add, level, terms))
+                else:
+                    level = [sum(map(mul, level, p1))]
+                if j > 1:
+                    level = list(map(j.__rfloordiv__, level))
+                if last:
+                    total += sum(map(mul, level, weights))
+                else:
+                    flat += level
+                    flat += zeros[: strides[j] - len(level)]
+            # U_{r-1} = Q(P(1), P(2), ...), the weight of every component
+            # jumping to pos: the closing for n = pos.
+            yield level[0]
+            if last:
+                yield total
+            else:
+                flat.append(0)
+                get = flat.__getitem__
+                size = comb(pos + r - 1, r - 1)  # of S at pos + 1
+                state = list(map(add, map(get, first[:size]), map(get, second[:size])))

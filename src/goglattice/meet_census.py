@@ -26,20 +26,21 @@ Taylor's formula that is
 
     Q' = sum over k = 1..r of x_0^k (D^k Q / k!)(x_1, x_2, ...),
 
-with D = sum_d P(d+1) d/dx_d and every x_d shifted to x_{d+1}.  One D
-costs one edge per distinct distance of a monomial.  The closing for n is
-Q(P(1), P(2), ...), which is D^r Q / r!, the weight of every path jumping
-to n; one sweep to n_max - 1 yields N_min(n, r) for every n <= n_max, and
-its last step evaluates Q' at the P instead of storing it.
+with D = sum_d P(d+1) d/dx_d and every x_d shifted to x_{d+1}.  The closing
+for n is Q(P(1), P(2), ...), which is D^r Q / r!, the weight of every path
+jumping to n; one sweep to n_max - 1 yields N_min(n, r) for every
+n <= n_max, and its last step evaluates Q' at the P instead of storing it.
 
-Neither D nor the shift depends on the position or on n_max, so the sweep
-runs a transfer program per r, kept once per process: each monomial is
-interned to an int id, with its D-edges (factors included, since P(m)
-never changes once computed) and the id of its shifted image, and a later
-call at that r only adds the monomials it reaches first.  The program holds
+Neither D nor the shift depends on the position or on n_max, and once
+x_0, ..., x_{pos-1} are in play a step works on every monomial of each
+degree in them, so `_transfer` compiles the sweep for each r once per
+process into flat lists of positions and factors that serve every
+position, and runs each step as a few list-wide maps, with no Python step
+per edge.  A call
+that goes further compiles a wider program in its place.  The program holds
 no coefficient: every call redoes all the arithmetic, and no N_min value
 persists between calls.  A call that ends with more than
-TRANSFER_LIMIT_DEFAULT monomials across all r drops the store, so the
+TRANSFER_LIMIT_DEFAULT monomials across all programs drops them all, so the
 largest admitted calls leave at most that many behind.
 
 Two independent oracles stay for `verify` and the tests: the double
@@ -80,6 +81,7 @@ from .counting import ENUM_LIMIT_DEFAULT, asm_number
 from .errors import FormatError, LimitExceeded, RowOutOfRange
 
 if TYPE_CHECKING:
+    from . import _transfer
     from .triangles import RowSet
 
 TRANSFER_LIMIT_DEFAULT = 25000
@@ -381,42 +383,11 @@ def _check_transfer_limit(n: int, r: int, limit: int) -> None:
             )
 
 
-_Key = tuple[tuple[int, int], ...]
-
-
-class _Program:
-    """The sweep's transfer program for one r, grown on demand.
-
-    A monomial's id indexes `keys` (its ascending (distance, multiplicity)
-    pairs), `edges` (D of it, as (factor, sub id) pairs, None until first
-    needed) and `moved` (the id of x_0^k times it shifted, k = r - degree,
-    None likewise).
-    """
-
-    __slots__ = ("ids", "keys", "edges", "moved")
-
-    def __init__(self, r: int) -> None:
-        self.ids: dict[_Key, int] = {}
-        self.keys: list[_Key] = []
-        self.edges: list[tuple[tuple[int, int], ...] | None] = []
-        self.moved: list[int | None] = []
-        self.intern(((0, r),))  # id 0, the starting state x_0^r
-        self.intern(())  # id 1, the constant left by D^r
-
-    def intern(self, key: _Key) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.edges.append(None)
-            self.moved.append(None)
-        return i
-
-
-# One program per r.  A call that ends with more monomials than the state
-# limit across all r drops the store by rebinding it, so a sweep still
-# suspended at a yield keeps the program it holds.
-_PROGRAMS: dict[int, _Program] = {}
+# One compiled program per r (see `_transfer`).  A call that needs a wider
+# program compiles a new one in its place, and a call that ends with more
+# monomials than the state limit across all r drops the store by rebinding
+# it, so a sweep still suspended at a yield keeps the program it holds.
+_PROGRAMS: dict[int, _transfer.Program] = {}
 
 
 def _n_min_sweep(n_max: int, r: int) -> Iterator[int]:
@@ -426,58 +397,20 @@ def _n_min_sweep(n_max: int, r: int) -> Iterator[int]:
     [1, 3, 15, 107, 1103, 17767]
     """
     global _PROGRAMS
-    p = primitive_counts(n_max)
-    program = _PROGRAMS.get(r)
-    if program is None:
-        program = _PROGRAMS[r] = _Program(r)
-    keys, edges, moved, intern = program.keys, program.edges, program.moved, program.intern
-    # Q maps monomial ids to coefficients.  Level k holds D^k Q / k!, so
-    # dividing D of level k - 1 by k is exact.  An edge's factor c P(d+1) is
-    # P(d+1) itself when c = 1, so the program copies no big P.
+    if n_max == 1:
+        yield 1  # x_0^r at P(1) = 1
+        return
     try:
-        states: dict[int, int] = {0: 1}
-        total = 1  # the closing for n_max = 1: x_0^r at P(1) = 1
-        for pos in range(1, n_max):
-            last = pos == n_max - 1
-            level, states, total = states, {}, 0
-            for k in range(1, r + 1):
-                deriv: dict[int, int] = {}
-                for i, weight in level.items():
-                    out = edges[i]
-                    if out is None:
-                        key = keys[i]
-                        out = edges[i] = tuple(
-                            (
-                                p[d + 1] if c == 1 else c * p[d + 1],
-                                intern(key[:j] + (((d, c - 1),) if c > 1 else ()) + key[j + 1 :]),
-                            )
-                            for j, (d, c) in enumerate(key)
-                        )
-                    for factor, sub in out:
-                        deriv[sub] = deriv.get(sub, 0) + weight * factor
-                for i, weight in deriv.items():
-                    if k > 1:
-                        weight //= k
-                        deriv[i] = weight
-                    if last:
-                        # The closing for n_max is Q'(P(1), P(2), ...): x_0^k
-                        # goes to P(1)^k = 1 and each shifted x_{d+1} to
-                        # P(d+2), so the last step moves nothing.
-                        for d, c in keys[i]:
-                            weight *= p[d + 2] ** c
-                        total += weight
-                        continue
-                    new = moved[i]
-                    if new is None:
-                        new = moved[i] = intern(((0, k),) + tuple((d + 1, c) for d, c in keys[i]))
-                    states[new] = weight
-                level = deriv
-            # D^r Q / r! = Q(P(1), P(2), ...), the weight of every component
-            # jumping to pos: the closing for n = pos comes with the step.
-            yield level[1]
-        yield total
+        p = primitive_counts(n_max)
+        program = _PROGRAMS.get(r)
+        if program is None or program.width < n_max - 1:
+            # Loaded here, so that a command that never sweeps never compiles it.
+            from ._transfer import Program
+
+            program = _PROGRAMS[r] = Program(r, n_max - 1, p)
+        yield from program.sweep(n_max, p)
     finally:
-        if sum(len(q.keys) for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:
+        if sum(q.size for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:
             _PROGRAMS = {}
 
 
@@ -591,6 +524,8 @@ class ClassSizes(_Record):
 def class_bound(n: int, r: int, v: int) -> int | None:
     """The upper bound the counting argument assigns to class C_v, or None
     where no bound is claimed (the tail class is bounded only coarsely)."""
+    if r < 1:
+        raise ValueError(f"class_bound needs r >= 1, got {r}")
     i = n - v
     if i == 0:
         return r * asm_number(n) ** (r - 1)
@@ -719,6 +654,8 @@ def decompose(n: int, r: int, n_min: int) -> MeetCensusReport:
     """Build the report for a precomputed trivial-meet count (n >= 2)."""
     if n < 2:
         raise ValueError(f"the decomposition needs n >= 2, got {n}")
+    if r < 1:
+        raise ValueError(f"the decomposition needs r >= 1, got {r}")
     a = asm_number
     p_min = Fraction(n_min, a(n) ** r)
     if r == 1:

@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 import goglattice
-from goglattice import LimitExceeded, VerificationFailure, asm_number, n_min_exact, verify
+from goglattice import (
+    LimitExceeded,
+    VerificationFailure,
+    asm_number,
+    n_min_exact,
+    triangles_to_text,
+    verify,
+)
 from goglattice.cli import main
 
 FIG1_TRIANGLE_TEXT = "3\n2 4\n1 3 4\n1 2 3 4\n"
@@ -182,27 +189,34 @@ class TestCensusCommand:
 
 
 @pytest.mark.parametrize(
-    "argv, extra, env",
+    "argv, extra, env, expected",
     [
-        (("enumerate", "--n", "4"), ("--workers", "2"), {}),
-        (("census", "--n", "5"), ("--workers", "2"), {}),
-        (("pmin", "--n", "7", "--r", "2", "--json"), ("--workers", "2"), {}),
-        (("theorem1", "--r", "2", "--n-max", "10"), ("--workers", "2"), {}),
-        (("theorem2", "--r", "3", "--n-max", "8"), ("--workers", "2"), {}),
-        (("census", "--n", "5"), ("--cache-dir", "cache"), {}),
-        (("census", "--n", "5"), (), {"GOG_CACHE_DIR": "cache"}),
+        (
+            ("enumerate", "--n", "4"), ("--workers", "2"), {},
+            lambda universe: triangles_to_text(universe(4)),
+        ),
+        (("census", "--n", "5"), ("--workers", "2"), {}, None),
+        (("pmin", "--n", "7", "--r", "2", "--json"), ("--workers", "2"), {}, None),
+        (("theorem1", "--r", "2", "--n-max", "10"), ("--workers", "2"), {}, None),
+        (("theorem2", "--r", "3", "--n-max", "8"), ("--workers", "2"), {}, None),
+        (("census", "--n", "5"), ("--cache-dir", "cache"), {}, None),
+        (("census", "--n", "5"), (), {"GOG_CACHE_DIR": "cache"}, None),
     ],
     ids=[
         "enumerate-workers", "census-workers", "pmin-workers", "theorem1-workers",
         "theorem2-workers", "census-cache-dir", "census-env-cache-dir",
     ],
 )
-def test_flag_with_no_effect_keeps_stdout(capsys, tmp_path, monkeypatch, argv, extra, env):
+def test_flag_with_no_effect_keeps_stdout(
+    capsys, tmp_path, monkeypatch, universe, argv, extra, env, expected
+):
     # `--workers`, `--cache-dir` and $GOG_CACHE_DIR are accepted for good and
     # change nothing: the same stdout, no stderr, no file written.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GOG_CACHE_DIR", raising=False)
     _, plain, _ = run(capsys, *argv)
+    if expected is not None:
+        assert plain == expected(universe)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert run(capsys, *argv, *extra) == (0, plain, "")

@@ -29,7 +29,7 @@ from goglattice import (
     run_histogram_report,
     theorem_report,
 )
-from goglattice import meet_census
+from goglattice import _transfer, meet_census
 from goglattice.meet_census import (
     CENSUS_LIMIT_DEFAULT,
     TRANSFER_LIMIT_DEFAULT,
@@ -236,14 +236,16 @@ def swept_oracle(r, n_max=14):
 
 
 def store_size():
-    return sum(len(program.keys) for program in meet_census._PROGRAMS.values())
+    return sum(program.size for program in meet_census._PROGRAMS.values())
 
 
 class TestTransferProgram:
-    """The per-r programs that `_n_min_sweep` interns once per process."""
+    """The per-r programs that `_n_min_sweep` compiles once per process."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 14), st.integers(1, 5)), min_size=1, max_size=8))
+    @example([(6, 3), (12, 3), (4, 3)])  # widen a compiled program, then a smaller call
+    @example([(9, 5), (2, 5), (14, 5), (13, 5)])
     def test_any_call_order_matches_oracles(self, calls):
         meet_census._PROGRAMS = {}  # start this example from an empty store
         for n, r in calls:
@@ -254,44 +256,64 @@ class TestTransferProgram:
         assert store_size() <= TRANSFER_LIMIT_DEFAULT
 
     def test_interleaved_sweeps_at_one_r(self):
-        # Each sweep interns into the program the other is reading.
+        # Each later sweep compiles a wider program while the ones before it
+        # are suspended in theirs.
         meet_census._PROGRAMS = {}
-        sweeps = [_n_min_sweep(14, 4), _n_min_sweep(9, 4), _n_min_sweep(12, 4)]
+        sweeps = [_n_min_sweep(9, 4), _n_min_sweep(12, 4), _n_min_sweep(14, 4)]
         got = [[], [], []]
         for values in zip_longest(*sweeps):
             for out, value in zip(got, values):
                 if value is not None:
                     out.append(value)
-        assert got == [swept_oracle(4)[:n] for n in (14, 9, 12)]
+        assert got == [swept_oracle(4)[:n] for n in (9, 12, 14)]
+        assert meet_census._PROGRAMS[4].width == 13
 
     @pytest.mark.parametrize("n, r", [(2, 300), (4, 31)])
     def test_store_holds_pair_keys(self, n, r):
-        # The last step moves nothing, so the program's monomials use the
-        # n - 1 distances 0..n-2: at most C(e + n - 2, n - 2) of degree e,
-        # one per degree at n = 2, and keys of at most n - 1 pairs, never an
-        # r-long tuple of distances.
+        # The last step moves nothing, so the program covers the monomials of
+        # degree e < r in the n - 1 distances 0..n-2, C(e + n - 2, n - 2) of
+        # them, one per degree at n = 2.  It enumerates them as keys of at
+        # most n - 1 pairs, never an r-long tuple of distances, and holds
+        # n - 1 positions and factors per monomial of degree 1..r-2.
         meet_census._PROGRAMS = {}
         assert n_min_exact(n, r) == _n_min_ie(n, r)
-        keys = meet_census._PROGRAMS[r].keys
+        program = meet_census._PROGRAMS[r]
+        width = n - 1
+        assert program.width == width
         per_degree = {}
-        for key in keys:
-            assert all(c > 0 for _, c in key) and list(key) == sorted(key)
-            assert len({d for d, _ in key}) == len(key) <= n - 1
-            degree = sum(c for _, c in key)
-            per_degree[degree] = per_degree.get(degree, 0) + 1
-        assert sorted(per_degree) == list(range(r + 1))
-        for degree, count in per_degree.items():
-            assert count <= comb(degree + n - 2, n - 2)
-        assert len(keys) == {(2, 300): 301, (4, 31): 5952}[n, r]
+        for e in range(r):
+            keys = list(_transfer.monomials(e, width))
+            for key in keys:
+                assert all(c > 0 for _, c in key) and list(key) == sorted(key)
+                assert len({d for d, _ in key}) == len(key) <= width
+                assert sum(c for _, c in key) == e
+            assert [_transfer.rank(key) for key in keys] == list(range(len(keys)))
+            per_degree[e] = len(keys)
+            assert len(keys) == comb(e + n - 2, n - 2)
+        assert program.strides == [per_degree[e] for e in reversed(range(r))]
+        for e in range(1, r - 1):
+            ups, factors = program.rounds[e]
+            assert len(ups) == len(factors) == width * per_degree[e]
+        assert [len(part) for part in program.gather] == [per_degree[r - 1]] * 2
+        assert program.size == {(2, 300): 300, (4, 31): 5456}[n, r]
 
     def test_trivial_meet_set_stays(self):
         meet_census._PROGRAMS = {}
         for r in (2, 3, 4):
             theorem_report(16, r)
-        kept = {r: len(program.keys) for r, program in meet_census._PROGRAMS.items()}
-        assert kept == {2: 31, 3: 256, 4: 1496}
+        kept = dict(meet_census._PROGRAMS)
+        assert {r: program.size for r, program in kept.items()} == {2: 16, 3: 136, 4: 816}
+        assert {r: list(program.closings) for r, program in kept.items()} == {
+            2: [15], 3: [15], 4: [15]
+        }
+        closing = kept[4].closings[15]
         theorem_report(16, 4)
-        assert store_size() == 31 + 256 + 1496  # a warm call interns nothing
+        theorem_report(12, 4)  # a shorter call reads the same program
+        # a warm call compiles nothing: the same programs, and one closing
+        # for each position a call ended on
+        assert all(meet_census._PROGRAMS[r] is program for r, program in kept.items())
+        assert list(kept[4].closings) == [15, 11] and kept[4].closings[15] is closing
+        assert store_size() == 16 + 136 + 816
 
     def test_store_past_the_bound_is_dropped(self):
         meet_census._PROGRAMS = {}
@@ -302,10 +324,12 @@ class TestTransferProgram:
         for n, r in ((13, 6), (17, 5)):
             n_min_exact(n, r)
         assert store_size() <= TRANSFER_LIMIT_DEFAULT
-        n_min_exact(26, 4)  # r = 4 grows to 6201 monomials, 25,478 in all
+        n_min_exact(26, 4)  # compiles r = 4 anew while in_flight is suspended
+        assert held[4].size == 3276 and store_size() == 6188 + 4845 + 3276
+        n_min_exact(5, 25)  # 20,475 more monomials, 34,784 in all
         assert meet_census._PROGRAMS == {}
         # dropped by rebinding: the suspended sweep's program is left whole
-        assert held[4] is program and len(program.keys) == 6201
+        assert program.width == 15 and program.size == 816
         assert head + list(in_flight) == swept_oracle(4, 16)
         assert list(_n_min_sweep(14, 4)) == swept_oracle(4)
 
@@ -340,6 +364,12 @@ class TestClassSizes:
         sizes = class_sizes(3, 2)
         assert sizes.exact_sizes[3] == 13
         assert sizes.exact_sizes[3] <= class_bound(3, 2, 3) == 14
+
+    def test_bound_rejects_r_below_one(self):
+        # r = 0 would give the main bound as the float 0 * A(n) ** -1
+        for r in (0, -1):
+            with pytest.raises(ValueError, match=f"r >= 1, got {r}"):
+                class_bound(5, r, 5)
 
     def test_brute_force_oracle(self, universe):
         for n, r in ((3, 2), (3, 3), (4, 2)):
@@ -436,6 +466,11 @@ class TestTheoremReport:
         assert rep.theta_ratio == Fraction(-7, 1)
         assert rep.theorem1_ratio == Fraction(15, 14)
         assert rep.p_min == Fraction(15, 49)
+
+    def test_decompose_rejects_r_below_one(self):
+        for r in (0, -2):
+            with pytest.raises(ValueError, match=f"r >= 1, got {r}"):
+                decompose(5, r, 1)
 
     def test_identity_holds(self):
         for r in (1, 2, 3):
