@@ -28,6 +28,7 @@ from goglattice import (
     rank,
     resolve_cache_dir,
     sample_uniform,
+    triangles_to_text,
     unrank,
 )
 from goglattice.cli import main
@@ -171,6 +172,10 @@ class TestEnumeration:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             list(enumerate_triangles(8))
+
+    def test_cli_workers_byte_identical(self, capsys, universe):
+        assert main(["enumerate", "--n", "4", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == triangles_to_text(universe(4))
 
     def test_every_triangle_is_valid(self, universe):
         for t in universe(6):
