@@ -41,7 +41,7 @@ _EXPORTS = {
         "CensusTable", "ClassSizes", "MeetCensusReport", "RunHistogram", "RunHistogramReport",
         "avoid_count", "class_bound", "class_sizes", "decompose", "gap_product_census",
         "load_or_build_census", "n_min_census", "n_min_exact", "p_extreme", "primitive_counts",
-        "resolve_cache_dir", "reversed_census", "run_histogram_report", "theorem_report",
+        "reversed_census", "run_histogram_report", "theorem_report",
     ),
     "triangles": (
         "AlternatingSignMatrix", "ColumnSumMatrix", "MonotoneTriangle", "Permutation",

@@ -22,7 +22,7 @@ import math
 import random
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import LimitExceeded, RowOutOfRange
+from .errors import RowOutOfRange, bound_error
 
 if TYPE_CHECKING:
     from .triangles import RowSet
@@ -55,13 +55,8 @@ def asm_number(n: int, limit: int = FORMULA_LIMIT_DEFAULT) -> int:
     >>> [asm_number(n) for n in range(6)]
     [1, 1, 2, 7, 42, 429]
     """
-    if n < 0:
-        raise ValueError(f"asm_number needs n >= 0, got {n}")
-    if n > limit:
-        raise LimitExceeded(
-            f"asm_number limit is {limit}, got n={n}; "
-            f"raise `limit` (default FORMULA_LIMIT_DEFAULT = {FORMULA_LIMIT_DEFAULT})"
-        )
+    if not 0 <= n <= limit:
+        raise bound_error("asm_number", "n", n, 0, limit, f"{FORMULA_LIMIT_DEFAULT=}")
     while len(_A_CACHE) <= n:
         m = len(_A_CACHE) - 1
         value, r = divmod(_A_CACHE[m] * math.perm(3 * m + 1, m), math.perm(2 * m, m))
@@ -73,10 +68,8 @@ def asm_number(n: int, limit: int = FORMULA_LIMIT_DEFAULT) -> int:
 
 def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
     """Count triangles by building rows top-down; independent of the formula."""
-    if n < 1:
-        raise ValueError(f"asm_number_dp needs n >= 1, got {n}")
-    if n > limit:
-        raise LimitExceeded(f"asm_number_dp limit is {limit}, got n={n}")
+    if not 1 <= n <= limit:
+        raise bound_error("asm_number_dp", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     from .triangles import interlacing_successors
 
     counts: dict[tuple[int, ...], int] = {(): 1}
@@ -181,7 +174,7 @@ def lemma_margins(n_max: int, subset_limit: int = 64, seed: int = 20240817) -> L
     always including the prefix sets {1..k} (which attain equality).
     """
     if n_max < 2:
-        raise ValueError(f"lemma_margins needs n_max >= 2, got {n_max}")
+        raise bound_error("lemma_margins", "n_max", n_max, 2)
     report = LemmaMargins(n_max)
     for i1 in range(1, n_max + 1):
         for i2 in range(1, i1 + 1):
@@ -215,6 +208,6 @@ def bleher_fokin_estimate(n: int) -> float:
     as a trajectory, never asserted against a limit value.
     """
     if n < 2:
-        raise ValueError(f"bleher_fokin_estimate needs n >= 2, got {n}")
+        raise bound_error("bleher_fokin_estimate", "n", n, 2)
     log_a = math.log(asm_number(n))
     return math.exp(log_a - n * n * math.log(3 * math.sqrt(3) / 4) + (5 / 36) * math.log(n))

@@ -32,8 +32,8 @@ before the successor's position.
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it.  Its production route, the
 gap products f(D), and its text format live in `meet_census`, and the
-names `CensusTable`, `load_or_build_census` and the other census helpers
-resolve here to those objects.  `build_census`, the walk, is the census
+names `CensusTable`, `RunHistogram` and `load_or_build_census` resolve here
+to those objects.  `build_census`, the walk, is the census
 oracle.
 
 Default limits keep desk-scale runtimes: enumeration and `build_census` up
@@ -51,7 +51,7 @@ from operator import eq
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT
-from .errors import IndexOutOfRange, LimitExceeded, StrictIncreaseViolated, ShapeMismatch
+from .errors import IndexOutOfRange, StrictIncreaseViolated, ShapeMismatch, bound_error
 from .triangles import MonotoneTriangle, _Frozen
 
 if TYPE_CHECKING:
@@ -62,9 +62,7 @@ SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 13 s and 140
 
 # The census lives in `meet_census`.  These names resolve here to its objects
 # on first use, so that enumerating or sampling does not load it.
-_FROM_MEET_CENSUS = (
-    "CACHE_ENV", "CensusTable", "RunHistogram", "load_or_build_census", "resolve_cache_dir",
-)
+_FROM_MEET_CENSUS = ("CensusTable", "RunHistogram", "load_or_build_census")
 
 
 def __getattr__(name: str):
@@ -189,22 +187,10 @@ _INDEXES: dict[int, _SuccessorIndex] = {}  # n -> index, filled once per process
 def _index(n: int) -> _SuccessorIndex:
     index = _INDEXES.get(n)
     if index is None:
+        if n > INDEX_MAX_N:  # a cap that no `limit` raises
+            raise bound_error("the successor index", "n", n, 1, INDEX_MAX_N)
         index = _INDEXES[n] = _SuccessorIndex(n)
     return index
-
-
-def _check_index_cap(n: int) -> None:
-    if n > INDEX_MAX_N:
-        raise LimitExceeded(f"the successor index holds n <= {INDEX_MAX_N}, got n={n}")
-
-
-def _check_index_size(n: int, limit: int, what: str) -> None:
-    if n > limit:
-        raise LimitExceeded(
-            f"{what} limit is {limit}, got n={n}; raise `limit` "
-            f"(default DP_LIMIT_DEFAULT = {DP_LIMIT_DEFAULT}, at most {INDEX_MAX_N})"
-        )
-    _check_index_cap(n)
 
 
 def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> int:
@@ -215,7 +201,8 @@ def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> 
     >>> completions_count(TrianglePrefix(3, 1, (2,)))
     3
     """
-    _check_index_size(prefix.n, limit, "completions_count")
+    if not 1 <= prefix.n <= limit:
+        raise bound_error("completions_count", "n", prefix.n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     return _index(prefix.n).counts[_id(prefix.row)]
 
 
@@ -248,24 +235,18 @@ def _walk(n: int) -> Iterator[list[int]]:
             return
 
 
-def _check_enum_size(n: int, limit: int, what: str) -> None:
-    if n < 1:
-        raise ValueError(f"{what} needs n >= 1, got {n}")
-    if n > limit:
-        raise LimitExceeded(f"enumeration limit is {limit}, got n={n}")
-    _check_index_cap(n)
-
-
 def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[MonotoneTriangle]:
     """All size-n triangles in reading-sequence lexicographic order."""
-    _check_enum_size(n, limit, "enumerate_triangles")
+    if not 1 <= n <= limit:
+        raise bound_error("enumerate_triangles", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     row = _index(n).rows().__getitem__
     return (MonotoneTriangle(tuple(map(row, ids))) for ids in _walk(n))
 
 
 def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
     """Position of t in the enumeration order; rank of the minimal triangle is 0."""
-    _check_index_size(t.n, limit, "rank")
+    if not 1 <= t.n <= limit:
+        raise bound_error("rank", "n", t.n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     index = _index(t.n)
     r = 0
     prev = 0
@@ -278,9 +259,8 @@ def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
 
 def unrank(n: int, k: int, limit: int = DP_LIMIT_DEFAULT) -> MonotoneTriangle:
     """The triangle at position k of the enumeration order, 0 <= k < A(n)."""
-    if n < 1:
-        raise ValueError(f"unrank needs n >= 1, got {n}")
-    _check_index_size(n, limit, "unrank")
+    if not 1 <= n <= limit:
+        raise bound_error("unrank", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     index = _index(n)
     total = index.counts[0]
     if not 0 <= k < total:
@@ -306,16 +286,13 @@ def sample_uniform(
     completion count below it, so no rejection and no rounding occur: one
     `randrange(completions of the previous row)` per level picks the row.
     """
-    if n < 1:
-        raise ValueError(f"sample_uniform needs n >= 1, got {n}")
-    if count < 1:
-        raise ValueError(f"sample_uniform needs count >= 1, got {count}")
-    if count > count_limit:
-        raise LimitExceeded(
-            f"sampling count limit is {count_limit}, got count={count}; raise `count_limit` "
-            f"(default SAMPLE_LIMIT_DEFAULT = {SAMPLE_LIMIT_DEFAULT})"
+    if not 1 <= n <= limit:
+        raise bound_error("sample_uniform", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
+    if not 1 <= count <= count_limit:
+        raise bound_error(
+            "sample_uniform", "count", count, 1, count_limit,
+            f"{SAMPLE_LIMIT_DEFAULT=}", knob="count_limit",
         )
-    _check_index_size(n, limit, "sampling")
     index = _index(n)
     counts = index.counts
     randrange = random.Random(seed).randrange
@@ -337,7 +314,8 @@ def sample_uniform(
 def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Exact distinguished-set census of the size-n triangles, by walking
     every triangle: the oracle for `meet_census.gap_product_census`."""
-    _check_enum_size(n, limit, "build_census")
+    if not 1 <= n <= limit:
+        raise bound_error("build_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     # Row i is distinguished iff it is 1, ..., i, whose id is 2^i - 1.
     stairs = [(1 << i) - 1 for i in range(1, n + 1)]
     bits = [1 << i for i in range(n)]

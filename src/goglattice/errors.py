@@ -4,6 +4,19 @@ Everything the library raises on bad domain input derives from GogError so
 the command-line front end can map any of it onto a single exit code.
 Triangle validation errors additionally carry the first offending 1-based
 position (row, column) in reading order.
+
+Every size, count and state bound is worded here, by `bound_error`.  A
+caller keeps the passing check an inline comparison,
+``if not low <= v <= limit: raise bound_error(...)``, and the guard builds
+the exception for the side that failed:
+
+- below `low`, ``ValueError("<what> needs <name> >= <low>, got <v>")``;
+- above a `limit` that a knob raises, ``LimitExceeded("<what> limit is
+  <limit>, got <name>=<v>; raise `<knob>` (default <CONSTANT> = <D>)")``,
+  whose head names a knob other than `limit` ("<what> count limit is ...")
+  or is replaced by the caller's own;
+- above a hard cap, which no knob raises, ``LimitExceeded("<what> holds
+  <name> <= <cap>, got <name>=<v>")``.
 """
 
 from __future__ import annotations
@@ -67,6 +80,30 @@ class RowOutOfRange(GogError):
 
 class LimitExceeded(GogError):
     """The requested size exceeds a configured enumeration or DP limit."""
+
+
+def bound_error(
+    what: str, name: str, value: int, low: int, limit: int | None = None,
+    default: str | None = None, knob: str = "limit", head: str | None = None,
+) -> ValueError | LimitExceeded:
+    """The exception, for the caller to raise, for `name` = `value` of `what`
+    outside [low, limit]; `default` is the knob's default as f"{CONSTANT=}".
+
+    >>> bound_error("asm_number", "n", -1, 0)
+    ValueError('asm_number needs n >= 0, got -1')
+    >>> CENSUS_LIMIT_DEFAULT = 18
+    >>> print(bound_error("census", "n", 19, 1, 18, f"{CENSUS_LIMIT_DEFAULT=}"))
+    census limit is 18, got n=19; raise `limit` (default CENSUS_LIMIT_DEFAULT = 18)
+    >>> print(bound_error("the successor index", "n", 17, 1, 16))
+    the successor index holds n <= 16, got n=17
+    """
+    if value < low:
+        return ValueError(f"{what} needs {name} >= {low}, got {value}")
+    if default is None:
+        return LimitExceeded(f"{what} holds {name} <= {limit}, got {name}={value}")
+    if head is None:
+        head = f"{what} {knob.replace('_', ' ')} is {limit}, got {name}={value}"
+    return LimitExceeded(f"{head}; raise `{knob}` (default {default.replace('=', ' = ')})")
 
 
 class IndexOutOfRange(GogError):

@@ -78,7 +78,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .counting import ENUM_LIMIT_DEFAULT, asm_number
-from .errors import FormatError, LimitExceeded, RowOutOfRange
+from .errors import FormatError, RowOutOfRange, bound_error
 
 if TYPE_CHECKING:
     from . import _transfer
@@ -86,7 +86,6 @@ if TYPE_CHECKING:
 
 TRANSFER_LIMIT_DEFAULT = 25000
 CENSUS_LIMIT_DEFAULT = 18  # 2^17 distinguished sets, computed in about 0.02 s
-CACHE_ENV = "GOG_CACHE_DIR"
 
 _P_CACHE: list[int] = [0]  # P(0); append-only, filled once per process
 
@@ -321,37 +320,15 @@ def _exact_set_counts(n: int) -> list[int]:
     return g[1 << (n - 1) :]
 
 
-def _check_census_size(n: int, limit: int) -> None:
-    if n < 1:
-        raise ValueError(f"the census needs n >= 1, got {n}")
-    if n > limit:
-        raise LimitExceeded(
-            f"census limit is {limit}, got n={n}; raise `limit` "
-            f"(default CENSUS_LIMIT_DEFAULT = {CENSUS_LIMIT_DEFAULT})"
-        )
-
-
 def gap_product_census(n: int, limit: int = CENSUS_LIMIT_DEFAULT) -> CensusTable:
     """Exact distinguished-set census of the size-n triangles, f(D) for each D.
 
     >>> gap_product_census(3).counts
     {4: 4, 5: 1, 6: 1, 7: 1}
     """
-    _check_census_size(n, limit)
+    if not 1 <= n <= limit:
+        raise bound_error("census", "n", n, 1, limit, f"{CENSUS_LIMIT_DEFAULT=}")
     return CensusTable(n, dict(zip(range(1 << (n - 1), 1 << n), _exact_set_counts(n))))
-
-
-def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
-    """CLI flag, then the GOG_CACHE_DIR environment variable, then ./.cache.
-
-    Kept for callers of the former census cache; `gog` no longer reads it.
-    """
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path(".cache")
 
 
 def load_or_build_census(
@@ -377,9 +354,9 @@ def _check_transfer_limit(n: int, r: int, limit: int) -> None:
     for i in range(min(n - 1, k)):
         states = states * (n - 1 + k - i) // (i + 1)
         if states > limit:
-            raise LimitExceeded(
-                f"N_min(n={n}, r={r}) needs more than {limit} transfer states; "
-                f"raise `limit` (default TRANSFER_LIMIT_DEFAULT = {TRANSFER_LIMIT_DEFAULT})"
+            raise bound_error(
+                "N_min", "states", states, 0, limit, f"{TRANSFER_LIMIT_DEFAULT=}",
+                head=f"N_min(n={n}, r={r}) needs more than {limit} transfer states",
             )
 
 
@@ -421,9 +398,9 @@ def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:
     (3, 15)
     """
     if n < 1:
-        raise ValueError(f"n_min_exact needs n >= 1, got {n}")
+        raise bound_error("n_min_exact", "n", n, 1)
     if r < 1:
-        raise ValueError(f"n_min_exact needs r >= 1, got {r}")
+        raise bound_error("n_min_exact", "r", r, 1)
     _check_transfer_limit(n, r, limit)
     return list(_n_min_sweep(n, r))[-1]
 
@@ -457,7 +434,7 @@ def n_min_census(
     avoidance counts read off the exact-set census instead of the gap
     products."""
     if r < 1:
-        raise ValueError(f"n_min_census needs r >= 1, got {r}")
+        raise bound_error("n_min_census", "r", r, 1)
     if census is None:
         from .enumeration import build_census
 
@@ -525,7 +502,11 @@ def class_bound(n: int, r: int, v: int) -> int | None:
     """The upper bound the counting argument assigns to class C_v, or None
     where no bound is claimed (the tail class is bounded only coarsely)."""
     if r < 1:
-        raise ValueError(f"class_bound needs r >= 1, got {r}")
+        raise bound_error("class_bound", "r", r, 1)
+    if v < 1:
+        raise bound_error("class_bound", "v", v, 1)
+    if v > n:
+        raise bound_error("class_bound", "n - v", n - v, 0)
     i = n - v
     if i == 0:
         return r * asm_number(n) ** (r - 1)
@@ -551,12 +532,9 @@ def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
     tuple depends only on the components' distinguished sets).  The 2^(r(n-1))
     tuples keep the default limit at n = 7."""
     if r < 1:
-        raise ValueError(f"class_sizes needs r >= 1, got {r}")
-    if n > limit:
-        raise LimitExceeded(
-            f"class_sizes limit is {limit}, got n={n}; raise `limit` "
-            f"(default ENUM_LIMIT_DEFAULT = {ENUM_LIMIT_DEFAULT})"
-        )
+        raise bound_error("class_sizes", "r", r, 1)
+    if not 1 <= n <= limit:
+        raise bound_error("class_sizes", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     from .triangles import _mask_max_run
 
     census = gap_product_census(n, limit=limit)
@@ -653,9 +631,9 @@ class MeetCensusReport(_Record):
 def decompose(n: int, r: int, n_min: int) -> MeetCensusReport:
     """Build the report for a precomputed trivial-meet count (n >= 2)."""
     if n < 2:
-        raise ValueError(f"the decomposition needs n >= 2, got {n}")
+        raise bound_error("decompose", "n", n, 2)
     if r < 1:
-        raise ValueError(f"the decomposition needs r >= 1, got {r}")
+        raise bound_error("decompose", "r", r, 1)
     a = asm_number
     p_min = Fraction(n_min, a(n) ** r)
     if r == 1:
@@ -676,9 +654,9 @@ def theorem_report(
     Signs of the error term are recorded, never asserted.
     """
     if n_max < 2:
-        raise ValueError(f"theorem_report needs n_max >= 2, got {n_max}")
+        raise bound_error("theorem_report", "n_max", n_max, 2)
     if r < 1:
-        raise ValueError(f"theorem_report needs r >= 1, got {r}")
+        raise bound_error("theorem_report", "r", r, 1)
     _check_transfer_limit(n_max, r, limit)
     return [
         decompose(n, r, n_min)

@@ -24,8 +24,7 @@ EXPORTED = {
     ),
     "enumeration": (
         "CensusTable", "RunHistogram", "TrianglePrefix", "build_census", "completions_count",
-        "enumerate_triangles", "load_or_build_census", "rank", "resolve_cache_dir",
-        "sample_uniform", "unrank",
+        "enumerate_triangles", "load_or_build_census", "rank", "sample_uniform", "unrank",
     ),
     "errors": (
         "BadBottomRow", "EmptyInput", "FormatError", "GogError", "IndexOutOfRange",

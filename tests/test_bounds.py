@@ -1,0 +1,95 @@
+"""The bound contract: every limit past which a call is refused names the knob
+that raises it and the knob's default, and only `errors` words it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import goglattice
+from goglattice import (
+    LimitExceeded,
+    TrianglePrefix,
+    asm_number,
+    asm_number_dp,
+    build_census,
+    class_sizes,
+    completions_count,
+    enumerate_triangles,
+    extremal_triangle,
+    gap_product_census,
+    load_or_build_census,
+    n_min_census,
+    n_min_exact,
+    p_extreme,
+    rank,
+    reversed_census,
+    run_histogram_report,
+    sample_uniform,
+    theorem_report,
+    unrank,
+)
+from goglattice.cli import main
+
+PACKAGE = Path(goglattice.__file__).resolve().parent
+
+FORMULA = "FORMULA_LIMIT_DEFAULT = 1000"
+DP = "DP_LIMIT_DEFAULT = 12"
+ENUM = "ENUM_LIMIT_DEFAULT = 7"
+CENSUS = "CENSUS_LIMIT_DEFAULT = 18"
+TRANSFER = "TRANSFER_LIMIT_DEFAULT = 25000"
+SAMPLE = "SAMPLE_LIMIT_DEFAULT = 100000"
+
+# One row per public entry point with a raisable bound: the call just past
+# its default (a callable, or `gog` arguments), the knob and its default.
+PAST_THE_DEFAULT = {
+    "asm_number": (lambda: asm_number(1001), "limit", FORMULA),
+    "asm_number_dp": (lambda: asm_number_dp(13), "limit", DP),
+    "enumerate_triangles": (lambda: enumerate_triangles(8), "limit", ENUM),
+    "build_census": (lambda: build_census(8), "limit", ENUM),
+    "reversed_census": (lambda: reversed_census(8), "limit", ENUM),
+    "n_min_census": (lambda: n_min_census(8, 2), "limit", ENUM),
+    "class_sizes": (lambda: class_sizes(8, 2), "limit", ENUM),
+    "completions_count": (lambda: completions_count(TrianglePrefix(13, 0, ())), "limit", DP),
+    "rank": (lambda: rank(extremal_triangle(13, "min")), "limit", DP),
+    "unrank": (lambda: unrank(13, 0), "limit", DP),
+    "sample_uniform": (lambda: sample_uniform(13, 1, 0), "limit", DP),
+    "sample_uniform-count": (lambda: sample_uniform(3, 100_001, 0), "count_limit", SAMPLE),
+    "gap_product_census": (lambda: gap_product_census(19), "limit", CENSUS),
+    "load_or_build_census": (lambda: load_or_build_census(19), "limit", CENSUS),
+    "run_histogram_report": (lambda: run_histogram_report(19), "limit", CENSUS),
+    "n_min_exact": (lambda: n_min_exact(224, 2), "limit", TRANSFER),
+    "p_extreme": (lambda: p_extreme(27, 4, "min"), "limit", TRANSFER),
+    "theorem_report": (lambda: theorem_report(53, 3), "limit", TRANSFER),
+    "gog-enumerate": (("enumerate", "--n", "8"), "limit", ENUM),
+    "gog-pmin-census": (("pmin", "--n", "8", "--r", "2", "--method", "census"), "limit", ENUM),
+}
+
+
+@pytest.mark.parametrize("call, knob, default", PAST_THE_DEFAULT.values(), ids=PAST_THE_DEFAULT)
+def test_limit_message_ends_with_its_knob_and_default(capsys, call, knob, default):
+    tail = f"; raise `{knob}` (default {default})"
+    if callable(call):
+        with pytest.raises(LimitExceeded) as exc:
+            call()
+        assert str(exc.value).endswith(tail)
+    else:
+        assert main(list(call)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(f"{tail}\n")
+
+
+def test_only_errors_constructs_limit_exceeded():
+    # A new limit goes through `errors.bound_error`, so its message keeps the
+    # contract above.  Catching `LimitExceeded` is fine; calling or raising
+    # it is not.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            target = node.func if isinstance(node, ast.Call) else getattr(node, "exc", None)
+            if "LimitExceeded" in (getattr(target, "id", None), getattr(target, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

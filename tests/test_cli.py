@@ -508,14 +508,12 @@ class TestImport:
                 assert "dataclasses" not in names, path.name
 
     def test_census_help_names_the_cache_variable(self, capsys):
-        from goglattice import enumeration
-
         with pytest.raises(SystemExit) as exc:
             main(["census", "--help"])
         assert exc.value.code == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "--cache-dir CACHE_DIR accepted; has no effect" in out
-        assert f"${enumeration.CACHE_ENV} is ignored" in out
+        assert "$GOG_CACHE_DIR is ignored" in out
 
 
 class TestUsageErrors:

@@ -26,7 +26,6 @@ from goglattice import (
     load_or_build_census,
     primitive_counts,
     rank,
-    resolve_cache_dir,
     sample_uniform,
     triangles_to_text,
     unrank,
@@ -487,20 +486,6 @@ class TestCensusFile:
         assert load_or_build_census(4) == gap_product_census(4)
         assert sorted(os.listdir(tmp_path)) == ["cache"]
         assert os.listdir(cache) == []
-
-
-class TestCacheDir:
-    def test_explicit_wins(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("GOG_CACHE_DIR", "/nonexistent-env")
-        assert resolve_cache_dir(tmp_path) == tmp_path
-
-    def test_env_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("GOG_CACHE_DIR", os.fspath(tmp_path))
-        assert resolve_cache_dir() == tmp_path
-
-    def test_local_default(self, monkeypatch):
-        monkeypatch.delenv("GOG_CACHE_DIR", raising=False)
-        assert os.fspath(resolve_cache_dir()) == ".cache"
 
 
 class TestTrianglePrefix:

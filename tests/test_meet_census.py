@@ -370,6 +370,10 @@ class TestClassSizes:
         for r in (0, -1):
             with pytest.raises(ValueError, match=f"r >= 1, got {r}"):
                 class_bound(5, r, 5)
+        # C_v is a class of size-n tuples only for v in [1, n]
+        for v, match in ((0, "v >= 1, got 0"), (-2, "v >= 1, got -2"), (4, "n - v >= 0, got -1")):
+            with pytest.raises(ValueError, match=f"class_bound needs {match}"):
+                class_bound(3, 2, v)
 
     def test_brute_force_oracle(self, universe):
         for n, r in ((3, 2), (3, 3), (4, 2)):
