@@ -11,12 +11,14 @@ is D^r Q / r! = U_{r-1}, and the next state is
 
 a gather from the U_a.  Once x_0, ..., x_{pos-1} are in play, every list
 holds every monomial of its degree in them, so with the monomials of each
-degree ranked (`rank`), a pass of D is the same at every position up to its
-length: the coefficient of m in D U is the sum over d < pos of (c + 1) P(d+1)
-times the coefficient of m x_d, c the multiplicity of d in m.  A `Program`
+degree ranked, a pass of D is the same at every position up to its length:
+the coefficient of m in D U is the sum over d < pos of (c + 1) P(d+1) times
+the coefficient of m x_d, c the multiplicity of d in m.  A `Program`
 compiles those positions and factors into flat lists once, and `sweep`
 runs each pass as a few list-wide maps (gather, multiply, add), with no
-Python step per edge.
+Python step per edge.  `rank` is the one ranking function: the program
+finds every position it holds, of a product m x_d or of a gathered
+monomial, with `rank`.
 """
 
 from __future__ import annotations
@@ -66,29 +68,14 @@ def rank(m: Monomial) -> int:
     return total
 
 
-def times_x_ranks(m: Monomial, width: int) -> Iterator[tuple[int, int]]:
-    """(rank of m x_d, multiplicity of d in m) for d = 0..width-1.
-
-    Inserting d shifts the slot of every larger distance by one, so each
-    pair of m contributes one of two fixed terms to the sum in `rank`.
-    """
-    below = []  # the pair's terms where it stays in place
-    above = []  # and where it moves up one slot
-    slot = 0
-    for t, c in m:
-        below.append(comb(t + slot + c, t) - comb(t + slot, t))
-        above.append(comb(t + slot + c + 1, t) - comb(t + slot + 1, t))
-        slot += c
-    low, high, q, k = 0, sum(above), 0, 0
-    for d in range(width):
-        mult = 0
-        if k < len(m) and m[k][0] == d:
-            low += below[k]
-            high -= above[k]
-            mult = m[k][1]
-            q += mult
-            k += 1
-        yield low + comb(d + q, q + 1) + high, mult
+def _times_x(m: Monomial, d: int) -> tuple[Monomial, int]:
+    """m x_d, and the multiplicity of d in m."""
+    for k, (t, c) in enumerate(m):
+        if t == d:
+            return m[:k] + ((d, c + 1),) + m[k + 1 :], c
+        if t > d:
+            return m[:k] + ((d, 1),) + m[k:], 0
+    return m + ((d, 1),), 0
 
 
 class Program:
@@ -116,8 +103,9 @@ class Program:
             ups = [0] * (width * stride)
             factors = [0] * (width * stride)
             for i, m in enumerate(monomials(e, width)):
-                for d, (up, mult) in enumerate(times_x_ranks(m, width)):
-                    ups[d * stride + i] = up
+                for d in range(width):
+                    up, mult = _times_x(m, d)
+                    ups[d * stride + i] = rank(up)
                     factors[d * stride + i] = (mult + 1) * p[d + 1]
             self.rounds.append((ups, factors))
         # U_a has degree r - 1 - a

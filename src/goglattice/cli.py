@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (anything derived from GogError, plus
-bad argument values), 2 usage error (argparse).  Output is deterministic for
+bad argument values, an unreadable input and an unwritable or closed
+output), 2 usage error (argparse).  Output is deterministic for
 fixed inputs and seeds: JSON is emitted with sorted keys and no whitespace,
 integers print as exact decimal strings, and rationals carry exact
 numerator/denominator columns with 12-significant-digit decimals as
@@ -11,6 +12,7 @@ presentation only.  Large integers are JSON strings, never numbers.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -344,10 +346,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (GogError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone: let the interpreter's final flush of the
+            # unwritten output go nowhere instead of failing again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

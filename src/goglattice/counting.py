@@ -101,6 +101,8 @@ def eta(n: int, rows: RowSet | Iterable[int]) -> int:
     >>> eta(3, (1,)), eta(4, (1, 3))
     (2, 2)
     """
+    if n < 0:
+        raise bound_error("eta", "n", n, 0)
     members = _sorted_members(n, rows)
     prod = 1
     prev = 0

@@ -23,11 +23,13 @@ successor, the bottom row, so the deepest level needs no stack frame.
 Enumeration maps the ids to the index's shared row tuples, and every
 triangle is still built through `MonotoneTriangle` and fully validated; the
 census reads the distinguished rows off the ids (row i is 1, ..., i iff its
-id is 2^i - 1).  Ranking, unranking and uniform sampling go down one path of
-the tree, weighted by the completion counts, each step a scan of the row's
-segment in C: `pick` accumulates the counts and bisects for the successor
-whose block of completions holds an index, and a rank step sums the counts
-before the successor's position.
+id is 2^i - 1), and `meet_census.reversed_census` reads the rows at their
+maximum off the same walk (row i is n-i+1, ..., n iff its id is
+(2^i - 1) 2^(n-i)).  Ranking, unranking and uniform sampling go down one
+path of the tree, weighted by the completion counts, each step a scan of
+the row's segment in C: `pick` accumulates the counts and bisects for the
+successor whose block of completions holds an index, and a rank step sums
+the counts before the successor's position.
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it.  Its production route, the
@@ -311,19 +313,23 @@ def sample_uniform(
 # Distinguished-row census
 
 
+def _census(n: int, keys: list[int]) -> CensusTable:
+    """The size-n triangles counted by the set of rows i whose id is
+    keys[i - 1], as a census keyed by bit i - 1 for row i."""
+    bits = [1 << i for i in range(n)]
+    counts: dict[int, int] = {}
+    for ids in _walk(n):
+        mask = sum(compress(bits, map(eq, ids, keys)))
+        counts[mask] = counts.get(mask, 0) + 1
+    from .meet_census import CensusTable
+
+    return CensusTable(n, dict(sorted(counts.items())))
+
+
 def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Exact distinguished-set census of the size-n triangles, by walking
     every triangle: the oracle for `meet_census.gap_product_census`."""
     if not 1 <= n <= limit:
         raise bound_error("build_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     # Row i is distinguished iff it is 1, ..., i, whose id is 2^i - 1.
-    stairs = [(1 << i) - 1 for i in range(1, n + 1)]
-    bits = [1 << i for i in range(n)]
-    counts: dict[int, int] = {}
-    for ids in _walk(n):
-        mask = sum(compress(bits, map(eq, ids, stairs)))
-        counts[mask] = counts.get(mask, 0) + 1
-    from .meet_census import CensusTable
-
-    return CensusTable(n, dict(sorted(counts.items())))
-
+    return _census(n, [(1 << i) - 1 for i in range(1, n + 1)])

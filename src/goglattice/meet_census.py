@@ -49,9 +49,11 @@ inclusion-exclusion over the 2^(n-1) row subsets,
     N_min(n, r) = sum over T subset of [n-1] of (-1)^|T| g(T)^r,
 
 with g(T) the triangles whose distinguished set avoids T, once from the
-gap products and once from the enumerated census.  Rank reversal maps
-distinguished rows to rows at their maximum, so N_max = N_min; the
-reversed census keeps that bijection checkable.
+gap products and once from the enumerated census, both through one signed
+sum.  Rank reversal maps distinguished rows to rows at their maximum, so
+N_max = N_min; the reversed census counts rows at their maximum off the
+same walk as `enumeration.build_census`, and so checks the count on the
+join side.
 
 The census itself, the map from each exact distinguished set D to f(D),
 is computed here from the gap products (`gap_product_census`), the
@@ -75,10 +77,10 @@ import os
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .counting import ENUM_LIMIT_DEFAULT, asm_number
-from .errors import FormatError, RowOutOfRange, bound_error
+from .counting import ENUM_LIMIT_DEFAULT, _sorted_members, asm_number
+from .errors import FormatError, bound_error
 
 if TYPE_CHECKING:
     from . import _transfer
@@ -86,6 +88,7 @@ if TYPE_CHECKING:
 
 TRANSFER_LIMIT_DEFAULT = 25000
 CENSUS_LIMIT_DEFAULT = 18  # 2^17 distinguished sets, computed in about 0.02 s
+CLASS_TUPLES_MAX_BITS = 20  # class_sizes' 2^(r(n-1)) key tuples: 2^20 take 1-3.5 s
 
 _P_CACHE: list[int] = [0]  # P(0); append-only, filled once per process
 
@@ -122,12 +125,9 @@ def avoid_count(n: int, t_set: RowSet | tuple[int, ...] | list[int]) -> int:
     >>> avoid_count(3, (1,)), avoid_count(3, (1, 2))
     (5, 4)
     """
-    from .triangles import RowSet
-
-    members = t_set.members if isinstance(t_set, RowSet) else tuple(sorted(set(t_set)))
-    for i in members:
-        if not 1 <= i <= n - 1:
-            raise RowOutOfRange(f"row {i} outside [1, {n - 1}]")
+    if n < 0:
+        raise bound_error("avoid_count", "n", n, 0)
+    members = _sorted_members(n, t_set)
     a = [asm_number(i) for i in range(n + 1)]
     return _avoid_from_table(n, members, a)
 
@@ -405,26 +405,20 @@ def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:
     return list(_n_min_sweep(n, r))[-1]
 
 
+def _signed_sum(n: int, r: int, avoid: Callable[[int], int]) -> int:
+    """Sum over T subset of [n-1] of (-1)^|T| avoid(T)^r, with T as a mask."""
+    total = 0
+    for mask in range(1 << (n - 1)):
+        term = avoid(mask) ** r
+        total += -term if mask.bit_count() & 1 else term
+    return total
+
+
 def _n_min_ie(n: int, r: int) -> int:
     """Oracle for `n_min_exact`: inclusion-exclusion over the 2^(n-1) row
     subsets, with the avoidance counts from the gap products."""
     a = [asm_number(i) for i in range(n + 1)]
-    total = 0
-    for mask in range(1 << (n - 1)):
-        g = _avoid_from_table(n, _rows_of_mask(mask), a)
-        term = g**r
-        total += term if mask.bit_count() % 2 == 0 else -term
-    return total
-
-
-def _ie_over_census(census: CensusTable, r: int) -> int:
-    n = census.n
-    total = 0
-    for mask in range(1 << (n - 1)):
-        g = census.avoid_count(mask)
-        term = g**r
-        total += term if mask.bit_count() % 2 == 0 else -term
-    return total
+    return _signed_sum(n, r, lambda mask: _avoid_from_table(n, _rows_of_mask(mask), a))
 
 
 def n_min_census(
@@ -441,19 +435,19 @@ def n_min_census(
         census = build_census(n, limit=limit)
     elif census.n != n:
         raise ValueError(f"census is for n={census.n}, expected {n}")
-    return _ie_over_census(census, r)
+    return _signed_sum(n, r, census.avoid_count)
 
 
 def reversed_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
-    """Census keyed by the distinguished rows of the rank-reversed triangle,
-    i.e. by the rows equal to their maximal possible content."""
-    from .enumeration import enumerate_triangles
+    """Census keyed by the rows at their maximum: row i is n-i+1, ..., n, the
+    distinguished rows of the rank-reversed triangle.  It is counted off the
+    same walk as `enumeration.build_census`, with row i keyed at its maximum
+    instead of its minimum, and builds no triangle."""
+    if not 1 <= n <= limit:
+        raise bound_error("reversed_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
+    from .enumeration import _census
 
-    counts: dict[int, int] = {}
-    for t in enumerate_triangles(n, limit=limit):
-        mask = t.rank_reverse().distinguished_rows().mask
-        counts[mask] = counts.get(mask, 0) + 1
-    return CensusTable(n, dict(sorted(counts.items())))
+    return _census(n, [((1 << i) - 1) << (n - i) for i in range(1, n + 1)])
 
 
 def p_extreme(n: int, r: int, which: str, limit: int = TRANSFER_LIMIT_DEFAULT) -> Fraction:
@@ -462,7 +456,8 @@ def p_extreme(n: int, r: int, which: str, limit: int = TRANSFER_LIMIT_DEFAULT) -
 
     Rank reversal is an involution taking distinguished rows to rows at
     their maximum, so both sides are the same count; `reversed_census`
-    keeps that bijection checkable.
+    counts the rows at their maximum off the same walk as the census, so
+    the join side stays checkable.
     """
     if which not in ("min", "max"):
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
@@ -530,11 +525,14 @@ def class_bound(n: int, r: int, v: int) -> int | None:
 def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
     """Exact class sizes, computed over tuples of census keys (the class of a
     tuple depends only on the components' distinguished sets).  The 2^(r(n-1))
-    tuples keep the default limit at n = 7."""
+    tuples keep the default limit at n = 7, and a hard cap, which no knob
+    raises, holds r(n-1) <= CLASS_TUPLES_MAX_BITS."""
     if r < 1:
         raise bound_error("class_sizes", "r", r, 1)
     if not 1 <= n <= limit:
         raise bound_error("class_sizes", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
+    if r * (n - 1) > CLASS_TUPLES_MAX_BITS:
+        raise bound_error("class_sizes", "r(n-1)", r * (n - 1), 0, CLASS_TUPLES_MAX_BITS)
     from .triangles import _mask_max_run
 
     census = gap_product_census(n, limit=limit)

@@ -117,33 +117,28 @@ def verify_lattice(n_max: int = 7, seed: int = 20240817) -> int:
             _fail(suite, "join associativity broke on a random triple")
         checks += 2
 
-    # Trivial meet iff the distinguished rows jointly cover [n]; dual via reversal.
-    full3 = (1 << 3) - 1
     m3 = list(enumeration.enumerate_triangles(3))
-    for ts in product(m3, repeat=2):
-        covered = 0
-        for t in ts:
-            covered |= t.distinguished_rows().mask
-        if is_trivial(ts, "meet") != (covered == full3):
-            _fail(suite, f"coverage characterization broke at {[t.rows for t in ts]}")
-        reversed_ts = tuple(t.rank_reverse() for t in ts)
-        if is_trivial(ts, "meet") != is_trivial(reversed_ts, "join"):
-            _fail(suite, f"meet/join duality broke at {[t.rows for t in ts]}")
-        checks += 2
+    checks += _check_coverage(suite, 3, list(product(m3, repeat=2)))
     n_rand = min(n_max, 7)
     tuples7 = enumeration.sample_uniform(n_rand, 3 * 200, seed + 1)
-    full = (1 << n_rand) - 1
-    for k in range(200):
-        ts = tuple(tuples7[3 * k : 3 * k + 3])
+    triples = [tuple(tuples7[k : k + 3]) for k in range(0, 3 * 200, 3)]
+    checks += _check_coverage(suite, n_rand, triples)
+    return checks
+
+
+def _check_coverage(suite: str, n: int, tuples: list[tuple[MonotoneTriangle, ...]]) -> int:
+    """Trivial meet iff the distinguished rows jointly cover [n]; dual via reversal."""
+    full = (1 << n) - 1
+    for ts in tuples:
         covered = 0
         for t in ts:
             covered |= t.distinguished_rows().mask
-        if is_trivial(ts, "meet") != (covered == full):
-            _fail(suite, f"coverage characterization broke at n={n_rand}")
-        if is_trivial(ts, "meet") != is_trivial(tuple(t.rank_reverse() for t in ts), "join"):
-            _fail(suite, f"meet/join duality broke at n={n_rand}")
-        checks += 2
-    return checks
+        trivial = is_trivial(ts, "meet")
+        if trivial != (covered == full):
+            _fail(suite, f"coverage characterization broke at n={n}: {[t.rows for t in ts]}")
+        if trivial != is_trivial(tuple(t.rank_reverse() for t in ts), "join"):
+            _fail(suite, f"meet/join duality broke at n={n}: {[t.rows for t in ts]}")
+    return 2 * len(tuples)
 
 
 def verify_lemmas(n_max: int = 25) -> int:
@@ -216,7 +211,7 @@ def verify_theorems(n_max: int = 6) -> int:
     for n in range(1, min(n_max, 5) + 1):
         table = meet_census.reversed_census(n)
         for r in (1, 2, 3):
-            if meet_census._ie_over_census(table, r) != meet_census.n_min_exact(n, r):
+            if meet_census.n_min_census(n, r, census=table) != meet_census.n_min_exact(n, r):
                 _fail(suite, f"reversed census gives N_max != N_min at (n={n}, r={r})")
             checks += 1
 

@@ -539,6 +539,28 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestInputOutputErrors:
+    def test_missing_input_is_domain_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "meet", "--input", str(tmp_path / "missing"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_closed_pipe_leaves_no_traceback(self):
+        # the reader takes one line and goes, as `gog enumerate --n 6 | head -1`
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goglattice.cli", "enumerate", "--n", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == "1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
 class TestVerifySuitesRun:
     @pytest.mark.parametrize("suite", ["bijections", "lattice", "census", "theorems"])
     def test_suites_pass_at_small_sizes(self, suite):

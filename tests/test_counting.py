@@ -101,6 +101,11 @@ class TestEta:
         with pytest.raises(RowOutOfRange):
             eta(3, (0,))
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="^eta needs n >= 0, got -1$"):
+            eta(-1, ())
+        assert eta(0, ()) == 1
+
 
 class TestLemmaMargins:
     def test_spot_values(self):

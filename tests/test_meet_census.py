@@ -34,7 +34,6 @@ from goglattice.meet_census import (
     CENSUS_LIMIT_DEFAULT,
     TRANSFER_LIMIT_DEFAULT,
     CensusTable,
-    _ie_over_census,
     _n_min_ie,
     _n_min_sweep,
 )
@@ -111,6 +110,9 @@ class TestAvoidCount:
     def test_out_of_range(self):
         with pytest.raises(RowOutOfRange):
             avoid_count(3, (3,))
+        with pytest.raises(ValueError, match="avoid_count needs n >= 0, got -1"):
+            avoid_count(-1, ())
+        assert avoid_count(0, ()) == 1 == asm_number(0)
 
 
 class TestNMin:
@@ -346,7 +348,7 @@ class TestPExtreme:
     def test_duality(self, r):
         # the join side counted on rank-reversed keys, independently of the sweep
         for n in range(1, 6):
-            assert _ie_over_census(reversed_census(n), r) == n_min_exact(n, r)
+            assert n_min_census(n, r, census=reversed_census(n)) == n_min_exact(n, r)
             assert p_extreme(n, r, "min") == p_extreme(n, r, "max")
 
     def test_reversed_census_counts_maximal_rows(self, universe, censuses):
@@ -357,6 +359,14 @@ class TestPExtreme:
             1 for t in universe(4) if t.rows[0] == (4,) and t.rows[1] == (3, 4)
         )
         assert table.containment_count(0b011) == top_heavy
+        # the walk keys rows at their maximum; reversal is the bijection behind it
+        for n in range(1, 7):
+            counts = {}
+            for t in universe(n):
+                mask = t.rank_reverse().distinguished_rows().mask
+                counts[mask] = counts.get(mask, 0) + 1
+            assert reversed_census(n).counts == dict(sorted(counts.items()))
+        assert reversed_census(7).counts == gap_product_census(7).counts
 
 
 class TestClassSizes:
@@ -374,6 +384,20 @@ class TestClassSizes:
         for v, match in ((0, "v >= 1, got 0"), (-2, "v >= 1, got -2"), (4, "n - v >= 0, got -1")):
             with pytest.raises(ValueError, match=f"class_bound needs {match}"):
                 class_bound(3, 2, v)
+
+    def test_tuple_cap(self, monkeypatch):
+        # 2^(r(n-1)) key tuples: past r(n-1) = 20 the call is refused before
+        # the census is built
+        def no_census(*args, **kwargs):
+            raise AssertionError("census built past the cap")
+
+        with monkeypatch.context() as m:
+            m.setattr(meet_census, "gap_product_census", no_census)
+            for n, r in ((3, 11), (7, 4)):
+                message = rf"^class_sizes holds r\(n-1\) <= 20, got r\(n-1\)={r * (n - 1)}$"
+                with pytest.raises(LimitExceeded, match=message):
+                    class_sizes(n, r)
+        assert class_sizes(6, 4).exact_sizes[6] <= class_bound(6, 4, 6)
 
     def test_brute_force_oracle(self, universe):
         for n, r in ((3, 2), (3, 3), (4, 2)):
