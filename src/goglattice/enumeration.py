@@ -21,8 +21,12 @@ walker (`_walk`), whose stack holds iterators over segments of the index
 and which yields the row ids of each triangle; a row at level n-1 has one
 successor, the bottom row, so the deepest level needs no stack frame.
 Enumeration maps the ids to the index's shared row tuples, and every
-triangle is still built through `MonotoneTriangle` and fully validated; the
-census reads the distinguished rows off the ids (row i is 1, ..., i iff its
+triangle is still built through `MonotoneTriangle` and fully validated:
+each triangle's entry types and bottom row are checked, and its adjacent
+row pairs are looked up in the set of pairs that the full check has already
+accepted (at most (3^7 - 1)/2 of them up to n = 7), so a pair shared by
+thousands of triangles is checked in full only the first time; the census
+reads the distinguished rows off the ids (row i is 1, ..., i iff its
 id is 2^i - 1), and `meet_census.reversed_census` reads the rows at their
 maximum off the same walk (row i is n-i+1, ..., n iff its id is
 (2^i - 1) 2^(n-i)).  Ranking, unranking and uniform sampling go down one

@@ -50,6 +50,15 @@ def _staircase(i: int) -> tuple[int, ...]:
 _INT = {int}
 
 
+def _is_int(value: object) -> bool:
+    """An entry counts as an integer when it is an `int` and not a `bool`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _non_int(values: Iterable[object]) -> list[object]:
+    return [v for v in values if not _is_int(v)]
+
+
 @lru_cache(maxsize=32)
 def _fast_tables(n: int) -> tuple[tuple[int, ...], itemgetter, itemgetter, itemgetter]:
     """For size n >= 3: the staircase 1, ..., n (the row lengths, and also the
@@ -85,22 +94,60 @@ def _is_valid_fast(rows: Rows, n: int) -> bool:
     return all(map(lt, a, b)) and all(map(le, a, c)) and all(map(le, c, b))
 
 
+_PAIRS_MAX_N = 7  # equal to counting.ENUM_LIMIT_DEFAULT, the enumeration size
+_STAIRCASES = tuple(_staircase(n) for n in range(_PAIRS_MAX_N + 1))
+_PAIRS: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+_TUPLE = {tuple}
+
+
+def _has_verified_pairs(rows: Rows, n: int) -> bool:
+    """True only if every entry is an exact `int`, every row an exact tuple,
+    the bottom row 1, ..., n, and every adjacent pair of rows in `_PAIRS`."""
+    try:
+        if set(map(type, chain.from_iterable(rows))) != _INT:
+            return False
+    except TypeError:  # a row that is not iterable
+        return False
+    return (
+        set(map(type, rows)) == _TUPLE
+        and rows[-1] == _STAIRCASES[n]
+        and _PAIRS.issuperset(zip(rows, rows[1:]))
+    )
+
+
 def _validate_rows(rows: Rows) -> None:
     """Raise the first violation in reading order (top to bottom, left to right).
 
-    A valid triangle of size n >= 3 is accepted by a fast path of a few
-    C-level passes over its reading sequence: the row lengths equal the
-    staircase, every entry's type is exactly `int`, the bottom row is
-    1, ..., n, and at every anchor (i, j) three `all(map(...))` passes check
-    a(i, j) < a(i, j+1), a(i, j) <= a(i-1, j) and a(i-1, j) <= a(i, j+1).
-    Any other input, including one with `bool` or int-subclass entries, and
-    every triangle of size 1 or 2 (too few anchors for the item getters),
-    falls through to the reading-order loop `_validate_rows_slow`, which
-    accepts or raises exactly as before, so the fast path only saves time.
+    A triangle is valid exactly when every entry is an exact `int`, the
+    bottom row is 1, ..., n, and every adjacent pair (upper, lower) is valid
+    on its own: lower strictly increases, has one entry more than upper, and
+    interlaces it (the row lengths then follow up from the bottom row).  A
+    pair's validity does not depend on n, so for 3 <= n <= 7 the pairs of
+    every triangle that the checks below accepted, with every row an exact
+    tuple, are kept in `_PAIRS`.  A triangle of that size whose entries are
+    exact ints, whose rows are exact tuples, whose bottom row is 1, ..., n
+    and whose every pair is in the set is accepted with no further check.
+    The set holds only pairs of rows with entries in 1..7, at most
+    (3^7 - 1)/2 of them, so it needs no eviction; larger triangles skip it.
+
+    Any other triangle of size n >= 3 goes through a few C-level passes over
+    its reading sequence: the row lengths equal the staircase, every entry's
+    type is exactly `int`, the bottom row is 1, ..., n, and at every anchor
+    (i, j) three `all(map(...))` passes check a(i, j) < a(i, j+1),
+    a(i, j) <= a(i-1, j) and a(i-1, j) <= a(i, j+1).  Any other input,
+    including one with `bool` or int-subclass entries, and every triangle of
+    size 1 or 2, falls through to the reading-order loop
+    `_validate_rows_slow`, which accepts or raises exactly as before, so the
+    set and the passes only save time.
     """
     n = len(rows)
+    memo = 3 <= n <= _PAIRS_MAX_N
+    if memo and _has_verified_pairs(rows, n):
+        return
     if n < 3 or not _is_valid_fast(rows, n):
         _validate_rows_slow(rows)
+    elif memo and set(map(type, rows)) == _TUPLE:
+        _PAIRS.update(zip(rows, rows[1:]))
 
 
 def _validate_rows_slow(rows: Rows) -> None:
@@ -118,7 +165,7 @@ def _validate_rows_slow(rows: Rows) -> None:
                 f"row {i} has {len(row)} entries, expected {i}", position=(i, 1)
             )
         for j, entry in enumerate(row, start=1):
-            if not isinstance(entry, int) or isinstance(entry, bool):
+            if not _is_int(entry):
                 raise ShapeMismatch(
                     f"entry at ({i}, {j}) is not an integer: {entry!r}",
                     position=(i, j),
@@ -397,6 +444,8 @@ class ColumnSumMatrix(_Frozen):
         for i, row in enumerate(entries, start=1):
             if len(row) != n:
                 raise NotAColumnSumMatrix(f"row {i} has {len(row)} entries, expected {n}")
+            if odd := _non_int(row):
+                raise NotAColumnSumMatrix(f"row {i} has a non-integer entry: {odd[0]!r}")
             if any(v not in (0, 1) for v in row):
                 raise NotAColumnSumMatrix(f"row {i} has an entry outside {{0, 1}}")
             if sum(row) != i:
@@ -450,6 +499,8 @@ class AlternatingSignMatrix(_Frozen):
         for i, row in enumerate(entries, start=1):
             if len(row) != n:
                 raise NotAnASM(f"row {i} has {len(row)} entries, expected {n}")
+            if odd := _non_int(row):
+                raise NotAnASM(f"row {i} has a non-integer entry: {odd[0]!r}")
             if any(v not in (-1, 0, 1) for v in row):
                 raise NotAnASM(f"row {i} has an entry outside {{-1, 0, 1}}")
             _check_alternating(row, "row", i)
@@ -488,6 +539,8 @@ class Permutation(_Frozen):
     def __init__(self, values: Sequence[int]) -> None:
         values = tuple(values)
         object.__setattr__(self, "values", values)
+        if odd := _non_int(values):
+            raise NotAPermutation(f"{values} has a non-integer entry: {odd[0]!r}")
         if sorted(values) != list(range(1, len(values) + 1)):
             raise NotAPermutation(f"{values} is not a rearrangement of 1..{len(values)}")
 

@@ -1,5 +1,9 @@
 """Triangle validation, per-triangle attributes, and the matrix bijections."""
 
+import hashlib
+from collections import deque
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -32,11 +36,15 @@ from goglattice import (
     parse_column_sums,
     parse_triangles,
     perm_to_triangle,
+    sample_uniform,
     triangle_to_text,
     triangles_to_text,
     unrank,
     validate_triangle,
 )
+from goglattice import triangles
+from goglattice.counting import ENUM_LIMIT_DEFAULT
+from goglattice.lattice import join, meet
 from goglattice.triangles import (
     _validate_rows,
     _validate_rows_slow,
@@ -104,6 +112,16 @@ class IntSubclass(int):
     pass
 
 
+class LyingRow(tuple):
+    """A row that claims to equal, and hashes like, the row (1, 2)."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return hash((1, 2))
+
+
 def outcome(check, rows):
     """What a validator does with rows: None if it accepts them, else the
     exception's type, message and position."""
@@ -114,8 +132,34 @@ def outcome(check, rows):
     return None
 
 
-def assert_fast_path_agrees(rows):
-    assert outcome(_validate_rows, rows) == outcome(_validate_rows_slow, rows), rows
+@cache
+def pairs_up_to_six():
+    """The adjacent-row pairs of every triangle of size n <= 6."""
+    triangles._PAIRS.clear()
+    for n in range(1, 7):
+        deque(enumerate_triangles(n), maxlen=0)
+    return frozenset(triangles._PAIRS)
+
+
+def set_memo(memo):
+    """Empty the verified-pair set ("cold"), or fill it with every pair of
+    the triangles of size n <= 6 ("warm")."""
+    triangles._PAIRS.clear()
+    if memo == "warm":
+        triangles._PAIRS.update(pairs_up_to_six())
+
+
+def is_exact_pair(pair):
+    return all(type(row) is tuple and set(map(type, row)) == {int} for row in pair)
+
+
+def assert_fast_path_agrees(rows, memo):
+    set_memo(memo)
+    expected = outcome(_validate_rows_slow, rows)
+    assert outcome(_validate_rows, rows) == expected, rows
+    if memo == "cold":  # the set now holds this triangle's pairs at most
+        assert all(map(is_exact_pair, triangles._PAIRS)), rows
+        assert expected is None or not triangles._PAIRS, rows
 
 
 @st.composite
@@ -147,23 +191,27 @@ def mutated_rows(draw):
 
 
 class TestValidatorFastPath:
-    """`_validate_rows` against the reading-order loop it falls back to."""
+    """`_validate_rows` against the reading-order loop it falls back to, with
+    the verified-pair set emptied before each check."""
+
+    memo = "cold"
 
     @settings(max_examples=400, deadline=None)
     @given(mutated_rows())
     def test_matches_the_loop(self, rows):
-        assert_fast_path_agrees(rows)
+        assert_fast_path_agrees(rows, self.memo)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_single_entry_shift(self, n):
         for t in enumerate_triangles(n):
+            set_memo(self.memo)
             assert outcome(_validate_rows, t.rows) is None
             for i, row in enumerate(t.rows):
                 for j in range(len(row)):
                     for step in (-1, 1):
                         changed = list(t.rows)
                         changed[i] = row[:j] + (row[j] + step,) + row[j + 1 :]
-                        assert_fast_path_agrees(tuple(changed))
+                        assert_fast_path_agrees(tuple(changed), self.memo)
 
     @pytest.mark.parametrize(
         "rows",
@@ -177,11 +225,71 @@ class TestValidatorFastPath:
             ((1,), [1, 2], [1, 2, 3]),
             ((2,), (1, 2), (1, 2, 3)),
             ((1,), (1, 2), (2, 3, 4)),
+            # equal in value to a triangle whose pairs are in the warm set
+            ((True,), (1, 2), (1, 2, 3)),
+            ((1,), (1, 2.0), (1, 2, 3)),
+            ((1,), (1, 2), (1, Fraction(2), 3)),
+            ((2,), (IntSubclass(2), 3), (1, 2, 3)),
+            ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4.0)),
+            ((True,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)),
+            ((1,), (1, [2]), (1, 2, 3)),
+            ((1,), LyingRow((3, 3)), (1, 2, 3)),
+            ((1,), (1, 2), LyingRow((1, 2, 3))),
         ],
     )
     def test_edge_cases(self, rows):
-        assert_fast_path_agrees(rows)
+        assert_fast_path_agrees(rows, self.memo)
 
+
+class TestValidatorFastPathWarm(TestValidatorFastPath):
+    """The same checks with the set holding every pair of the triangles of
+    size n <= 6, so that impostors meet pairs equal to theirs in value."""
+
+    memo = "warm"
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_rows())
+    def test_matches_the_loop(self, rows):  # Hypothesis runs a `given` test from one class only
+        assert_fast_path_agrees(rows, self.memo)
+
+
+class TestVerifiedPairs:
+    """The set of verified adjacent-row pairs behind `_validate_rows`."""
+
+    def test_bound_and_contents(self):
+        assert triangles._PAIRS_MAX_N == ENUM_LIMIT_DEFAULT
+        triangles._PAIRS.clear()
+        parse_triangles("1\n1 2\n1 2 3\n\n3\n2 3\n1 2 3\n")
+        validate_triangle(4, [[2], [1, 3], [1, 2, 4], [1, 2, 3, 4]])
+        MonotoneTriangle([[1], [1, 3], [1, 2, 3]])
+        assert len(triangles._PAIRS) == 9
+        for n in range(1, 8):
+            deque(enumerate_triangles(n), maxlen=0)
+        full = set(triangles._PAIRS)
+        assert len(full) <= (3**7 - 1) // 2
+        assert all(map(is_exact_pair, full))
+        assert full == {
+            (upper, lower)
+            for k in range(1, 7)
+            for upper in combinations(range(1, 8), k)
+            for lower in interlacing_successors(upper, 7)
+        }
+        ts = sample_uniform(12, 3, 2024)
+        meet(ts), join(ts)
+        validate_triangle(12, [list(row) for row in ts[0].rows])
+        assert triangles._PAIRS == full
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stream_text_cold_and_warm(self, n):
+        def digest():
+            text = triangles_to_text(enumerate_triangles(n))
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        set_memo("cold")
+        cold = digest()
+        assert digest() == cold
+        set_memo("warm")
+        assert digest() == cold
 
 class TestParsersRaiseOnlyGogErrors:
     @settings(max_examples=300, deadline=None)
@@ -321,6 +429,22 @@ class TestBijections:
             AlternatingSignMatrix(((0, 1), (1, -1)))  # row 2 ends with -1
         with pytest.raises(NotAnASM):
             AlternatingSignMatrix(((2, -1), (-1, 2)))  # entries outside {-1,0,1}
+
+    @pytest.mark.parametrize(
+        "make, entries, error",
+        [
+            (ColumnSumMatrix, ((True, False), (1.0, 1)), NotAColumnSumMatrix),
+            (ColumnSumMatrix, ((0, 1), (1.0, 1)), NotAColumnSumMatrix),
+            (AlternatingSignMatrix, ((0.0, True), (True, 0)), NotAnASM),
+            (AlternatingSignMatrix, ((0, 1), (1, Fraction(0))), NotAnASM),
+            (Permutation, (True, 2), NotAPermutation),
+            (Permutation, (2.0, 1), NotAPermutation),
+            (Permutation, (1, "2"), NotAPermutation),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, make, entries, error):
+        with pytest.raises(error, match="non-integer entry"):
+            make(entries)
 
 
 def unranked(n_max=12):
