@@ -68,8 +68,8 @@ def asm_number(n: int, limit: int = FORMULA_LIMIT_DEFAULT) -> int:
 
 def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
     """Count triangles by building rows top-down; independent of the formula."""
-    if not 1 <= n <= limit:
-        raise bound_error("asm_number_dp", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
+    if not 0 <= n <= limit:
+        raise bound_error("asm_number_dp", "n", n, 0, limit, f"{DP_LIMIT_DEFAULT=}")
     from .triangles import interlacing_successors
 
     counts: dict[tuple[int, ...], int] = {(): 1}

@@ -22,10 +22,16 @@ and which yields the row ids of each triangle; a row at level n-1 has one
 successor, the bottom row, so the deepest level needs no stack frame.
 Enumeration maps the ids to the index's shared row tuples, and every
 triangle is still built through `MonotoneTriangle` and fully validated:
-each triangle's entry types and bottom row are checked, and its adjacent
-row pairs are looked up in the set of pairs that the full check has already
-accepted (at most (3^7 - 1)/2 of them up to n = 7), so a pair shared by
-thousands of triangles is checked in full only the first time; the census
+each triangle's bottom row is checked, and its adjacent row pairs are
+looked up in the set of pairs that the full check has already accepted (at
+most (3^7 - 1)/2 of them up to n = 7), so a pair shared by thousands of
+triangles is checked in full only the first time.  The rows with entries
+in 1..8 come from one table for the process, `triangles._SMALL_ROWS` (256
+rows, by id), which every index uses for its low eight bits; its objects
+are known to be exact tuples of exact ints, so a triangle made of them
+skips the entry-type pass.  `rows()` is that table itself for n <= 8 (for
+n < 8 only the ids below 2^n are rows of [n]), and `unrank` and
+`sample_uniform` at n <= 8 hand out its objects too.  The census
 reads the distinguished rows off the ids (row i is 1, ..., i iff its
 id is 2^i - 1), and `meet_census.reversed_census` reads the rows at their
 maximum off the same walk (row i is n-i+1, ..., n iff its id is
@@ -58,7 +64,14 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT
 from .errors import IndexOutOfRange, StrictIncreaseViolated, ShapeMismatch, bound_error
-from .triangles import MonotoneTriangle, _Frozen
+from .triangles import (
+    _SMALL_ROWS,
+    MonotoneTriangle,
+    _Frozen,
+    _is_int,
+    _non_int,
+    _rows_by_mask,
+)
 
 if TYPE_CHECKING:
     from .meet_census import CensusTable
@@ -92,6 +105,8 @@ class TrianglePrefix(_Frozen):
             raise ShapeMismatch(f"level {level} outside [0, {n}]")
         if len(row) != level:
             raise ShapeMismatch(f"prefix row has {len(row)} entries, expected {level}")
+        if odd := _non_int(row):
+            raise ShapeMismatch(f"prefix row has a non-integer entry: {odd[0]!r}")
         for a, b in zip(row, row[1:]):
             if a >= b:
                 raise StrictIncreaseViolated(f"prefix row not strictly increasing: {row}")
@@ -107,15 +122,6 @@ _BIT = [0] + [1 << v for v in range(INDEX_MAX_N)]  # _BIT[v]: the id bit of entr
 
 def _id(row: tuple[int, ...]) -> int:
     return sum(map(_BIT.__getitem__, row))
-
-
-def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
-    """The rows with entries in first..last, indexed by their bitmask (bit 0
-    for entry `first`)."""
-    rows: list[tuple[int, ...]] = [()]
-    for v in range(first, last + 1):
-        rows += [row + (v,) for row in rows]
-    return rows
 
 
 class _SuccessorIndex:
@@ -157,14 +163,17 @@ class _SuccessorIndex:
         counts[-1] = 1  # the forced bottom row
         for i in range(size - 2, -1, -1):
             counts[i] = sum(map(counts.__getitem__, self.successors(i)))
-        self.low = _rows_by_mask(1, min(n, 8))
+        self.low = _SMALL_ROWS
         self.high = _rows_by_mask(9, n)
 
     def row(self, i: int) -> tuple[int, ...]:
+        # For i < 256 this is the `_SMALL_ROWS` object itself: CPython's
+        # `t + ()` returns t.
         return self.low[i & 0xFF] + self.high[i >> 8]
 
-    def rows(self) -> list[tuple[int, ...]]:
-        """Every row, by id."""
+    def rows(self) -> Sequence[tuple[int, ...]]:
+        """Every row, by id; for n < 8, the 256 rows of [8], of which the
+        ids below 2^n are the rows of [n]."""
         if len(self.high) == 1:  # n <= 8
             return self.low
         return list(map(self.row, range(len(self.counts))))
@@ -264,9 +273,12 @@ def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
 
 
 def unrank(n: int, k: int, limit: int = DP_LIMIT_DEFAULT) -> MonotoneTriangle:
-    """The triangle at position k of the enumeration order, 0 <= k < A(n)."""
+    """The triangle at position k of the enumeration order, for an int k
+    with 0 <= k < A(n)."""
     if not 1 <= n <= limit:
         raise bound_error("unrank", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
+    if not _is_int(k):
+        raise IndexOutOfRange(f"rank must be an int, got {type(k).__name__} {k!r}")
     index = _index(n)
     total = index.counts[0]
     if not 0 <= k < total:

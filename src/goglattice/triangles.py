@@ -100,19 +100,37 @@ _PAIRS: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 _TUPLE = {tuple}
 
 
+def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
+    """The rows with entries in first..last, indexed by their bitmask (bit 0
+    for entry `first`)."""
+    rows: list[tuple[int, ...]] = [()]
+    for v in range(first, last + 1):
+        rows += [row + (v,) for row in rows]
+    return rows
+
+
+# The 256 rows of [8] by bitmask, which the successor index hands out.
+_SMALL_ROWS = tuple(_rows_by_mask(1, 8))
+_EXACT = frozenset(map(id, _SMALL_ROWS))
+
+
 def _has_verified_pairs(rows: Rows, n: int) -> bool:
     """True only if every entry is an exact `int`, every row an exact tuple,
-    the bottom row 1, ..., n, and every adjacent pair of rows in `_PAIRS`."""
-    try:
-        if set(map(type, chain.from_iterable(rows))) != _INT:
+    the bottom row 1, ..., n, and every adjacent pair of rows in `_PAIRS`.
+
+    A row whose id is in `_EXACT` is one of the `_SMALL_ROWS` objects: they
+    live for the process, so no other live object has their id.  When every
+    row is one of them, the types are known and their passes are skipped.
+    """
+    if not _EXACT.issuperset(map(id, rows)):
+        try:
+            if set(map(type, chain.from_iterable(rows))) != _INT:
+                return False
+        except TypeError:  # a row that is not iterable
             return False
-    except TypeError:  # a row that is not iterable
-        return False
-    return (
-        set(map(type, rows)) == _TUPLE
-        and rows[-1] == _STAIRCASES[n]
-        and _PAIRS.issuperset(zip(rows, rows[1:]))
-    )
+        if set(map(type, rows)) != _TUPLE:
+            return False
+    return rows[-1] == _STAIRCASES[n] and _PAIRS.issuperset(zip(rows, rows[1:]))
 
 
 def _validate_rows(rows: Rows) -> None:
@@ -129,6 +147,9 @@ def _validate_rows(rows: Rows) -> None:
     and whose every pair is in the set is accepted with no further check.
     The set holds only pairs of rows with entries in 1..7, at most
     (3^7 - 1)/2 of them, so it needs no eviction; larger triangles skip it.
+    The types need no pass when every row is one of the `_SMALL_ROWS`
+    objects, as every enumerated row is: those live for the process, so a
+    row whose id is in `_EXACT` is one of them, an exact tuple of exact ints.
 
     Any other triangle of size n >= 3 goes through a few C-level passes over
     its reading sequence: the row lengths equal the staircase, every entry's

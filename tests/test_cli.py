@@ -43,9 +43,10 @@ class TestAsmCount:
         code, out, _ = run(capsys, "asm-count", "--n", "6", "--method", "dp")
         assert (code, out) == (0, "7436\n")
 
-    def test_dp_rejects_zero(self, capsys):
-        code, _, err = run(capsys, "asm-count", "--n", "0", "--method", "dp")
-        assert code == 1 and "error" in err
+    @pytest.mark.parametrize("method", ["formula", "dp"])
+    def test_zero_prints_one(self, capsys, method):
+        code, out, err = run(capsys, "asm-count", "--n", "0", "--method", method)
+        assert (code, out, err) == (0, "1\n", "")
 
     @pytest.mark.parametrize("n", [200, 300])
     def test_beyond_the_int_str_digit_cap(self, capsys, n):

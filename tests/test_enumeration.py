@@ -241,6 +241,9 @@ class TestRankUnrank:
             unrank(3, 7)
         with pytest.raises(IndexOutOfRange):
             unrank(3, -1)
+        for k in (True, False, 1.0, float(2**53 + 1), float(asm_number(12) - 1)):
+            with pytest.raises(IndexOutOfRange, match=f"rank must be an int, got {type(k).__name__}"):
+                unrank(12, k)
 
     @pytest.mark.parametrize("k,rows", sorted(UNRANK_12.items()))
     def test_frozen_at_twelve(self, k, rows):
@@ -498,3 +501,6 @@ class TestTrianglePrefix:
             TrianglePrefix(3, 2, (2, 2))
         with pytest.raises(ShapeMismatch):
             TrianglePrefix(3, 1, (4,))
+        for entry in (True, 2.0, "a"):
+            with pytest.raises(ShapeMismatch, match="non-integer entry"):
+                TrianglePrefix(3, 1, (entry,))

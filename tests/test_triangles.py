@@ -44,6 +44,7 @@ from goglattice import (
 )
 from goglattice import triangles
 from goglattice.counting import ENUM_LIMIT_DEFAULT
+from goglattice.enumeration import _index
 from goglattice.lattice import join, meet
 from goglattice.triangles import (
     _validate_rows,
@@ -106,6 +107,10 @@ class TestValidation:
                 for i in range(1, n + 1):
                     for j in range(1, i + 1):
                         assert j <= t.entry(i, j) <= n - i + j
+
+
+# The shared row table: S[mask] is the row of [8] with that bitmask.
+S = triangles._SMALL_ROWS
 
 
 class IntSubclass(int):
@@ -235,6 +240,33 @@ class TestValidatorFastPath:
             ((1,), (1, [2]), (1, 2, 3)),
             ((1,), LyingRow((3, 3)), (1, 2, 3)),
             ((1,), (1, 2), LyingRow((1, 2, 3))),
+            # rows that are table objects, alone or beside value-equal impostors
+            (S[1], S[3], S[7]),
+            (S[1], S[3], S[7], S[15], S[31], S[63], S[127]),
+            (S[4], S[3], S[7]),
+            (S[1], S[6], S[7]),
+            (S[2], S[5], S[7], S[15]),
+            (S[1], S[3], S[11]),
+            (S[1], S[3], S[7], S[23]),
+            (S[1], S[2], S[7]),
+            (S[1], S[0], S[7]),
+            (S[1], S[3], S[15]),
+            (S[1], S[7]),
+            (S[1], S[3], S[7], S[15], S[31], S[63]),
+            (S[1], S[3], 3),
+            (S[1], [1, 2], S[7]),
+            (S[1], (True, 2), S[7]),
+            ((True,), S[3], S[7]),
+            (S[1], (1, 2.0), S[7]),
+            (S[1], (1, Fraction(2)), S[7]),
+            (S[1], (1, IntSubclass(2)), S[7]),
+            (S[2], (IntSubclass(2), 3), S[7]),
+            (S[1], S[3], (1, 2, 3.0)),
+            (S[1], LyingRow((1, 2)), S[7]),
+            (S[1], LyingRow((3, 3)), S[7]),
+            (S[1], tuple([1, 2]), S[7]),
+            (tuple([2]), S[6], S[7]),
+            (tuple([3]), S[3], S[7]),
         ],
     )
     def test_edge_cases(self, rows):
@@ -290,6 +322,30 @@ class TestVerifiedPairs:
         assert digest() == cold
         set_memo("warm")
         assert digest() == cold
+
+
+class TestKnownRows:
+    """The shared row table, whose objects need no type pass in validation."""
+
+    def test_table(self):
+        assert len(S) == 256
+        for mask, row in enumerate(S):
+            assert type(row) is tuple and set(map(type, row)) <= {int}
+            assert row == tuple(v for v in range(1, 9) if mask >> (v - 1) & 1)
+        assert triangles._EXACT == frozenset(map(id, S))
+        for n in (*range(1, 9), 12):
+            assert _index(n).low is S
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumerated_rows_are_table_objects(self, n):
+        known = triangles._EXACT.issuperset
+        assert all(known(map(id, t.rows)) for t in enumerate_triangles(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unranked_and_sampled_rows_are_table_objects(self, n):
+        last = asm_number(n) - 1
+        ts = [unrank(n, k) for k in (0, last // 3, last)] + sample_uniform(n, 20, n)
+        assert all(triangles._EXACT.issuperset(map(id, t.rows)) for t in ts)
 
 class TestParsersRaiseOnlyGogErrors:
     @settings(max_examples=300, deadline=None)
