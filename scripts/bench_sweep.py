@@ -1,0 +1,138 @@
+"""Time `n_min_exact` at the sweep's gate set and write BENCH_sweep.json.
+
+Each case (n, r) runs in RUNS fresh interpreters.  A run times a first call,
+which compiles the program for r and fills A(n) and P(n), then a repeat,
+and its peak RSS is read with `wait4`.  One more fresh interpreter
+per case traces allocations with `tracemalloc` through a single call and
+records the memory the call keeps: the compiled program, its kernels and
+the caches of A and P.  Run from the repository root:
+
+    python scripts/bench_sweep.py [--runs RUNS] [--case N,R ...] [--output PATH]
+
+The cases default to GATES with RUNS = 10, about a minute on 2 vCPUs, and
+PATH to BENCH_sweep.json.  The package is imported from `src/` of the
+checkout holding this script.  The file records the interpreter, the
+platform and the CPU count, and for each case the samples of every timing
+and RSS with their minimum, median and maximum.  Times are raw wall
+clock, so on a shared machine two trees compare only by alternating their
+runs.  Uses only the standard library; `os.wait4` makes it Unix-only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "BENCH_sweep.json"
+# The gates of the sweep (tests/data/sweep_digests.json): the largest n the
+# transfer limit admits for r = 2..6, the largest r for n = 2..6, and the
+# corners n = 1 and r = 1.
+GATES = [
+    (223, 2), (52, 3), (26, 4), (17, 5), (13, 6), (3, 222),
+    (2, 24999), (4, 51), (5, 25), (6, 16), (1, 5), (30, 1),
+]
+RUNS = 10
+
+# argv: n, r, traced.  Prints one JSON object.
+CHILD = """
+import json, sys, time
+from goglattice.meet_census import n_min_exact
+n, r, traced = map(int, sys.argv[1:])
+if traced:
+    import gc, tracemalloc
+    tracemalloc.start()
+    n_min_exact(n, r)
+    gc.collect()
+    print(json.dumps({"kept_mib": tracemalloc.get_traced_memory()[0] / 2**20}))
+else:
+    start = time.perf_counter()
+    n_min_exact(n, r)
+    first = time.perf_counter() - start
+    start = time.perf_counter()
+    n_min_exact(n, r)
+    print(json.dumps({"first_s": first, "repeat_s": time.perf_counter() - start}))
+"""
+
+# A process's max RSS starts from its parent's RSS when it is spawned, so
+# CHILD is spawned by this launcher, run with -S and only builtin modules,
+# which stays below any CHILD.  It prints CHILD's max RSS in KiB after
+# CHILD's own line.
+LAUNCH = """
+import os, sys
+argv = [sys.executable, "-c", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+if os.waitstatus_to_exitcode(status):
+    sys.exit(1)
+print(usage.ru_maxrss // 1024 if sys.platform == "darwin" else usage.ru_maxrss)
+"""
+
+
+def _child(n: int, r: int, traced: bool) -> dict:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCH, CHILD, str(n), str(r), str(int(traced))],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    line, kib = done.stdout.splitlines()
+    return {**json.loads(line), "peak_rss_mib": int(kib) / 1024}
+
+
+def _summary(samples: list[float]) -> dict:
+    return {
+        "min": min(samples), "median": statistics.median(samples), "max": max(samples),
+        "samples": samples,
+    }
+
+
+def measure(n: int, r: int, runs: int) -> dict:
+    """One case: `runs` timed interpreters, then one traced."""
+    timed = [_child(n, r, False) for _ in range(runs)]
+    row = {"n": n, "r": r}
+    for key in ("first_s", "repeat_s", "peak_rss_mib"):
+        row[key] = _summary([sample[key] for sample in timed])
+    row["kept_mib"] = _child(n, r, True)["kept_mib"]
+    return row
+
+
+def _case(text: str) -> tuple[int, int]:
+    n, r = map(int, text.split(","))
+    return n, r
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=RUNS)
+    parser.add_argument("--case", type=_case, action="append", dest="cases", metavar="N,R")
+    parser.add_argument("--output", type=Path, default=OUTPUT)
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs needs at least 1, got {args.runs}")
+    report = {
+        "bench": "sweep",
+        "call": "n_min_exact(n, r) in a fresh interpreter: a first call, then a repeat",
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "runs": args.runs,
+        "cases": [measure(n, r, args.runs) for n, r in args.cases or GATES],
+    }
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    args.output.write_text(json.dumps(report, indent=1) + "\n")
+    for row in report["cases"]:
+        print(
+            f"({row['n']}, {row['r']})\tfirst {row['first_s']['median']:.4f} s"
+            f"\trepeat {row['repeat_s']['median']:.4f} s"
+            f"\tpeak RSS {row['peak_rss_mib']['median']:.1f} MiB\tkept {row['kept_mib']:.2f} MiB"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

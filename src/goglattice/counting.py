@@ -55,7 +55,7 @@ def asm_number(n: int, limit: int = FORMULA_LIMIT_DEFAULT) -> int:
     >>> [asm_number(n) for n in range(6)]
     [1, 1, 2, 7, 42, 429]
     """
-    if not 0 <= n <= limit:
+    if type(n) is not int or not 0 <= n <= limit:
         raise bound_error("asm_number", "n", n, 0, limit, f"{FORMULA_LIMIT_DEFAULT=}")
     while len(_A_CACHE) <= n:
         m = len(_A_CACHE) - 1
@@ -68,7 +68,7 @@ def asm_number(n: int, limit: int = FORMULA_LIMIT_DEFAULT) -> int:
 
 def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
     """Count triangles by building rows top-down; independent of the formula."""
-    if not 0 <= n <= limit:
+    if type(n) is not int or not 0 <= n <= limit:
         raise bound_error("asm_number_dp", "n", n, 0, limit, f"{DP_LIMIT_DEFAULT=}")
     from .triangles import interlacing_successors
 

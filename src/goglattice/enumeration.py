@@ -216,7 +216,7 @@ def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> 
     >>> completions_count(TrianglePrefix(3, 1, (2,)))
     3
     """
-    if not 1 <= prefix.n <= limit:
+    if type(prefix.n) is not int or not 1 <= prefix.n <= limit:
         raise bound_error("completions_count", "n", prefix.n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     return _index(prefix.n).counts[_id(prefix.row)]
 
@@ -252,7 +252,7 @@ def _walk(n: int) -> Iterator[list[int]]:
 
 def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[MonotoneTriangle]:
     """All size-n triangles in reading-sequence lexicographic order."""
-    if not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("enumerate_triangles", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     row = _index(n).rows().__getitem__
     return (MonotoneTriangle(tuple(map(row, ids))) for ids in _walk(n))
@@ -275,7 +275,7 @@ def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
 def unrank(n: int, k: int, limit: int = DP_LIMIT_DEFAULT) -> MonotoneTriangle:
     """The triangle at position k of the enumeration order, for an int k
     with 0 <= k < A(n)."""
-    if not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("unrank", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     if not _is_int(k):
         raise IndexOutOfRange(f"rank must be an int, got {type(k).__name__} {k!r}")
@@ -304,9 +304,9 @@ def sample_uniform(
     completion count below it, so no rejection and no rounding occur: one
     `randrange(completions of the previous row)` per level picks the row.
     """
-    if not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("sample_uniform", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
-    if not 1 <= count <= count_limit:
+    if type(count) is not int or not 1 <= count <= count_limit:
         raise bound_error(
             "sample_uniform", "count", count, 1, count_limit,
             f"{SAMPLE_LIMIT_DEFAULT=}", knob="count_limit",
@@ -345,7 +345,7 @@ def _census(n: int, keys: list[int]) -> CensusTable:
 def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Exact distinguished-set census of the size-n triangles, by walking
     every triangle: the oracle for `meet_census.gap_product_census`."""
-    if not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("build_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     # Row i is distinguished iff it is 1, ..., i, whose id is 2^i - 1.
     return _census(n, [(1 << i) - 1 for i in range(1, n + 1)])

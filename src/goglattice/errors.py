@@ -8,8 +8,12 @@ position (row, column) in reading order.
 Every size, count and state bound is worded here, by `bound_error`.  A
 caller keeps the passing check an inline comparison,
 ``if not low <= v <= limit: raise bound_error(...)``, and the guard builds
-the exception for the side that failed:
+the exception for the side that failed.  A size or count from a caller is
+an exact int, so an entry point tests its type first,
+``if type(v) is not int or not low <= v <= limit``; a bool is not a size:
 
+- not an exact int, ``TypeError("<what> needs an int <name>, got <type>
+  <v>")``;
 - below `low`, ``ValueError("<what> needs <name> >= <low>, got <v>")``;
 - above a `limit` that a knob raises, ``LimitExceeded("<what> limit is
   <limit>, got <name>=<v>; raise `<knob>` (default <CONSTANT> = <D>)")``,
@@ -85,9 +89,10 @@ class LimitExceeded(GogError):
 def bound_error(
     what: str, name: str, value: int, low: int, limit: int | None = None,
     default: str | None = None, knob: str = "limit", head: str | None = None,
-) -> ValueError | LimitExceeded:
+) -> TypeError | ValueError | LimitExceeded:
     """The exception, for the caller to raise, for `name` = `value` of `what`
-    outside [low, limit]; `default` is the knob's default as f"{CONSTANT=}".
+    not an exact int or outside [low, limit]; `default` is the knob's default
+    as f"{CONSTANT=}".
 
     >>> bound_error("asm_number", "n", -1, 0)
     ValueError('asm_number needs n >= 0, got -1')
@@ -96,7 +101,11 @@ def bound_error(
     census limit is 18, got n=19; raise `limit` (default CENSUS_LIMIT_DEFAULT = 18)
     >>> print(bound_error("the successor index", "n", 17, 1, 16))
     the successor index holds n <= 16, got n=17
+    >>> bound_error("sample_uniform", "n", True, 1)
+    TypeError('sample_uniform needs an int n, got bool True')
     """
+    if type(value) is not int:
+        return TypeError(f"{what} needs an int {name}, got {type(value).__name__} {value!r}")
     if value < low:
         return ValueError(f"{what} needs {name} >= {low}, got {value}")
     if default is None:

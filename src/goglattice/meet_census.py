@@ -35,11 +35,11 @@ Neither D nor the shift depends on the position or on n_max, and once
 x_0, ..., x_{pos-1} are in play a step works on every monomial of each
 degree in them, so `_transfer` compiles the sweep for each r once per
 process into flat lists of positions and factors that serve every
-position, and runs each step as a few list-wide maps, with no Python step
-per edge.  A call
-that goes further compiles a wider program in its place.  The program holds
-no coefficient: every call redoes all the arithmetic, and no N_min value
-persists between calls.  A call that ends with more than
+position, copies the part each position reads into a kernel on first use
+there, and runs each step as a few list-wide maps, with no Python step per
+edge.  A call that goes further compiles a wider program in its place.  The
+program holds no coefficient: every call redoes all the arithmetic, and no
+N_min value persists between calls.  A call that ends with more than
 TRANSFER_LIMIT_DEFAULT monomials across all programs drops them all, so the
 largest admitted calls leave at most that many behind.
 
@@ -74,7 +74,6 @@ where a bitmask has bit i-1 for row i.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -83,6 +82,10 @@ from .counting import ENUM_LIMIT_DEFAULT, _sorted_members, asm_number
 from .errors import FormatError, bound_error
 
 if TYPE_CHECKING:
+    # Imported where a Fraction is built, so that `gog census` never loads
+    # `fractions` or the `decimal` it imports.
+    from fractions import Fraction
+
     from . import _transfer
     from .triangles import RowSet
 
@@ -326,7 +329,7 @@ def gap_product_census(n: int, limit: int = CENSUS_LIMIT_DEFAULT) -> CensusTable
     >>> gap_product_census(3).counts
     {4: 4, 5: 1, 6: 1, 7: 1}
     """
-    if not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("census", "n", n, 1, limit, f"{CENSUS_LIMIT_DEFAULT=}")
     return CensusTable(n, dict(zip(range(1 << (n - 1), 1 << n), _exact_set_counts(n))))
 
@@ -397,9 +400,9 @@ def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:
     >>> n_min_exact(2, 2), n_min_exact(3, 2)
     (3, 15)
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise bound_error("n_min_exact", "n", n, 1)
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise bound_error("n_min_exact", "r", r, 1)
     _check_transfer_limit(n, r, limit)
     return list(_n_min_sweep(n, r))[-1]
@@ -427,7 +430,7 @@ def n_min_census(
     """Oracle for `n_min_exact`: the inclusion-exclusion sum, with the
     avoidance counts read off the exact-set census instead of the gap
     products."""
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise bound_error("n_min_census", "r", r, 1)
     if census is None:
         from .enumeration import build_census
@@ -443,7 +446,7 @@ def reversed_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     distinguished rows of the rank-reversed triangle.  It is counted off the
     same walk as `enumeration.build_census`, with row i keyed at its maximum
     instead of its minimum, and builds no triangle."""
-    if not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("reversed_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     from .enumeration import _census
 
@@ -461,6 +464,8 @@ def p_extreme(n: int, r: int, which: str, limit: int = TRANSFER_LIMIT_DEFAULT) -
     """
     if which not in ("min", "max"):
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
+    from fractions import Fraction
+
     return Fraction(n_min_exact(n, r, limit=limit), asm_number(n) ** r)
 
 
@@ -527,9 +532,9 @@ def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
     tuple depends only on the components' distinguished sets).  The 2^(r(n-1))
     tuples keep the default limit at n = 7, and a hard cap, which no knob
     raises, holds r(n-1) <= CLASS_TUPLES_MAX_BITS."""
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise bound_error("class_sizes", "r", r, 1)
-    if not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("class_sizes", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     if r * (n - 1) > CLASS_TUPLES_MAX_BITS:
         raise bound_error("class_sizes", "r(n-1)", r * (n - 1), 0, CLASS_TUPLES_MAX_BITS)
@@ -623,6 +628,8 @@ class MeetCensusReport(_Record):
     @property
     def theorem1_ratio(self) -> Fraction:
         """p_min * A(n) / r, the quantity that tends to 1."""
+        from fractions import Fraction
+
         return Fraction(self.n_min, self.r * asm_number(self.n) ** (self.r - 1))
 
 
@@ -632,6 +639,8 @@ def decompose(n: int, r: int, n_min: int) -> MeetCensusReport:
         raise bound_error("decompose", "n", n, 2)
     if r < 1:
         raise bound_error("decompose", "r", r, 1)
+    from fractions import Fraction
+
     a = asm_number
     p_min = Fraction(n_min, a(n) ** r)
     if r == 1:
@@ -651,9 +660,9 @@ def theorem_report(
     Rows start at n = 2 because the curvature denominator uses A(n-2).
     Signs of the error term are recorded, never asserted.
     """
-    if n_max < 2:
+    if type(n_max) is not int or n_max < 2:
         raise bound_error("theorem_report", "n_max", n_max, 2)
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise bound_error("theorem_report", "r", r, 1)
     _check_transfer_limit(n_max, r, limit)
     return [

@@ -93,3 +93,37 @@ def test_only_errors_constructs_limit_exceeded():
             if "LimitExceeded" in (getattr(target, "id", None), getattr(target, "attr", None)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# One row per entry point with a size or count argument: a float, a bool or a
+# str in its place is refused before any work, with the argument named.
+NOT_A_SIZE = {
+    "enumerate_triangles": (lambda: enumerate_triangles(2.0), "n", "float 2.0"),
+    "unrank": (lambda: unrank(3.0, 0), "n", "float 3.0"),
+    "completions_count": (lambda: completions_count(TrianglePrefix(3.0, 0, ())), "n", "float 3.0"),
+    "asm_number": (lambda: asm_number(2.0), "n", "float 2.0"),
+    "asm_number-str": (lambda: asm_number("3"), "n", "str '3'"),
+    "asm_number_dp": (lambda: asm_number_dp(2.0), "n", "float 2.0"),
+    "n_min_exact-n": (lambda: n_min_exact(3.0, 2), "n", "float 3.0"),
+    "n_min_exact-r": (lambda: n_min_exact(3, 2.0), "r", "float 2.0"),
+    "n_min_exact-bool": (lambda: n_min_exact(True, 2), "n", "bool True"),
+    "p_extreme": (lambda: p_extreme(3, True, "min"), "r", "bool True"),
+    "theorem_report": (lambda: theorem_report(4.0, 2), "n_max", "float 4.0"),
+    "theorem_report-r": (lambda: theorem_report(4, 2.0), "r", "float 2.0"),
+    "gap_product_census": (lambda: gap_product_census(3.0), "n", "float 3.0"),
+    "run_histogram_report": (lambda: run_histogram_report(5.0), "n", "float 5.0"),
+    "sample_uniform": (lambda: sample_uniform(True, 2, 1), "n", "bool True"),
+    "sample_uniform-count": (lambda: sample_uniform(3, True, 1), "count", "bool True"),
+    "build_census": (lambda: build_census(3.0), "n", "float 3.0"),
+    "reversed_census": (lambda: reversed_census(3.0), "n", "float 3.0"),
+    "n_min_census-r": (lambda: n_min_census(3, 2.0), "r", "float 2.0"),
+    "class_sizes": (lambda: class_sizes(3.0, 2), "n", "float 3.0"),
+    "class_sizes-r": (lambda: class_sizes(3, 2.0), "r", "float 2.0"),
+}
+
+
+@pytest.mark.parametrize("call, name, got", NOT_A_SIZE.values(), ids=NOT_A_SIZE)
+def test_size_must_be_an_exact_int(call, name, got):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value).split(" needs ")[1] == f"an int {name}, got {got}"

@@ -459,8 +459,20 @@ class TestImport:
         assert not loaded & {"enumeration", "lattice", "triangles", "verify"}
 
     def test_census_loads_only_the_gap_products(self, tmp_path):
-        loaded = self._modules_after_main("census", "--n", "6", "--cache-dir", str(tmp_path))
+        argv = ["census", "--n", "6", "--cache-dir", str(tmp_path)]
+        loaded = self._modules_after_main(*argv)
         assert loaded == {"goglattice", "cli", "errors", "counting", "meet_census"}
+        # nor the exact-fraction modules, which only the reports use
+        code = (
+            f"import sys; from goglattice.cli import main; main({argv!r}); "
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules), file=sys.stderr)"
+        )
+        src = str(Path(goglattice.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stderr == "[]\n"
 
     @pytest.mark.parametrize(
         "argv, stdin",

@@ -1,10 +1,13 @@
 """Trivial-meet counting: the transfer-matrix sweep against the inclusion-exclusion
 and census oracles and brute force."""
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import product, zip_longest
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -241,6 +244,11 @@ def store_size():
     return sum(program.size for program in meet_census._PROGRAMS.values())
 
 
+SWEEP_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "sweep_digests.json").read_text()
+)["digests"]
+
+
 class TestTransferProgram:
     """The per-r programs that `_n_min_sweep` compiles once per process."""
 
@@ -308,14 +316,54 @@ class TestTransferProgram:
         assert {r: list(program.closings) for r, program in kept.items()} == {
             2: [15], 3: [15], 4: [15]
         }
+        # one pass kernel per degree 1..r-2 at each position from 2, and one
+        # gather at each position that is not the last
+        kernels = {r: dict(program.kernels) for r, program in kept.items()}
+        gathers = {r: dict(program.gathers) for r, program in kept.items()}
+        assert {r: list(held) for r, held in kernels.items()} == dict.fromkeys(kept, list(range(2, 16)))
+        assert {r: list(held) for r, held in gathers.items()} == dict.fromkeys(kept, list(range(1, 15)))
+        assert {r: {len(k) for k in held.values()} for r, held in kernels.items()} == {
+            2: {0}, 3: {1}, 4: {2}
+        }
         closing = kept[4].closings[15]
-        theorem_report(16, 4)
+        for r in (2, 3, 4):
+            theorem_report(16, r)
         theorem_report(12, 4)  # a shorter call reads the same program
-        # a warm call compiles nothing: the same programs, and one closing
-        # for each position a call ended on
+        # a warm call compiles nothing: the same programs, kernels and
+        # gathers, and one closing for each position a call ended on
         assert all(meet_census._PROGRAMS[r] is program for r, program in kept.items())
         assert list(kept[4].closings) == [15, 11] and kept[4].closings[15] is closing
+        for r, program in kept.items():
+            assert program.kernels == kernels[r] and program.gathers == gathers[r]
+            assert all(program.kernels[pos] is held for pos, held in kernels[r].items())
+            assert all(program.gathers[pos] is held for pos, held in gathers[r].items())
         assert store_size() == 16 + 136 + 816
+
+    @pytest.mark.parametrize("n, r", [(2, 300), (3, 40), (5, 6)])
+    def test_kernels_are_the_rounds_by_destination(self, n, r):
+        # At pos = 1 every degree has one monomial, x_0^e, so no position-1
+        # pass has a kernel: (2, 300) keeps none.  From pos = 2 on, the kernel
+        # of degree e lists, for each monomial m of U in rank order, the
+        # ranks of m x_0, ..., m x_{pos-1} and their factors.
+        meet_census._PROGRAMS = {}
+        assert n_min_exact(n, r) == _n_min_ie(n, r)
+        program = meet_census._PROGRAMS[r]
+        assert list(program.kernels) == list(range(2, n))
+        assert list(program.gathers) == list(range(1, n - 1))
+        p = primitive_counts(n)
+        for pos, kernels in program.kernels.items():
+            assert len(kernels) == r - 2
+            for e, (get, factors) in zip(range(r - 2, 0, -1), kernels):
+                steps = [_transfer._times_x(m, d) for m in _transfer.monomials(e, pos) for d in range(pos)]
+                assert list(get(range(program.size))) == [_transfer.rank(up) for up, _ in steps]
+                assert factors == [(c + 1) * p[i % pos + 1] for i, (_, c) in enumerate(steps)]
+
+    @pytest.mark.parametrize("key", SWEEP_DIGESTS)
+    def test_sweep_gates_keep_their_digests(self, key):
+        n, r = map(int, key.split(","))
+        values = list(_n_min_sweep(n, r))
+        assert len(values) == n
+        assert hashlib.sha256(",".join(map(hex, values)).encode()).hexdigest() == SWEEP_DIGESTS[key]
 
     def test_store_past_the_bound_is_dropped(self):
         meet_census._PROGRAMS = {}
