@@ -551,6 +551,41 @@ class TestUsageErrors:
             main(["asm-count", "--n", "-2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, usage, message",
+        [
+            (
+                ("asm-count", "--n", "-1"), "asm-count [-h] --n N [--method {formula,dp}]",
+                "argument --n: expected a nonnegative integer, got '-1'",
+            ),
+            (
+                ("enumerate", "--n", "0"), "enumerate [-h] --n N [--workers WORKERS]",
+                "argument --n: expected a positive integer, got '0'",
+            ),
+            (
+                ("enumerate", "--n", "x"), "enumerate [-h] --n N [--workers WORKERS]",
+                "argument --n: invalid integer 'x'",
+            ),
+            (
+                ("sample", "--n", "3", "--count", "1", "--seed", str(2**64)),
+                "sample [-h] --n N --count COUNT --seed SEED",
+                "argument --seed: seed '18446744073709551616' does not fit in 64 bits",
+            ),
+            (
+                ("sample", "--n", "3", "--count", "1", "--seed", str(-(2**63) - 1)),
+                "sample [-h] --n N --count COUNT --seed SEED",
+                "argument --seed: seed '-9223372036854775809' does not fit in 64 bits",
+            ),
+        ],
+        ids=["asm-count-negative", "enumerate-zero", "enumerate-not-int", "seed-high", "seed-low"],
+    )
+    def test_integer_argument_rejected(self, capsys, argv, usage, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        name = argv[0]
+        assert capsys.readouterr() == ("", f"usage: gog {usage}\ngog {name}: error: {message}\n")
+
 
 class TestInputOutputErrors:
     def test_missing_input_is_domain_error(self, capsys, tmp_path):
