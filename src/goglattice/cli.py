@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import GogError, VerificationFailure
 
@@ -38,34 +38,25 @@ def _decimal(value: Fraction, sig: int = 12) -> str:
     return f"{exact.normalize():.{sig}g}"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_arg(low: int, high: float, rejected: str) -> Callable[[str], int]:
+    """An argparse type: the int that `text` spells, in [low, high); a value
+    outside is `rejected`, worded with %r for the text."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(rejected % (text,))
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _int64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if not -(2**63) <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed {text!r} does not fit in 64 bits")
-    return value
+_POSITIVE = _int_arg(1, float("inf"), "expected a positive integer, got %r")
+_NONNEGATIVE = _int_arg(0, float("inf"), "expected a nonnegative integer, got %r")
+_SEED = _int_arg(-(2**63), 2**64, "seed %r does not fit in 64 bits")
 
 
 def _read_input(path: str | None) -> str:
@@ -261,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("asm-count", help="exact count of size-n triangles")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--n", type=_NONNEGATIVE, required=True)
     p.add_argument("--method", choices=("formula", "dp"), default="formula")
     p.set_defaults(func=cmd_asm_count)
 
     p = sub.add_parser("enumerate", help="stream all size-n triangles")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
+    p.add_argument("--n", type=_POSITIVE, required=True)
+    p.add_argument("--workers", type=_POSITIVE, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="convert between triangle/matrix forms")
@@ -287,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Print the census, computed on every call; nothing is read or "
         "written, and $GOG_CACHE_DIR is ignored.",
     )
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     p.add_argument("--cache-dir", help=_NO_EFFECT)
-    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
+    p.add_argument("--workers", type=_POSITIVE, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("pmin", help="exact trivial-meet count and probability")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--r", type=_positive_int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
+    p.add_argument("--r", type=_POSITIVE, required=True)
     p.add_argument(
         "--method",
         choices=("ie", "census"),
@@ -303,30 +294,30 @@ def build_parser() -> argparse.ArgumentParser:
         "census: the enumeration oracle, n <= 7",
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
+    p.add_argument("--workers", type=_POSITIVE, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_pmin)
 
     p = sub.add_parser("theorem1", help="ratio p_min*A(n)/r trajectory")
-    p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
+    p.add_argument("--r", type=_POSITIVE, required=True)
+    p.add_argument("--n-max", type=_POSITIVE, required=True)
+    p.add_argument("--workers", type=_POSITIVE, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser("theorem2", help="second-order decomposition table")
-    p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1, help=_NO_EFFECT)
+    p.add_argument("--r", type=_POSITIVE, required=True)
+    p.add_argument("--n-max", type=_POSITIVE, required=True)
+    p.add_argument("--workers", type=_POSITIVE, default=1, help=_NO_EFFECT)
     p.set_defaults(func=cmd_theorem2)
 
     p = sub.add_parser("classes", help="trivial-meet class sizes and bounds")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--r", type=_positive_int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
+    p.add_argument("--r", type=_POSITIVE, required=True)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("sample", help="exact uniform triangle samples")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_int64, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
+    p.add_argument("--count", type=_POSITIVE, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run an invariant suite")
@@ -335,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("bijections", "lattice", "lemmas", "census", "theorems", "all"),
         required=True,
     )
-    p.add_argument("--n-max", type=_positive_int, default=6)
+    p.add_argument("--n-max", type=_POSITIVE, default=6)
     p.set_defaults(func=cmd_verify)
 
     return parser
