@@ -27,7 +27,6 @@ from goglattice import (
     primitive_counts,
     rank,
     sample_uniform,
-    triangles_to_text,
     unrank,
 )
 from goglattice.cli import main
@@ -171,10 +170,6 @@ class TestEnumeration:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             list(enumerate_triangles(8))
-
-    def test_cli_workers_byte_identical(self, capsys, universe):
-        assert main(["enumerate", "--n", "4", "--workers", "2"]) == 0
-        assert capsys.readouterr().out == triangles_to_text(universe(4))
 
     def test_every_triangle_is_valid(self, universe):
         for t in universe(6):
