@@ -1,10 +1,12 @@
 """Time `n_min_exact` at the sweep's gate set and write BENCH_sweep.json.
 
-Each case (n, r) runs in RUNS fresh interpreters.  A run times a first call,
-which compiles the program for r and fills A(n) and P(n), then a repeat,
-and its peak RSS is read with `wait4`.  One more fresh interpreter
+Each case (n, r) runs in RUNS fresh interpreters, taken round-robin: run
+i of every case before run i + 1 of any, so that a machine that drifts
+between passes moves every case alike.  A run times a first call, which
+builds the program for r and fills A(n) and P(n), then a repeat, and its
+peak RSS is read with `wait4`.  One more fresh interpreter
 per case traces allocations with `tracemalloc` through a single call and
-records the memory the call keeps: the compiled program, its kernels and
+records the memory the call keeps: the program, its kernels and
 the caches of A and P.  Run from the repository root:
 
     python scripts/bench_sweep.py [--runs RUNS] [--case N,R ...] [--output PATH]
@@ -91,14 +93,21 @@ def _summary(samples: list[float]) -> dict:
     }
 
 
-def measure(n: int, r: int, runs: int) -> dict:
-    """One case: `runs` timed interpreters, then one traced."""
-    timed = [_child(n, r, False) for _ in range(runs)]
-    row = {"n": n, "r": r}
-    for key in ("first_s", "repeat_s", "peak_rss_mib"):
-        row[key] = _summary([sample[key] for sample in timed])
-    row["kept_mib"] = _child(n, r, True)["kept_mib"]
-    return row
+def measure(cases: list[tuple[int, int]], runs: int) -> list[dict]:
+    """One row per case: `runs` timed interpreters, round-robin, so that run
+    i of every case comes before run i + 1 of any; then one traced each."""
+    timed: list[list[dict]] = [[] for _ in cases]
+    for _ in range(runs):
+        for samples, (n, r) in zip(timed, cases):
+            samples.append(_child(n, r, False))
+    rows = []
+    for samples, (n, r) in zip(timed, cases):
+        row = {"n": n, "r": r}
+        for key in ("first_s", "repeat_s", "peak_rss_mib"):
+            row[key] = _summary([sample[key] for sample in samples])
+        row["kept_mib"] = _child(n, r, True)["kept_mib"]
+        rows.append(row)
+    return rows
 
 
 def _case(text: str) -> tuple[int, int]:
@@ -121,7 +130,7 @@ def main(argv: list[str]) -> int:
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "runs": args.runs,
-        "cases": [measure(n, r, args.runs) for n, r in args.cases or GATES],
+        "cases": measure(args.cases or GATES, args.runs),
     }
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(report, indent=1) + "\n")
