@@ -175,7 +175,7 @@ def lemma_margins(n_max: int, subset_limit: int = 64, seed: int = 20240817) -> L
     exhaustive while 2^(n-1) <= subset_limit and seeded samples beyond,
     always including the prefix sets {1..k} (which attain equality).
     """
-    if n_max < 2:
+    if type(n_max) is not int or n_max < 2:
         raise bound_error("lemma_margins", "n_max", n_max, 2)
     report = LemmaMargins(n_max)
     for i1 in range(1, n_max + 1):

@@ -101,6 +101,8 @@ class TrianglePrefix(_Frozen):
 
     def __init__(self, n: int, level: int, row: Sequence[int]) -> None:
         row = tuple(row)
+        if type(level) is not int:
+            raise bound_error("TrianglePrefix", "level", level, 0)
         if not 0 <= level <= n:
             raise ShapeMismatch(f"level {level} outside [0, {n}]")
         if len(row) != level:

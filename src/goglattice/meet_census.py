@@ -128,7 +128,7 @@ def avoid_count(n: int, t_set: RowSet | tuple[int, ...] | list[int]) -> int:
     >>> avoid_count(3, (1,)), avoid_count(3, (1, 2))
     (5, 4)
     """
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise bound_error("avoid_count", "n", n, 0)
     members = _sorted_members(n, t_set)
     a = [asm_number(i) for i in range(n + 1)]
@@ -145,6 +145,8 @@ def primitive_counts(m_max: int) -> list[int]:
     >>> primitive_counts(6)
     [0, 1, 1, 4, 29, 343, 6536]
     """
+    if type(m_max) is not int:
+        raise bound_error("primitive_counts", "m_max", m_max, 0)
     p = _P_CACHE
     if len(p) <= m_max:
         a = [asm_number(m) for m in range(m_max + 1)]

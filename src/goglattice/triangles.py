@@ -38,6 +38,7 @@ from .errors import (
     SizeTooSmall,
     StrictIncreaseViolated,
     TriangleError,
+    bound_error,
 )
 
 Rows = tuple[tuple[int, ...], ...]
@@ -354,6 +355,8 @@ def validate_triangle(n: int, rows: Sequence[Sequence[int]]) -> MonotoneTriangle
 def extremal_triangle(n: int, which: str) -> MonotoneTriangle:
     """The unique minimal ("min", a(i,j) = j) or maximal ("max",
     a(i,j) = n-i+j) element of the size-n lattice."""
+    if type(n) is not int:
+        raise bound_error("extremal_triangle", "n", n, 1)
     if n < 1:
         raise SizeTooSmall(f"no monotone triangles of size {n}")
     if which == "min":
@@ -373,6 +376,8 @@ def near_minimal_triangle(n: int, which: str) -> MonotoneTriangle:
     "top" replaces the top row of the minimal triangle by (2,); "penult"
     replaces row n-1 by (1, 2, ..., n-2, n).  Both need n >= 2.
     """
+    if type(n) is not int:
+        raise bound_error("near_minimal_triangle", "n", n, 2)
     if which not in ("top", "penult"):
         raise ValueError(f"which must be 'top' or 'penult', got {which!r}")
     if n < 2:
@@ -407,6 +412,8 @@ class RowSet(_Frozen):
     mask: int
 
     def __init__(self, n: int, mask: int) -> None:
+        if type(n) is not int:
+            raise bound_error("RowSet", "n", n, 1)
         if n < 1:
             raise RowOutOfRange(f"row-set universe must be positive, got {n}")
         if mask < 0 or mask >> n:

@@ -9,19 +9,24 @@ import pytest
 import goglattice
 from goglattice import (
     LimitExceeded,
+    RowSet,
     TrianglePrefix,
     asm_number,
     asm_number_dp,
+    avoid_count,
     build_census,
     class_sizes,
     completions_count,
     enumerate_triangles,
     extremal_triangle,
     gap_product_census,
+    lemma_margins,
     load_or_build_census,
     n_min_census,
     n_min_exact,
+    near_minimal_triangle,
     p_extreme,
+    primitive_counts,
     rank,
     reversed_census,
     run_histogram_report,
@@ -119,6 +124,14 @@ NOT_A_SIZE = {
     "n_min_census-r": (lambda: n_min_census(3, 2.0), "r", "float 2.0"),
     "class_sizes": (lambda: class_sizes(3.0, 2), "n", "float 3.0"),
     "class_sizes-r": (lambda: class_sizes(3, 2.0), "r", "float 2.0"),
+    "TrianglePrefix-level": (lambda: TrianglePrefix(3, 1.0, (2,)), "level", "float 1.0"),
+    "extremal_triangle": (lambda: extremal_triangle(3.0, "min"), "n", "float 3.0"),
+    "extremal_triangle-bool": (lambda: extremal_triangle(True, "min"), "n", "bool True"),
+    "near_minimal_triangle": (lambda: near_minimal_triangle(3.0, "top"), "n", "float 3.0"),
+    "avoid_count": (lambda: avoid_count(3.0, ()), "n", "float 3.0"),
+    "primitive_counts": (lambda: primitive_counts(3.0), "m_max", "float 3.0"),
+    "lemma_margins": (lambda: lemma_margins(3.0), "n_max", "float 3.0"),
+    "RowSet": (lambda: RowSet(3.0, 1), "n", "float 3.0"),
 }
 
 
