@@ -1,4 +1,5 @@
-"""The compiled transfer-matrix sweep behind `meet_census._n_min_sweep`.
+"""The transfer-matrix sweep behind `meet_census._n_min_sweep`, built one
+position at a time.
 
 The sweep's state before position pos is the polynomial Q described in
 `meet_census`.  After the first step every monomial carries x_0, so
@@ -11,24 +12,35 @@ is D^r Q / r! = U_{r-1}, and the next state is
 
 a gather from the U_a.  Once x_0, ..., x_{pos-1} are in play, every list
 holds every monomial of its degree in them, so with the monomials of each
-degree ranked, a pass of D is the same at every position up to its length:
-the coefficient of m in D U is the sum over d < pos of (c + 1) P(d+1) times
-the coefficient of m x_d, c the multiplicity of d in m.  A `Program`
-compiles those ranks and factors once, for the widest position, into one
-flat list per degree (`rounds`).  On first use at a position it copies the
-part that position reads into a kernel, each monomial's pos sources side by
-side, so a pass there is one gather, one multiply and one sum of pos terms
-per monomial, with the exact division by j in the same map: list-wide maps,
-with no Python step per edge.  The gather of the next state gets one kernel
-per position the same way.  At pos = 1 every degree holds the one monomial
-x_0^e, so that step is scalar arithmetic and keeps no kernel.
-`rank` is the one ranking function: the program finds every position it
-holds, of a product m x_d or of a gathered monomial, with `rank`.
+degree ranked (`rank`), the coefficient of m in D U is the sum over d < pos
+of (c + 1) P(d+1) times the coefficient of m x_d, c the multiplicity of d
+in m.  A `Program` keeps, for each position it has passed, one kernel per
+degree: each monomial's pos source ranks side by side, and their factors.
+A pass there is one gather, one multiply and one sum of pos terms per
+monomial, with the exact division by j in the same map: list-wide maps,
+with no Python step per edge.  At pos = 1 every degree holds the one
+monomial x_0^e, so that step is scalar arithmetic and keeps no kernel.
+
+The kernels at pos + 1 are built from those at pos, with no `rank` call.
+In rank order, the monomials of degree e in x_0, ..., x_pos are those in
+x_0, ..., x_{pos-1}, then m' x_pos for every m' of degree e - 1 in x_0,
+..., x_pos.  So the kernel of degree e at pos + 1 is first the one at pos,
+each row reading one more source, m x_pos, at rank C(pos+e, e+1) + rank(m)
+with factor P(pos+1); then the kernel of degree e - 1 at pos + 1, its ranks
+shifted by C(pos+e, e+1), and each row's x_pos factor raised by P(pos+1),
+as m' x_pos holds one x_pos more than m'.  (Degree 0 reads x_d, at rank d,
+with factor P(d+1).)  Both parts are strided slice assignments and maps.
+
+The gather lays U_0, ..., U_{r-1} end to end, without padding, and appends
+a 0.  The monomials of S' are listed once, in rank order, as far as the
+widest position gathered, each with the U_a and the rank (`rank`) of its
+two terms; at each position these become the terms' positions in that
+position's concatenation, and a missing second term reads the 0.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import chain, islice, repeat
 from math import comb
 from operator import add, itemgetter, mul
 from typing import Iterator
@@ -42,7 +54,8 @@ def monomials(e: int, width: int) -> Iterator[Monomial]:
 
     The order is colex on the sorted distances t_1 <= ... <= t_e, so for
     every w the monomials in x_0, ..., x_{w-1} come first, C(w+e-1, e) of
-    them.
+    them.  A width of 0 sets no end: the listing goes on as far as it is
+    read.
     """
     if e == 0:
         yield ()
@@ -73,76 +86,49 @@ def rank(m: Monomial) -> int:
     return total
 
 
-def _times_x(m: Monomial, d: int) -> tuple[Monomial, int]:
-    """m x_d, and the multiplicity of d in m."""
-    for k, (t, c) in enumerate(m):
-        if t == d:
-            return m[:k] + ((d, c + 1),) + m[k + 1 :], c
-        if t > d:
-            return m[:k] + ((d, 1),) + m[k:], 0
-    return m + ((d, 1),), 0
-
-
 class Program:
-    """The sweep compiled for one r and every position up to `width`.
+    """The sweep for one r, grown one position at a time.
 
-    `rounds[e]` holds the pass into U of degree e >= 1 (degree 0 is a dot
-    product with P(1), P(2), ...): entry d * C(width+e-1, e) + i holds, for
-    the i-th monomial m and x_d, the rank of m x_d and its factor.
-    `gather` holds, for each monomial of S', the two positions it sums in
-    the concatenation of U_0, ..., U_{r-1}, each padded to its length at
-    `width` (`strides`), then a 0.  `size` counts the monomials of every
-    degree below r in x_0, ..., x_{width-1}.  Three stores are filled on
-    first use at a position pos and kept with the program:
+    `kernels[pos]`, for every pos from 2 to `top`, holds the passes into
+    U_1, ..., U_{r-2} at pos: for degree e = r - 2, ..., 1, an `itemgetter`
+    over the ranks of m x_0, ..., m x_{pos-1} in U of degree e + 1, for each
+    monomial m of degree e in rank order, and their factors in the same
+    order.  `top` is the widest position passed, and `rows` keeps the rank
+    and factor lists there, by degree from 1, for `kernels_at` to build
+    those at top + 1 from.  `size` counts the monomials of every degree
+    below r in x_0, ..., x_{top-1}.  Two more stores are filled on first
+    use at a position:
 
-    - `kernels[pos]`, for pos >= 2, the passes into U_1, ..., U_{r-2}: an
-      `itemgetter` over the ranks of m x_0, ..., m x_{pos-1} for each
-      monomial m in rank order, and their factors in the same order;
     - `gathers[pos]`, for a step that is not the last, an `itemgetter` over
-      the two positions of each monomial of S', side by side;
+      the two positions of each monomial of S' in U_0, ..., U_{r-1} at pos,
+      laid end to end without padding, with a 0 appended past them for a
+      missing second term;
     - `closings[pos]`, for a last step, the weights that evaluate it.
 
-    A kernel at pos holds pos entries per monomial of its degree at pos, so
-    all of them together hold more than `rounds`.
+    `listing` lists the monomials of S' in rank order, as far as it is
+    read, and `parts` and `places` hold, for each one listed, the U_a of
+    each of its two terms and the term's rank there.  Every rank and
+    position that a kernel or a gather holds is an entry of the one table
+    `ints`, so that each int exists once per program.
     """
 
     __slots__ = (
-        "r", "width", "size", "rounds", "strides", "gather", "closings", "kernels", "gathers"
+        "r", "top", "size", "rows", "kernels", "listing", "parts", "places", "ints", "gathers",
+        "closings",
     )
 
-    def __init__(self, r: int, width: int, p: list[int]) -> None:
+    def __init__(self, r: int) -> None:
         self.r = r
-        self.width = width
-        self.size = comb(width + r - 1, r - 1)
-        self.rounds: list[tuple[list[int], list[int]] | None] = [None]
-        for e in range(1, r - 1):
-            stride = comb(width + e - 1, e)
-            ups = [0] * (width * stride)
-            factors = [0] * (width * stride)
-            for i, m in enumerate(monomials(e, width)):
-                for d in range(width):
-                    up, mult = _times_x(m, d)
-                    ups[d * stride + i] = rank(up)
-                    factors[d * stride + i] = (mult + 1) * p[d + 1]
-            self.rounds.append((ups, factors))
-        # U_a has degree r - 1 - a
-        self.strides = [comb(width + r - 2 - a, r - 1 - a) for a in range(r)]
-        offsets = list(accumulate(self.strides, initial=0))
-        first: list[int] = []
-        second: list[int] = []
-        for m in monomials(r - 1, width):
-            a = m[0][1] if m and m[0][0] == 0 else 0
-            u = tuple((d - 1, c) for d, c in m[1 if a else 0 :])
-            first.append(offsets[a] + rank(u))
-            if u and u[0][0] == 0:
-                v = (((0, u[0][1] - 1),) if u[0][1] > 1 else ()) + u[1:]
-                second.append(offsets[a + 1] + rank(v))
-            else:
-                second.append(offsets[r])
-        self.gather = (first, second)
-        self.closings: dict[int, list[int]] = {}
+        self.top, self.size = 1, r
+        # at pos = 1, x_0^e reads x_0^(e+1), rank 0, with factor (e + 1) P(1)
+        self.rows = [([0], [e + 1]) for e in range(1, r - 1)]
         self.kernels: dict[int, list[tuple[itemgetter, list[int]]]] = {}
+        self.listing = monomials(r - 1, 0)
+        self.parts: list[int] = []
+        self.places: list[int] = []
+        self.ints: list[int] = []
         self.gathers: dict[int, itemgetter] = {}
+        self.closings: dict[int, list[int]] = {}
 
     def closing(self, pos: int, p: list[int]) -> list[int]:
         """Weights of U_0, ..., U_{r-1} at pos, in order: the closing for the
@@ -167,39 +153,70 @@ class Program:
             self.closings[pos] = weights
         return weights
 
-    def kernels_at(self, pos: int) -> list[tuple[itemgetter, list[int]]]:
-        """The passes into U_1, ..., U_{r-2} at pos >= 2, filled on first use
-        from `rounds`: for each monomial of U_j in rank order, the pos ranks
-        it reads in U_{j-1}, and their factors."""
+    def kernels_at(self, pos: int, p: list[int]) -> list[tuple[itemgetter, list[int]]]:
+        """The passes into U_1, ..., U_{r-2} at 2 <= pos <= top + 1, built on
+        first use from `rows`, the kernels at pos - 1 = top."""
         kernels = self.kernels.get(pos)
         if kernels is None:
-            kernels = self.kernels[pos] = []
-            for e in range(self.r - 2, 0, -1):
-                stride, n = comb(self.width + e - 1, e), comb(pos + e - 1, e)
+            q, ints, gain = pos - 1, self.ints, p[pos]  # x_q is new, and D x_q = P(pos)
+            self.top, self.size = pos, comb(pos + self.r - 1, self.r - 1)
+            # Every rank here is below C(pos+r-2, r-1), the length of U_0 at
+            # pos, so `ints` holds it: a sweep reaching pos has built the
+            # gather at q, which fills `ints` past that.
+            # degree 0 at pos: the one monomial reads x_d with factor P(d+1)
+            lower = (ints[:pos], p[1 : pos + 1])
+            for e, old in enumerate(self.rows, 1):
+                # The monomials of degree e at pos are those at q, each now
+                # reading m x_q too, then m' x_q for m' of degree e - 1 at pos.
+                n, shift = comb(q + e - 1, e), comb(q + e, e + 1)
                 ranks, factors = [0] * (n * pos), [0] * (n * pos)
-                for out, row in zip((ranks, factors), self.rounds[e]):
-                    for d in range(pos):
-                        out[d::pos] = row[d * stride : d * stride + n]
-                kernels.append((itemgetter(*ranks), factors))
+                for out, row in zip((ranks, factors), old):
+                    for d in range(q):
+                        out[d::pos] = row[d::q]
+                ranks[q::pos] = ints[shift : shift + n]
+                factors[q::pos] = [gain] * n
+                ranks += map(ints.__getitem__, map(add, lower[0], repeat(shift)))
+                tail = lower[1][:]
+                tail[q::pos] = map(add, tail[q::pos], repeat(gain))
+                factors += tail
+                self.rows[e - 1] = lower = (ranks, factors)
+            kernels = self.kernels[pos] = [
+                (itemgetter(*ranks), factors) for ranks, factors in reversed(self.rows)
+            ]
         return kernels
 
     def gather_at(self, pos: int) -> itemgetter:
-        """The gather of S' for pos + 1, filled on first use: the two
-        positions of each of its monomials in `gather`, side by side."""
+        """The gather of S' for pos + 1, built on first use from the
+        monomials of S' that `listing` has listed, C(pos+r-1, r-1) of them."""
         getter = self.gathers.get(pos)
         if getter is None:
-            size = comb(pos + self.r - 1, self.r - 1)
-            first, second = self.gather
-            pairs = chain.from_iterable(zip(first[:size], second[:size]))
-            getter = self.gathers[pos] = itemgetter(*pairs)
+            r, parts, places, ints = self.r, self.parts, self.places, self.ints
+            count = comb(pos + r - 1, r - 1)
+            for m in islice(self.listing, count - len(parts) // 2):
+                a = m[0][1] if m and m[0][0] == 0 else 0
+                u = tuple((d - 1, c) for d, c in m[1 if a else 0 :])
+                parts.append(a)
+                places.append(rank(u))
+                if u and u[0][0] == 0:
+                    parts.append(a + 1)
+                    places.append(rank((((0, u[0][1] - 1),) if u[0][1] > 1 else ()) + u[1:]))
+                else:
+                    parts.append(r)  # the appended 0
+                    places.append(0)
+            # U_a, ..., U_{r-1} have degrees r - 1 - a down to 0 in pos
+            # distances, C(pos+r-1-a, r-1-a) monomials in all, so U_a starts
+            # that many before the end, `count`, where the 0 is appended.
+            offsets = [count - comb(pos + r - 1 - a, r - 1 - a) for a in range(r)] + [count]
+            ints += range(len(ints), count + 1)
+            positions = map(add, map(offsets.__getitem__, parts[: 2 * count]), places)
+            getter = self.gathers[pos] = itemgetter(*map(ints.__getitem__, positions))
         return getter
 
     def sweep(self, n_max: int, p: list[int]) -> Iterator[int]:
-        """Yield N_min(n, r) for n = 1..n_max, 2 <= n_max <= width + 1;
-        p must reach P(n_max)."""
-        r, strides = self.r, self.strides
+        """Yield N_min(n, r) for n = 1..n_max, n_max >= 2; p must reach
+        P(n_max)."""
+        r = self.r
         p1 = p[1:]  # P(d+1) for d = 0, 1, ...
-        zeros = [0] * strides[0]
         state = [1]  # S = x_0^(r-1)
         for pos in range(1, n_max):
             last = pos == n_max - 1
@@ -207,10 +224,9 @@ class Program:
                 # The last step moves nothing: it evaluates S' at the P.
                 weights = iter(self.closing(pos, p))
                 total = sum(map(mul, state, weights))
-            else:
-                flat = state + zeros[: strides[0] - len(state)]
-            kernels = self.kernels_at(pos) if pos > 1 else ()
-            level = state
+            kernels = self.kernels_at(pos, p) if pos > 1 else ()
+            # A step that is not the last lays U_1, ..., U_{r-1} after U_0 = S.
+            level = flat = state
             for j in range(1, r):
                 if pos == 1:
                     # one monomial x_0^e per degree, and D x_0^(e+1) = (e+1) P(1) x_0^e
@@ -225,7 +241,6 @@ class Program:
                     total += 2 * sum(map(mul, level, weights))
                 else:
                     flat += level
-                    flat += zeros[: strides[j] - len(level)]
             # U_{r-1} = Q(P(1), P(2), ...), the weight of every component
             # jumping to pos: the closing for n = pos.
             yield level[0]

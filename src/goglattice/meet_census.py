@@ -33,13 +33,12 @@ n <= n_max, and its last step evaluates Q' at the P instead of storing it.
 
 Neither D nor the shift depends on the position or on n_max, and once
 x_0, ..., x_{pos-1} are in play a step works on every monomial of each
-degree in them, so `_transfer` compiles the sweep for each r once per
-process into flat lists of positions and factors that serve every
-position, copies the part each position reads into a kernel on first use
-there, and runs each step as a few list-wide maps, with no Python step per
-edge.  A call that goes further compiles a wider program in its place.  The
-program holds no coefficient: every call redoes all the arithmetic, and no
-N_min value persists between calls.  A call that ends with more than
+degree in them, so `_transfer` keeps one program per r per process, grown
+one position at a time, the first time a call reaches it: each position's
+kernels are built from the previous position's, and each step runs as a
+few list-wide maps, with no Python step per edge.  The program holds no
+coefficient: every call redoes all the arithmetic, and no N_min value
+persists between calls.  A call that ends with more than
 TRANSFER_LIMIT_DEFAULT monomials across all programs drops them all, so the
 largest admitted calls leave at most that many behind.
 
@@ -365,10 +364,10 @@ def _check_transfer_limit(n: int, r: int, limit: int) -> None:
             )
 
 
-# One compiled program per r (see `_transfer`).  A call that needs a wider
-# program compiles a new one in its place, and a call that ends with more
-# monomials than the state limit across all r drops the store by rebinding
-# it, so a sweep still suspended at a yield keeps the program it holds.
+# One program per r (see `_transfer`), grown by each call that goes further
+# than the calls before it.  A call that ends with more monomials than the
+# state limit across all r drops the store by rebinding it, so a sweep still
+# suspended at a yield keeps the program it holds.
 _PROGRAMS: dict[int, _transfer.Program] = {}
 
 
@@ -385,11 +384,11 @@ def _n_min_sweep(n_max: int, r: int) -> Iterator[int]:
     try:
         p = primitive_counts(n_max)
         program = _PROGRAMS.get(r)
-        if program is None or program.width < n_max - 1:
-            # Loaded here, so that a command that never sweeps never compiles it.
+        if program is None:
+            # Loaded here, so that a command that never sweeps never loads it.
             from ._transfer import Program
 
-            program = _PROGRAMS[r] = Program(r, n_max - 1, p)
+            program = _PROGRAMS[r] = Program(r)
         yield from program.sweep(n_max, p)
     finally:
         if sum(q.size for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:

@@ -244,6 +244,30 @@ def store_size():
     return sum(program.size for program in meet_census._PROGRAMS.values())
 
 
+def times_x(m, d):
+    """The monomial m x_d as ascending (distance, multiplicity) pairs, and
+    the multiplicity of d in m."""
+    counts = dict(m)
+    c = counts.get(d, 0)
+    counts[d] = c + 1
+    return tuple(sorted(counts.items())), c
+
+
+def check_kernels(program, p):
+    # From pos = 2 on, the kernel of degree e lists, for each monomial m of
+    # U in rank order, the ranks of m x_0, ..., m x_{pos-1} and their
+    # factors (c + 1) P(d+1), c the multiplicity of d in m.
+    for pos, kernels in program.kernels.items():
+        assert len(kernels) == max(program.r - 2, 0)
+        for e, (get, factors) in zip(range(program.r - 2, 0, -1), kernels):
+            steps = [times_x(m, d) for m in _transfer.monomials(e, pos) for d in range(pos)]
+            assert list(get(range(program.size))) == [_transfer.rank(up) for up, _ in steps]
+            assert factors == [(c + 1) * p[i % pos + 1] for i, (_, c) in enumerate(steps)]
+
+
+EVERY_POSITION = range(1 << 40)  # reads a gather's positions back as ints
+
+
 SWEEP_DIGESTS = json.loads(
     (Path(__file__).resolve().parent / "data" / "sweep_digests.json").read_text()
 )["digests"]
@@ -266,8 +290,8 @@ class TestTransferProgram:
         assert store_size() <= TRANSFER_LIMIT_DEFAULT
 
     def test_interleaved_sweeps_at_one_r(self):
-        # Each later sweep compiles a wider program while the ones before it
-        # are suspended in theirs.
+        # The three sweeps share one program: whichever reaches a position
+        # first builds it, while the others are suspended.
         meet_census._PROGRAMS = {}
         sweeps = [_n_min_sweep(9, 4), _n_min_sweep(12, 4), _n_min_sweep(14, 4)]
         got = [[], [], []]
@@ -276,7 +300,59 @@ class TestTransferProgram:
                 if value is not None:
                     out.append(value)
         assert got == [swept_oracle(4)[:n] for n in (9, 12, 14)]
-        assert meet_census._PROGRAMS[4].width == 13
+        program = meet_census._PROGRAMS[4]
+        assert program.top == 13 and program.size == comb(13 + 3, 3)
+        assert list(program.kernels) == list(range(2, 14))
+        assert list(program.gathers) == list(range(1, 13))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), max_size=40),
+    )
+    @example(4, [9, 12, 14], [0, 1, 2] * 9)
+    @example(3, [12, 2, 6], [2, 1, 0, 0, 0, 1, 1, 1, 1])
+    def test_widening_keeps_every_position(self, r, ns, schedule):
+        # Sweeps at one r, started in order and advanced in any interleaving,
+        # then run out: a kernel equals its definition, a gather equals the
+        # one a program built straight to its position holds, and a
+        # position, once served, keeps the same objects.
+        meet_census._PROGRAMS = {}
+        sweeps = [_n_min_sweep(n, r) for n in ns]
+        got = [[] for _ in ns]
+        served = {}
+
+        def advance(i):
+            value = next(sweeps[i], None)
+            if value is not None:
+                got[i].append(value)
+            program = meet_census._PROGRAMS.get(r)
+            if program is not None:
+                for key, store in (("kernel", program.kernels), ("gather", program.gathers)):
+                    for pos, held in store.items():
+                        assert served.setdefault((key, pos), held) is held
+
+        for i in schedule:
+            advance(i % len(ns))
+        for i, n in enumerate(ns):
+            for _ in range(n + 1):
+                advance(i)
+        assert got == [swept_oracle(r)[:n] for n in ns]
+        if max(ns) == 1:
+            assert r not in meet_census._PROGRAMS  # n = 1 builds nothing
+            return
+        program = meet_census._PROGRAMS[r]
+        top = max(ns) - 1
+        assert (program.top, program.size) == (top, comb(top + r - 1, r - 1))
+        assert list(program.kernels) == list(range(2, top + 1))
+        assert sorted(program.gathers) == list(range(1, top))
+        p = primitive_counts(max(ns))
+        check_kernels(program, p)
+        straight = _transfer.Program(r)
+        assert list(straight.sweep(max(ns), p)) == swept_oracle(r)[: max(ns)]
+        for pos, getter in program.gathers.items():
+            assert getter(EVERY_POSITION) == straight.gathers[pos](EVERY_POSITION)
 
     @pytest.mark.parametrize("n, r", [(2, 300), (4, 31)])
     def test_store_holds_pair_keys(self, n, r):
@@ -289,7 +365,7 @@ class TestTransferProgram:
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
         width = n - 1
-        assert program.width == width
+        assert program.top == width
         per_degree = {}
         for e in range(r):
             keys = list(_transfer.monomials(e, width))
@@ -300,11 +376,13 @@ class TestTransferProgram:
             assert [_transfer.rank(key) for key in keys] == list(range(len(keys)))
             per_degree[e] = len(keys)
             assert len(keys) == comb(e + n - 2, n - 2)
-        assert program.strides == [per_degree[e] for e in reversed(range(r))]
         for e in range(1, r - 1):
-            ups, factors = program.rounds[e]
+            ups, factors = program.rows[e - 1]
             assert len(ups) == len(factors) == width * per_degree[e]
-        assert [len(part) for part in program.gather] == [per_degree[r - 1]] * 2
+        # The monomials of S' gathered at n - 2, two terms each; at n = 2 the
+        # one step is the last, which gathers nothing.
+        listed = 2 * per_degree[r - 1] if n > 2 else 0
+        assert len(program.parts) == len(program.places) == listed
         assert program.size == {(2, 300): 300, (4, 31): 5456}[n, r]
 
     def test_trivial_meet_set_stays(self):
@@ -342,21 +420,13 @@ class TestTransferProgram:
     @pytest.mark.parametrize("n, r", [(2, 300), (3, 40), (5, 6)])
     def test_kernels_are_the_rounds_by_destination(self, n, r):
         # At pos = 1 every degree has one monomial, x_0^e, so no position-1
-        # pass has a kernel: (2, 300) keeps none.  From pos = 2 on, the kernel
-        # of degree e lists, for each monomial m of U in rank order, the
-        # ranks of m x_0, ..., m x_{pos-1} and their factors.
+        # pass has a kernel: (2, 300) keeps none.
         meet_census._PROGRAMS = {}
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
         assert list(program.kernels) == list(range(2, n))
         assert list(program.gathers) == list(range(1, n - 1))
-        p = primitive_counts(n)
-        for pos, kernels in program.kernels.items():
-            assert len(kernels) == r - 2
-            for e, (get, factors) in zip(range(r - 2, 0, -1), kernels):
-                steps = [_transfer._times_x(m, d) for m in _transfer.monomials(e, pos) for d in range(pos)]
-                assert list(get(range(program.size))) == [_transfer.rank(up) for up, _ in steps]
-                assert factors == [(c + 1) * p[i % pos + 1] for i, (_, c) in enumerate(steps)]
+        check_kernels(program, primitive_counts(n))
 
     @pytest.mark.parametrize("key", SWEEP_DIGESTS)
     def test_sweep_gates_keep_their_digests(self, key):
@@ -374,12 +444,14 @@ class TestTransferProgram:
         for n, r in ((13, 6), (17, 5)):
             n_min_exact(n, r)
         assert store_size() <= TRANSFER_LIMIT_DEFAULT
-        n_min_exact(26, 4)  # compiles r = 4 anew while in_flight is suspended
-        assert held[4].size == 3276 and store_size() == 6188 + 4845 + 3276
+        n_min_exact(26, 4)  # grows in_flight's program while it is suspended
+        assert held[4] is program and program.size == 3276
+        assert store_size() == 6188 + 4845 + 3276
         n_min_exact(5, 25)  # 20,475 more monomials, 34,784 in all
         assert meet_census._PROGRAMS == {}
         # dropped by rebinding: the suspended sweep's program is left whole
-        assert program.width == 15 and program.size == 816
+        assert (program.top, program.size) == (25, 3276)
+        assert len(program.kernels) == 24
         assert head + list(in_flight) == swept_oracle(4, 16)
         assert list(_n_min_sweep(14, 4)) == swept_oracle(4)
 
