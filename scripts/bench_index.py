@@ -1,0 +1,95 @@
+"""Time the successor index at n = 12 and write BENCH_index.json.
+
+The cases, each timed in fresh interpreters by the round-robin runner of
+`bench_sweep.py`:
+
+- index: the cold `_index(12)` build (`first_s`), the work of a first
+  `completions_count`;
+- sample: with the index built, `sample_uniform(12, 1000, 2024)`: a first
+  call (`first_s`), which makes room for the index's block marks and fills
+  those of the rows it reaches, then a repeat;
+- round-trip: with the index built, `rank(unrank(12, k)) == k` for 1000
+  fixed k: a first pass, which fills marks likewise, then a repeat.
+
+A case's traced interpreter starts `tracemalloc` after the untimed index
+build, so `kept_mib` is the index for `index` and the block marks for the
+other two.  Run from the repository root:
+
+    python scripts/bench_index.py [--runs RUNS] [--case NAME ...] [--output PATH]
+
+The cases default to all three with RUNS = 10, about half a minute on 2
+vCPUs, and PATH to BENCH_index.json.  The file has the layout of
+BENCH_sweep.json, with the case's name in place of (n, r).
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from bench_sweep import ROOT, measure, write_report
+
+OUTPUT = ROOT / "BENCH_index.json"
+CASES = ["index", "sample", "round-trip"]
+RUNS = 10
+
+# argv: case, traced.  Prints one JSON object.
+CHILD = """
+import json, random, sys, time
+from goglattice.enumeration import _index, rank, sample_uniform, unrank
+case, traced = sys.argv[1], int(sys.argv[2])
+n = 12
+if case == "index":
+    calls = {"first_s": lambda: _index(n)}
+else:
+    draw = random.Random(2024).randrange
+    ks = [draw(_index(n).counts[0]) for _ in range(1000)]
+    def sample():
+        sample_uniform(n, 1000, 2024)
+    def round_trip():
+        if any(rank(unrank(n, k)) != k for k in ks):
+            sys.exit("rank(unrank(n, k)) != k")
+    call = sample if case == "sample" else round_trip
+    calls = {"first_s": call, "repeat_s": call}
+if traced:
+    import gc, tracemalloc
+    tracemalloc.start()
+    for call in calls.values():
+        call()
+    gc.collect()
+    print(json.dumps({"kept_mib": tracemalloc.get_traced_memory()[0] / 2**20}))
+else:
+    times = {}
+    for key, call in calls.items():
+        start = time.perf_counter()
+        call()
+        times[key] = time.perf_counter() - start
+    print(json.dumps(times))
+"""
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=RUNS)
+    parser.add_argument("--case", choices=CASES, action="append", dest="cases")
+    parser.add_argument("--output", type=Path, default=OUTPUT)
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs needs at least 1, got {args.runs}")
+    cases = args.cases or CASES
+    rows = [{"case": case, **row} for case, row in zip(cases, measure(CHILD, [(case,) for case in cases], args.runs))]
+    call = "the successor index at n = 12 in a fresh interpreter: a first call, then a repeat"
+    write_report(args.output, "index", call, args.runs, rows)
+    for row in rows:
+        repeat = f"\trepeat {row['repeat_s']['median']:.4f} s" if "repeat_s" in row else ""
+        print(
+            f"{row['case']}\tfirst {row['first_s']['median']:.4f} s{repeat}"
+            f"\tpeak RSS {row['peak_rss_mib']['median']:.1f} MiB\tkept {row['kept_mib']:.3f} MiB"
+            f"\treference {row['reference_s']['median'] * 1e3:.2f} ms"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

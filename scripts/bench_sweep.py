@@ -16,8 +16,13 @@ PATH to BENCH_sweep.json.  The package is imported from `src/` of the
 checkout holding this script.  The file records the interpreter, the
 platform and the CPU count, and for each case the samples of every timing
 and RSS with their minimum, median and maximum.  Times are raw wall
-clock, so on a shared machine two trees compare only by alternating their
-runs.  Uses only the standard library; `os.wait4` makes it Unix-only.
+clock, and a shared machine's speed drifts between passes far more than
+two trees differ, so each run also times a fixed reference kernel that
+does not touch the package (`reference_s`): two passes compare by their
+times over their reference times, or by alternating their runs.  Uses
+only the standard library; `os.wait4` makes it Unix-only.
+
+`measure` is the runner; `bench_index.py` times the successor index with it.
 """
 
 from __future__ import annotations
@@ -63,27 +68,38 @@ else:
 """
 
 # A process's max RSS starts from its parent's RSS when it is spawned, so
-# CHILD is spawned by this launcher, run with -S and only builtin modules,
+# a CHILD is spawned by this launcher, run with -S and only builtin modules,
 # which stays below any CHILD.  It prints CHILD's max RSS in KiB after
-# CHILD's own line.
+# CHILD's own line, then the median of five timings of a fixed reference
+# kernel (the one of perfbench/run.py), taken after CHILD exits so that
+# they leave its RSS alone.
 LAUNCH = """
-import os, sys
+import gc, os, sys, time
 argv = [sys.executable, "-c", *sys.argv[1:]]
 _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
 if os.waitstatus_to_exitcode(status):
     sys.exit(1)
 print(usage.ru_maxrss // 1024 if sys.platform == "darwin" else usage.ru_maxrss)
+def kernel():
+    started = time.perf_counter()
+    table = {}
+    for i in range(20_000):
+        key = (i & 255, (i >> 8) & 15)
+        table[key] = table.get(key, 0) + i * i
+    return time.perf_counter() - started
+gc.disable()
+print(sorted(kernel() for _ in range(5))[2])
 """
 
 
-def _child(n: int, r: int, traced: bool) -> dict:
+def _child(child: str, case: tuple, traced: bool) -> dict:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", LAUNCH, CHILD, str(n), str(r), str(int(traced))],
+        [sys.executable, "-S", "-c", LAUNCH, child, *map(str, case), str(int(traced))],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
-    line, kib = done.stdout.splitlines()
-    return {**json.loads(line), "peak_rss_mib": int(kib) / 1024}
+    line, kib, reference = done.stdout.splitlines()
+    return {**json.loads(line), "peak_rss_mib": int(kib) / 1024, "reference_s": float(reference)}
 
 
 def _summary(samples: list[float]) -> dict:
@@ -93,21 +109,40 @@ def _summary(samples: list[float]) -> dict:
     }
 
 
-def measure(cases: list[tuple[int, int]], runs: int) -> list[dict]:
-    """One row per case: `runs` timed interpreters, round-robin, so that run
-    i of every case comes before run i + 1 of any; then one traced each."""
+def measure(child: str, cases: list[tuple], runs: int) -> list[dict]:
+    """One row per case for the code `child`, which takes the case's items
+    and a traced flag (0 or 1) as arguments and prints one JSON object: its
+    timings, or when traced the memory it kept as `kept_mib`.  Each case
+    runs in `runs` timed interpreters, round-robin, so that run i of every
+    case comes before run i + 1 of any; then in one traced interpreter.  A
+    row summarizes each timing, the peak RSS and the reference time, and
+    holds the kept memory."""
     timed: list[list[dict]] = [[] for _ in cases]
     for _ in range(runs):
-        for samples, (n, r) in zip(timed, cases):
-            samples.append(_child(n, r, False))
+        for samples, case in zip(timed, cases):
+            samples.append(_child(child, case, False))
     rows = []
-    for samples, (n, r) in zip(timed, cases):
-        row = {"n": n, "r": r}
-        for key in ("first_s", "repeat_s", "peak_rss_mib"):
-            row[key] = _summary([sample[key] for sample in samples])
-        row["kept_mib"] = _child(n, r, True)["kept_mib"]
+    for samples, case in zip(timed, cases):
+        row = {key: _summary([sample[key] for sample in samples]) for key in samples[0]}
+        row["kept_mib"] = _child(child, case, True)["kept_mib"]
         rows.append(row)
     return rows
+
+
+def write_report(path: Path, bench: str, call: str, runs: int, cases: list[dict]) -> None:
+    """Write the cases' rows to `path` under the interpreter, the platform
+    and the CPU count."""
+    report = {
+        "bench": bench,
+        "call": call,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "runs": runs,
+        "cases": cases,
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=1) + "\n")
 
 
 def _case(text: str) -> tuple[int, int]:
@@ -123,22 +158,16 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error(f"--runs needs at least 1, got {args.runs}")
-    report = {
-        "bench": "sweep",
-        "call": "n_min_exact(n, r) in a fresh interpreter: a first call, then a repeat",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
-        "runs": args.runs,
-        "cases": measure(args.cases or GATES, args.runs),
-    }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=1) + "\n")
-    for row in report["cases"]:
+    cases = args.cases or GATES
+    rows = [{"n": n, "r": r, **row} for (n, r), row in zip(cases, measure(CHILD, cases, args.runs))]
+    call = "n_min_exact(n, r) in a fresh interpreter: a first call, then a repeat"
+    write_report(args.output, "sweep", call, args.runs, rows)
+    for row in rows:
         print(
             f"({row['n']}, {row['r']})\tfirst {row['first_s']['median']:.4f} s"
             f"\trepeat {row['repeat_s']['median']:.4f} s"
             f"\tpeak RSS {row['peak_rss_mib']['median']:.1f} MiB\tkept {row['kept_mib']:.2f} MiB"
+            f"\treference {row['reference_s']['median'] * 1e3:.2f} ms"
         )
     return 0
 

@@ -36,10 +36,19 @@ reads the distinguished rows off the ids (row i is 1, ..., i iff its
 id is 2^i - 1), and `meet_census.reversed_census` reads the rows at their
 maximum off the same walk (row i is n-i+1, ..., n iff its id is
 (2^i - 1) 2^(n-i)).  Ranking, unranking and uniform sampling go down one
-path of the tree, weighted by the completion counts, each step a scan of
-the row's segment in C: `pick` accumulates the counts and bisects for the
-successor whose block of completions holds an index, and a rank step sums
-the counts before the successor's position.
+path of the tree, weighted by the completion counts (the recursive method
+of Nijenhuis and Wilf).  A row's first pick scans its segment in C: it
+accumulates the counts and bisects them for the successor whose run of
+completions holds an index, and keeps the row's marks, the completions
+of its first 16, 32, ... successors (a one-level cousin of Fenwick's
+cumulative-frequency table).  Every later pick at the row bisects its
+marks for the block of 16 successors that holds the index and accumulates
+that block alone, and a rank step adds the mark before the successor's
+block to at most 15 counts; at a row that no pick has reached, a rank
+step sums the counts before the successor.  Room for the marks, about
+130 KiB at n = 12, is made by the first pick, so counting alone makes
+none; they are `array("Q")` items while A(n) < 2^64, and Python ints past
+it (n >= 14).
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it.  Its production route, the
@@ -77,7 +86,8 @@ if TYPE_CHECKING:
     from .meet_census import CensusTable
 
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
-SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 13 s and 140 MiB
+_BLOCK = 16  # successors per cumulative mark of the successor index
+SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 9 s and 140 MiB
 
 # The census lives in `meet_census`.  These names resolve here to its objects
 # on first use, so that enumerating or sampling does not load it.
@@ -128,9 +138,10 @@ def _id(row: tuple[int, ...]) -> int:
 
 class _SuccessorIndex:
     """For every row of a size-n triangle, by id: its completion count and
-    the ids of its interlacing successors in enumeration order."""
+    the ids of its interlacing successors in enumeration order; and, from
+    its first `pick` on, its block marks."""
 
-    __slots__ = ("counts", "edges", "ends", "low", "high")
+    __slots__ = ("counts", "edges", "ends", "low", "high", "marks")
 
     def __init__(self, n: int) -> None:
         # Imported here, so that a process that never builds an index (every
@@ -167,6 +178,24 @@ class _SuccessorIndex:
             counts[i] = sum(map(counts.__getitem__, self.successors(i)))
         self.low = _SMALL_ROWS
         self.high = _rows_by_mask(9, n)
+        self.marks = None  # see _make_room
+
+    def _make_room(self) -> Sequence[int]:
+        """Zeros for every row's marks, made on the first pick.
+
+        The completions of a row's successors before edges[p], for p =
+        a + _BLOCK, a + 2 _BLOCK, ... below b, where edges[a:b] are its
+        successors, are its marks, at marks[p // _BLOCK]: from a // _BLOCK + 1
+        on, without gaps, and before the next row's, which start past
+        b // _BLOCK.  A row's marks are filled by its first pick and are
+        then never 0, since each sums _BLOCK counts or more.  A mark is below
+        the row's count, so it fits in a "Q" item when A(n) does.
+        """
+        from array import array
+
+        size = len(self.edges) // _BLOCK + 1
+        self.marks = array("Q", bytes(8 * size)) if self.counts[0] >> 64 == 0 else [0] * size
+        return self.marks
 
     def row(self, i: int) -> tuple[int, ...]:
         # For i < 256 this is the `_SMALL_ROWS` object itself: CPython's
@@ -184,18 +213,45 @@ class _SuccessorIndex:
         return self.edges[self.ends[i] : self.ends[i + 1]]
 
     def pick(self, i: int, k: int) -> tuple[int, int]:
-        """The successor of row i whose block of completions holds index k,
+        """The successor of row i whose run of completions holds index k,
         in the enumeration order below row i, and k less the completions
-        skipped to reach it.  Needs 0 <= k < counts[i]."""
-        succ = self.successors(i)
-        ends = list(accumulate(map(self.counts.__getitem__, succ), initial=0))
-        j = bisect_right(ends, k) - 1
-        return succ[j], k - ends[j]
+        skipped to reach it.  Needs 0 <= k < counts[i].
+
+        Bisects row i's marks for the block of _BLOCK successors that holds
+        k, then accumulates and bisects that block's counts alone.  The row's
+        first pick accumulates all its counts instead, and keeps its marks."""
+        ends = self.ends
+        a, b = ends[i], ends[i + 1]
+        marks = self.marks or self._make_room()
+        lo = a // _BLOCK + 1
+        hi = lo + (b - a - 1) // _BLOCK  # row i's marks are marks[lo:hi]
+        filled = hi > lo and marks[lo]
+        if filled:
+            block = bisect_right(marks, k, lo, hi)
+            if block > lo:
+                k -= marks[block - 1]
+                a += (block - lo) * _BLOCK
+            b = min(a + _BLOCK, b)
+        succ = self.edges[a:b]
+        before = list(accumulate(map(self.counts.__getitem__, succ), initial=0))
+        if hi > lo and not filled:  # the row's first pick
+            for at, mark in zip(range(lo, hi), before[_BLOCK::_BLOCK]):
+                marks[at] = mark
+        j = bisect_right(before, k) - 1
+        return succ[j], k - before[j]
 
     def skipped(self, i: int, j: int) -> int:
-        """The completions below row i that come before those of its successor j."""
-        succ = self.successors(i)
-        return sum(map(self.counts.__getitem__, succ[: succ.index(j)]))
+        """The completions below row i that come before those of its successor
+        j: the mark of the blocks before j's, plus fewer than _BLOCK counts,
+        once a pick has filled row i's marks; until then, every count
+        before j's."""
+        a, b = self.ends[i], self.ends[i + 1]
+        at = self.edges.index(j, a, b)
+        start = at - (at - a) % _BLOCK
+        marks = self.marks
+        if start == a or marks is None or not marks[a // _BLOCK + 1]:
+            return sum(map(self.counts.__getitem__, self.edges[a:at]))
+        return marks[start // _BLOCK] + sum(map(self.counts.__getitem__, self.edges[start:at]))
 
 
 _INDEXES: dict[int, _SuccessorIndex] = {}  # n -> index, filled once per process

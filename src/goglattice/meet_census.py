@@ -144,7 +144,7 @@ def primitive_counts(m_max: int) -> list[int]:
     >>> primitive_counts(6)
     [0, 1, 1, 4, 29, 343, 6536]
     """
-    if type(m_max) is not int:
+    if type(m_max) is not int or m_max < 0:
         raise bound_error("primitive_counts", "m_max", m_max, 0)
     p = _P_CACHE
     if len(p) <= m_max:

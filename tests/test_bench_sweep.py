@@ -1,28 +1,49 @@
-"""scripts/bench_sweep.py on a tiny set of cases."""
+"""scripts/bench_sweep.py and scripts/bench_index.py on tiny sets of cases."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMED = {"peak_rss_mib", "reference_s"}  # summarized in every row beside the case's own timings
 
 
-def test_writes_one_row_per_case(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("bench_sweep", ROOT / "scripts" / "bench_sweep.py")
+def load(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # bench_index imports bench_sweep
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    output = tmp_path / "BENCH_sweep.json"
-    assert script.main(["--runs", "2", "--case", "3,2", "--case", "4,3", "--output", str(output)]) == 0
-    report = json.loads(output.read_text())
+    return script
+
+
+def check_rows(report, bench, runs, labels, timings):
     assert set(report) == {"bench", "call", "python", "platform", "cpus", "runs", "cases"}
-    assert (report["bench"], report["runs"]) == ("sweep", 2)
-    assert [(row["n"], row["r"]) for row in report["cases"]] == [(3, 2), (4, 3)]
-    for row in report["cases"]:
-        assert set(row) == {"n", "r", "first_s", "repeat_s", "peak_rss_mib", "kept_mib"}
-        for key in ("first_s", "repeat_s", "peak_rss_mib"):
+    assert (report["bench"], report["runs"]) == (bench, runs)
+    assert len(report["cases"]) == len(timings)
+    for row, label, keys in zip(report["cases"], labels, timings):
+        assert {key: row[key] for key in label} == label
+        assert set(row) == set(label) | keys | TIMED | {"kept_mib"}
+        for key in keys | TIMED:
             summary = row[key]
             assert set(summary) == {"min", "median", "max", "samples"}
-            assert len(summary["samples"]) == 2
+            assert len(summary["samples"]) == runs
             assert 0 < summary["min"] <= summary["median"] <= summary["max"]
         assert row["kept_mib"] > 0
+
+
+def test_writes_one_row_per_case(tmp_path, capsys, monkeypatch):
+    script = load("bench_sweep", monkeypatch)
+    output = tmp_path / "BENCH_sweep.json"
+    assert script.main(["--runs", "2", "--case", "3,2", "--case", "4,3", "--output", str(output)]) == 0
+    timings = [{"first_s", "repeat_s"}] * 2
+    check_rows(json.loads(output.read_text()), "sweep", 2, [{"n": 3, "r": 2}, {"n": 4, "r": 3}], timings)
     assert capsys.readouterr().out.splitlines()[0].startswith("(3, 2)\tfirst ")
+
+
+def test_index_writes_one_row_per_case(tmp_path, capsys, monkeypatch):
+    script = load("bench_index", monkeypatch)
+    output = tmp_path / "BENCH_index.json"
+    assert script.main(["--runs", "2", "--case", "index", "--case", "round-trip", "--output", str(output)]) == 0
+    labels = [{"case": "index"}, {"case": "round-trip"}]
+    check_rows(json.loads(output.read_text()), "index", 2, labels, [{"first_s"}, {"first_s", "repeat_s"}])
+    assert capsys.readouterr().out.splitlines()[1].startswith("round-trip\tfirst ")

@@ -1,9 +1,14 @@
 """Enumeration order, ranking, exact sampling, and the census with its file format."""
 
+import gc
 import hashlib
 import os
+import random
 import time
+import tracemalloc
+from array import array
 from functools import cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +35,16 @@ from goglattice import (
     unrank,
 )
 from goglattice.cli import main
-from goglattice.enumeration import INDEX_MAX_N, SAMPLE_LIMIT_DEFAULT, _id, _index, _rows_by_mask
+from goglattice.enumeration import (
+    _BLOCK,
+    _INDEXES,
+    INDEX_MAX_N,
+    SAMPLE_LIMIT_DEFAULT,
+    _SuccessorIndex,
+    _id,
+    _index,
+    _rows_by_mask,
+)
 from goglattice.triangles import _validate_rows, interlacing_successors
 
 CENSUS3_TEXT = "MTCENSUS v1 n=3 total=7\n4 4\n5 1\n6 1\n7 1\n"
@@ -313,6 +327,75 @@ class TestSuccessorIndex:
                 assert (index.row(succ), residual) == linear_pick(n, prev, k)
             for cand in interlacing_successors(prev, n):
                 assert index.skipped(i, _id(cand)) == linear_skipped(n, prev, cand)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 12])
+    def test_pick_and_skipped_at_block_edges(self, n):
+        # Rows with more than one block of successors: every row at n <= 10,
+        # a fixed sample of them at n = 12.  skipped agrees with the linear
+        # walk before the row's first pick and after it; that pick leaves the
+        # completions before each block but the first as the row's marks; and
+        # an index at a mark or next to it is then picked as the walk picks it.
+        table = linear_counts(n)
+        index = _SuccessorIndex(n)  # no row's marks filled yet
+        wide = {}  # row -> its successors, if more than one block
+        for row in table:
+            succ = list(interlacing_successors(row, n)) if len(row) < n else []
+            if len(succ) > _BLOCK:
+                wide[row] = succ
+        rows = list(wide)
+        if n == 12:  # 40 rows at random and the widest, with 233 successors
+            rows = random.Random(12).sample(rows, 40) + [max(rows, key=lambda row: len(wide[row]))]
+            assert len(wide[rows[-1]]) == 233
+        for prev in rows:
+            i = _id(prev)
+            succ = wide[prev]
+            before = list(accumulate((table[cand] for cand in succ), initial=0))
+            marks = before[_BLOCK : len(succ) : _BLOCK]
+            skipped = [linear_skipped(n, prev, cand) for cand in succ]
+            assert [index.skipped(i, _id(cand)) for cand in succ] == skipped
+            assert index.pick(i, table[prev] - 1) == (_id(succ[-1]), table[succ[-1]] - 1)
+            lo = index.ends[i] // _BLOCK + 1
+            assert index.marks[lo : lo + len(marks)].tolist() == marks
+            for k in {k for mark in marks for k in (mark - 1, mark, mark + 1)} | {0, table[prev] - 1}:
+                if 0 <= k < table[prev]:
+                    succ_id, residual = index.pick(i, k)
+                    assert (index.row(succ_id), residual) == linear_pick(n, prev, k)
+            assert [index.skipped(i, _id(cand)) for cand in succ] == skipped
+
+    def test_exact_past_two_to_the_64(self):
+        # A(14) exceeds 2^64, so the marks are a list of Python ints there.
+        total = asm_number(14)
+        assert total >> 64
+        try:
+            ks = [0, 1, 2, total // 2, total - 3, total - 2, total - 1]
+            draw = random.Random(14).randrange
+            ks += [draw(total) for _ in range(5)]
+            for k in ks:
+                assert rank(unrank(14, k, limit=14), limit=14) == k
+            assert unrank(14, 0, limit=14) == extremal_triangle(14, "min")
+            assert unrank(14, total - 1, limit=14) == extremal_triangle(14, "max")
+            assert type(_INDEXES[14].marks) is list
+        finally:
+            _INDEXES.pop(14, None)  # about 10 MiB that no other test reads
+
+    def test_marks_are_built_on_first_use_and_small(self, monkeypatch):
+        monkeypatch.delitem(_INDEXES, 12, raising=False)
+        assert completions_count(TrianglePrefix(12, 0, ())) == asm_number(12)
+        assert rank(extremal_triangle(12, "max")) == asm_number(12) - 1
+        index = _INDEXES[12]
+        assert index.marks is None  # counting and ranking make no room for marks
+        ends = index.ends
+        widest = max(range(1 << 12), key=lambda i: ends[i + 1] - ends[i])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert index.pick(widest, 0) == (index.edges[ends[widest]], 0)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert type(index.marks) is array and index.marks.typecode == "Q"
+        assert kept <= 0.25 * 2**20
 
     def test_ids_cover_every_row(self):
         # each id is a strictly increasing row, and back; both row tables in use

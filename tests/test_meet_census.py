@@ -155,6 +155,13 @@ class TestNMin:
         for m in range(1, 8):
             assert censuses(m).counts[1 << (m - 1)] == p[m]
 
+    def test_primitive_counts_refuse_a_negative_bound(self):
+        primitive_counts(10)  # a negative slice bound would count from the end of this cache
+        assert primitive_counts(0) == [0]
+        for m_max in (-1, -5):
+            with pytest.raises(ValueError, match=f"primitive_counts needs m_max >= 0, got {m_max}"):
+                primitive_counts(m_max)
+
     def test_lower_bound(self):
         for n in range(1, 9):
             for r in (2, 3):
