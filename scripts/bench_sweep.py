@@ -18,7 +18,8 @@ platform and the CPU count, and for each case the samples of every timing
 and RSS with their minimum, median and maximum.  Times are raw wall
 clock, and a shared machine's speed drifts between passes far more than
 two trees differ, so each run also times a fixed reference kernel that
-does not touch the package (`reference_s`): two passes compare by their
+does not touch the package, just before and just after the interpreter,
+and records the mean (`reference_s`): two passes compare by their
 times over their reference times, or by alternating their runs.  Uses
 only the standard library; `os.wait4` makes it Unix-only.
 
@@ -70,16 +71,12 @@ else:
 # A process's max RSS starts from its parent's RSS when it is spawned, so
 # a CHILD is spawned by this launcher, run with -S and only builtin modules,
 # which stays below any CHILD.  It prints CHILD's max RSS in KiB after
-# CHILD's own line, then the median of five timings of a fixed reference
-# kernel (the one of perfbench/run.py), taken after CHILD exits so that
-# they leave its RSS alone.
+# CHILD's own line, then the mean of two reference times, each the median
+# of five timings of a fixed kernel (the one of perfbench/run.py): one
+# taken just before CHILD starts and one just after it exits, as
+# perfbench/run.py scales its setup times.
 LAUNCH = """
 import gc, os, sys, time
-argv = [sys.executable, "-c", *sys.argv[1:]]
-_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
-if os.waitstatus_to_exitcode(status):
-    sys.exit(1)
-print(usage.ru_maxrss // 1024 if sys.platform == "darwin" else usage.ru_maxrss)
 def kernel():
     started = time.perf_counter()
     table = {}
@@ -87,8 +84,16 @@ def kernel():
         key = (i & 255, (i >> 8) & 15)
         table[key] = table.get(key, 0) + i * i
     return time.perf_counter() - started
+def reference():
+    return sorted(kernel() for _ in range(5))[2]
 gc.disable()
-print(sorted(kernel() for _ in range(5))[2])
+before = reference()
+argv = [sys.executable, "-c", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+if os.waitstatus_to_exitcode(status):
+    sys.exit(1)
+print(usage.ru_maxrss // 1024 if sys.platform == "darwin" else usage.ru_maxrss)
+print((before + reference()) / 2)
 """
 
 

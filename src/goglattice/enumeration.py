@@ -21,17 +21,16 @@ walker (`_walk`), whose stack holds iterators over segments of the index
 and which yields the row ids of each triangle; a row at level n-1 has one
 successor, the bottom row, so the deepest level needs no stack frame.
 Enumeration maps the ids to the index's shared row tuples, and every
-triangle is still built through `MonotoneTriangle` and fully validated:
-each triangle's bottom row is checked, and its adjacent row pairs are
-looked up in the set of pairs that the full check has already accepted (at
-most (3^7 - 1)/2 of them up to n = 7), so a pair shared by thousands of
-triangles is checked in full only the first time.  The rows with entries
-in 1..8 come from one table for the process, `triangles._SMALL_ROWS` (256
-rows, by id), which every index uses for its low eight bits; its objects
-are known to be exact tuples of exact ints, so a triangle made of them
-skips the entry-type pass.  `rows()` is that table itself for n <= 8 (for
-n < 8 only the ids below 2^n are rows of [n]), and `unrank` and
-`sample_uniform` at n <= 8 hand out its objects too.  The census
+triangle is still built through `MonotoneTriangle` and fully validated.
+The rows with entries in 1..8 come from one table for the process,
+`triangles._SMALL_ROWS` (256 rows, by id), which every index uses for its
+low eight bits, so enumeration, `unrank` and `sample_uniform` at n <= 8
+hand out its objects alone.  Those are known to be exact tuples of exact
+ints, so for a triangle made of them validation checks that the bottom
+row is the table's 1, ..., n and looks its adjacent row pairs up in the
+set of pairs that the full check has already accepted (at most
+(3^8 - 1)/2 of them), and a pair shared by thousands of triangles is
+checked in full only the first time.  The census
 reads the distinguished rows off the ids (row i is 1, ..., i iff its
 id is 2^i - 1), and `meet_census.reversed_census` reads the rows at their
 maximum off the same walk (row i is n-i+1, ..., n iff its id is
@@ -203,10 +202,7 @@ class _SuccessorIndex:
         return self.low[i & 0xFF] + self.high[i >> 8]
 
     def rows(self) -> Sequence[tuple[int, ...]]:
-        """Every row, by id; for n < 8, the 256 rows of [8], of which the
-        ids below 2^n are the rows of [n]."""
-        if len(self.high) == 1:  # n <= 8
-            return self.low
+        """Every row, by id."""
         return list(map(self.row, range(len(self.counts))))
 
     def successors(self, i: int) -> Sequence[int]:

@@ -95,10 +95,7 @@ def _is_valid_fast(rows: Rows, n: int) -> bool:
     return all(map(lt, a, b)) and all(map(le, a, c)) and all(map(le, c, b))
 
 
-_PAIRS_MAX_N = 7  # equal to counting.ENUM_LIMIT_DEFAULT, the enumeration size
-_STAIRCASES = tuple(_staircase(n) for n in range(_PAIRS_MAX_N + 1))
 _PAIRS: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-_TUPLE = {tuple}
 
 
 def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
@@ -115,60 +112,43 @@ _SMALL_ROWS = tuple(_rows_by_mask(1, 8))
 _EXACT = frozenset(map(id, _SMALL_ROWS))
 
 
-def _has_verified_pairs(rows: Rows, n: int) -> bool:
-    """True only if every entry is an exact `int`, every row an exact tuple,
-    the bottom row 1, ..., n, and every adjacent pair of rows in `_PAIRS`.
-
-    A row whose id is in `_EXACT` is one of the `_SMALL_ROWS` objects: they
-    live for the process, so no other live object has their id.  When every
-    row is one of them, the types are known and their passes are skipped.
-    """
-    if not _EXACT.issuperset(map(id, rows)):
-        try:
-            if set(map(type, chain.from_iterable(rows))) != _INT:
-                return False
-        except TypeError:  # a row that is not iterable
-            return False
-        if set(map(type, rows)) != _TUPLE:
-            return False
-    return rows[-1] == _STAIRCASES[n] and _PAIRS.issuperset(zip(rows, rows[1:]))
-
-
 def _validate_rows(rows: Rows) -> None:
     """Raise the first violation in reading order (top to bottom, left to right).
 
     A triangle is valid exactly when every entry is an exact `int`, the
     bottom row is 1, ..., n, and every adjacent pair (upper, lower) is valid
     on its own: lower strictly increases, has one entry more than upper, and
-    interlaces it (the row lengths then follow up from the bottom row).  A
-    pair's validity does not depend on n, so for 3 <= n <= 7 the pairs of
-    every triangle that the checks below accepted, with every row an exact
-    tuple, are kept in `_PAIRS`.  A triangle of that size whose entries are
-    exact ints, whose rows are exact tuples, whose bottom row is 1, ..., n
-    and whose every pair is in the set is accepted with no further check.
-    The set holds only pairs of rows with entries in 1..7, at most
-    (3^7 - 1)/2 of them, so it needs no eviction; larger triangles skip it.
-    The types need no pass when every row is one of the `_SMALL_ROWS`
-    objects, as every enumerated row is: those live for the process, so a
-    row whose id is in `_EXACT` is one of them, an exact tuple of exact ints.
+    interlaces it.  The verified-pair set `_PAIRS` serves only triangles
+    whose every row is one of the `_SMALL_ROWS` objects (so 1 <= n <= 8),
+    as every enumerated row is.  Those objects live for the process, so a
+    row whose id is in `_EXACT` is one of them, an exact tuple of exact ints
+    whose equality and hash can be trusted.  Such a triangle whose bottom
+    row is the table's object for 1, ..., n and whose every pair is in the
+    set is accepted with no further check, and one that the passes below
+    accept adds its pairs.  The set holds pairs of rows of [8] alone, at most
+    (3^8 - 1)/2 of them, so it needs no eviction.
 
     Any other triangle of size n >= 3 goes through a few C-level passes over
     its reading sequence: the row lengths equal the staircase, every entry's
     type is exactly `int`, the bottom row is 1, ..., n, and at every anchor
     (i, j) three `all(map(...))` passes check a(i, j) < a(i, j+1),
-    a(i, j) <= a(i-1, j) and a(i-1, j) <= a(i, j+1).  Any other input,
-    including one with `bool` or int-subclass entries, and every triangle of
-    size 1 or 2, falls through to the reading-order loop
-    `_validate_rows_slow`, which accepts or raises exactly as before, so the
-    set and the passes only save time.
+    a(i, j) <= a(i-1, j) and a(i-1, j) <= a(i, j+1).  Whatever they reject,
+    and every other triangle of size 1 or 2, goes to the reading-order loop
+    `_validate_rows_slow`, which accepts or raises, so the set and the passes
+    only save time.
     """
     n = len(rows)
-    memo = 3 <= n <= _PAIRS_MAX_N
-    if memo and _has_verified_pairs(rows, n):
+    bottom = (1 << n) - 1  # the id of the row 1, ..., n
+    table = (
+        0 < bottom < len(_SMALL_ROWS)
+        and _EXACT.issuperset(map(id, rows))
+        and rows[-1] is _SMALL_ROWS[bottom]
+    )
+    if table and _PAIRS.issuperset(zip(rows, rows[1:])):
         return
     if n < 3 or not _is_valid_fast(rows, n):
         _validate_rows_slow(rows)
-    elif memo and set(map(type, rows)) == _TUPLE:
+    elif table:
         _PAIRS.update(zip(rows, rows[1:]))
 
 
@@ -496,7 +476,6 @@ class ColumnSumMatrix(_Frozen):
         return MonotoneTriangle.from_column_sum(self)
 
     def to_asm(self) -> "AlternatingSignMatrix":
-        n = self.n
         out = [self.entries[0]]
         for prev, row in zip(self.entries, self.entries[1:]):
             out.append(tuple(b - a for a, b in zip(prev, row)))

@@ -100,6 +100,39 @@ def test_only_errors_constructs_limit_exceeded():
     assert found == []
 
 
+def _own_nodes(function):
+    """The nodes of a function's body outside nested function and class bodies."""
+    todo = list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # A name read anywhere in the function, nested scopes included, counts
+    # as read; `_` is the name for a value that is thrown away.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(function) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+            read.update(
+                name
+                for node in ast.walk(function)
+                if isinstance(node, (ast.Global, ast.Nonlocal))
+                for name in node.names
+            )
+            for node in _own_nodes(function):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    if node.id != "_" and node.id not in read:
+                        found.append(f"{path.name}:{node.lineno} {node.id}")
+    assert found == []
+
+
 # One row per entry point with a size or count argument: a float, a bool or a
 # str in its place is refused before any work, with the argument named.
 NOT_A_SIZE = {

@@ -4,7 +4,7 @@ import hashlib
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +43,6 @@ from goglattice import (
     validate_triangle,
 )
 from goglattice import triangles
-from goglattice.counting import ENUM_LIMIT_DEFAULT
 from goglattice.enumeration import _index
 from goglattice.lattice import join, meet
 from goglattice.triangles import (
@@ -267,6 +266,15 @@ class TestValidatorFastPath:
             (S[1], tuple([1, 2]), S[7]),
             (tuple([2]), S[6], S[7]),
             (tuple([3]), S[3], S[7]),
+            # table objects at n = 8 and 9, where the table ends, and at n = 1, 2
+            tuple(S[2**i - 1] for i in range(1, 9)),
+            (*(S[2**i - 1] for i in range(1, 8)), S[127]),
+            (*(S[2**i - 1] for i in range(1, 8)), tuple(range(1, 9))),
+            (*(S[2**i - 1] for i in range(1, 9)), S[255]),
+            (S[1],),
+            (S[2],),
+            (S[1], S[3]),
+            (S[2], S[3]),
         ],
     )
     def test_edge_cases(self, rows):
@@ -289,27 +297,30 @@ class TestVerifiedPairs:
     """The set of verified adjacent-row pairs behind `_validate_rows`."""
 
     def test_bound_and_contents(self):
-        assert triangles._PAIRS_MAX_N == ENUM_LIMIT_DEFAULT
+        # Only triangles made of `_SMALL_ROWS` objects read or fill the set.
         triangles._PAIRS.clear()
         parse_triangles("1\n1 2\n1 2 3\n\n3\n2 3\n1 2 3\n")
         validate_triangle(4, [[2], [1, 3], [1, 2, 4], [1, 2, 3, 4]])
         MonotoneTriangle([[1], [1, 3], [1, 2, 3]])
-        assert len(triangles._PAIRS) == 9
+        assert not triangles._PAIRS
         for n in range(1, 8):
             deque(enumerate_triangles(n), maxlen=0)
         full = set(triangles._PAIRS)
-        assert len(full) <= (3**7 - 1) // 2
-        assert all(map(is_exact_pair, full))
         assert full == {
             (upper, lower)
             for k in range(1, 7)
             for upper in combinations(range(1, 8), k)
             for lower in interlacing_successors(upper, 7)
         }
+        unrank(8, asm_number(8) - 1), sample_uniform(8, 50, 8)
+        assert len(triangles._PAIRS) <= (3**8 - 1) // 2
+        assert triangles._EXACT.issuperset(map(id, chain.from_iterable(triangles._PAIRS)))
+        assert triangles._PAIRS > full
+        after_eight = set(triangles._PAIRS)
         ts = sample_uniform(12, 3, 2024)
         meet(ts), join(ts)
         validate_triangle(12, [list(row) for row in ts[0].rows])
-        assert triangles._PAIRS == full
+        assert triangles._PAIRS == after_eight
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_stream_text_cold_and_warm(self, n):
