@@ -148,23 +148,23 @@ class _SuccessorIndex:
         from array import array
 
         size = 1 << n
-        bits = _BIT[1 : n + 1]
+        tails = [_BIT[v : n + 1] for v in range(1, n + 2)]  # the bits of entries v..n
         # Row i's successors are edges[ends[i]:ends[i + 1]].  Those of the
         # empty row are (1,), ..., (n,).  Those of a row with last entry b are
         # the successors p of the row without b that end at or below b, in
         # order, each followed by every entry from b (from b + 1 if p ends at
         # b) to n; the row without b has a smaller id, so its run is in place.
-        self.edges = edges = array("H", bits)
+        self.edges = edges = array("H", tails[0])
         self.ends = ends = array("L", [0]) * (size + 1)
         ends[1] = n
         for i in range(1, size):
             b = i.bit_length()
             top = 1 << (b - 1)  # the bit of entry b
             end = top << 1  # p < end: p ends at or below b
-            from_b, past_b = bits[b - 1 :], bits[b:]
+            from_b, past_b = tails[b - 1], tails[b]
             edges.extend([
                 p + bit
-                for p in self.successors(i ^ top)
+                for p in edges[ends[i ^ top] : ends[(i ^ top) + 1]]
                 if p < end
                 for bit in (from_b if p < top else past_b)
             ])
@@ -174,7 +174,7 @@ class _SuccessorIndex:
         self.counts = counts = [0] * size
         counts[-1] = 1  # the forced bottom row
         for i in range(size - 2, -1, -1):
-            counts[i] = sum(map(counts.__getitem__, self.successors(i)))
+            counts[i] = sum(map(counts.__getitem__, edges[ends[i] : ends[i + 1]]))
         self.low = _SMALL_ROWS
         self.high = _rows_by_mask(9, n)
         self.marks = None  # see _make_room

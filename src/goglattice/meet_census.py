@@ -34,9 +34,11 @@ n <= n_max, and its last step evaluates Q' at the P instead of storing it.
 Neither D nor the shift depends on the position or on n_max, and once
 x_0, ..., x_{pos-1} are in play a step works on every monomial of each
 degree in them, so `_transfer` keeps one program per r per process, grown
-one position at a time, the first time a call reaches it: each position's
-kernels are built from the previous position's, and each step runs as a
-few list-wide maps, with no Python step per edge.  The program holds no
+one position at a time, the first time a call reaches it.  It lists each
+degree's monomials in lex order on their sorted distances, in which each
+position's kernels are built from the previous position's and the next
+state is the passes' results laid end to end, so each step runs as a few
+list-wide maps, with no Python step per edge.  The program holds no
 coefficient: every call redoes all the arithmetic, and no N_min value
 persists between calls.  A call that ends with more than
 TRANSFER_LIMIT_DEFAULT monomials across all programs drops them all, so the
@@ -502,9 +504,11 @@ class ClassSizes(_Record):
 def class_bound(n: int, r: int, v: int) -> int | None:
     """The upper bound the counting argument assigns to class C_v, or None
     where no bound is claimed (the tail class is bounded only coarsely)."""
-    if r < 1:
+    if type(n) is not int:  # an int n below v fails as n - v below
+        raise bound_error("class_bound", "n", n, 1)
+    if type(r) is not int or r < 1:
         raise bound_error("class_bound", "r", r, 1)
-    if v < 1:
+    if type(v) is not int or v < 1:
         raise bound_error("class_bound", "v", v, 1)
     if v > n:
         raise bound_error("class_bound", "n - v", n - v, 0)
@@ -636,9 +640,9 @@ class MeetCensusReport(_Record):
 
 def decompose(n: int, r: int, n_min: int) -> MeetCensusReport:
     """Build the report for a precomputed trivial-meet count (n >= 2)."""
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise bound_error("decompose", "n", n, 2)
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise bound_error("decompose", "r", r, 1)
     from fractions import Fraction
 

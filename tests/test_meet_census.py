@@ -5,8 +5,8 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import product, zip_longest
-from math import comb
+from itertools import combinations_with_replacement, product, zip_longest
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -251,28 +251,37 @@ def store_size():
     return sum(program.size for program in meet_census._PROGRAMS.values())
 
 
-def times_x(m, d):
-    """The monomial m x_d as ascending (distance, multiplicity) pairs, and
-    the multiplicity of d in m."""
-    counts = dict(m)
-    c = counts.get(d, 0)
-    counts[d] = c + 1
-    return tuple(sorted(counts.items())), c
+def lex(e, width):
+    """The monomials of degree e in x_0, ..., x_{width-1} as sorted distance
+    tuples, in the sweep's order."""
+    return list(combinations_with_replacement(range(width), e))
+
+
+EVERY_RANK = range(1 << 40)  # reads a kernel's ranks back as ints
 
 
 def check_kernels(program, p):
     # From pos = 2 on, the kernel of degree e lists, for each monomial m of
-    # U in rank order, the ranks of m x_0, ..., m x_{pos-1} and their
-    # factors (c + 1) P(d+1), c the multiplicity of d in m.
+    # degree e in lex order, the ranks of m x_0, ..., m x_{pos-1} among the
+    # monomials of degree e + 1 and their factors (c + 1) P(d+1), c the
+    # multiplicity of d in m.
     for pos, kernels in program.kernels.items():
         assert len(kernels) == max(program.r - 2, 0)
         for e, (get, factors) in zip(range(program.r - 2, 0, -1), kernels):
-            steps = [times_x(m, d) for m in _transfer.monomials(e, pos) for d in range(pos)]
-            assert list(get(range(program.size))) == [_transfer.rank(up) for up, _ in steps]
-            assert factors == [(c + 1) * p[i % pos + 1] for i, (_, c) in enumerate(steps)]
+            ranks = {m: i for i, m in enumerate(lex(e + 1, pos))}
+            steps = [(m, d) for m in lex(e, pos) for d in range(pos)]
+            assert list(get(EVERY_RANK)) == [ranks[tuple(sorted(m + (d,)))] for m, d in steps]
+            assert factors == [(m.count(d) + 1) * p[d + 1] for m, d in steps]
 
 
-EVERY_POSITION = range(1 << 40)  # reads a gather's positions back as ints
+def check_closings(program, p):
+    # The closing at pos weighs each monomial of U_0, ..., U_{r-1} (degrees
+    # r - 1 down to 0, lex order within each) by the product of P(d+2)
+    # over its distances d.
+    for pos, weights in program.closings.items():
+        assert weights == [
+            prod(p[d + 2] for d in m) for e in range(program.r - 1, -1, -1) for m in lex(e, pos)
+        ]
 
 
 SWEEP_DIGESTS = json.loads(
@@ -310,7 +319,7 @@ class TestTransferProgram:
         program = meet_census._PROGRAMS[4]
         assert program.top == 13 and program.size == comb(13 + 3, 3)
         assert list(program.kernels) == list(range(2, 14))
-        assert list(program.gathers) == list(range(1, 13))
+        assert list(program.closings) == [8, 11, 13]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -322,9 +331,9 @@ class TestTransferProgram:
     @example(3, [12, 2, 6], [2, 1, 0, 0, 0, 1, 1, 1, 1])
     def test_widening_keeps_every_position(self, r, ns, schedule):
         # Sweeps at one r, started in order and advanced in any interleaving,
-        # then run out: a kernel equals its definition, a gather equals the
-        # one a program built straight to its position holds, and a
-        # position, once served, keeps the same objects.
+        # then run out: a kernel and a closing equal their definitions, a
+        # kernel equals the one a program built straight to its position
+        # holds, and a position, once served, keeps the same objects.
         meet_census._PROGRAMS = {}
         sweeps = [_n_min_sweep(n, r) for n in ns]
         got = [[] for _ in ns]
@@ -336,7 +345,7 @@ class TestTransferProgram:
                 got[i].append(value)
             program = meet_census._PROGRAMS.get(r)
             if program is not None:
-                for key, store in (("kernel", program.kernels), ("gather", program.gathers)):
+                for key, store in (("kernel", program.kernels), ("closing", program.closings)):
                     for pos, held in store.items():
                         assert served.setdefault((key, pos), held) is held
 
@@ -350,47 +359,45 @@ class TestTransferProgram:
             assert r not in meet_census._PROGRAMS  # n = 1 builds nothing
             return
         program = meet_census._PROGRAMS[r]
-        top = max(ns) - 1
+        top = max(max(ns) - 1, 1)
         assert (program.top, program.size) == (top, comb(top + r - 1, r - 1))
         assert list(program.kernels) == list(range(2, top + 1))
-        assert sorted(program.gathers) == list(range(1, top))
+        assert sorted(program.closings) == sorted({n - 1 for n in ns if n > 2})
         p = primitive_counts(max(ns))
         check_kernels(program, p)
+        check_closings(program, p)
         straight = _transfer.Program(r)
         assert list(straight.sweep(max(ns), p)) == swept_oracle(r)[: max(ns)]
-        for pos, getter in program.gathers.items():
-            assert getter(EVERY_POSITION) == straight.gathers[pos](EVERY_POSITION)
+        assert list(straight.kernels) == list(program.kernels)
+        for pos, kernels in program.kernels.items():
+            assert [(get(EVERY_RANK), factors) for get, factors in kernels] == [
+                (get(EVERY_RANK), factors) for get, factors in straight.kernels[pos]
+            ]
 
     @pytest.mark.parametrize("n, r", [(2, 300), (4, 31)])
     def test_store_holds_pair_keys(self, n, r):
         # The last step moves nothing, so the program covers the monomials of
         # degree e < r in the n - 1 distances 0..n-2, C(e + n - 2, n - 2) of
-        # them, one per degree at n = 2.  It enumerates them as keys of at
-        # most n - 1 pairs, never an r-long tuple of distances, and holds
-        # n - 1 positions and factors per monomial of degree 1..r-2.
+        # them, one per degree at n = 2.  Past position 1 it holds n - 1
+        # ranks and multiplicities per monomial of degree 1..r-2 at its
+        # widest position.  At n = 2 the one step is position 1, which is
+        # closed form and builds nothing.
         meet_census._PROGRAMS = {}
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
         width = n - 1
         assert program.top == width
-        per_degree = {}
-        for e in range(r):
-            keys = list(_transfer.monomials(e, width))
-            for key in keys:
-                assert all(c > 0 for _, c in key) and list(key) == sorted(key)
-                assert len({d for d, _ in key}) == len(key) <= width
-                assert sum(c for _, c in key) == e
-            assert [_transfer.rank(key) for key in keys] == list(range(len(keys)))
-            per_degree[e] = len(keys)
-            assert len(keys) == comb(e + n - 2, n - 2)
-        for e in range(1, r - 1):
-            ups, factors = program.rows[e - 1]
-            assert len(ups) == len(factors) == width * per_degree[e]
-        # The monomials of S' gathered at n - 2, two terms each; at n = 2 the
-        # one step is the last, which gathers nothing.
-        listed = 2 * per_degree[r - 1] if n > 2 else 0
-        assert len(program.parts) == len(program.places) == listed
+        assert len(program.rows) == (r - 2 if n > 2 else 0)
+        for e, (ranks, mults) in enumerate(program.rows, 1):
+            monomials = lex(e, width)
+            assert len(monomials) == comb(e + n - 2, n - 2)
+            sources = {m: i for i, m in enumerate(lex(e + 1, width))}
+            steps = [(m, d) for m in monomials for d in range(width)]
+            assert ranks == tuple(sources[tuple(sorted(m + (d,)))] for m, d in steps)
+            assert mults == [m.count(d) + 1 for m, d in steps]
         assert program.size == {(2, 300): 300, (4, 31): 5456}[n, r]
+        assert list(program.closings) == ([] if n == 2 else [width])
+        check_closings(program, primitive_counts(n))
 
     def test_trivial_meet_set_stays(self):
         meet_census._PROGRAMS = {}
@@ -401,12 +408,9 @@ class TestTransferProgram:
         assert {r: list(program.closings) for r, program in kept.items()} == {
             2: [15], 3: [15], 4: [15]
         }
-        # one pass kernel per degree 1..r-2 at each position from 2, and one
-        # gather at each position that is not the last
+        # one pass kernel per degree 1..r-2 at each position from 2
         kernels = {r: dict(program.kernels) for r, program in kept.items()}
-        gathers = {r: dict(program.gathers) for r, program in kept.items()}
         assert {r: list(held) for r, held in kernels.items()} == dict.fromkeys(kept, list(range(2, 16)))
-        assert {r: list(held) for r, held in gathers.items()} == dict.fromkeys(kept, list(range(1, 15)))
         assert {r: {len(k) for k in held.values()} for r, held in kernels.items()} == {
             2: {0}, 3: {1}, 4: {2}
         }
@@ -414,25 +418,23 @@ class TestTransferProgram:
         for r in (2, 3, 4):
             theorem_report(16, r)
         theorem_report(12, 4)  # a shorter call reads the same program
-        # a warm call compiles nothing: the same programs, kernels and
-        # gathers, and one closing for each position a call ended on
+        # a warm call compiles nothing: the same programs and kernels, and
+        # one closing for each position a call ended on
         assert all(meet_census._PROGRAMS[r] is program for r, program in kept.items())
         assert list(kept[4].closings) == [15, 11] and kept[4].closings[15] is closing
         for r, program in kept.items():
-            assert program.kernels == kernels[r] and program.gathers == gathers[r]
+            assert program.kernels == kernels[r]
             assert all(program.kernels[pos] is held for pos, held in kernels[r].items())
-            assert all(program.gathers[pos] is held for pos, held in gathers[r].items())
         assert store_size() == 16 + 136 + 816
 
     @pytest.mark.parametrize("n, r", [(2, 300), (3, 40), (5, 6)])
     def test_kernels_are_the_rounds_by_destination(self, n, r):
-        # At pos = 1 every degree has one monomial, x_0^e, so no position-1
-        # pass has a kernel: (2, 300) keeps none.
+        # Position 1 is closed form, so no position-1 pass has a kernel:
+        # (2, 300) keeps none.
         meet_census._PROGRAMS = {}
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
         assert list(program.kernels) == list(range(2, n))
-        assert list(program.gathers) == list(range(1, n - 1))
         check_kernels(program, primitive_counts(n))
 
     @pytest.mark.parametrize("key", SWEEP_DIGESTS)
