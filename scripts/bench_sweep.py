@@ -40,10 +40,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_sweep.json"
 # The gates of the sweep (tests/data/sweep_digests.json): the largest n the
-# transfer limit admits for r = 2..6, the largest r for n = 2..6, and the
-# corners n = 1 and r = 1.
+# transfer limit admits for r = 2..6; for n = 2..6, the largest r admitted
+# when the limit counted 25,000 states; and the corners n = 1 and r = 1.
 GATES = [
-    (223, 2), (52, 3), (26, 4), (17, 5), (13, 6), (3, 222),
+    (223, 2), (90, 3), (47, 4), (30, 5), (22, 6), (3, 222),
     (2, 24999), (4, 51), (5, 25), (6, 16), (1, 5), (30, 1),
 ]
 RUNS = 10

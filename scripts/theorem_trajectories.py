@@ -26,9 +26,7 @@ from pathlib import Path
 
 from goglattice.meet_census import theorem_report
 
-SIZES = {2: 150, 3: 70, 4: 30, 5: 22}
-# The largest sweep, (22, 5), holds C(26, 5) = 65,780 transfer states.
-LIMIT = 70_000
+SIZES = {2: 150, 3: 70, 4: 30, 5: 22}  # each within the default transfer limit
 DIGITS = 40
 OUTPUT = Path(__file__).resolve().parent.parent / "data" / "theorem_trajectories.json"
 
@@ -47,7 +45,7 @@ def trajectory(n_max: int, r: int) -> list[dict]:
             "ratio_minus_1": _decimal(rep.theorem1_ratio - 1),
             "theta_ratio": _decimal(rep.theta_ratio),
         }
-        for rep in theorem_report(n_max, r, limit=LIMIT)
+        for rep in theorem_report(n_max, r)
     ]
 
 

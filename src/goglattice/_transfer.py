@@ -37,12 +37,15 @@ and shift(m' x_d) at m' x_d's rank at pos - 1 plus |R(e, pos)|, with the
 multiplicity m' x_d has there.  Degree 0 reads x_d, at rank d, once.  The
 factor of column d is the multiplicity times P(d+1).  Each part is a few
 list-wide maps.
+
+`work` charges a sweep what it reads, in one closed form that bounds both a
+call (`meet_census.n_min_exact`) and the programs a process keeps.
 """
 
 from __future__ import annotations
 
 from itertools import chain, cycle, repeat
-from math import comb
+from math import comb, isqrt
 from operator import add, getitem, itemgetter, mul
 from typing import Iterator
 
@@ -57,18 +60,17 @@ class Program:
     order.  `top` is the widest position passed, and `rows` keeps, by
     degree from 1, the rank tuple there (the one its `itemgetter` holds)
     and each entry's multiplicity c + 1, for `kernels_at` to build the
-    kernels at top + 1 from.  `size` counts the monomials of every degree
-    below r in x_0, ..., x_{top-1}.  `closings[pos]` holds, for a last step
+    kernels at top + 1 from.  `closings[pos]` holds, for a last step
     at pos, the weights that evaluate it.  Every rank a kernel holds is an
     entry of the one table `ints`, and every factor one of `scales[d]`, the
     c P(d+1) for c < r, so that each int exists once per program.
     """
 
-    __slots__ = ("r", "top", "size", "rows", "ints", "scales", "kernels", "closings")
+    __slots__ = ("r", "top", "rows", "ints", "scales", "kernels", "closings")
 
     def __init__(self, r: int) -> None:
         self.r = r
-        self.top, self.size = 1, r
+        self.top = 1
         self.rows: list[tuple[tuple[int, ...], list[int]]] = []
         self.ints: list[int] = []
         self.scales: list[list[int]] = []
@@ -101,7 +103,7 @@ class Program:
         first use from `rows`, the kernels at pos - 1 = top."""
         if pos > self.top:
             r, ints, scales, q = self.r, self.ints, self.scales, pos - 1
-            self.top, self.size = pos, comb(pos + r - 1, r - 1)
+            self.top = pos
             if pos == 2:  # at pos = 1, x_0^e reads x_0^(e+1), rank 0, with multiplicity e + 1
                 self.rows = [((0,), [e + 1]) for e in range(1, r - 1)]
             if self.rows:
@@ -127,17 +129,13 @@ class Program:
         return self.kernels[pos]
 
     def sweep(self, n_max: int, p: list[int]) -> Iterator[int]:
-        """Yield N_min(n, r) for n = 1..n_max, n_max >= 2; p must reach
+        """Yield N_min(n, r) for n = 2..n_max, n_max >= 3; p must reach
         P(n_max)."""
         r = self.r
         p1 = p[1:]  # P(d+1) for d = 0, 1, ...
-        # At pos = 1, S = x_0^(r-1) and U_j = C(r-1, j) x_0^(r-1-j), so the
-        # closing for n = 1 is 1, and S' = sum over a of C(r, a+1) x_0^a
-        # x_1^(r-1-a), which weighs 2^r - 1 at the P, as P(1) = P(2) = 1.
-        yield 1
-        if n_max == 2:
-            yield 2**r - 1
-            return
+        # At pos = 1, S = x_0^(r-1) and U_j = C(r-1, j) x_0^(r-1-j), so S' =
+        # sum over a of C(r, a+1) x_0^a x_1^(r-1-a), which weighs 2^r - 1 at
+        # the P, as P(1) = P(2) = 1: that is N_min(2, r).
         state = [comb(r, a) for a in range(r, 0, -1)]
         for pos in range(2, n_max):
             last = pos == n_max - 1
@@ -167,3 +165,25 @@ class Program:
                 yield total
             else:
                 state = list(chain.from_iterable(reversed(parts)))
+
+
+def work(n: int, r: int) -> int:
+    """The work of a sweep to n at r, in units that take about 5 ns each on
+    a 2-vCPU machine with Python 3.11.
+
+    Position pos reads pos C(pos+r-2, r-2) kernel entries, the last pass's
+    pos among them, so positions 1..n-1 read (r-1) C(n+r-2, r): position 1
+    is closed form, as is N_min(2, r) = 2^r - 1, yet its r - 1 entries keep
+    n = 2 bounded in r.  Past n = 2 the closing multiplies each of the
+    C(n+r-2, r-1) monomials of the last state by a weight of its own size,
+    about four entries' work.  The integers grow to about 0.375 n^2 r bits,
+    the size of A(n)^r, and an entry on L 64-bit limbs costs 32 + L +
+    L^1.5/16: a fixed part, the additions and the products.  A program grown
+    to `top` keeps about work(top + 1, r) of entries and weights.
+
+    >>> work(1, 9), work(2, 1), work(3, 2)
+    (0, 0, 495)
+    """
+    limbs = 3 * n * n * r // 512 + 1
+    entries = (r - 1) * comb(n + r - 2, r) + (4 * comb(n + r - 2, r - 1) if n > 2 else 0)
+    return entries * (32 + limbs + limbs * isqrt(limbs) // 16)

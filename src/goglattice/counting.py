@@ -101,7 +101,7 @@ def eta(n: int, rows: RowSet | Iterable[int]) -> int:
     >>> eta(3, (1,)), eta(4, (1, 3))
     (2, 2)
     """
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise bound_error("eta", "n", n, 0)
     members = _sorted_members(n, rows)
     prod = 1
@@ -209,7 +209,7 @@ def bleher_fokin_estimate(n: int) -> float:
     Tracks the unknown constant in the asymptotic growth of A(n); recorded
     as a trajectory, never asserted against a limit value.
     """
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise bound_error("bleher_fokin_estimate", "n", n, 2)
     log_a = math.log(asm_number(n))
     return math.exp(log_a - n * n * math.log(3 * math.sqrt(3) / 4) + (5 / 36) * math.log(n))

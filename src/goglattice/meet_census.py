@@ -40,9 +40,13 @@ position's kernels are built from the previous position's and the next
 state is the passes' results laid end to end, so each step runs as a few
 list-wide maps, with no Python step per edge.  The program holds no
 coefficient: every call redoes all the arithmetic, and no N_min value
-persists between calls.  A call that ends with more than
-TRANSFER_LIMIT_DEFAULT monomials across all programs drops them all, so the
-largest admitted calls leave at most that many behind.
+persists between calls.  One charge, `_transfer.work`, counts the kernel
+entries a sweep reads, weighted by the size of its integers: a call is
+refused before any work when its sweep and the fill of P(1..n) together
+exceed its `limit`, and a call that ends with more than
+TRANSFER_LIMIT_DEFAULT charged across all programs drops them all, so a
+process keeps at most what the largest admitted call builds.  N_min(1, r)
+= 1 and N_min(2, r) = 2^r - 1 build no program.
 
 Two independent oracles stay for `verify` and the tests: the double
 inclusion-exclusion over the 2^(n-1) row subsets,
@@ -90,7 +94,7 @@ if TYPE_CHECKING:
     from . import _transfer
     from .triangles import RowSet
 
-TRANSFER_LIMIT_DEFAULT = 25000
+TRANSFER_LIMIT_DEFAULT = 77_000_000  # `_transfer.work` units: a first (223, 2), about 0.35 s
 CENSUS_LIMIT_DEFAULT = 18  # 2^17 distinguished sets, computed in about 0.02 s
 CLASS_TUPLES_MAX_BITS = 20  # class_sizes' 2^(r(n-1)) key tuples: 2^20 take 1-3.5 s
 
@@ -349,51 +353,48 @@ def load_or_build_census(
     return gap_product_census(n, limit=limit)
 
 
-def _check_transfer_limit(n: int, r: int, limit: int) -> None:
-    # The sweep's polynomial has up to C(n-1+r, r) monomials, the multisets
-    # of r distances in [0, n-1].  Counting at least two components also
-    # charges r = 1 for the C(n+1, 2) jump weights P(b - a) that every sweep
-    # needs.  The running product grows monotonically, so stop as soon as it
-    # passes the limit.
-    k = max(r, 2)
-    states = 1
-    for i in range(min(n - 1, k)):
-        states = states * (n - 1 + k - i) // (i + 1)
-        if states > limit:
-            raise bound_error(
-                "N_min", "states", states, 0, limit, f"{TRANSFER_LIMIT_DEFAULT=}",
-                head=f"N_min(n={n}, r={r}) needs more than {limit} transfer states",
-            )
-
-
 # One program per r (see `_transfer`), grown by each call that goes further
-# than the calls before it.  A call that ends with more monomials than the
-# state limit across all r drops the store by rebinding it, so a sweep still
-# suspended at a yield keeps the program it holds.
+# than the calls before it.  A call that ends with more work charged to the
+# programs across all r than TRANSFER_LIMIT_DEFAULT drops the store by
+# rebinding it, so a sweep still suspended at a yield keeps the program it
+# holds.
 _PROGRAMS: dict[int, _transfer.Program] = {}
 
 
-def _n_min_sweep(n_max: int, r: int) -> Iterator[int]:
+def _n_min_sweep(n_max: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> Iterator[int]:
     """Yield N_min(n, r) for n = 1..n_max from one transfer-matrix sweep.
 
     >>> list(_n_min_sweep(6, 2))
     [1, 3, 15, 107, 1103, 17767]
     """
     global _PROGRAMS
-    if n_max == 1:
-        yield 1  # x_0^r at P(1) = 1
+    # Loaded here, so that a command that never sweeps never loads it.
+    from ._transfer import Program, work
+
+    # The fill of P(1..n_max) makes C(n_max, 2) products, as many as r = 2
+    # reads and about as costly.  Past n = 2 the charge is at least
+    # C(n_max+r-2, r) >= 2^min(n_max-2, r), so a call that large is refused
+    # before its binomials are computed.
+    wide = n_max > 2 and min(n_max - 2, r) >= limit.bit_length()
+    charge = limit + 1 if wide else work(n_max, r) + work(n_max, 2)
+    if charge > limit:
+        raise bound_error(
+            "N_min", "work", charge, 0, limit, f"{TRANSFER_LIMIT_DEFAULT=}",
+            head=f"N_min(n={n_max}, r={r}) needs more than {limit} units of sweep work",
+        )
+    yield 1  # x_0^r at P(1) = 1
+    if n_max == 2:
+        yield 2**r - 1  # some component has row 1 distinguished
+    if n_max <= 2:
         return
     try:
         p = primitive_counts(n_max)
         program = _PROGRAMS.get(r)
         if program is None:
-            # Loaded here, so that a command that never sweeps never loads it.
-            from ._transfer import Program
-
             program = _PROGRAMS[r] = Program(r)
         yield from program.sweep(n_max, p)
     finally:
-        if sum(q.size for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:
+        if sum(work(q.top + 1, q.r) for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:
             _PROGRAMS = {}
 
 
@@ -407,8 +408,7 @@ def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:
         raise bound_error("n_min_exact", "n", n, 1)
     if type(r) is not int or r < 1:
         raise bound_error("n_min_exact", "r", r, 1)
-    _check_transfer_limit(n, r, limit)
-    return list(_n_min_sweep(n, r))[-1]
+    return list(_n_min_sweep(n, r, limit))[-1]
 
 
 def _signed_sum(n: int, r: int, avoid: Callable[[int], int]) -> int:
@@ -669,9 +669,8 @@ def theorem_report(
         raise bound_error("theorem_report", "n_max", n_max, 2)
     if type(r) is not int or r < 1:
         raise bound_error("theorem_report", "r", r, 1)
-    _check_transfer_limit(n_max, r, limit)
     return [
         decompose(n, r, n_min)
-        for n, n_min in enumerate(_n_min_sweep(n_max, r), start=1)
+        for n, n_min in enumerate(_n_min_sweep(n_max, r, limit), start=1)
         if n >= 2
     ]

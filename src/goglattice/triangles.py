@@ -396,6 +396,8 @@ class RowSet(_Frozen):
             raise bound_error("RowSet", "n", n, 1)
         if n < 1:
             raise RowOutOfRange(f"row-set universe must be positive, got {n}")
+        if type(mask) is not int:
+            raise bound_error("RowSet", "mask", mask, 0)
         if mask < 0 or mask >> n:
             raise RowOutOfRange(f"mask {mask:#x} has bits outside [1, {n}]")
         object.__setattr__(self, "n", n)

@@ -14,12 +14,14 @@ from goglattice import (
     asm_number,
     asm_number_dp,
     avoid_count,
+    bleher_fokin_estimate,
     build_census,
     class_bound,
     class_sizes,
     completions_count,
     decompose,
     enumerate_triangles,
+    eta,
     extremal_triangle,
     gap_product_census,
     lemma_margins,
@@ -44,7 +46,7 @@ FORMULA = "FORMULA_LIMIT_DEFAULT = 1000"
 DP = "DP_LIMIT_DEFAULT = 12"
 ENUM = "ENUM_LIMIT_DEFAULT = 7"
 CENSUS = "CENSUS_LIMIT_DEFAULT = 18"
-TRANSFER = "TRANSFER_LIMIT_DEFAULT = 25000"
+TRANSFER = "TRANSFER_LIMIT_DEFAULT = 77000000"
 SAMPLE = "SAMPLE_LIMIT_DEFAULT = 100000"
 
 # One row per public entry point with a raisable bound: the call just past
@@ -66,8 +68,8 @@ PAST_THE_DEFAULT = {
     "load_or_build_census": (lambda: load_or_build_census(19), "limit", CENSUS),
     "run_histogram_report": (lambda: run_histogram_report(19), "limit", CENSUS),
     "n_min_exact": (lambda: n_min_exact(224, 2), "limit", TRANSFER),
-    "p_extreme": (lambda: p_extreme(27, 4, "min"), "limit", TRANSFER),
-    "theorem_report": (lambda: theorem_report(53, 3), "limit", TRANSFER),
+    "p_extreme": (lambda: p_extreme(48, 4, "min"), "limit", TRANSFER),
+    "theorem_report": (lambda: theorem_report(91, 3), "limit", TRANSFER),
     "gog-enumerate": (("enumerate", "--n", "8"), "limit", ENUM),
     "gog-pmin-census": (("pmin", "--n", "8", "--r", "2", "--method", "census"), "limit", ENUM),
 }
@@ -137,8 +139,7 @@ def test_no_function_assigns_a_local_it_never_reads():
 
 def test_every_slot_is_read():
     # A `__slots__` name that no module of the package reads back is a field
-    # kept for nothing.  A read from another module counts: the transfer
-    # store's drop rule in `meet_census` reads `Program.size`.
+    # kept for nothing.  A read from another module counts.
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     read = {
         node.attr
@@ -156,7 +157,7 @@ def test_every_slot_is_read():
         and any(getattr(target, "id", None) == "__slots__" for target in stmt.targets)
         for slot in stmt.value.elts
     ]
-    assert len(slots) >= 14  # `_SuccessorIndex` and `Program` at least
+    assert len(slots) >= 13  # `_SuccessorIndex` and `Program` at least
     assert [f"{where}.{slot}" for where, slot in slots if slot not in read] == []
 
 
@@ -192,6 +193,11 @@ NOT_A_SIZE = {
     "primitive_counts": (lambda: primitive_counts(3.0), "m_max", "float 3.0"),
     "lemma_margins": (lambda: lemma_margins(3.0), "n_max", "float 3.0"),
     "RowSet": (lambda: RowSet(3.0, 1), "n", "float 3.0"),
+    "RowSet-mask": (lambda: RowSet(3, 1.0), "mask", "float 1.0"),
+    "RowSet-bool": (lambda: RowSet(3, True), "mask", "bool True"),
+    "eta": (lambda: eta(3.0, ()), "n", "float 3.0"),
+    "eta-bool": (lambda: eta(True, ()), "n", "bool True"),
+    "bleher_fokin_estimate": (lambda: bleher_fokin_estimate(3.0), "n", "float 3.0"),
     "class_bound": (lambda: class_bound(3.0, 2, 3), "n", "float 3.0"),
     "class_bound-r": (lambda: class_bound(3, 2.0, 3), "r", "float 2.0"),
     "class_bound-bool": (lambda: class_bound(3, True, 3), "r", "bool True"),

@@ -33,6 +33,7 @@ from goglattice import (
     theorem_report,
 )
 from goglattice import _transfer, meet_census
+from goglattice._transfer import work
 from goglattice.meet_census import (
     CENSUS_LIMIT_DEFAULT,
     TRANSFER_LIMIT_DEFAULT,
@@ -168,17 +169,48 @@ class TestNMin:
                 assert n_min_exact(n, r) >= r * (asm_number(n) - 1) ** (r - 1)
 
     def test_limit(self):
-        for n, r in ((26, 4), (52, 3), (223, 2)):
+        for n, r in ((47, 4), (90, 3), (223, 2)):
             assert n_min_exact(n, r) >= r * (asm_number(n) - 1) ** (r - 1)
-        assert n_min_exact(1, 10**6) == 1
-        for n, r in ((27, 4), (53, 3), (224, 2), (224, 1), (2, 25000)):
+        assert n_min_exact(2, 34303) == 2**34303 - 1
+        for n, r in ((48, 4), (91, 3), (224, 2), (261, 1), (2, 34304)):
             with pytest.raises(LimitExceeded, match="raise `limit`"):
                 n_min_exact(n, r)
         with pytest.raises(LimitExceeded):
-            theorem_report(27, 4)
+            theorem_report(48, 4)
         with pytest.raises(LimitExceeded):
             p_extreme(224, 2, "max")
-        assert n_min_exact(27, 4, limit=27405) == theorem_report(27, 4, limit=27405)[-1].n_min
+        limit = charge(2, 34304)
+        assert n_min_exact(2, 34304, limit=limit) == theorem_report(2, 34304, limit=limit)[-1].n_min
+
+    def test_one_is_unbounded_in_r_and_two_is_not(self):
+        assert n_min_exact(1, 10**6) == 1
+        with pytest.raises(LimitExceeded, match=r"N_min\(n=2, r=1000000\) needs more than"):
+            n_min_exact(2, 10**6)
+        with pytest.raises(LimitExceeded):
+            n_min_exact(10**6, 10**6)  # refused before its binomials are computed
+
+    def test_refusal_builds_nothing(self):
+        meet_census._PROGRAMS = {}
+        del meet_census._P_CACHE[1:]
+        for call in (lambda: n_min_exact(300, 2), lambda: theorem_report(91, 3)):
+            with pytest.raises(LimitExceeded):
+                call()
+        assert meet_census._PROGRAMS == {} and meet_census._P_CACHE == [0]
+
+    def test_gates_stay_admitted(self):
+        for key in SWEEP_DIGESTS:
+            n, r = map(int, key.split(","))
+            assert charge(n, r) <= TRANSFER_LIMIT_DEFAULT
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 300))
+    @example(1, 1)
+    @example(2, 1)
+    @example(2, 2)
+    def test_charge_never_decreases(self, n, r):
+        # so that the admitted (n, r) form a down-set: every boundary is real
+        for f in (work, charge):
+            assert f(n, r) <= f(n + 1, r) and f(n, r) <= f(n, r + 1)
 
 
 class TestSweepOracles:
@@ -247,8 +279,13 @@ def swept_oracle(r, n_max=14):
     return list(product_sweep(n_max, r))
 
 
-def store_size():
-    return sum(program.size for program in meet_census._PROGRAMS.values())
+def charge(n, r):
+    """What a call to n at r is charged: its sweep and the fill of P(1..n)."""
+    return work(n, r) + work(n, 2)
+
+
+def store_charge():
+    return sum(work(program.top + 1, program.r) for program in meet_census._PROGRAMS.values())
 
 
 def lex(e, width):
@@ -303,7 +340,7 @@ class TestTransferProgram:
             assert swept == swept_oracle(r)[:n]
             if n <= 8:
                 assert swept[-1] == _n_min_ie(n, r)
-        assert store_size() <= TRANSFER_LIMIT_DEFAULT
+        assert store_charge() <= TRANSFER_LIMIT_DEFAULT
 
     def test_interleaved_sweeps_at_one_r(self):
         # The three sweeps share one program: whichever reaches a position
@@ -317,7 +354,7 @@ class TestTransferProgram:
                     out.append(value)
         assert got == [swept_oracle(4)[:n] for n in (9, 12, 14)]
         program = meet_census._PROGRAMS[4]
-        assert program.top == 13 and program.size == comb(13 + 3, 3)
+        assert program.top == 13 and store_charge() == work(14, 4)
         assert list(program.kernels) == list(range(2, 14))
         assert list(program.closings) == [8, 11, 13]
 
@@ -355,39 +392,37 @@ class TestTransferProgram:
             for _ in range(n + 1):
                 advance(i)
         assert got == [swept_oracle(r)[:n] for n in ns]
-        if max(ns) == 1:
-            assert r not in meet_census._PROGRAMS  # n = 1 builds nothing
+        if max(ns) <= 2:
+            assert r not in meet_census._PROGRAMS  # n <= 2 builds nothing
             return
         program = meet_census._PROGRAMS[r]
-        top = max(max(ns) - 1, 1)
-        assert (program.top, program.size) == (top, comb(top + r - 1, r - 1))
+        top = max(ns) - 1
+        assert program.top == top and store_charge() == work(top + 1, r)
         assert list(program.kernels) == list(range(2, top + 1))
         assert sorted(program.closings) == sorted({n - 1 for n in ns if n > 2})
         p = primitive_counts(max(ns))
         check_kernels(program, p)
         check_closings(program, p)
         straight = _transfer.Program(r)
-        assert list(straight.sweep(max(ns), p)) == swept_oracle(r)[: max(ns)]
+        assert list(straight.sweep(max(ns), p)) == swept_oracle(r)[1 : max(ns)]
         assert list(straight.kernels) == list(program.kernels)
         for pos, kernels in program.kernels.items():
             assert [(get(EVERY_RANK), factors) for get, factors in kernels] == [
                 (get(EVERY_RANK), factors) for get, factors in straight.kernels[pos]
             ]
 
-    @pytest.mark.parametrize("n, r", [(2, 300), (4, 31)])
+    @pytest.mark.parametrize("n, r", [(3, 300), (4, 31)])
     def test_store_holds_pair_keys(self, n, r):
         # The last step moves nothing, so the program covers the monomials of
         # degree e < r in the n - 1 distances 0..n-2, C(e + n - 2, n - 2) of
-        # them, one per degree at n = 2.  Past position 1 it holds n - 1
-        # ranks and multiplicities per monomial of degree 1..r-2 at its
-        # widest position.  At n = 2 the one step is position 1, which is
-        # closed form and builds nothing.
+        # them.  It holds n - 1 ranks and multiplicities per monomial of
+        # degree 1..r-2 at its widest position.
         meet_census._PROGRAMS = {}
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
         width = n - 1
         assert program.top == width
-        assert len(program.rows) == (r - 2 if n > 2 else 0)
+        assert len(program.rows) == r - 2
         for e, (ranks, mults) in enumerate(program.rows, 1):
             monomials = lex(e, width)
             assert len(monomials) == comb(e + n - 2, n - 2)
@@ -395,16 +430,26 @@ class TestTransferProgram:
             steps = [(m, d) for m in monomials for d in range(width)]
             assert ranks == tuple(sources[tuple(sorted(m + (d,)))] for m, d in steps)
             assert mults == [m.count(d) + 1 for m, d in steps]
-        assert program.size == {(2, 300): 300, (4, 31): 5456}[n, r]
-        assert list(program.closings) == ([] if n == 2 else [width])
+        assert list(program.closings) == [width]
         check_closings(program, primitive_counts(n))
+        # What `work` counts: position pos reads pos C(pos+r-2, r-2) entries,
+        # those its kernels hold and pos for the last pass, and position 1,
+        # closed form, r - 1; the closing weighs each monomial of the last
+        # state.
+        read = r - 1 + sum(
+            pos + sum(len(factors) for _, factors in kernels)
+            for pos, kernels in program.kernels.items()
+        )
+        assert read == (r - 1) * comb(n + r - 2, r)
+        assert len(program.closings[width]) == comb(n + r - 2, r - 1)
+        assert work(n, r) % (read + 4 * comb(n + r - 2, r - 1)) == 0
 
     def test_trivial_meet_set_stays(self):
         meet_census._PROGRAMS = {}
         for r in (2, 3, 4):
             theorem_report(16, r)
         kept = dict(meet_census._PROGRAMS)
-        assert {r: program.size for r, program in kept.items()} == {2: 16, 3: 136, 4: 816}
+        assert {r: program.top for r, program in kept.items()} == {2: 15, 3: 15, 4: 15}
         assert {r: list(program.closings) for r, program in kept.items()} == {
             2: [15], 3: [15], 4: [15]
         }
@@ -425,12 +470,20 @@ class TestTransferProgram:
         for r, program in kept.items():
             assert program.kernels == kernels[r]
             assert all(program.kernels[pos] is held for pos, held in kernels[r].items())
-        assert store_size() == 16 + 136 + 816
+        assert store_charge() == work(16, 2) + work(16, 3) + work(16, 4)
 
-    @pytest.mark.parametrize("n, r", [(2, 300), (3, 40), (5, 6)])
+    def test_two_builds_nothing_and_keeps_the_store(self):
+        meet_census._PROGRAMS = {}
+        n_min_exact(16, 4)
+        kept = dict(meet_census._PROGRAMS)
+        for r in (24999, 300):
+            assert n_min_exact(2, r) == 2**r - 1
+        assert meet_census._PROGRAMS == kept and meet_census._PROGRAMS[4] is kept[4]
+
+    @pytest.mark.parametrize("n, r", [(3, 300), (3, 40), (5, 6)])
     def test_kernels_are_the_rounds_by_destination(self, n, r):
         # Position 1 is closed form, so no position-1 pass has a kernel:
-        # (2, 300) keeps none.
+        # (3, 300) keeps position 2's alone.
         meet_census._PROGRAMS = {}
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
@@ -452,14 +505,14 @@ class TestTransferProgram:
         program = held[4]
         for n, r in ((13, 6), (17, 5)):
             n_min_exact(n, r)
-        assert store_size() <= TRANSFER_LIMIT_DEFAULT
         n_min_exact(26, 4)  # grows in_flight's program while it is suspended
-        assert held[4] is program and program.size == 3276
-        assert store_size() == 6188 + 4845 + 3276
-        n_min_exact(5, 25)  # 20,475 more monomials, 34,784 in all
+        assert held[4] is program and program.top == 25
+        assert store_charge() == work(13, 6) + work(17, 5) + work(26, 4) <= TRANSFER_LIMIT_DEFAULT
+        assert work(30, 5) + work(13, 6) + work(26, 4) > TRANSFER_LIMIT_DEFAULT
+        n_min_exact(30, 5)  # grows the r = 5 program past what the store keeps
         assert meet_census._PROGRAMS == {}
         # dropped by rebinding: the suspended sweep's program is left whole
-        assert (program.top, program.size) == (25, 3276)
+        assert program.top == 25
         assert len(program.kernels) == 24
         assert head + list(in_flight) == swept_oracle(4, 16)
         assert list(_n_min_sweep(14, 4)) == swept_oracle(4)
