@@ -47,7 +47,6 @@ from __future__ import annotations
 from itertools import chain, cycle, repeat
 from math import comb, isqrt
 from operator import add, getitem, itemgetter, mul
-from typing import Iterator
 
 
 class Program:
@@ -128,8 +127,8 @@ class Program:
             ]
         return self.kernels[pos]
 
-    def sweep(self, n_max: int, p: list[int]) -> Iterator[int]:
-        """Yield N_min(n, r) for n = 2..n_max, n_max >= 3; p must reach
+    def sweep(self, n_max: int, p: list[int]) -> list[int]:
+        """Return N_min(n, r) for n = 2..n_max, n_max >= 3; p must reach
         P(n_max)."""
         r = self.r
         p1 = p[1:]  # P(d+1) for d = 0, 1, ...
@@ -137,6 +136,7 @@ class Program:
         # sum over a of C(r, a+1) x_0^a x_1^(r-1-a), which weighs 2^r - 1 at
         # the P, as P(1) = P(2) = 1: that is N_min(2, r).
         state = [comb(r, a) for a in range(r, 0, -1)]
+        values = []
         for pos in range(2, n_max):
             last = pos == n_max - 1
             if last:
@@ -160,11 +160,12 @@ class Program:
                     parts.append(level)
             # U_{r-1} = Q(P(1), P(2), ...), the weight of every component
             # jumping to pos: the closing for n = pos.
-            yield level[0]
+            values.append(level[0])
             if last:
-                yield total
+                values.append(total)
             else:
                 state = list(chain.from_iterable(reversed(parts)))
+        return values
 
 
 def work(n: int, r: int) -> int:

@@ -177,6 +177,8 @@ def lemma_margins(n_max: int, subset_limit: int = 64, seed: int = 20240817) -> L
     """
     if type(n_max) is not int or n_max < 2:
         raise bound_error("lemma_margins", "n_max", n_max, 2)
+    from .triangles import RowSet
+
     report = LemmaMargins(n_max)
     for i1 in range(1, n_max + 1):
         for i2 in range(1, i1 + 1):
@@ -197,7 +199,7 @@ def lemma_margins(n_max: int, subset_limit: int = 64, seed: int = 20240817) -> L
             while len(masks) < subset_limit:
                 masks.add(rng.randrange(1, 2 ** (n - 1)))
         for mask in sorted(masks):
-            members = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
+            members = RowSet(n, mask).members
             margin = asm_number(n - len(members)) - eta(n, members)
             report.corollary.append((n, members, margin))
     return report

@@ -28,7 +28,7 @@ Taylor's formula that is
 
 with D = sum_d P(d+1) d/dx_d and every x_d shifted to x_{d+1}.  The closing
 for n is Q(P(1), P(2), ...), which is D^r Q / r!, the weight of every path
-jumping to n; one sweep to n_max - 1 yields N_min(n, r) for every
+jumping to n; one sweep to n_max - 1 gives N_min(n, r) for every
 n <= n_max, and its last step evaluates Q' at the P instead of storing it.
 
 Neither D nor the shift depends on the position or on n_max, and once
@@ -44,9 +44,9 @@ persists between calls.  One charge, `_transfer.work`, counts the kernel
 entries a sweep reads, weighted by the size of its integers: a call is
 refused before any work when its sweep and the fill of P(1..n) together
 exceed its `limit`, and a call that ends with more than
-TRANSFER_LIMIT_DEFAULT charged across all programs drops them all, so a
+TRANSFER_LIMIT_DEFAULT charged across all programs empties the store, so a
 process keeps at most what the largest admitted call builds.  N_min(1, r)
-= 1 and N_min(2, r) = 2^r - 1 build no program.
+= N_min(n, 1) = 1 and N_min(2, r) = 2^r - 1 build no program and fill no P.
 
 Two independent oracles stay for `verify` and the tests: the double
 inclusion-exclusion over the 2^(n-1) row subsets,
@@ -81,7 +81,7 @@ from __future__ import annotations
 import os
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .counting import ENUM_LIMIT_DEFAULT, _sorted_members, asm_number
 from .errors import FormatError, bound_error
@@ -99,17 +99,6 @@ CENSUS_LIMIT_DEFAULT = 18  # 2^17 distinguished sets, computed in about 0.02 s
 CLASS_TUPLES_MAX_BITS = 20  # class_sizes' 2^(r(n-1)) key tuples: 2^20 take 1-3.5 s
 
 _P_CACHE: list[int] = [0]  # P(0); append-only, filled once per process
-
-
-def _rows_of_mask(mask: int) -> tuple[int, ...]:
-    rows = []
-    i = 1
-    while mask:
-        if mask & 1:
-            rows.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(rows)
 
 
 def _avoid_from_table(n: int, ts: tuple[int, ...], a: list[int]) -> int:
@@ -355,19 +344,16 @@ def load_or_build_census(
 
 # One program per r (see `_transfer`), grown by each call that goes further
 # than the calls before it.  A call that ends with more work charged to the
-# programs across all r than TRANSFER_LIMIT_DEFAULT drops the store by
-# rebinding it, so a sweep still suspended at a yield keeps the program it
-# holds.
+# programs across all r than TRANSFER_LIMIT_DEFAULT empties the store.
 _PROGRAMS: dict[int, _transfer.Program] = {}
 
 
-def _n_min_sweep(n_max: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> Iterator[int]:
-    """Yield N_min(n, r) for n = 1..n_max from one transfer-matrix sweep.
+def _n_min_sweep(n_max: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> list[int]:
+    """N_min(n, r) for n = 1..n_max from one transfer-matrix sweep.
 
-    >>> list(_n_min_sweep(6, 2))
+    >>> _n_min_sweep(6, 2)
     [1, 3, 15, 107, 1103, 17767]
     """
-    global _PROGRAMS
     # Loaded here, so that a command that never sweeps never loads it.
     from ._transfer import Program, work
 
@@ -382,20 +368,20 @@ def _n_min_sweep(n_max: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> Ite
             "N_min", "work", charge, 0, limit, f"{TRANSFER_LIMIT_DEFAULT=}",
             head=f"N_min(n={n_max}, r={r}) needs more than {limit} units of sweep work",
         )
-    yield 1  # x_0^r at P(1) = 1
+    if r == 1 or n_max == 1:
+        # tau_min is the only triangle that meets trivially alone, and the
+        # only one of size 1
+        return [1] * n_max
     if n_max == 2:
-        yield 2**r - 1  # some component has row 1 distinguished
-    if n_max <= 2:
-        return
+        return [1, 2**r - 1]  # some component has row 1 distinguished
     try:
-        p = primitive_counts(n_max)
         program = _PROGRAMS.get(r)
         if program is None:
             program = _PROGRAMS[r] = Program(r)
-        yield from program.sweep(n_max, p)
+        return [1, *program.sweep(n_max, primitive_counts(n_max))]
     finally:
         if sum(work(q.top + 1, q.r) for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:
-            _PROGRAMS = {}
+            _PROGRAMS.clear()
 
 
 def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:
@@ -408,7 +394,7 @@ def n_min_exact(n: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> int:
         raise bound_error("n_min_exact", "n", n, 1)
     if type(r) is not int or r < 1:
         raise bound_error("n_min_exact", "r", r, 1)
-    return list(_n_min_sweep(n, r, limit))[-1]
+    return _n_min_sweep(n, r, limit)[-1]
 
 
 def _signed_sum(n: int, r: int, avoid: Callable[[int], int]) -> int:
@@ -423,8 +409,10 @@ def _signed_sum(n: int, r: int, avoid: Callable[[int], int]) -> int:
 def _n_min_ie(n: int, r: int) -> int:
     """Oracle for `n_min_exact`: inclusion-exclusion over the 2^(n-1) row
     subsets, with the avoidance counts from the gap products."""
+    from .triangles import RowSet
+
     a = [asm_number(i) for i in range(n + 1)]
-    return _signed_sum(n, r, lambda mask: _avoid_from_table(n, _rows_of_mask(mask), a))
+    return _signed_sum(n, r, lambda mask: _avoid_from_table(n, RowSet(n, mask).members, a))
 
 
 def n_min_census(
@@ -669,8 +657,5 @@ def theorem_report(
         raise bound_error("theorem_report", "n_max", n_max, 2)
     if type(r) is not int or r < 1:
         raise bound_error("theorem_report", "r", r, 1)
-    return [
-        decompose(n, r, n_min)
-        for n, n_min in enumerate(_n_min_sweep(n_max, r, limit), start=1)
-        if n >= 2
-    ]
+    swept = _n_min_sweep(n_max, r, limit)
+    return [decompose(n, r, swept[n - 1]) for n in range(2, n_max + 1)]

@@ -630,7 +630,7 @@ def interlacing_successors(row: tuple[int, ...], n: int) -> Iterator[tuple[int, 
 
 
 def triangle_to_text(t: MonotoneTriangle) -> str:
-    return str(t) + "\n"
+    return triangles_to_text((t,))
 
 
 class _RowText(dict):
@@ -641,14 +641,8 @@ class _RowText(dict):
         return text
 
 
-def _triangle_texts(ts: Iterable[MonotoneTriangle]) -> Iterator[str]:
-    # A size-n stream has at most 2^n - 1 distinct rows; format each once.
-    text = _RowText().__getitem__
-    return ("\n".join(map(text, t.rows)) for t in ts)
-
-
 def triangles_to_text(ts: Iterable[MonotoneTriangle]) -> str:
-    return "\n\n".join(_triangle_texts(ts)) + "\n"
+    return "".join(triangles_to_text_chunks(ts)) or "\n"
 
 
 _CHUNK_TRIANGLES = 1024  # about 60 kB of text at n = 7
@@ -657,7 +651,9 @@ _CHUNK_TRIANGLES = 1024  # about 60 kB of text at n = 7
 def triangles_to_text_chunks(ts: Iterable[MonotoneTriangle]) -> Iterator[str]:
     """The text of `triangles_to_text(ts)` for a nonempty stream, in pieces
     of a bounded number of triangles, so a long stream is never held whole."""
-    texts = _triangle_texts(ts)
+    # A size-n stream has at most 2^n - 1 distinct rows; format each once.
+    text = _RowText().__getitem__
+    texts = ("\n".join(map(text, t.rows)) for t in ts)
     separator = ""
     while chunk := list(islice(texts, _CHUNK_TRIANGLES)):
         yield separator + "\n\n".join(chunk) + "\n"
@@ -665,7 +661,7 @@ def triangles_to_text_chunks(ts: Iterable[MonotoneTriangle]) -> Iterator[str]:
 
 
 def matrix_to_text(m: ColumnSumMatrix | AlternatingSignMatrix) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in m.entries) + "\n"
+    return matrices_to_text((m,))
 
 
 def matrices_to_text(ms: Iterable[ColumnSumMatrix | AlternatingSignMatrix]) -> str:
@@ -707,15 +703,13 @@ def parse_triangles(text: str) -> list[MonotoneTriangle]:
     return out
 
 
+def _parse_matrices(text: str, cls: type) -> list:
+    return [cls(tuple(map(tuple, _parse_int_lines(lines)))) for lines in _blocks(text)]
+
+
 def parse_column_sums(text: str) -> list[ColumnSumMatrix]:
-    return [
-        ColumnSumMatrix(tuple(tuple(r) for r in _parse_int_lines(lines)))
-        for lines in _blocks(text)
-    ]
+    return _parse_matrices(text, ColumnSumMatrix)
 
 
 def parse_asms(text: str) -> list[AlternatingSignMatrix]:
-    return [
-        AlternatingSignMatrix(tuple(tuple(r) for r in _parse_int_lines(lines)))
-        for lines in _blocks(text)
-    ]
+    return _parse_matrices(text, AlternatingSignMatrix)

@@ -18,6 +18,7 @@ from .lattice import OrderRelation, compare, is_trivial, join, meet
 from .triangles import (
     MonotoneTriangle,
     Permutation,
+    RowSet,
     extremal_triangle,
     near_minimal_triangle,
 )
@@ -170,7 +171,7 @@ def verify_census(n_max: int = 6) -> int:
             _fail(suite, f"the gap-product census differs from the enumerated one at n={n}")
         checks += 2
         for mask in range(1 << (n - 1)):
-            members = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
+            members = RowSet(n, mask).members
             if table.containment_count(mask) != counting.eta(n, members):
                 _fail(suite, f"containment sum != eta at n={n}, I={members}")
             checks += 1

@@ -124,16 +124,21 @@ def test_no_function_assigns_a_local_it_never_reads():
                 continue
             names = [node for node in ast.walk(function) if isinstance(node, ast.Name)]
             read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
-            read.update(
-                name
-                for node in ast.walk(function)
-                if isinstance(node, (ast.Global, ast.Nonlocal))
-                for name in node.names
-            )
             for node in _own_nodes(function):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                     if node.id != "_" and node.id not in read:
                         found.append(f"{path.name}:{node.lineno} {node.id}")
+    assert found == []
+
+
+def test_no_global_or_nonlocal_statement():
+    # Module state is mutated in place, never rebound from inside a function.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
     assert found == []
 
 

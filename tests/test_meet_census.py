@@ -5,7 +5,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, product, zip_longest
+from itertools import combinations_with_replacement, product
 from math import comb, prod
 from pathlib import Path
 
@@ -121,8 +121,12 @@ class TestAvoidCount:
 
 class TestNMin:
     def test_r_one_is_always_one(self):
-        for n in (1, 2, 5, 9):
+        # answered before any program or P fill, up to the boundary (260, 1)
+        meet_census._PROGRAMS.clear()
+        del meet_census._P_CACHE[1:]
+        for n in (1, 2, 5, 9, 260):
             assert n_min_exact(n, 1) == 1
+        assert meet_census._PROGRAMS == {} and meet_census._P_CACHE == [0]
 
     def test_spot_values_against_brute_force(self, universe):
         for n, r in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)):
@@ -190,7 +194,7 @@ class TestNMin:
             n_min_exact(10**6, 10**6)  # refused before its binomials are computed
 
     def test_refusal_builds_nothing(self):
-        meet_census._PROGRAMS = {}
+        meet_census._PROGRAMS.clear()
         del meet_census._P_CACHE[1:]
         for call in (lambda: n_min_exact(300, 2), lambda: theorem_report(91, 3)):
             with pytest.raises(LimitExceeded):
@@ -219,7 +223,7 @@ class TestSweepOracles:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 14), st.integers(1, 4))
     def test_matches_product_sweep(self, n, r):
-        assert list(_n_min_sweep(n, r)) == list(product_sweep(n, r))
+        assert _n_min_sweep(n, r) == list(product_sweep(n, r))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 31))
@@ -227,7 +231,7 @@ class TestSweepOracles:
     @example(5, 17)
     @example(5, 31)
     def test_many_components(self, n, r):
-        swept = list(_n_min_sweep(n, r))
+        swept = _n_min_sweep(n, r)
         assert swept[-1] == _n_min_ie(n, r)
         if r <= PRODUCT_R_MAX[n]:
             assert swept == list(product_sweep(n, r))
@@ -235,12 +239,12 @@ class TestSweepOracles:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 4))
     def test_matches_inclusion_exclusion(self, n, r):
-        assert list(_n_min_sweep(n, r))[-1] == _n_min_ie(n, r)
+        assert _n_min_sweep(n, r)[-1] == _n_min_ie(n, r)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8))
     def test_matches_census(self, censuses, n, r):
-        assert list(_n_min_sweep(n, r))[-1] == n_min_census(n, r, census=censuses(n))
+        assert _n_min_sweep(n, r)[-1] == n_min_census(n, r, census=censuses(n))
 
 
 def series_primitive_counts(m_max):
@@ -270,7 +274,7 @@ class TestPrimitiveCountsCache:
 
     def test_sweep_reads_the_cache_unchanged(self):
         primitive_counts(20).clear()
-        assert list(_n_min_sweep(6, 2)) == [1, 3, 15, 107, 1103, 17767]
+        assert _n_min_sweep(6, 2) == [1, 3, 15, 107, 1103, 17767]
 
 
 @cache
@@ -334,77 +338,46 @@ class TestTransferProgram:
     @example([(6, 3), (12, 3), (4, 3)])  # widen a compiled program, then a smaller call
     @example([(9, 5), (2, 5), (14, 5), (13, 5)])
     def test_any_call_order_matches_oracles(self, calls):
-        meet_census._PROGRAMS = {}  # start this example from an empty store
+        meet_census._PROGRAMS.clear()  # start this example from an empty store
         for n, r in calls:
-            swept = list(_n_min_sweep(n, r))
+            swept = _n_min_sweep(n, r)
             assert swept == swept_oracle(r)[:n]
             if n <= 8:
                 assert swept[-1] == _n_min_ie(n, r)
         assert store_charge() <= TRANSFER_LIMIT_DEFAULT
 
-    def test_interleaved_sweeps_at_one_r(self):
-        # The three sweeps share one program: whichever reaches a position
-        # first builds it, while the others are suspended.
-        meet_census._PROGRAMS = {}
-        sweeps = [_n_min_sweep(9, 4), _n_min_sweep(12, 4), _n_min_sweep(14, 4)]
-        got = [[], [], []]
-        for values in zip_longest(*sweeps):
-            for out, value in zip(got, values):
-                if value is not None:
-                    out.append(value)
-        assert got == [swept_oracle(4)[:n] for n in (9, 12, 14)]
-        program = meet_census._PROGRAMS[4]
-        assert program.top == 13 and store_charge() == work(14, 4)
-        assert list(program.kernels) == list(range(2, 14))
-        assert list(program.closings) == [8, 11, 13]
-
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(1, 5),
-        st.lists(st.integers(1, 12), min_size=1, max_size=4),
-        st.lists(st.integers(0, 3), max_size=40),
-    )
-    @example(4, [9, 12, 14], [0, 1, 2] * 9)
-    @example(3, [12, 2, 6], [2, 1, 0, 0, 0, 1, 1, 1, 1])
-    def test_widening_keeps_every_position(self, r, ns, schedule):
-        # Sweeps at one r, started in order and advanced in any interleaving,
-        # then run out: a kernel and a closing equal their definitions, a
-        # kernel equals the one a program built straight to its position
-        # holds, and a position, once served, keeps the same objects.
-        meet_census._PROGRAMS = {}
-        sweeps = [_n_min_sweep(n, r) for n in ns]
-        got = [[] for _ in ns]
+    @given(st.integers(1, 5), st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    @example(4, [9, 12, 14])
+    @example(3, [12, 2, 6])
+    def test_widening_keeps_every_position(self, r, ns):
+        # Calls at one r, in order: a kernel and a closing equal their
+        # definitions, a kernel equals the one a program built straight to
+        # its position holds, and a position, once served, keeps the same
+        # objects.
+        meet_census._PROGRAMS.clear()
         served = {}
-
-        def advance(i):
-            value = next(sweeps[i], None)
-            if value is not None:
-                got[i].append(value)
+        for n in ns:
+            assert _n_min_sweep(n, r) == swept_oracle(r)[:n]
             program = meet_census._PROGRAMS.get(r)
             if program is not None:
+                assert served.setdefault("program", program) is program
                 for key, store in (("kernel", program.kernels), ("closing", program.closings)):
                     for pos, held in store.items():
                         assert served.setdefault((key, pos), held) is held
-
-        for i in schedule:
-            advance(i % len(ns))
-        for i, n in enumerate(ns):
-            for _ in range(n + 1):
-                advance(i)
-        assert got == [swept_oracle(r)[:n] for n in ns]
-        if max(ns) <= 2:
-            assert r not in meet_census._PROGRAMS  # n <= 2 builds nothing
+        if max(ns) <= 2 or r == 1:
+            assert r not in meet_census._PROGRAMS  # n <= 2 and r = 1 build nothing
             return
         program = meet_census._PROGRAMS[r]
         top = max(ns) - 1
         assert program.top == top and store_charge() == work(top + 1, r)
         assert list(program.kernels) == list(range(2, top + 1))
-        assert sorted(program.closings) == sorted({n - 1 for n in ns if n > 2})
+        assert list(program.closings) == list(dict.fromkeys(n - 1 for n in ns if n > 2))
         p = primitive_counts(max(ns))
         check_kernels(program, p)
         check_closings(program, p)
         straight = _transfer.Program(r)
-        assert list(straight.sweep(max(ns), p)) == swept_oracle(r)[1 : max(ns)]
+        assert straight.sweep(max(ns), p) == swept_oracle(r)[1 : max(ns)]
         assert list(straight.kernels) == list(program.kernels)
         for pos, kernels in program.kernels.items():
             assert [(get(EVERY_RANK), factors) for get, factors in kernels] == [
@@ -417,7 +390,7 @@ class TestTransferProgram:
         # degree e < r in the n - 1 distances 0..n-2, C(e + n - 2, n - 2) of
         # them.  It holds n - 1 ranks and multiplicities per monomial of
         # degree 1..r-2 at its widest position.
-        meet_census._PROGRAMS = {}
+        meet_census._PROGRAMS.clear()
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
         width = n - 1
@@ -445,7 +418,7 @@ class TestTransferProgram:
         assert work(n, r) % (read + 4 * comb(n + r - 2, r - 1)) == 0
 
     def test_trivial_meet_set_stays(self):
-        meet_census._PROGRAMS = {}
+        meet_census._PROGRAMS.clear()
         for r in (2, 3, 4):
             theorem_report(16, r)
         kept = dict(meet_census._PROGRAMS)
@@ -473,7 +446,7 @@ class TestTransferProgram:
         assert store_charge() == work(16, 2) + work(16, 3) + work(16, 4)
 
     def test_two_builds_nothing_and_keeps_the_store(self):
-        meet_census._PROGRAMS = {}
+        meet_census._PROGRAMS.clear()
         n_min_exact(16, 4)
         kept = dict(meet_census._PROGRAMS)
         for r in (24999, 300):
@@ -484,7 +457,7 @@ class TestTransferProgram:
     def test_kernels_are_the_rounds_by_destination(self, n, r):
         # Position 1 is closed form, so no position-1 pass has a kernel:
         # (3, 300) keeps position 2's alone.
-        meet_census._PROGRAMS = {}
+        meet_census._PROGRAMS.clear()
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
         assert list(program.kernels) == list(range(2, n))
@@ -493,29 +466,23 @@ class TestTransferProgram:
     @pytest.mark.parametrize("key", SWEEP_DIGESTS)
     def test_sweep_gates_keep_their_digests(self, key):
         n, r = map(int, key.split(","))
-        values = list(_n_min_sweep(n, r))
+        values = _n_min_sweep(n, r)
         assert len(values) == n
         assert hashlib.sha256(",".join(map(hex, values)).encode()).hexdigest() == SWEEP_DIGESTS[key]
 
     def test_store_past_the_bound_is_dropped(self):
-        meet_census._PROGRAMS = {}
         held = meet_census._PROGRAMS
-        in_flight = _n_min_sweep(16, 4)
-        head = [next(in_flight) for _ in range(8)]
+        held.clear()
+        n_min_exact(16, 4)
         program = held[4]
-        for n, r in ((13, 6), (17, 5)):
+        for n, r in ((13, 6), (17, 5), (26, 4)):
             n_min_exact(n, r)
-        n_min_exact(26, 4)  # grows in_flight's program while it is suspended
-        assert held[4] is program and program.top == 25
+        assert held[4] is program and program.top == 25  # grown in place by (26, 4)
         assert store_charge() == work(13, 6) + work(17, 5) + work(26, 4) <= TRANSFER_LIMIT_DEFAULT
         assert work(30, 5) + work(13, 6) + work(26, 4) > TRANSFER_LIMIT_DEFAULT
         n_min_exact(30, 5)  # grows the r = 5 program past what the store keeps
-        assert meet_census._PROGRAMS == {}
-        # dropped by rebinding: the suspended sweep's program is left whole
-        assert program.top == 25
-        assert len(program.kernels) == 24
-        assert head + list(in_flight) == swept_oracle(4, 16)
-        assert list(_n_min_sweep(14, 4)) == swept_oracle(4)
+        assert meet_census._PROGRAMS is held and held == {}  # emptied in place
+        assert _n_min_sweep(14, 4) == swept_oracle(4)
 
 
 class TestPExtreme:
