@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -65,21 +64,6 @@ def _read_input(path: str | None) -> str:
     return Path(path).read_text()
 
 
-@contextmanager
-def _exact_digits():
-    """Lift CPython's cap on int-to-str digits (4300 by default) while the
-    command prints its own results, and restore it afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no cap
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 # Each command imports the modules it runs, so that a cold `gog` process
 # compiles no more of the package than its command needs.
 
@@ -91,8 +75,7 @@ def cmd_asm_count(args: argparse.Namespace) -> int:
         value = counting.asm_number(args.n)
     else:
         value = counting.asm_number_dp(args.n)
-    with _exact_digits():
-        print(value)
+    print(value)
     return 0
 
 
@@ -154,22 +137,21 @@ def cmd_pmin(args: argparse.Namespace) -> int:
     else:
         n_min = meet_census.n_min_census(args.n, args.r)
     p_min = Fraction(n_min, counting.asm_number(args.n) ** args.r)
-    with _exact_digits():
-        payload = {
-            "n": args.n,
-            "r": args.r,
-            "n_min": str(n_min),
-            "p_min_num": str(p_min.numerator),
-            "p_min_den": str(p_min.denominator),
-            "p_min_decimal": _decimal(p_min),
-        }
-        if args.json:
-            import json
+    payload = {
+        "n": args.n,
+        "r": args.r,
+        "n_min": str(n_min),
+        "p_min_num": str(p_min.numerator),
+        "p_min_den": str(p_min.denominator),
+        "p_min_decimal": _decimal(p_min),
+    }
+    if args.json:
+        import json
 
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        else:
-            for key in sorted(payload):
-                print(f"{key}\t{payload[key]}")
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    else:
+        for key in sorted(payload):
+            print(f"{key}\t{payload[key]}")
     return 0
 
 
@@ -178,13 +160,12 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
     reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tp_min_num\tp_min_den\tp_min_decimal\tratio_num\tratio_den\tratio_decimal")
-    with _exact_digits():
-        for rep in reports:
-            ratio = rep.theorem1_ratio
-            print(
-                f"{rep.n}\t{rep.n_min}\t{rep.p_min.numerator}\t{rep.p_min.denominator}\t"
-                f"{_decimal(rep.p_min)}\t{ratio.numerator}\t{ratio.denominator}\t{_decimal(ratio)}"
-            )
+    for rep in reports:
+        ratio = rep.theorem1_ratio
+        print(
+            f"{rep.n}\t{rep.n_min}\t{rep.p_min.numerator}\t{rep.p_min.denominator}\t"
+            f"{_decimal(rep.p_min)}\t{ratio.numerator}\t{ratio.denominator}\t{_decimal(ratio)}"
+        )
     return 0
 
 
@@ -193,12 +174,11 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 
     reports = meet_census.theorem_report(args.n_max, args.r)
     print("n\tn_min\tmain\tsecond\tE\ttheta_ratio_decimal")
-    with _exact_digits():
-        for rep in reports:
-            print(
-                f"{rep.n}\t{rep.n_min}\t{rep.main_term}\t{rep.second_term}\t"
-                f"{rep.error_term}\t{_decimal(rep.theta_ratio)}"
-            )
+    for rep in reports:
+        print(
+            f"{rep.n}\t{rep.n_min}\t{rep.main_term}\t{rep.second_term}\t"
+            f"{rep.error_term}\t{_decimal(rep.theta_ratio)}"
+        )
     return 0
 
 
@@ -335,6 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Lift CPython's cap on int-to-str digits (4300 by default, 0 for none,
+    # and no cap before 3.10.7) while the command runs, and restore it after.
+    cap = getattr(sys, "get_int_max_str_digits", int)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (GogError, ValueError, OSError) as exc:
@@ -344,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -82,10 +82,16 @@ def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
     return counts[tuple(range(1, n + 1))]
 
 
-def _sorted_members(n: int, rows: RowSet | Iterable[int]) -> tuple[int, ...]:
+def _sorted_members(what: str, n: int, rows: RowSet | Iterable[int]) -> tuple[int, ...]:
     from .triangles import RowSet
 
-    members = rows.members if isinstance(rows, RowSet) else tuple(sorted(set(rows)))
+    if isinstance(rows, RowSet):
+        members = rows.members
+    else:
+        members = tuple(rows)
+        if odd := [i for i in members if type(i) is not int]:
+            raise bound_error(what, "row", odd[0], 1)
+        members = tuple(sorted(set(members)))
     for i in members:
         if not 1 <= i <= n - 1:
             raise RowOutOfRange(f"row {i} outside [1, {n - 1}]")
@@ -103,7 +109,7 @@ def eta(n: int, rows: RowSet | Iterable[int]) -> int:
     """
     if type(n) is not int or n < 0:
         raise bound_error("eta", "n", n, 0)
-    members = _sorted_members(n, rows)
+    members = _sorted_members("eta", n, rows)
     prod = 1
     prev = 0
     for i in members:

@@ -71,13 +71,13 @@ from operator import eq
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT
-from .errors import IndexOutOfRange, StrictIncreaseViolated, ShapeMismatch, bound_error
+from .errors import IndexOutOfRange, ShapeMismatch, bound_error
 from .triangles import (
     _SMALL_ROWS,
     MonotoneTriangle,
     _Frozen,
+    _check_row,
     _is_int,
-    _non_int,
     _rows_by_mask,
 )
 
@@ -112,17 +112,11 @@ class TrianglePrefix(_Frozen):
         row = tuple(row)
         if type(level) is not int:
             raise bound_error("TrianglePrefix", "level", level, 0)
+        _check_row("TrianglePrefix", n, row)
         if not 0 <= level <= n:
             raise ShapeMismatch(f"level {level} outside [0, {n}]")
         if len(row) != level:
             raise ShapeMismatch(f"prefix row has {len(row)} entries, expected {level}")
-        if odd := _non_int(row):
-            raise ShapeMismatch(f"prefix row has a non-integer entry: {odd[0]!r}")
-        for a, b in zip(row, row[1:]):
-            if a >= b:
-                raise StrictIncreaseViolated(f"prefix row not strictly increasing: {row}")
-        if row and (row[0] < 1 or row[-1] > n):
-            raise ShapeMismatch(f"prefix row entries outside [1, {n}]: {row}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "row", row)
@@ -270,7 +264,7 @@ def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> 
     >>> completions_count(TrianglePrefix(3, 1, (2,)))
     3
     """
-    if type(prefix.n) is not int or not 1 <= prefix.n <= limit:
+    if not 1 <= prefix.n <= limit:
         raise bound_error("completions_count", "n", prefix.n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     return _index(prefix.n).counts[_id(prefix.row)]
 

@@ -67,8 +67,8 @@ the highest member of D costs one multiply per set, with 2^(n-1) sets up
 to n = CENSUS_LIMIT_DEFAULT.  Computing it is faster than reading its text
 back, so nothing here stores a census.  `enumeration.build_census`, which
 walks every triangle and so stops at n = 7, is its oracle in `verify` and
-the tests.  A census has a text form, checked count by count against f(D)
-when read:
+the tests.  A census has a text form, which is read back by comparing it
+with the census computed for its n:
 
     MTCENSUS v1 n=<n> total=<decimal A(n)>
     <bitmask-hex> <decimal count>          (ascending bitmask)
@@ -124,7 +124,7 @@ def avoid_count(n: int, t_set: RowSet | tuple[int, ...] | list[int]) -> int:
     """
     if type(n) is not int or n < 0:
         raise bound_error("avoid_count", "n", n, 0)
-    members = _sorted_members(n, t_set)
+    members = _sorted_members("avoid_count", n, t_set)
     a = [asm_number(i) for i in range(n + 1)]
     return _avoid_from_table(n, members, a)
 
@@ -223,65 +223,34 @@ class CensusTable(_Record):
 
     @classmethod
     def from_text(cls, text: str) -> "CensusTable":
-        lines = text.splitlines()
-        if not lines:
-            raise FormatError("empty census file")
-        head = lines[0].split()
-        if (
-            len(head) != 4
-            or head[0] != "MTCENSUS"
-            or head[1] != "v1"
-            or not head[2].startswith("n=")
-            or not head[3].startswith("total=")
-        ):
-            raise FormatError(f"bad census header: {lines[0]!r}")
+        """Read a census text, which must be the census computed for its n."""
+        lines = text.splitlines() or [""]
         try:
-            n = int(head[2][2:])
-            total = int(head[3][6:])
+            magic, version, n, total = lines[0].split()
+            if (magic, version) != ("MTCENSUS", "v1") or n[:2] != "n=" or total[:6] != "total=":
+                raise ValueError
+            n, total = int(n[2:]), int(total[6:])
         except ValueError as exc:
             raise FormatError(f"bad census header: {lines[0]!r}") from exc
-        if n < 1:
-            raise FormatError(f"bad census size n={n} in {lines[0]!r}")
-        counts: dict[int, int] = {}
-        previous = -1
+        pairs = []
         for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad census line: {line!r}")
             try:
-                mask = int(parts[0], 16)
-                count = int(parts[1])
+                mask, count = line.split()
+                pairs.append((int(mask, 16), int(count)))
             except ValueError as exc:
                 raise FormatError(f"bad census line: {line!r}") from exc
-            if mask <= previous:
-                raise FormatError(f"census masks not ascending at {line!r}")
-            if count <= 0:
-                raise FormatError(f"nonpositive census count at {line!r}")
-            if mask >> n:
-                raise FormatError(f"mask {mask:#x} has rows outside [1, {n}]")
-            if not mask >> (n - 1) & 1:
-                raise FormatError(f"mask {mask:#x} lacks the bottom row {n}")
-            previous = mask
-            counts[mask] = count
-        if sum(counts.values()) != total:
+        # P(m) >= 1 for every gap m, so a census lists all 2^(n-1) sets, and
+        # k lines bound n by k.bit_length(): testing that first keeps a
+        # forged header from forcing a large shift, A(n) or f(D).
+        if (
+            not 1 <= n <= len(pairs).bit_length()
+            or total != asm_number(n)
+            or pairs != list(zip(range(1 << (n - 1), 1 << n), _exact_set_counts(n)))
+        ):
             raise FormatError(
-                f"census counts sum to {sum(counts.values())}, header says {total}"
+                f"census for n={n} is not its gap product census, f(D) for each D by mask"
             )
-        # P(m) >= 1 for every gap m, so every distinguished set occurs; this
-        # also keeps a forged header from forcing A(n) for a large n.  Those
-        # 2^(n-1) lines outnumber n, and testing that first keeps a forged n
-        # from forcing the shift.
-        if n > len(lines) or len(counts) != 1 << (n - 1):
-            raise FormatError(f"census for n={n} lacks some of the 2^{n - 1} distinguished sets")
-        if total != asm_number(n):
-            raise FormatError(f"census total {total} is not A({n}) = {asm_number(n)}")
-        # The masks are now exactly the 2^(n-1) sets, ascending.
-        for (mask, count), expected in zip(counts.items(), _exact_set_counts(n)):
-            if count != expected:
-                raise FormatError(
-                    f"census count {count} at mask {mask:x} is not its gap product {expected}"
-                )
-        return cls(n, counts)
+        return cls(n, dict(pairs))
 
     def write(self, path: Path | str) -> None:
         """Write atomically: a reader sees the old file or the whole new one."""

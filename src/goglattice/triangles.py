@@ -6,7 +6,10 @@ adjacent rows interlace (a(i,j) <= a(i-1,j) <= a(i,j+1)), and whose bottom
 row is therefore forced to be 1, 2, ..., n.  The same data can be presented
 as an n x n column-sum matrix (0/1 entries; row i is the indicator vector of
 triangle row i) or as an alternating-sign matrix (successive differences of
-the column-sum rows).
+the column-sum rows).  Each form is checked through that definition: a 0/1
+matrix is a column-sum matrix exactly when its one-positions form a monotone
+triangle, and a matrix over {-1, 0, 1} is an ASM exactly when its partial
+sums down each column form a column-sum matrix.
 
 All public interfaces and error positions are 1-based, matching the usual
 a(i,j) indexing; storage is 0-based tuples.  Values are immutable after
@@ -29,6 +32,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     BadBottomRow,
     FormatError,
+    GogError,
     InterlacingViolated,
     NotAColumnSumMatrix,
     NotAnASM,
@@ -327,6 +331,8 @@ class MonotoneTriangle(_Frozen):
 
 def validate_triangle(n: int, rows: Sequence[Sequence[int]]) -> MonotoneTriangle:
     """Validate a ragged array as a monotone triangle of size n."""
+    if type(n) is not int:
+        raise bound_error("validate_triangle", "n", n, 1)
     if len(rows) != n:
         raise ShapeMismatch(f"expected {n} rows, got {len(rows)}", position=(1, 1))
     return MonotoneTriangle(tuple(tuple(row) for row in rows))
@@ -407,6 +413,8 @@ class RowSet(_Frozen):
     def from_members(cls, n: int, members: Iterable[int]) -> "RowSet":
         mask = 0
         for i in members:
+            if type(i) is not int:
+                raise bound_error("RowSet", "row", i, 1)
             if not 1 <= i <= n:
                 raise RowOutOfRange(f"row {i} outside [1, {n}]")
             mask |= 1 << (i - 1)
@@ -440,6 +448,20 @@ def max_consecutive_run(d: RowSet) -> int:
 # Matrix forms
 
 
+def _check_square(entries: Rows, error: type[GogError], values: tuple[int, ...]) -> None:
+    """Raise `error` unless entries is a nonempty square of exact ints in `values`."""
+    n = len(entries)
+    if n == 0:
+        raise error("matrix is empty")
+    for i, row in enumerate(entries, start=1):
+        if len(row) != n:
+            raise error(f"row {i} has {len(row)} entries, expected {n}")
+        if odd := _non_int(row):
+            raise error(f"row {i} has a non-integer entry: {odd[0]!r}")
+        if any(v not in values for v in row):
+            raise error(f"row {i} has an entry outside {{{', '.join(map(str, values))}}}")
+
+
 class ColumnSumMatrix(_Frozen):
     """An n x n 0/1 matrix whose row i marks the entries of triangle row i."""
 
@@ -448,27 +470,14 @@ class ColumnSumMatrix(_Frozen):
     def __init__(self, entries: Sequence[Sequence[int]]) -> None:
         entries = tuple(tuple(row) for row in entries)
         object.__setattr__(self, "entries", entries)
-        n = len(entries)
-        if n == 0:
-            raise NotAColumnSumMatrix("matrix is empty")
-        for i, row in enumerate(entries, start=1):
-            if len(row) != n:
-                raise NotAColumnSumMatrix(f"row {i} has {len(row)} entries, expected {n}")
-            if odd := _non_int(row):
-                raise NotAColumnSumMatrix(f"row {i} has a non-integer entry: {odd[0]!r}")
-            if any(v not in (0, 1) for v in row):
-                raise NotAColumnSumMatrix(f"row {i} has an entry outside {{0, 1}}")
-            if sum(row) != i:
-                raise NotAColumnSumMatrix(f"row {i} has {sum(row)} ones, expected {i}")
+        _check_square(entries, NotAColumnSumMatrix, (0, 1))
         rows = tuple(
             tuple(j for j, v in enumerate(row, start=1) if v == 1) for row in entries
         )
         try:
             _validate_rows(rows)
         except TriangleError as exc:
-            raise NotAColumnSumMatrix(
-                f"one-positions do not interlace: {exc}"
-            ) from exc
+            raise NotAColumnSumMatrix(f"one-positions are not a monotone triangle: {exc}") from exc
 
     @property
     def n(self) -> int:
@@ -484,44 +493,33 @@ class ColumnSumMatrix(_Frozen):
         return AlternatingSignMatrix(tuple(out))
 
 
-def _check_alternating(line: Sequence[int], what: str, index: int) -> None:
-    nonzero = [v for v in line if v != 0]
-    if not nonzero or nonzero[0] != 1 or nonzero[-1] != 1:
-        raise NotAnASM(f"{what} {index} must start and end with +1 among nonzeros")
-    for a, b in zip(nonzero, nonzero[1:]):
-        if a == b:
-            raise NotAnASM(f"{what} {index} has two consecutive nonzeros of sign {a}")
-
-
 class AlternatingSignMatrix(_Frozen):
-    """An n x n matrix over {-1, 0, 1}: each row and column sums to 1 with
-    the nonzero entries alternating in sign."""
+    """An n x n matrix over {-1, 0, 1} whose partial sums down each column
+    form a column-sum matrix; it is that matrix's successive row differences.
+
+    This is the textbook rule, that the nonzero entries of every row and
+    every column read +1, -1, ..., +1: a column's do exactly when its partial
+    sums stay in {0, 1} and end at 1, and a row's do exactly when it is the
+    difference of the indicator vectors of two interlacing triangle rows.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[int]]) -> None:
         entries = tuple(tuple(row) for row in entries)
         object.__setattr__(self, "entries", entries)
-        n = len(entries)
-        if n == 0:
-            raise NotAnASM("matrix is empty")
-        for i, row in enumerate(entries, start=1):
-            if len(row) != n:
-                raise NotAnASM(f"row {i} has {len(row)} entries, expected {n}")
-            if odd := _non_int(row):
-                raise NotAnASM(f"row {i} has a non-integer entry: {odd[0]!r}")
-            if any(v not in (-1, 0, 1) for v in row):
-                raise NotAnASM(f"row {i} has an entry outside {{-1, 0, 1}}")
-            _check_alternating(row, "row", i)
-        for j in range(n):
-            _check_alternating([row[j] for row in entries], "column", j + 1)
+        _check_square(entries, NotAnASM, (-1, 0, 1))
+        try:
+            self.to_column_sum()
+        except NotAColumnSumMatrix as exc:
+            raise NotAnASM(f"partial column sums are not a column-sum matrix: {exc}") from exc
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
     def to_column_sum(self) -> ColumnSumMatrix:
-        """Partial sums down each column; valid ASMs always give 0/1 entries."""
+        """Partial sums down each column, the matrix whose row differences this is."""
         total = [0] * self.n
         out = []
         for row in self.entries:
@@ -583,6 +581,19 @@ def perm_to_triangle(p: Permutation) -> MonotoneTriangle:
 # Row-by-row construction
 
 
+def _check_row(what: str, n: int, row: tuple[int, ...]) -> None:
+    """Raise unless n is a size and row can be a row of a size-n triangle:
+    exact int entries, strictly increasing, each in [1, n]."""
+    if type(n) is not int or n < 0:
+        raise bound_error(what, "n", n, 0)
+    if odd := _non_int(row):
+        raise ShapeMismatch(f"row has a non-integer entry: {odd[0]!r}")
+    if not all(map(lt, row, row[1:])):
+        raise StrictIncreaseViolated(f"row not strictly increasing: {row}")
+    if row and (row[0] < 1 or row[-1] > n):
+        raise ShapeMismatch(f"row entries outside [1, {n}]: {row}")
+
+
 def interlacing_successors(row: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     """Yield the strictly increasing rows of length len(row)+1 that can sit
     directly below `row` in a size-n triangle, in lexicographic order.
@@ -598,6 +609,7 @@ def interlacing_successors(row: tuple[int, ...], n: int) -> Iterator[tuple[int, 
     least value.  The ranges of the first i entries are never empty, because
     row strictly increases.
     """
+    _check_row("interlacing_successors", n, row)
     i = len(row)
     values = [0] * (i + 1)
     j = 0
@@ -687,8 +699,13 @@ def _blocks(text: str) -> list[list[str]]:
 def _parse_int_lines(lines: list[str]) -> list[list[int]]:
     rows = []
     for line in lines:
+        tokens = line.split()
         try:
-            rows.append([int(tok) for tok in line.split()])
+            # `gog` lifts CPython's cap of 4300 digits, past which int() takes
+            # time quadratic in the token; no entry needs that many.
+            if max(map(len, tokens)) > 4300:
+                raise ValueError
+            rows.append([int(tok) for tok in tokens])
         except ValueError as exc:
             raise FormatError(f"non-integer token in line {line!r}") from exc
     return rows

@@ -24,6 +24,7 @@ from goglattice import (
     eta,
     extremal_triangle,
     gap_product_census,
+    interlacing_successors,
     lemma_margins,
     load_or_build_census,
     n_min_census,
@@ -37,6 +38,7 @@ from goglattice import (
     sample_uniform,
     theorem_report,
     unrank,
+    validate_triangle,
 )
 from goglattice.cli import main
 
@@ -171,7 +173,7 @@ def test_every_slot_is_read():
 NOT_A_SIZE = {
     "enumerate_triangles": (lambda: enumerate_triangles(2.0), "n", "float 2.0"),
     "unrank": (lambda: unrank(3.0, 0), "n", "float 3.0"),
-    "completions_count": (lambda: completions_count(TrianglePrefix(3.0, 0, ())), "n", "float 3.0"),
+    "TrianglePrefix": (lambda: TrianglePrefix(3.0, 0, ()), "n", "float 3.0"),
     "asm_number": (lambda: asm_number(2.0), "n", "float 2.0"),
     "asm_number-str": (lambda: asm_number("3"), "n", "str '3'"),
     "asm_number_dp": (lambda: asm_number_dp(2.0), "n", "float 2.0"),
@@ -191,17 +193,24 @@ NOT_A_SIZE = {
     "class_sizes": (lambda: class_sizes(3.0, 2), "n", "float 3.0"),
     "class_sizes-r": (lambda: class_sizes(3, 2.0), "r", "float 2.0"),
     "TrianglePrefix-level": (lambda: TrianglePrefix(3, 1.0, (2,)), "level", "float 1.0"),
+    "interlacing_successors": (lambda: next(interlacing_successors((), 3.0)), "n", "float 3.0"),
+    "validate_triangle": (lambda: validate_triangle(2.0, ((1,), (1, 2))), "n", "float 2.0"),
     "extremal_triangle": (lambda: extremal_triangle(3.0, "min"), "n", "float 3.0"),
     "extremal_triangle-bool": (lambda: extremal_triangle(True, "min"), "n", "bool True"),
     "near_minimal_triangle": (lambda: near_minimal_triangle(3.0, "top"), "n", "float 3.0"),
     "avoid_count": (lambda: avoid_count(3.0, ()), "n", "float 3.0"),
+    "avoid_count-row": (lambda: avoid_count(3, [1.0]), "row", "float 1.0"),
     "primitive_counts": (lambda: primitive_counts(3.0), "m_max", "float 3.0"),
     "lemma_margins": (lambda: lemma_margins(3.0), "n_max", "float 3.0"),
     "RowSet": (lambda: RowSet(3.0, 1), "n", "float 3.0"),
     "RowSet-mask": (lambda: RowSet(3, 1.0), "mask", "float 1.0"),
     "RowSet-bool": (lambda: RowSet(3, True), "mask", "bool True"),
+    "RowSet-row": (lambda: RowSet.from_members(3, [1.0]), "row", "float 1.0"),
+    "RowSet-row-bool": (lambda: RowSet.from_members(3, [True]), "row", "bool True"),
     "eta": (lambda: eta(3.0, ()), "n", "float 3.0"),
     "eta-bool": (lambda: eta(True, ()), "n", "bool True"),
+    "eta-row": (lambda: eta(3, [1.5]), "row", "float 1.5"),
+    "eta-row-bool": (lambda: eta(3, [1, True]), "row", "bool True"),
     "bleher_fokin_estimate": (lambda: bleher_fokin_estimate(3.0), "n", "float 3.0"),
     "class_bound": (lambda: class_bound(3.0, 2, 3), "n", "float 3.0"),
     "class_bound-r": (lambda: class_bound(3, 2.0, 3), "r", "float 2.0"),

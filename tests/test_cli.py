@@ -107,6 +107,14 @@ class TestConvert:
         assert code == 1 and "error" in err
 
     @pytest.mark.parametrize("source", sorted(FIG1_TEXTS))
+    def test_token_past_the_digit_cap_is_refused(self, capsys, monkeypatch, source):
+        # `main` lifts the cap, under which int() of this token would raise;
+        # the reader still refuses it, before int() spends quadratic time.
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 " + "7" * 4301 + "\n"))
+        code, _, err = run(capsys, "convert", "--from", source, "--to", "asm")
+        assert code == 1 and err.startswith("error: non-integer token in line '1 777")
+
+    @pytest.mark.parametrize("source", sorted(FIG1_TEXTS))
     @pytest.mark.parametrize("target", sorted(FIG1_TEXTS))
     def test_every_form_pair(self, capsys, monkeypatch, source, target):
         monkeypatch.setattr("sys.stdin", io.StringIO(FIG1_TEXTS[source]))

@@ -537,11 +537,30 @@ class TestCensusFile:
             pytest.param("MTCENSUS v1 n=1000000000000 total=0\n", id="forged-n1e12"),
             pytest.param(CENSUS3_TEXT[:-4], id="truncated"),
             "MTCENSUS v1 n=0 total=0\n",
+            pytest.param(CENSUS3_TEXT.replace("\n5", "\n\n5"), id="blank-line"),
+            pytest.param(CENSUS3_TEXT.replace("\n5 1", "\n5 1\n5 1"), id="duplicated-line"),
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             CensusTable.from_text(text)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            pytest.param(CENSUS3_TEXT.replace("\n4 4", "\n0X4 4"), 3, id="upper-case-hex-prefix"),
+            pytest.param(
+                "MTCENSUS v1 n=5 total=429\n" + gap_product_census(5).to_text().split("\n", 1)[1].upper(),
+                5,
+                id="upper-case-hex-digits",
+            ),
+            pytest.param(CENSUS3_TEXT.replace("\n", "\r\n"), 3, id="crlf"),
+            pytest.param(" MTCENSUS\tv1  n=3 total=7 \n\t4 4\n5   1 \n6 1\n7 1", 3, id="padded"),
+            pytest.param(CENSUS3_TEXT.replace("\n5 1", "\n05 01"), 3, id="leading-zero"),
+        ],
+    )
+    def test_accepts_lenient_spellings(self, text, n):
+        assert CensusTable.from_text(text) == gap_product_census(n)
 
     def test_write_is_atomic(self, tmp_path, censuses, monkeypatch):
         path = tmp_path / "mtcensus-n3.txt"

@@ -1,10 +1,11 @@
 """Triangle validation, per-triangle attributes, and the matrix bijections."""
 
 import hashlib
+import signal
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -489,6 +490,43 @@ class TestBijections:
         with pytest.raises(NotAColumnSumMatrix):
             ColumnSumMatrix(((1, 0, 0), (0, 1, 1), (1, 1, 1)))  # rows fail to interlace
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_column_sum_accept_set(self, n, universe):
+        # every 0/1 matrix: accepted exactly when it is some triangle's form
+        forms = {t.to_column_sum().entries for t in universe(n)}
+        accepted = set()
+        for flat in product((0, 1), repeat=n * n):
+            entries = tuple(flat[i : i + n] for i in range(0, n * n, n))
+            try:
+                accepted.add(ColumnSumMatrix(entries).entries)
+            except NotAColumnSumMatrix:
+                pass
+        assert accepted == forms
+
+    @pytest.mark.parametrize(
+        "n, values",
+        [(1, (-1, 0, 1)), (2, (-1, 0, 1)), (3, (-1, 0, 1)), (2, (-2, -1, 0, 1, 2))],
+        ids=["1", "2", "3", "2-wide"],
+    )
+    def test_asm_accept_set(self, n, values):
+        # The textbook rule, kept here as an independent oracle: in every row
+        # and every column the nonzero entries are +1, -1, ..., +1.
+        def alternates(line):
+            nonzero = [v for v in line if v]
+            return len(nonzero) % 2 == 1 and nonzero == [(-1) ** k for k in range(len(nonzero))]
+
+        accepted = 0
+        for flat in product(values, repeat=n * n):
+            entries = tuple(flat[i : i + n] for i in range(0, n * n, n))
+            try:
+                AlternatingSignMatrix(entries)
+                ok = True
+            except NotAnASM:
+                ok = False
+            assert ok == all(map(alternates, entries + tuple(zip(*entries)))), entries
+            accepted += ok
+        assert accepted == asm_number(n)
+
     def test_bad_asm_rejected(self):
         with pytest.raises(NotAnASM):
             AlternatingSignMatrix(((1, 0), (1, 0)))  # column sums wrong
@@ -608,6 +646,35 @@ class TestSuccessors:
             for size in range(1, n):
                 for row in combinations(range(1, n + 1), size):
                     assert next(iter(interlacing_successors(row, n)), None) is not None
+
+    @pytest.mark.parametrize(
+        "row, n, error",
+        [
+            ((2, 1), 3, StrictIncreaseViolated),
+            ((1, 1), 3, StrictIncreaseViolated),
+            ((0,), 3, ShapeMismatch),
+            ((5,), 3, ShapeMismatch),
+            ((True,), 3, ShapeMismatch),
+            ((), -1, ValueError),
+            ((), 3.0, TypeError),
+        ],
+        ids=["decreasing", "repeated", "zero", "past-n", "bool", "negative-n", "float-n"],
+    )
+    def test_refuses_a_row_no_triangle_has(self, row, n, error):
+        # The odometer never reaches the bound of a row that is not strictly
+        # increasing or leaves [1, n], so it could run on without end or
+        # yield nothing: each must raise within a second.
+        def stop(signum, frame):
+            raise TimeoutError(f"interlacing_successors({row}, {n}) ran past 1 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(error):
+                list(islice(interlacing_successors(row, n), 12))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_matches_brute_force_filter(self):
         # every strictly increasing row (the empty row too) up to n = 8:
