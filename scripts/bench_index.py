@@ -1,25 +1,27 @@
-"""Time the successor index at n = 12 and write BENCH_index.json.
+"""Time the successor index at size n and write BENCH_index.json.
 
 The cases, each timed in fresh interpreters by the round-robin runner of
 `bench_sweep.py`:
 
-- index: the cold `_index(12)` build (`first_s`), the work of a first
+- index: the cold `_index(n)` build (`first_s`), the work of a first
   `completions_count`;
-- sample: with the index built, `sample_uniform(12, 1000, 2024)`: a first
+- sample: with the index built, `sample_uniform(n, 1000, 2024)`: a first
   call (`first_s`), which makes room for the index's block marks and fills
   those of the rows it reaches, then a repeat;
-- round-trip: with the index built, `rank(unrank(12, k)) == k` for 1000
+- round-trip: with the index built, `rank(unrank(n, k)) == k` for 1000
   fixed k: a first pass, which fills marks likewise, then a repeat.
 
 A case's traced interpreter starts `tracemalloc` after the untimed index
 build, so `kept_mib` is the index for `index` and the block marks for the
 other two.  Run from the repository root:
 
-    python scripts/bench_index.py [--runs RUNS] [--case NAME ...] [--output PATH]
+    python scripts/bench_index.py [--n N] [--runs RUNS] [--case NAME ...] [--output PATH]
 
-The cases default to all three with RUNS = 10, about half a minute on 2
-vCPUs, and PATH to BENCH_index.json.  The file has the layout of
-BENCH_sweep.json, with the case's name in place of (n, r).
+N defaults to 12, the size BENCH_index.json reports, and may be 1 to 16,
+the index's cap.  The cases default to all three with RUNS = 10, about
+half a minute on 2 vCPUs at n = 12, and PATH to BENCH_index.json.  The
+file has the layout of BENCH_sweep.json, with the case's name in place of
+(n, r), and names n in its `call`.
 """
 
 from __future__ import annotations
@@ -32,23 +34,23 @@ from bench_sweep import ROOT, measure, write_report
 
 OUTPUT = ROOT / "BENCH_index.json"
 CASES = ["index", "sample", "round-trip"]
+N = 12
 RUNS = 10
 
-# argv: case, traced.  Prints one JSON object.
+# argv: case, n, traced.  Prints one JSON object.
 CHILD = """
 import json, random, sys, time
 from goglattice.enumeration import _index, rank, sample_uniform, unrank
-case, traced = sys.argv[1], int(sys.argv[2])
-n = 12
+case, n, traced = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 if case == "index":
     calls = {"first_s": lambda: _index(n)}
 else:
     draw = random.Random(2024).randrange
     ks = [draw(_index(n).counts[0]) for _ in range(1000)]
     def sample():
-        sample_uniform(n, 1000, 2024)
+        sample_uniform(n, 1000, 2024, limit=n)
     def round_trip():
-        if any(rank(unrank(n, k)) != k for k in ks):
+        if any(rank(unrank(n, k, limit=n), limit=n) != k for k in ks):
             sys.exit("rank(unrank(n, k)) != k")
     call = sample if case == "sample" else round_trip
     calls = {"first_s": call, "repeat_s": call}
@@ -71,15 +73,18 @@ else:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--runs", type=int, default=RUNS)
     parser.add_argument("--case", choices=CASES, action="append", dest="cases")
     parser.add_argument("--output", type=Path, default=OUTPUT)
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error(f"--runs needs at least 1, got {args.runs}")
+    if not 1 <= args.n <= 16:
+        parser.error(f"--n needs 1 to 16, the successor index's cap, got {args.n}")
     cases = args.cases or CASES
-    rows = [{"case": case, **row} for case, row in zip(cases, measure(CHILD, [(case,) for case in cases], args.runs))]
-    call = "the successor index at n = 12 in a fresh interpreter: a first call, then a repeat"
+    rows = [{"case": case, **row} for case, row in zip(cases, measure(CHILD, [(case, args.n) for case in cases], args.runs))]
+    call = f"the successor index at n = {args.n} in a fresh interpreter: a first call, then a repeat"
     write_report(args.output, "index", call, args.runs, rows)
     for row in rows:
         repeat = f"\trepeat {row['repeat_s']['median']:.4f} s" if "repeat_s" in row else ""

@@ -11,10 +11,17 @@ so ids are dense, the empty top row is id 0 and the forced bottom row
 `array("H")`, in enumeration order and by row id, and the completion counts
 (the ways to finish a triangle below a row, which depend only on that row
 because interlacing constrains adjacent rows only) are a list of Python
-ints indexed by id (A(14) exceeds 2^63).  The index is built once per n:
-each row's successors follow from those of the row without its last entry,
-and since a successor's id exceeds its row's, one sweep down the ids sums
-the counts.  The `"H"` ids cap the index at n <= 16.
+ints indexed by id (A(14) exceeds 2^63).  The index is built once per n,
+by the first entry: a row (u, W), with u its first entry, has as
+successors each l <= u followed by a suffix of W's successors, those that
+start at u or later (past u for l = u).  W's successors fall into blocks
+by first entry, all but the last of one length, blk[W], so the suffix
+starts at a multiple of blk[W], and a row's run is at most u shifted
+copies of runs already built.  Each copy adds l's id bit to every id of
+the suffix at once, as 16-bit lanes of one Python int; the bit is clear in
+each of them, so no lane carries into the next.  Since a successor's id
+exceeds its row's, one sweep down the ids sums the counts.  The `"H"` ids
+cap the index at n <= 16.
 
 Enumeration and the census go through the tree depth first with one flat
 walker (`_walk`), whose stack holds iterators over segments of the index
@@ -65,6 +72,7 @@ samples per `sample_uniform` call.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_right
 from itertools import accumulate, compress
 from operator import eq
@@ -142,26 +150,39 @@ class _SuccessorIndex:
         from array import array
 
         size = 1 << n
-        tails = [_BIT[v : n + 1] for v in range(1, n + 2)]  # the bits of entries v..n
-        # Row i's successors are edges[ends[i]:ends[i + 1]].  Those of the
-        # empty row are (1,), ..., (n,).  Those of a row with last entry b are
-        # the successors p of the row without b that end at or below b, in
-        # order, each followed by every entry from b (from b + 1 if p ends at
-        # b) to n; the row without b has a smaller id, so its run is in place.
-        self.edges = edges = array("H", tails[0])
+        order = sys.byteorder
+        # Row i's successors are edges[ends[i]:ends[i + 1]], in lex order.
+        # Those of the empty row are (1,), ..., (n,).  A nonempty row is
+        # (u, W), with u its first entry and W the row without it, whose id
+        # is smaller, so W's run is in place.  Row i's successors are each
+        # l = 1, ..., u followed by every successor of W that starts at u or
+        # later (past u if l = u).  By first entry, W's run falls into blocks
+        # of one length, blk[W] (1 for the empty row), but the last: what
+        # follows a first entry below W's own does not depend on it.  And u
+        # is below W's first entry, so those are suffixes of the run, from
+        # (u - 1) blk[W] and from u blk[W].  The first is blk[i] long, the
+        # length of row i's blocks for l < u.  Each copy adds l's bit to
+        # every id of its suffix at once, as 16-bit lanes of one int: each
+        # of those ids starts past l, so the bit is clear in it and no lane
+        # carries into the next.
+        self.edges = edges = array("H", _BIT[1 : n + 1])
         self.ends = ends = array("L", [0]) * (size + 1)
         ends[1] = n
+        blk = array("L", [1]) * size
         for i in range(1, size):
-            b = i.bit_length()
-            top = 1 << (b - 1)  # the bit of entry b
-            end = top << 1  # p < end: p ends at or below b
-            from_b, past_b = tails[b - 1], tails[b]
-            edges.extend([
-                p + bit
-                for p in edges[ends[i ^ top] : ends[(i ^ top) + 1]]
-                if p < end
-                for bit in (from_b if p < top else past_b)
-            ])
+            w = i & (i - 1)  # W
+            bit_u = i ^ w
+            u, d = bit_u.bit_length(), blk[w]
+            # W's successors from u on, the first of them in the lowest lane.
+            s, b = ends[w] + (u - 1) * d, ends[w + 1]
+            blk[i] = k = b - s
+            run = int.from_bytes(edges[s:b], order)
+            ones = ((1 << 16 * k) - 1) // 0xFFFF  # 1 in each lane
+            for bit_l in _BIT[1:u]:
+                edges.frombytes((run + ones * bit_l).to_bytes(2 * k, order))
+            # l = u: without the d lanes of W's successors that start at u.
+            last = (run >> 16 * d) + (ones >> 16 * d) * bit_u
+            edges.frombytes(last.to_bytes(2 * (k - d), order))
             ends[i + 1] = len(edges)
         # A successor has a larger id than its row (compare them entry for
         # entry from the last one down), so one sweep down the ids counts all.

@@ -288,18 +288,22 @@ class MonotoneTriangle(_Frozen):
         rows = tuple(tuple(n - e + 1 for e in reversed(row)) for row in self.rows)
         return MonotoneTriangle(rows)
 
-    def to_column_sum(self) -> "ColumnSumMatrix":
-        """The 0/1 matrix whose row i is the indicator vector of row i."""
+    def _indicators(self) -> Rows:
+        """Row i's indicator vector over [n], for each row i."""
         n = self.n
         entries = []
         for row in self.rows:
             present = set(row)
             entries.append(tuple(1 if v in present else 0 for v in range(1, n + 1)))
-        return ColumnSumMatrix(tuple(entries))
+        return tuple(entries)
+
+    def to_column_sum(self) -> "ColumnSumMatrix":
+        """The 0/1 matrix whose row i is the indicator vector of row i."""
+        return ColumnSumMatrix(self._indicators())
 
     def to_asm(self) -> "AlternatingSignMatrix":
         """Successive row differences of the column-sum matrix."""
-        return self.to_column_sum().to_asm()
+        return AlternatingSignMatrix(_differences(self._indicators()))
 
     @classmethod
     def from_column_sum(cls, c: "ColumnSumMatrix") -> "MonotoneTriangle":
@@ -462,6 +466,14 @@ def _check_square(entries: Rows, error: type[GogError], values: tuple[int, ...])
             raise error(f"row {i} has an entry outside {{{', '.join(map(str, values))}}}")
 
 
+def _differences(entries: Rows) -> Rows:
+    """The first row, then each row less the one above it."""
+    out = [entries[0]]
+    for prev, row in zip(entries, entries[1:]):
+        out.append(tuple(b - a for a, b in zip(prev, row)))
+    return tuple(out)
+
+
 class ColumnSumMatrix(_Frozen):
     """An n x n 0/1 matrix whose row i marks the entries of triangle row i."""
 
@@ -487,10 +499,7 @@ class ColumnSumMatrix(_Frozen):
         return MonotoneTriangle.from_column_sum(self)
 
     def to_asm(self) -> "AlternatingSignMatrix":
-        out = [self.entries[0]]
-        for prev, row in zip(self.entries, self.entries[1:]):
-            out.append(tuple(b - a for a, b in zip(prev, row)))
-        return AlternatingSignMatrix(tuple(out))
+        return AlternatingSignMatrix(_differences(self.entries))
 
 
 class AlternatingSignMatrix(_Frozen):

@@ -9,6 +9,7 @@ import tracemalloc
 from array import array
 from functools import cache
 from itertools import accumulate
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -302,7 +303,7 @@ class TestRankUnrank:
 
 
 class TestSuccessorIndex:
-    @pytest.mark.parametrize("n", [*range(1, 10), 12])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_linear_walk(self, n):
         table = linear_counts(n)
         assert len(table) == 1 << n  # every subset of [n] is a row
@@ -314,6 +315,26 @@ class TestSuccessorIndex:
             succ = [_id(cand) for cand in interlacing_successors(row, n)] if len(row) < n else []
             assert index.successors(i).tolist() == succ
         assert len(index.edges) == (3**n - 1) // 2
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_runs_past_the_linear_walk(self, n):
+        # Past the oracle's reach: the edge count, the count at the top, every
+        # successor above its row (the count sweep relies on it) and each run
+        # in strictly increasing lex order of its rows.
+        index = _SuccessorIndex(n)
+        edges, ends = index.edges, index.ends
+        assert len(edges) == (3**n - 1) // 2
+        assert index.counts[0] == asm_number(n)
+        rows = index.rows()
+        lex = [0] * len(rows)
+        for at, i in enumerate(sorted(range(len(rows)), key=rows.__getitem__)):
+            lex[i] = at
+        for i in range(len(rows) - 1):
+            run = edges[ends[i] : ends[i + 1]]
+            assert min(run) > i
+            keys = list(map(lex.__getitem__, run))
+            assert all(map(lt, keys, keys[1:])), i
+        assert ends[-2] == ends[-1] == len(edges)  # the bottom row has none
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pick_and_skipped_exhaustive(self, n):

@@ -484,6 +484,15 @@ class TestBijections:
             assert MonotoneTriangle.from_column_sum(t.to_column_sum()) == t
             assert MonotoneTriangle.from_asm(t.to_asm()) == t
 
+    @pytest.mark.parametrize("t", [FIG1, extremal_triangle(1, "min"), extremal_triangle(5, "max")])
+    def test_to_asm_checks_the_triangle_rule_once(self, t, monkeypatch):
+        calls = []
+        check = triangles._validate_rows
+        monkeypatch.setattr(triangles, "_validate_rows", lambda rows: calls.append(rows) or check(rows))
+        asm = t.to_asm()
+        assert calls == [t.rows]
+        assert asm == t.to_column_sum().to_asm()
+
     def test_bad_column_sum_rejected(self):
         with pytest.raises(NotAColumnSumMatrix):
             ColumnSumMatrix(((1, 0), (1, 0)))  # wrong count in row 2
