@@ -48,10 +48,13 @@ accumulates the counts and bisects them for the successor whose run of
 completions holds an index, and keeps the row's marks, the completions
 of its first 16, 32, ... successors (a one-level cousin of Fenwick's
 cumulative-frequency table).  Every later pick at the row bisects its
-marks for the block of 16 successors that holds the index and accumulates
-that block alone, and a rank step adds the mark before the successor's
-block to at most 15 counts; at a row that no pick has reached, a rank
-step sums the counts before the successor.  Room for the marks, about
+marks for the block of 16 successors that holds the index and steps
+through that block's counts, subtracting each from the index until one
+exceeds what is left, so it reads at most 16 counts and builds no list; a
+row with at most 16 successors has no marks and is stepped through whole
+on every pick.  A rank step adds the mark before the successor's block to
+at most 15 counts; at a row that no pick has reached, a rank step sums
+the counts before the successor.  Room for the marks, about
 130 KiB at n = 12, is made by the first pick, so counting alone makes
 none; they are `array("Q")` items while A(n) < 2^64, and Python ints past
 it (n >= 14).
@@ -226,30 +229,38 @@ class _SuccessorIndex:
     def pick(self, i: int, k: int) -> tuple[int, int]:
         """The successor of row i whose run of completions holds index k,
         in the enumeration order below row i, and k less the completions
-        skipped to reach it.  Needs 0 <= k < counts[i].
+        skipped to reach it.  Needs a row i with successors, so not the
+        bottom row, and 0 <= k < counts[i].
 
-        Bisects row i's marks for the block of _BLOCK successors that holds
-        k, then accumulates and bisects that block's counts alone.  The row's
-        first pick accumulates all its counts instead, and keeps its marks."""
-        ends = self.ends
+        The row's first pick accumulates all its counts, keeps its marks and
+        bisects the sums.  Every later pick bisects the marks for the block
+        of _BLOCK successors that holds k, then steps through that block's
+        counts until one exceeds what is left of k; a row with at most
+        _BLOCK successors, which has no marks, is one block."""
+        ends, edges, counts = self.ends, self.edges, self.counts
         a, b = ends[i], ends[i + 1]
         marks = self.marks or self._make_room()
         lo = a // _BLOCK + 1
         hi = lo + (b - a - 1) // _BLOCK  # row i's marks are marks[lo:hi]
-        filled = hi > lo and marks[lo]
-        if filled:
+        if hi > lo:
+            if not marks[lo]:  # the row's first pick
+                succ = edges[a:b]
+                before = list(accumulate(map(counts.__getitem__, succ), initial=0))
+                for at, mark in zip(range(lo, hi), before[_BLOCK::_BLOCK]):
+                    marks[at] = mark
+                j = bisect_right(before, k) - 1
+                return succ[j], k - before[j]
             block = bisect_right(marks, k, lo, hi)
             if block > lo:
                 k -= marks[block - 1]
                 a += (block - lo) * _BLOCK
             b = min(a + _BLOCK, b)
-        succ = self.edges[a:b]
-        before = list(accumulate(map(self.counts.__getitem__, succ), initial=0))
-        if hi > lo and not filled:  # the row's first pick
-            for at, mark in zip(range(lo, hi), before[_BLOCK::_BLOCK]):
-                marks[at] = mark
-        j = bisect_right(before, k) - 1
-        return succ[j], k - before[j]
+        for j in edges[a : b - 1]:
+            c = counts[j]
+            if k < c:
+                return j, k
+            k -= c
+        return edges[b - 1], k
 
     def skipped(self, i: int, j: int) -> int:
         """The completions below row i that come before those of its successor

@@ -5,12 +5,23 @@ minimum (staircase rows) and maximum.  Meet and join are the entry-wise
 minimum and maximum, taken over all operands in one pass (`map(min, *rows)`
 per row), so r operands build and validate one triangle, not r - 1; that
 this equals the pairwise fold in any order is tested, not assumed.
+
+Whether a meet is trivial needs no meet.  Row i of a triangle is 1, ..., i
+exactly when its last entry is i, and the meet's last entry in row i is the
+least of the operands', so the meet's distinguished rows are the union of
+the operands': D(t_1 ^ ... ^ t_r) = D(t_1) u ... u D(t_r), the fact that
+`meet_census` counts by.  Dually, row i is n-i+1, ..., n exactly when its
+first entry is n-i+1, and the join's first entry is the greatest, so the
+join's rows at their maximum are the union of the operands'.  So
+`is_trivial` asks, row by row, whether some operand has the extremal row,
+and builds no triangle.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from operator import contains
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, SizeMismatch
@@ -83,13 +94,16 @@ def join(ts: Iterable[MonotoneTriangle]) -> MonotoneTriangle:
 
 
 _extremal = lru_cache(maxsize=32)(extremal_triangle)  # immutable, so shared
+_EXTREME = {"meet": "min", "join": "max"}
 
 
 def is_trivial(ts: Iterable[MonotoneTriangle], which: str) -> bool:
-    """Whether the meet is the minimal triangle / the join is the maximal one."""
+    """Whether the meet is the minimal triangle / the join is the maximal one.
+
+    That is, whether every row i is 1, ..., i in some operand, as
+    D(meet) = D(t_1) u ... u D(t_r) (for the join, n-i+1, ..., n)."""
     ts = _checked(ts)
-    if which == "meet":
-        return meet(ts) == _extremal(ts[0].n, "min")
-    if which == "join":
-        return join(ts) == _extremal(ts[0].n, "max")
-    raise ValueError(f"which must be 'meet' or 'join', got {which!r}")
+    if which not in _EXTREME:
+        raise ValueError(f"which must be 'meet' or 'join', got {which!r}")
+    extremal = _extremal(ts[0].n, _EXTREME[which])
+    return all(map(contains, zip(*(t.rows for t in ts)), extremal.rows))

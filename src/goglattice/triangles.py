@@ -308,15 +308,13 @@ class MonotoneTriangle(_Frozen):
     @classmethod
     def from_column_sum(cls, c: "ColumnSumMatrix") -> "MonotoneTriangle":
         """Row i lists the positions of the ones in matrix row i, ascending."""
-        rows = tuple(
-            tuple(j for j, v in enumerate(row, start=1) if v == 1)
-            for row in c.entries
-        )
-        return cls(rows)
+        return cls(_one_positions(c.entries))
 
     @classmethod
     def from_asm(cls, a: "AlternatingSignMatrix") -> "MonotoneTriangle":
-        return cls.from_column_sum(a.to_column_sum())
+        """Row i lists the positions of the ones in row i of the partial
+        column sums, ascending."""
+        return cls(_one_positions(_partial_sums(a.entries)))
 
     @classmethod
     def from_permutation(cls, p: "Permutation") -> "MonotoneTriangle":
@@ -474,6 +472,22 @@ def _differences(entries: Rows) -> Rows:
     return tuple(out)
 
 
+def _partial_sums(entries: Rows) -> Rows:
+    """The sums down each column of the rows up to each row: the inverse of
+    `_differences`."""
+    total = [0] * len(entries)
+    out = []
+    for row in entries:
+        total = [a + b for a, b in zip(total, row)]
+        out.append(tuple(total))
+    return tuple(out)
+
+
+def _one_positions(entries: Rows) -> Rows:
+    """For each row of a 0/1 matrix, the 1-based positions of its ones."""
+    return tuple(tuple(j for j, v in enumerate(row, start=1) if v == 1) for row in entries)
+
+
 class ColumnSumMatrix(_Frozen):
     """An n x n 0/1 matrix whose row i marks the entries of triangle row i."""
 
@@ -483,11 +497,8 @@ class ColumnSumMatrix(_Frozen):
         entries = tuple(tuple(row) for row in entries)
         object.__setattr__(self, "entries", entries)
         _check_square(entries, NotAColumnSumMatrix, (0, 1))
-        rows = tuple(
-            tuple(j for j, v in enumerate(row, start=1) if v == 1) for row in entries
-        )
         try:
-            _validate_rows(rows)
+            _validate_rows(_one_positions(entries))
         except TriangleError as exc:
             raise NotAColumnSumMatrix(f"one-positions are not a monotone triangle: {exc}") from exc
 
@@ -529,12 +540,7 @@ class AlternatingSignMatrix(_Frozen):
 
     def to_column_sum(self) -> ColumnSumMatrix:
         """Partial sums down each column, the matrix whose row differences this is."""
-        total = [0] * self.n
-        out = []
-        for row in self.entries:
-            total = [a + b for a, b in zip(total, row)]
-            out.append(tuple(total))
-        return ColumnSumMatrix(tuple(out))
+        return ColumnSumMatrix(_partial_sums(self.entries))
 
     def to_triangle(self) -> MonotoneTriangle:
         return MonotoneTriangle.from_asm(self)

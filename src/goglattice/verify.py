@@ -128,18 +128,28 @@ def verify_lattice(n_max: int = 7, seed: int = 20240817) -> int:
 
 
 def _check_coverage(suite: str, n: int, tuples: list[tuple[MonotoneTriangle, ...]]) -> int:
-    """Trivial meet iff the distinguished rows jointly cover [n]; dual via reversal."""
+    """`is_trivial` against the meet built and compared with the minimal
+    triangle, and on the reversed tuple against the join and the maximal
+    one; then a trivial meet iff the distinguished rows jointly cover [n],
+    and its dual via reversal."""
     full = (1 << n) - 1
+    minimal, maximal = extremal_triangle(n, "min"), extremal_triangle(n, "max")
     for ts in tuples:
+        trivial = is_trivial(ts, "meet")
+        if trivial != (meet(ts) == minimal):
+            _fail(suite, f"is_trivial disagrees with the meet at n={n}: {[t.rows for t in ts]}")
+        reversed_ts = tuple(t.rank_reverse() for t in ts)
+        trivial_join = is_trivial(reversed_ts, "join")
+        if trivial_join != (join(reversed_ts) == maximal):
+            _fail(suite, f"is_trivial disagrees with the join at n={n}: {[t.rows for t in ts]}")
         covered = 0
         for t in ts:
             covered |= t.distinguished_rows().mask
-        trivial = is_trivial(ts, "meet")
         if trivial != (covered == full):
             _fail(suite, f"coverage characterization broke at n={n}: {[t.rows for t in ts]}")
-        if trivial != is_trivial(tuple(t.rank_reverse() for t in ts), "join"):
+        if trivial != trivial_join:
             _fail(suite, f"meet/join duality broke at n={n}: {[t.rows for t in ts]}")
-    return 2 * len(tuples)
+    return 4 * len(tuples)
 
 
 def verify_lemmas(n_max: int = 25) -> int:

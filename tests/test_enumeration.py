@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from functools import cache
 from itertools import accumulate
 from operator import lt
@@ -382,6 +383,31 @@ class TestSuccessorIndex:
                     succ_id, residual = index.pick(i, k)
                     assert (index.row(succ_id), residual) == linear_pick(n, prev, k)
             assert [index.skipped(i, _id(cand)) for cand in succ] == skipped
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_pick_against_the_whole_row(self, n):
+        # Each pick both as the row's first (its marks cleared) and as a
+        # later one (marks filled), against accumulating and bisecting the
+        # row's whole run: at both ends of the row and next to the boundary
+        # after each successor, on rows of one successor, of one full block,
+        # of one block and one successor more, and the widest.
+        index = _SuccessorIndex(n)
+        counts, ends = index.counts, index.ends
+        width = [ends[i + 1] - ends[i] for i in range(1 << n)]
+        for i in map(width.index, (1, _BLOCK, _BLOCK + 1, max(width))):
+            succ = index.successors(i).tolist()
+            before = list(accumulate(map(counts.__getitem__, succ), initial=0))
+            marks = before[_BLOCK : len(succ) : _BLOCK]
+            lo = ends[i] // _BLOCK + 1
+            ks = {0, counts[i] - 1} | {k for c in before[1:-1] for k in (c - 1, c, c + 1)}
+            for k in sorted(k for k in ks if 0 <= k < counts[i]):
+                j = bisect_right(before, k) - 1
+                expected = (succ[j], k - before[j])
+                if marks:
+                    index.marks[lo : lo + len(marks)] = array("Q", bytes(8 * len(marks)))
+                assert index.pick(i, k) == expected, (i, k)
+                assert index.marks[lo : lo + len(marks)].tolist() == marks
+                assert index.pick(i, k) == expected, (i, k)
 
     def test_exact_past_two_to_the_64(self):
         # A(14) exceeds 2^64, so the marks are a list of Python ints there.

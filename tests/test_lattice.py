@@ -22,6 +22,7 @@ from goglattice import (
     perm_to_triangle,
     unrank,
 )
+from goglattice import triangles
 from goglattice.lattice import leq
 
 TAU1 = MonotoneTriangle(((3,), (1, 3), (1, 2, 3)))
@@ -230,11 +231,29 @@ class TestTrivial:
         ts_all = universe(n)
         masks = {t.rows: t.distinguished_rows().mask for t in ts_all}
         full = (1 << n) - 1
+        minimal = extremal_triangle(n, "min")
         for combo in product(ts_all, repeat=r):
             covered = 0
             for t in combo:
                 covered |= masks[t.rows]
-            assert is_trivial(combo, "meet") == (covered == full)
+            trivial = is_trivial(combo, "meet")
+            assert trivial == (covered == full)
+            assert trivial == (meet(combo) == minimal)
+
+    def test_builds_and_checks_no_triangle(self, monkeypatch):
+        # is_trivial reads the operands' rows; only the extremal triangle it
+        # compares them with is ever built, once per size and kind.
+        ts = (TAU1, TAU2, extremal_triangle(3, "max"))
+        expected = {"meet": False, "join": True}
+        for which in expected:
+            assert is_trivial(ts, which) == expected[which]
+        calls = []
+        check = triangles._validate_rows
+        monkeypatch.setattr(triangles, "_validate_rows", lambda rows: calls.append(rows) or check(rows))
+        for which in expected:
+            assert is_trivial(ts, which) == expected[which]
+            assert is_trivial(ts[:2], which) == (which == "join")
+        assert calls == []
 
     def test_duality_under_rank_reversal(self, universe):
         m3 = universe(3)

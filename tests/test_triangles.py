@@ -493,6 +493,17 @@ class TestBijections:
         assert calls == [t.rows]
         assert asm == t.to_column_sum().to_asm()
 
+    @pytest.mark.parametrize("t", [FIG1, extremal_triangle(1, "min"), extremal_triangle(5, "max")])
+    def test_from_asm_checks_the_triangle_rule_once(self, t, monkeypatch):
+        asm, csm = t.to_asm(), t.to_column_sum()
+        calls = []
+        check = triangles._validate_rows
+        monkeypatch.setattr(triangles, "_validate_rows", lambda rows: calls.append(rows) or check(rows))
+        assert asm.to_triangle() == t
+        assert calls == [t.rows]
+        assert csm.to_triangle() == t
+        assert calls == [t.rows] * 2
+
     def test_bad_column_sum_rejected(self):
         with pytest.raises(NotAColumnSumMatrix):
             ColumnSumMatrix(((1, 0), (1, 0)))  # wrong count in row 2
