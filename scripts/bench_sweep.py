@@ -13,17 +13,20 @@ the caches of A and P.  Run from the repository root:
 
 The cases default to GATES with RUNS = 10, about a minute on 2 vCPUs, and
 PATH to BENCH_sweep.json.  The package is imported from `src/` of the
-checkout holding this script.  The file records the interpreter, the
-platform and the CPU count, and for each case the samples of every timing
-and RSS with their minimum, median and maximum.  Times are raw wall
-clock, and a shared machine's speed drifts between passes far more than
-two trees differ, so each run also times a fixed reference kernel that
-does not touch the package, just before and just after the interpreter,
-and records the mean (`reference_s`): two passes compare by their
-times over their reference times, or by alternating their runs.  Uses
-only the standard library; `os.wait4` makes it Unix-only.
+checkout holding this script, and every interpreter compiles it from
+source, reading and writing no bytecode cache.  The file records the
+interpreter, the platform and the CPU count, and for each case the
+samples of every timing and RSS with their minimum, median and maximum.
+Times are raw wall clock, and a shared machine's speed drifts between
+passes far more than two trees differ, so each run also times a fixed
+reference kernel that does not touch the package, just before and just
+after the interpreter, and records the mean (`reference_s`): two passes
+compare by their times over their reference times, or by alternating
+their runs.  Uses only the standard library; `os.wait4` makes it
+Unix-only.
 
-`measure` is the runner; `bench_index.py` times the successor index with it.
+`measure` is the runner; `bench_index.py` times the successor index with
+it, and `bench_enumerate.py` enumeration.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,10 +103,15 @@ print((before + reference()) / 2)
 
 def _child(child: str, case: tuple, traced: bool) -> dict:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", LAUNCH, child, *map(str, case), str(int(traced))],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    # The child reads and writes no bytecode cache, the tree's or any other,
+    # so every run of every tree compiles the package from source: a
+    # `__pycache__` left in one tree moved its peak RSS by over 1 MiB.
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", LAUNCH, child, *map(str, case), str(int(traced))],
+            capture_output=True, text=True, check=True, env=env,
+        )
     line, kib, reference = done.stdout.splitlines()
     return {**json.loads(line), "peak_rss_mib": int(kib) / 1024, "reference_s": float(reference)}
 

@@ -25,25 +25,28 @@ cap the index at n <= 16.
 
 Enumeration and the census go through the tree depth first with one flat
 walker (`_walk`), whose stack holds iterators over segments of the index
-and which yields the row ids of each triangle; a row at level n-1 has one
-successor, the bottom row, so the deepest level needs no stack frame.
-Enumeration maps the ids to the index's shared row tuples, and every
-triangle is still built through `MonotoneTriangle` and fully validated.
-The rows with entries in 1..8 come from one table for the process,
+and which yields the rows of each triangle as one tuple.  For each level
+the walk keeps the tuple of the rows above it on the current path, one
+concatenation per step, so rows 1, ..., n-2 are one prefix shared by every
+triangle below them.  A row at level n-1 has one successor, the bottom
+row, so each triangle is that prefix plus one tail (row n-1, bottom row),
+and the tails of a row n-2 are made once per walk: a triangle costs one
+concatenation, and the deepest level needs no stack frame.  Every triangle
+is still built through `MonotoneTriangle` and validated.  The rows with
+entries in 1..8 come from one table for the process,
 `triangles._SMALL_ROWS` (256 rows, by id), which every index uses for its
 low eight bits, so enumeration, `unrank` and `sample_uniform` at n <= 8
 hand out its objects alone.  Those are known to be exact tuples of exact
-ints, so for a triangle made of them validation checks that the bottom
-row is the table's 1, ..., n and looks its adjacent row pairs up in the
-set of pairs that the full check has already accepted (at most
-(3^8 - 1)/2 of them), and a pair shared by thousands of triangles is
-checked in full only the first time.  The census
-reads the distinguished rows off the ids (row i is 1, ..., i iff its
-id is 2^i - 1), and `meet_census.reversed_census` reads the rows at their
-maximum off the same walk (row i is n-i+1, ..., n iff its id is
-(2^i - 1) 2^(n-i)).  Ranking, unranking and uniform sampling go down one
-path of the tree, weighted by the completion counts (the recursive method
-of Nijenhuis and Wilf).  A row's first pick scans its segment in C: it
+ints, so for a tuple of them the constructor checks that the bottom row is
+the table's 1, ..., n and looks its adjacent row pairs up in the set of
+pairs that the full check has already accepted (at most (3^8 - 1)/2 of
+them), and keeps the tuple it was given; a pair shared by thousands of
+triangles is checked in full only the first time.  The census compares
+each row of the walk with its key row: 1, ..., i for the distinguished
+row i, and n-i+1, ..., n for the row at its maximum that
+`meet_census.reversed_census` counts.  Ranking, unranking and uniform
+sampling go down one path of the tree, weighted by the completion counts
+(the recursive method of Nijenhuis and Wilf).  A row's first pick scans its segment in C: it
 accumulates the counts and bisects them for the successor whose run of
 completions holds an index, and keeps the row's marks, the completions
 of its first 16, 32, ... successors (a one-level cousin of Fenwick's
@@ -219,10 +222,6 @@ class _SuccessorIndex:
         # `t + ()` returns t.
         return self.low[i & 0xFF] + self.high[i >> 8]
 
-    def rows(self) -> Sequence[tuple[int, ...]]:
-        """Every row, by id."""
-        return list(map(self.row, range(len(self.counts))))
-
     def successors(self, i: int) -> Sequence[int]:
         return self.edges[self.ends[i] : self.ends[i + 1]]
 
@@ -301,29 +300,44 @@ def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> 
     return _index(prefix.n).counts[_id(prefix.row)]
 
 
-def _walk(n: int) -> Iterator[list[int]]:
-    """Depth first through the row tree, in enumeration order: yield the row
-    ids of each size-n triangle as one list, which the walk goes on to reuse."""
-    successors = _index(n).successors
-    ids = [(1 << n) - 1] * n  # the bottom row is forced
-    # Every row at this level has one successor: the bottom row.  (At n = 1
-    # the level is -1, and the one row is the bottom row.)
-    last = n - 2
-    stack: list[Iterator[int]] = []  # the rows left at levels 0 .. len(stack) - 1
+def _walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Depth first through the row tree, in enumeration order: yield the rows
+    of each size-n triangle as one tuple."""
+    index = _index(n)
+    row, successors = index.row, index.successors
+    bottom = (row((1 << n) - 1),)  # the bottom row is forced
+    if n == 1:
+        yield bottom
+        return
+    # Every row n - 1 has one successor, the bottom row, so each triangle is
+    # its rows 1 .. n - 2, shared by every triangle below row n - 2, and one
+    # tail (row n - 1, bottom row) of row n - 2.  The tails of a row n - 2 are
+    # made once per walk, for at most n (n - 1)/2 such rows.
+    depth = n - 2
+    prefix = [()] * (depth + 1)  # prefix[k]: rows 1 .. k of the current path
+    tails: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+    stack: list[Iterator[int]] = []  # the rows left at levels 1 .. len(stack)
     i = 0  # the empty top row
     while True:
-        run = successors(i)
-        if len(stack) < last:
-            stack.append(iter(run))
+        level = len(stack)
+        if level < depth:
+            stack.append(iter(successors(i)))
         else:
-            for i in run:
-                ids[last] = i
-                yield ids
+            ends = tails.get(i)
+            if ends is None:
+                # From a list, so that the tuple is made at its length.  A
+                # tuple of a generator starts at a guessed length and shrinks,
+                # and once freed it joins the free list of its final length,
+                # not the one it came from: the process grew by about 1 KB
+                # per walk, up to the free lists' cap.
+                ends = tails[i] = tuple([(row(j),) + bottom for j in successors(i)])
+            yield from map(prefix[level].__add__, ends)
         # Step the deepest level that has rows left; stop when none has.
         while stack:
             i = next(stack[-1], None)
             if i is not None:
-                ids[len(stack) - 1] = i
+                level = len(stack)
+                prefix[level] = prefix[level - 1] + (row(i),)
                 break
             stack.pop()
         else:
@@ -334,8 +348,8 @@ def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[Mon
     """All size-n triangles in reading-sequence lexicographic order."""
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("enumerate_triangles", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
-    row = _index(n).rows().__getitem__
-    return (MonotoneTriangle(tuple(map(row, ids))) for ids in _walk(n))
+    _index(n)  # built, or refused past INDEX_MAX_N, on the call
+    return map(MonotoneTriangle, _walk(n))
 
 
 def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
@@ -409,13 +423,13 @@ def sample_uniform(
 # Distinguished-row census
 
 
-def _census(n: int, keys: list[int]) -> CensusTable:
-    """The size-n triangles counted by the set of rows i whose id is
-    keys[i - 1], as a census keyed by bit i - 1 for row i."""
+def _census(n: int, keys: list[tuple[int, ...]]) -> CensusTable:
+    """The size-n triangles counted by the set of rows i equal to keys[i - 1],
+    as a census keyed by bit i - 1 for row i."""
     bits = [1 << i for i in range(n)]
     counts: dict[int, int] = {}
-    for ids in _walk(n):
-        mask = sum(compress(bits, map(eq, ids, keys)))
+    for rows in _walk(n):
+        mask = sum(compress(bits, map(eq, rows, keys)))
         counts[mask] = counts.get(mask, 0) + 1
     from .meet_census import CensusTable
 
@@ -427,5 +441,5 @@ def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     every triangle: the oracle for `meet_census.gap_product_census`."""
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("build_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
-    # Row i is distinguished iff it is 1, ..., i, whose id is 2^i - 1.
-    return _census(n, [(1 << i) - 1 for i in range(1, n + 1)])
+    # Row i is distinguished iff it is 1, ..., i.
+    return _census(n, [tuple(range(1, i + 1)) for i in range(1, n + 1)])

@@ -410,7 +410,7 @@ def reversed_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
         raise bound_error("reversed_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     from .enumeration import _census
 
-    return _census(n, [((1 << i) - 1) << (n - i) for i in range(1, n + 1)])
+    return _census(n, [tuple(range(n - i + 1, n + 1)) for i in range(1, n + 1)])
 
 
 def p_extreme(n: int, r: int, which: str, limit: int = TRANSFER_LIMIT_DEFAULT) -> Fraction:

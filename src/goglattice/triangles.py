@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, islice
-from operator import itemgetter, le, lt
+from operator import index, itemgetter, le, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -116,44 +116,50 @@ _SMALL_ROWS = tuple(_rows_by_mask(1, 8))
 _EXACT = frozenset(map(id, _SMALL_ROWS))
 
 
-def _validate_rows(rows: Rows) -> None:
-    """Raise the first violation in reading order (top to bottom, left to right).
+def _pairs_known(rows: Rows) -> bool | None:
+    """The verified-pair check: None unless every row is one of the
+    `_SMALL_ROWS` objects and the bottom row is the table's 1, ..., n; then
+    whether every adjacent pair is in `_PAIRS`.
 
-    A triangle is valid exactly when every entry is an exact `int`, the
-    bottom row is 1, ..., n, and every adjacent pair (upper, lower) is valid
-    on its own: lower strictly increases, has one entry more than upper, and
-    interlaces it.  The verified-pair set `_PAIRS` serves only triangles
-    whose every row is one of the `_SMALL_ROWS` objects (so 1 <= n <= 8),
-    as every enumerated row is.  Those objects live for the process, so a
-    row whose id is in `_EXACT` is one of them, an exact tuple of exact ints
-    whose equality and hash can be trusted.  Such a triangle whose bottom
-    row is the table's object for 1, ..., n and whose every pair is in the
-    set is accepted with no further check, and one that the passes below
-    accept adds its pairs.  The set holds pairs of rows of [8] alone, at most
-    (3^8 - 1)/2 of them, so it needs no eviction.
+    Those objects live for the process, so a row whose id is in `_EXACT` is
+    one of them, an exact tuple of exact ints whose equality and hash can be
+    trusted.  The set holds pairs of rows of [8] alone, at most
+    (3^8 - 1)/2 of them, so it needs no eviction."""
+    n = len(rows)
+    bottom = (1 << n) - 1  # the id of the row 1, ..., n
+    if not (
+        0 < bottom < len(_SMALL_ROWS)
+        and _EXACT.issuperset(map(id, rows))
+        and rows[-1] is _SMALL_ROWS[bottom]
+    ):
+        return None
+    return _PAIRS.issuperset(zip(rows, rows[1:]))
 
-    Any other triangle of size n >= 3 goes through a few C-level passes over
+
+def _validate_rows(rows: Rows) -> Rows:
+    """Raise the first violation in reading order (top to bottom, left to
+    right), or return rows with each entry of a subclass of `int` replaced
+    by the exact int of its value.
+
+    A triangle is valid exactly when every entry is an `int`, the bottom row
+    is 1, ..., n, and every adjacent pair (upper, lower) is valid on its own:
+    lower strictly increases, has one entry more than upper, and interlaces
+    it.  A triangle of size n >= 3 goes through a few C-level passes over
     its reading sequence: the row lengths equal the staircase, every entry's
     type is exactly `int`, the bottom row is 1, ..., n, and at every anchor
     (i, j) three `all(map(...))` passes check a(i, j) < a(i, j+1),
     a(i, j) <= a(i-1, j) and a(i-1, j) <= a(i, j+1).  Whatever they reject,
-    and every other triangle of size 1 or 2, goes to the reading-order loop
-    `_validate_rows_slow`, which accepts or raises, so the set and the passes
-    only save time.
+    and every triangle of size 1 or 2, goes to the reading-order loop
+    `_validate_rows_slow`, which accepts or raises, so the passes only save
+    time.
     """
     n = len(rows)
-    bottom = (1 << n) - 1  # the id of the row 1, ..., n
-    table = (
-        0 < bottom < len(_SMALL_ROWS)
-        and _EXACT.issuperset(map(id, rows))
-        and rows[-1] is _SMALL_ROWS[bottom]
-    )
-    if table and _PAIRS.issuperset(zip(rows, rows[1:])):
-        return
-    if n < 3 or not _is_valid_fast(rows, n):
-        _validate_rows_slow(rows)
-    elif table:
-        _PAIRS.update(zip(rows, rows[1:]))
+    if n >= 3 and _is_valid_fast(rows, n):
+        return rows
+    _validate_rows_slow(rows)
+    if set(map(type, chain.from_iterable(rows))) <= _INT:
+        return rows
+    return tuple(tuple(map(index, row)) for row in rows)
 
 
 def _validate_rows_slow(rows: Rows) -> None:
@@ -161,6 +167,8 @@ def _validate_rows_slow(rows: Rows) -> None:
 
     At each anchor (i, j) the strict-increase pair (j, j+1) is checked before
     the interlacing bracket at the same anchor; the bottom-row check runs last.
+    Entries are compared as the exact ints of their values, since a subclass
+    of `int` may redefine its comparisons.
     """
     n = len(rows)
     if n == 0:
@@ -176,6 +184,7 @@ def _validate_rows_slow(rows: Rows) -> None:
                     f"entry at ({i}, {j}) is not an integer: {entry!r}",
                     position=(i, j),
                 )
+    rows = [tuple(map(index, row)) for row in rows]
     for i in range(2, n + 1):
         above = rows[i - 2]
         row = rows[i - 1]
@@ -241,8 +250,22 @@ class MonotoneTriangle(_Frozen):
     rows: Rows
 
     def __init__(self, rows: Rows) -> None:
-        rows = tuple(map(tuple, rows))
-        _validate_rows(rows)
+        # A tuple of table rows whose pairs are all verified is kept as it is,
+        # with no further check: every enumerated triangle at n <= 8 is one.
+        # Anything else is copied and validated, and a copy of table rows
+        # adds its pairs.  Copying a tuple keeps each row that is an exact
+        # tuple, and no other row can be a table object, so the verdict on
+        # the rows holds for their copy.
+        given = type(rows) is tuple
+        if not given:
+            rows = tuple(map(tuple, rows))
+        known = _pairs_known(rows)
+        if not known:
+            if given:
+                rows = tuple(map(tuple, rows))
+            rows = _validate_rows(rows)
+            if known is not None:
+                _PAIRS.update(zip(rows, rows[1:]))
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -337,7 +360,7 @@ def validate_triangle(n: int, rows: Sequence[Sequence[int]]) -> MonotoneTriangle
         raise bound_error("validate_triangle", "n", n, 1)
     if len(rows) != n:
         raise ShapeMismatch(f"expected {n} rows, got {len(rows)}", position=(1, 1))
-    return MonotoneTriangle(tuple(tuple(row) for row in rows))
+    return MonotoneTriangle(rows)
 
 
 def extremal_triangle(n: int, which: str) -> MonotoneTriangle:

@@ -50,3 +50,31 @@ def test_index_writes_one_row_per_case(tmp_path, capsys, monkeypatch):
     check_rows(report, "index", 2, labels, [{"first_s"}, {"first_s", "repeat_s"}])
     assert "at n = 5 " in report["call"]
     assert capsys.readouterr().out.splitlines()[1].startswith("round-trip\tfirst ")
+
+
+def test_enumerate_writes_one_row_per_case(tmp_path, capsys, monkeypatch):
+    script = load("bench_enumerate", monkeypatch)
+    output = tmp_path / "BENCH_enumerate.json"
+    argv = ["--n", "3", "--n", "4", "--runs", "2", "--case", "text", "--output", str(output)]
+    assert script.main(argv) == 0
+    labels = [{"case": "text", "n": 3}, {"case": "text", "n": 4}]
+    check_rows(json.loads(output.read_text()), "enumerate", 2, labels, [{"first_s", "repeat_s"}] * 2)
+    assert capsys.readouterr().out.splitlines()[1].startswith("text n=4\tfirst ")
+
+
+# Prints the child's bytecode settings and what its cache directory holds
+# once the package is imported.
+BYTECODE_CHILD = """
+import json, os, sys
+import goglattice.enumeration
+prefix = sys.pycache_prefix
+print(json.dumps({"dont_write": sys.flags.dont_write_bytecode, "prefix": prefix, "held": os.listdir(prefix)}))
+"""
+
+
+def test_child_compiles_from_source(monkeypatch):
+    script = load("bench_sweep", monkeypatch)
+    row = script._child(BYTECODE_CHILD, (), False)
+    assert row["dont_write"] == 1
+    assert row["held"] == []
+    assert not Path(row["prefix"]).exists()  # a fresh directory per child, removed after it

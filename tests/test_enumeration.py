@@ -326,7 +326,7 @@ class TestSuccessorIndex:
         edges, ends = index.edges, index.ends
         assert len(edges) == (3**n - 1) // 2
         assert index.counts[0] == asm_number(n)
-        rows = index.rows()
+        rows = list(map(index.row, range(1 << n)))
         lex = [0] * len(rows)
         for at, i in enumerate(sorted(range(len(rows)), key=rows.__getitem__)):
             lex[i] = at

@@ -101,6 +101,15 @@ class TestValidation:
         with pytest.raises(BadBottomRow):
             validate_triangle(1, [[5]])
 
+    def test_int_subclass_is_compared_by_value(self):
+        lying = tuple(map(LyingInt, (1, 2, 3)))  # every < and <= holds
+        with pytest.raises(StrictIncreaseViolated) as exc:
+            MonotoneTriangle(((LyingInt(3),), (LyingInt(1), LyingInt(1)), lying))
+        assert exc.value.position == (2, 1)
+        t = validate_triangle(3, [[LyingInt(2)], [LyingInt(1), LyingInt(3)], lying])
+        assert t.rows == ((2,), (1, 3), (1, 2, 3))
+        assert {type(v) for v in t.reading_sequence()} == {int}
+
     def test_entry_bounds_hold_on_every_valid_triangle(self, universe):
         for n in range(1, 6):
             for t in universe(n):
@@ -115,6 +124,16 @@ S = triangles._SMALL_ROWS
 
 class IntSubclass(int):
     pass
+
+
+class LyingInt(int):
+    """An int for which every < and <= holds."""
+
+    def __lt__(self, other):
+        return True
+
+    def __le__(self, other):
+        return True
 
 
 class LyingRow(tuple):
@@ -154,23 +173,56 @@ def set_memo(memo):
         triangles._PAIRS.update(pairs_up_to_six())
 
 
-def is_exact_pair(pair):
-    return all(type(row) is tuple and set(map(type, row)) == {int} for row in pair)
+def exact_rows(rows):
+    """Whether every row is an exact tuple of exact ints."""
+    return all(type(row) is tuple and set(map(type, row)) == {int} for row in rows)
 
 
 def assert_fast_path_agrees(rows, memo):
+    """`_validate_rows` and the constructor each against the reference loop,
+    from the same state of the verified-pair set."""
     set_memo(memo)
     expected = outcome(_validate_rows_slow, rows)
     assert outcome(_validate_rows, rows) == expected, rows
     if memo == "cold":  # the set now holds this triangle's pairs at most
-        assert all(map(is_exact_pair, triangles._PAIRS)), rows
+        assert all(map(exact_rows, triangles._PAIRS)), rows
         assert expected is None or not triangles._PAIRS, rows
+    set_memo(memo)
+    made = outcome(MonotoneTriangle, rows)
+    if all(isinstance(row, (tuple, list)) for row in rows):
+        assert made == expected, rows
+    else:  # a row that is no sequence fails the constructor's copy, before any check
+        assert made[0] is TypeError, rows
+    if expected is not None:
+        assert memo == "warm" or not triangles._PAIRS, rows
+        return
+    t = MonotoneTriangle(rows)
+    copy = tuple(map(tuple, rows))
+    assert type(t.rows) is tuple and exact_rows(t.rows) and t.rows == copy, rows
+    if memo == "cold":  # the set holds this triangle's pairs at most
+        assert triangles._PAIRS <= set(zip(copy, copy[1:])), rows
+    if type(rows) is tuple and triangles._EXACT.issuperset(map(id, rows)):
+        assert t.rows is rows, rows  # table rows, whose pairs are now all verified
+
+
+def as_table_rows(rows):
+    """rows with each row that equals a `_SMALL_ROWS` row, entry for entry
+    as exact ints, replaced by that object."""
+    table = []
+    for row in rows:
+        if all(type(v) is int and 1 <= v <= 8 for v in row):
+            known = S[sum(1 << (v - 1) for v in set(row))]
+            if known == tuple(row):
+                row = known
+        table.append(row)
+    return tuple(table)
 
 
 @st.composite
 def mutated_rows(draw):
     """An `unrank` triangle (n <= 12) after a few mutations of the kinds a
-    fast path could get wrong, as tuples or as lists."""
+    fast path could get wrong, as lists, as tuples, or as a tuple in which
+    each row that can be is a `_SMALL_ROWS` object."""
     n = draw(st.integers(1, 12))
     rows = [list(row) for row in unrank(n, draw(st.integers(0, asm_number(n) - 1))).rows]
     for _ in range(draw(st.integers(0, 3))):
@@ -190,14 +242,18 @@ def mutated_rows(draw):
         if row:
             j = draw(st.integers(0, len(row) - 1))
             row[j] = draw(st.sampled_from((True, False, 2.0, "3", IntSubclass(row[j]))))
-    if draw(st.booleans()):
+    form = draw(st.sampled_from(("list", "tuple", "table")))
+    if form == "list":
         return rows
-    return tuple(map(tuple, rows))
+    if form == "tuple":
+        return tuple(map(tuple, rows))
+    return as_table_rows(rows)
 
 
 class TestValidatorFastPath:
-    """`_validate_rows` against the reading-order loop it falls back to, with
-    the verified-pair set emptied before each check."""
+    """`_validate_rows` and the constructor against the reading-order loop
+    that they fall back to, with the verified-pair set emptied before each
+    check."""
 
     memo = "cold"
 
