@@ -3,7 +3,8 @@
 The cases, each at every size n and timed in fresh interpreters by the
 round-robin runner of `bench_sweep.py`:
 
-- list: `list(enumerate_triangles(n))`, every triangle built and validated;
+- list: `list(enumerate_triangles(n))`, every triangle built from rows
+  whose pairs the walk checked, each pair once per walk;
 - text: `triangles_to_text(enumerate_triangles(n))`, the stdout of
   `gog enumerate --n n`.
 

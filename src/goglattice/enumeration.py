@@ -24,29 +24,33 @@ exceeds its row's, one sweep down the ids sums the counts.  The `"H"` ids
 cap the index at n <= 16.
 
 Enumeration and the census go through the tree depth first with one flat
-walker (`_walk`), whose stack holds iterators over segments of the index
-and which yields the rows of each triangle as one tuple.  For each level
-the walk keeps the tuple of the rows above it on the current path, one
-concatenation per step, so rows 1, ..., n-2 are one prefix shared by every
-triangle below them.  A row at level n-1 has one successor, the bottom
-row, so each triangle is that prefix plus one tail (row n-1, bottom row),
-and the tails of a row n-2 are made once per walk: a triangle costs one
-concatenation, and the deepest level needs no stack frame.  Every triangle
-is still built through `MonotoneTriangle` and validated.  The rows with
-entries in 1..8 come from one table for the process,
+walker (`_walk`), whose stack holds iterators over segments of the index.
+For each level the walk keeps the tuple of the rows above it on the
+current path, one concatenation per step, so rows 1, ..., n-2 are one
+prefix shared by every triangle below them.  A row at level n-1 has one
+successor, the bottom row, so the triangles below a prefix are it plus
+each tail (row n-1, bottom row) of its row n-2.  The walk yields each
+prefix with its tails, which are made once per walk: a triangle costs one
+concatenation, and the deepest level needs no stack frame.  Validation is
+per edge, not per triangle: the walk checks each pair (row, successor) of
+the index by the pair rule of the full check once per walk, before it
+yields anything below it, so `enumerate_triangles` builds its triangles
+through `MonotoneTriangle._checked`, which checks nothing more.  The rows
+with entries in 1..8 come from one table for the process,
 `triangles._SMALL_ROWS` (256 rows, by id), which every index uses for its
 low eight bits, so enumeration, `unrank` and `sample_uniform` at n <= 8
-hand out its objects alone.  Those are known to be exact tuples of exact
-ints, so for a tuple of them the constructor checks that the bottom row is
-the table's 1, ..., n and looks its adjacent row pairs up in the set of
-pairs that the full check has already accepted (at most (3^8 - 1)/2 of
-them), and keeps the tuple it was given; a pair shared by thousands of
-triangles is checked in full only the first time.  The census compares
-each row of the walk with its key row: 1, ..., i for the distinguished
-row i, and n-i+1, ..., n for the row at its maximum that
-`meet_census.reversed_census` counts.  Ranking, unranking and uniform
-sampling go down one path of the tree, weighted by the completion counts
-(the recursive method of Nijenhuis and Wilf).  A row's first pick scans its segment in C: it
+hand out its objects alone.  A checked pair of them goes into a set for
+the process (at most (3^8 - 1)/2 pairs), where a later check finds it.
+Those rows are known to be exact tuples of exact ints, so for a tuple of
+them the constructor checks that the bottom row is the table's 1, ..., n,
+looks its adjacent row pairs up in that set, and keeps the tuple it was
+given.  The census compares each row of a prefix with its key row, and
+tallies the tails of a row n-2 by theirs once per walk: the key row i is
+1, ..., i for the distinguished row i, and n-i+1, ..., n for the row at
+its maximum that `meet_census.reversed_census` counts.  Ranking,
+unranking and uniform sampling go down one path of the tree, weighted by
+the completion counts (the recursive method of Nijenhuis and Wilf).  A
+row's first pick scans its segment in C: it
 accumulates the counts and bisects them for the successor whose run of
 completions holds an index, and keeps the row's marks, the completions
 of its first 16, 32, ... successors (a one-level cousin of Fenwick's
@@ -89,10 +93,13 @@ from .errors import IndexOutOfRange, ShapeMismatch, bound_error
 from .triangles import (
     _SMALL_ROWS,
     MonotoneTriangle,
+    Rows,
     _Frozen,
+    _check_pair,
     _check_row,
     _is_int,
     _rows_by_mask,
+    _verify_pair,
 )
 
 if TYPE_CHECKING:
@@ -126,7 +133,7 @@ class TrianglePrefix(_Frozen):
         row = tuple(row)
         if type(level) is not int:
             raise bound_error("TrianglePrefix", "level", level, 0)
-        _check_row("TrianglePrefix", n, row)
+        row = _check_row("TrianglePrefix", n, row)
         if not 0 <= level <= n:
             raise ShapeMismatch(f"level {level} outside [0, {n}]")
         if len(row) != level:
@@ -300,38 +307,70 @@ def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> 
     return _index(prefix.n).counts[_id(prefix.row)]
 
 
-def _walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Depth first through the row tree, in enumeration order: yield the rows
-    of each size-n triangle as one tuple."""
+def _walk(n: int) -> Iterator[tuple[Rows, tuple[Rows, ...]]]:
+    """Depth first through the row tree, in enumeration order: for each path
+    of rows 1, ..., n - 2, yield those rows and the tails (row n - 1, bottom
+    row) below them, so that the size-n triangles are each prefix plus each
+    of its tails.  At n = 1 the prefix is empty and the one tail is the
+    bottom row.
+
+    Each pair (row, successor) of the index is checked by the pair rule once
+    per walk, the first time the walk goes below that row and before it
+    yields anything below it, so every adjacent pair of a triangle made from
+    the walk has passed the pair rule, whatever the index holds.  Row 1 is
+    checked as the row below the empty top row, which makes it one entry
+    long.  The rows are `index.row` objects, exact tuples of exact ints, and
+    the bottom row is the staircase `index.row(2^n - 1)`."""
     index = _index(n)
     row, successors = index.row, index.successors
-    bottom = (row((1 << n) - 1),)  # the bottom row is forced
+    last = row((1 << n) - 1)  # the bottom row is forced
+    bottom = (last,)
     if n == 1:
-        yield bottom
+        yield (), (bottom,)
         return
+
+    def below(i: int) -> list[tuple[int, ...]]:
+        # The successor rows of row i, each checked as the row below row i.
+        # The empty top row is no triangle row, so its pairs are not kept.
+        upper = row(i)
+        lowers = list(map(row, successors(i)))
+        check = _verify_pair if upper else _check_pair
+        for lower in lowers:
+            check(upper, lower)
+        return lowers
+
     # Every row n - 1 has one successor, the bottom row, so each triangle is
     # its rows 1 .. n - 2, shared by every triangle below row n - 2, and one
     # tail (row n - 1, bottom row) of row n - 2.  The tails of a row n - 2 are
-    # made once per walk, for at most n (n - 1)/2 such rows.
+    # made, and their pairs checked, once per walk, for at most n (n - 1)/2
+    # such rows; the successors of a row above it are checked on the walk's
+    # first visit to the row.
     depth = n - 2
     prefix = [()] * (depth + 1)  # prefix[k]: rows 1 .. k of the current path
-    tails: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+    tails: dict[int, tuple[Rows, ...]] = {}
+    checked: set[int] = set()  # rows above row n - 2 checked by below
     stack: list[Iterator[int]] = []  # the rows left at levels 1 .. len(stack)
     i = 0  # the empty top row
     while True:
         level = len(stack)
         if level < depth:
+            if i not in checked:
+                below(i)
+                checked.add(i)
             stack.append(iter(successors(i)))
         else:
             ends = tails.get(i)
             if ends is None:
+                lowers = below(i)
+                for lower in lowers:
+                    _verify_pair(lower, last)
                 # From a list, so that the tuple is made at its length.  A
                 # tuple of a generator starts at a guessed length and shrinks,
                 # and once freed it joins the free list of its final length,
                 # not the one it came from: the process grew by about 1 KB
                 # per walk, up to the free lists' cap.
-                ends = tails[i] = tuple([(row(j),) + bottom for j in successors(i)])
-            yield from map(prefix[level].__add__, ends)
+                ends = tails[i] = tuple([(lower, last) for lower in lowers])
+            yield prefix[level], ends
         # Step the deepest level that has rows left; stop when none has.
         while stack:
             i = next(stack[-1], None)
@@ -349,7 +388,9 @@ def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[Mon
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("enumerate_triangles", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     _index(n)  # built, or refused past INDEX_MAX_N, on the call
-    return map(MonotoneTriangle, _walk(n))
+    # The walk checks every pair of its rows, so no triangle needs more.
+    rows = (prefix + tail for prefix, ends in _walk(n) for tail in ends)
+    return map(MonotoneTriangle._checked, rows)
 
 
 def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
@@ -428,9 +469,20 @@ def _census(n: int, keys: list[tuple[int, ...]]) -> CensusTable:
     as a census keyed by bit i - 1 for row i."""
     bits = [1 << i for i in range(n)]
     counts: dict[int, int] = {}
-    for rows in _walk(n):
-        mask = sum(compress(bits, map(eq, rows, keys)))
-        counts[mask] = counts.get(mask, 0) + 1
+    # The walk's tails of a row n - 2 are one tuple for the whole walk, which
+    # keeps it alive, so its id names it.  Each tallies its tails by their
+    # bits (rows n - 1 and n; the bottom row alone at n = 1) once.
+    tallies: dict[int, dict[int, int]] = {}
+    for prefix, ends in _walk(n):
+        tally = tallies.get(id(ends))
+        if tally is None:
+            tally = tallies[id(ends)] = {}
+            for tail in ends:
+                mask = sum(compress(bits[-2:], map(eq, tail, keys[-2:])))
+                tally[mask] = tally.get(mask, 0) + 1
+        above = sum(compress(bits, map(eq, prefix, keys)))
+        for mask, count in tally.items():
+            counts[above | mask] = counts.get(above | mask, 0) + count
     from .meet_census import CensusTable
 
     return CensusTable(n, dict(sorted(counts.items())))

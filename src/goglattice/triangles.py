@@ -165,8 +165,8 @@ def _validate_rows(rows: Rows) -> Rows:
 def _validate_rows_slow(rows: Rows) -> None:
     """The reference check, one entry at a time in reading order.
 
-    At each anchor (i, j) the strict-increase pair (j, j+1) is checked before
-    the interlacing bracket at the same anchor; the bottom-row check runs last.
+    The shape and the type of every entry are checked first, then each
+    adjacent pair by the pair rule `_check_pair`, and the bottom row last.
     Entries are compared as the exact ints of their values, since a subclass
     of `int` may redefine its comparisons.
     """
@@ -185,22 +185,8 @@ def _validate_rows_slow(rows: Rows) -> None:
                     position=(i, j),
                 )
     rows = [tuple(map(index, row)) for row in rows]
-    for i in range(2, n + 1):
-        above = rows[i - 2]
-        row = rows[i - 1]
-        for j in range(1, i):
-            if not row[j - 1] < row[j]:
-                raise StrictIncreaseViolated(
-                    f"row {i} is not strictly increasing at ({i}, {j}): "
-                    f"{row[j - 1]} >= {row[j]}",
-                    position=(i, j),
-                )
-            if not row[j - 1] <= above[j - 1] <= row[j]:
-                raise InterlacingViolated(
-                    f"rows {i - 1} and {i} fail interlacing at ({i}, {j}): "
-                    f"need {row[j - 1]} <= {above[j - 1]} <= {row[j]}",
-                    position=(i, j),
-                )
+    for above, row in zip(rows, rows[1:]):
+        _check_pair(above, row)
     bottom = rows[n - 1]
     for j in range(1, n + 1):
         if bottom[j - 1] != j:
@@ -208,6 +194,40 @@ def _validate_rows_slow(rows: Rows) -> None:
                 f"bottom row entry at ({n}, {j}) is {bottom[j - 1]}, expected {j}",
                 position=(n, j),
             )
+
+
+def _check_pair(above: tuple[int, ...], row: tuple[int, ...]) -> None:
+    """The pair rule: raise unless row can sit directly below above, as row
+    i = len(above) + 1 of a triangle.  Row i must have i entries, strictly
+    increase, and interlace above; at each anchor (i, j) the strict-increase
+    pair (j, j+1) is checked before the interlacing bracket.  Entries are
+    compared with their own operators, so the caller passes exact ints."""
+    i = len(above) + 1
+    if len(row) != i:
+        raise ShapeMismatch(f"row {i} has {len(row)} entries, expected {i}", position=(i, 1))
+    for j in range(1, i):
+        if not row[j - 1] < row[j]:
+            raise StrictIncreaseViolated(
+                f"row {i} is not strictly increasing at ({i}, {j}): "
+                f"{row[j - 1]} >= {row[j]}",
+                position=(i, j),
+            )
+        if not row[j - 1] <= above[j - 1] <= row[j]:
+            raise InterlacingViolated(
+                f"rows {i - 1} and {i} fail interlacing at ({i}, {j}): "
+                f"need {row[j - 1]} <= {above[j - 1]} <= {row[j]}",
+                position=(i, j),
+            )
+
+
+def _verify_pair(above: tuple[int, ...], row: tuple[int, ...]) -> None:
+    """Raise unless the pair (above, row) of exact tuples of exact ints passes
+    the pair rule: found in `_PAIRS`, or checked by `_check_pair` and then
+    added if both rows are `_SMALL_ROWS` objects."""
+    if (above, row) not in _PAIRS:
+        _check_pair(above, row)
+        if id(above) in _EXACT and id(row) in _EXACT:
+            _PAIRS.add((above, row))
 
 
 class _Frozen:
@@ -251,11 +271,13 @@ class MonotoneTriangle(_Frozen):
 
     def __init__(self, rows: Rows) -> None:
         # A tuple of table rows whose pairs are all verified is kept as it is,
-        # with no further check: every enumerated triangle at n <= 8 is one.
-        # Anything else is copied and validated, and a copy of table rows
-        # adds its pairs.  Copying a tuple keeps each row that is an exact
-        # tuple, and no other row can be a table object, so the verdict on
-        # the rows holds for their copy.
+        # with no further check: `unrank` and `sample_uniform` at n <= 8 make
+        # such tuples.  Anything else is copied and validated, and a copy of
+        # table rows adds its pairs.  Copying a tuple keeps each row that is
+        # an exact tuple, and no other row can be a table object, so the
+        # verdict on the rows holds for their copy.  Enumeration checks each
+        # pair once per edge of its walk instead, and builds its triangles
+        # through `_checked`.
         given = type(rows) is tuple
         if not given:
             rows = tuple(map(tuple, rows))
@@ -267,6 +289,15 @@ class MonotoneTriangle(_Frozen):
             if known is not None:
                 _PAIRS.update(zip(rows, rows[1:]))
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _checked(cls, rows: Rows) -> "MonotoneTriangle":
+        """The triangle of rows that are already known valid: exact tuples of
+        exact ints, the bottom row 1, ..., n, and every adjacent pair passed
+        by the pair rule in this process.  Nothing is checked here."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
 
     @property
     def n(self) -> int:
@@ -619,17 +650,21 @@ def perm_to_triangle(p: Permutation) -> MonotoneTriangle:
 # Row-by-row construction
 
 
-def _check_row(what: str, n: int, row: tuple[int, ...]) -> None:
+def _check_row(what: str, n: int, row: tuple[int, ...]) -> tuple[int, ...]:
     """Raise unless n is a size and row can be a row of a size-n triangle:
-    exact int entries, strictly increasing, each in [1, n]."""
+    int entries, strictly increasing, each in [1, n]; else return row with
+    each entry the exact int of its value, which is also what is compared,
+    since a subclass of `int` may redefine its comparisons."""
     if type(n) is not int or n < 0:
         raise bound_error(what, "n", n, 0)
     if odd := _non_int(row):
         raise ShapeMismatch(f"row has a non-integer entry: {odd[0]!r}")
+    row = tuple(map(index, row))
     if not all(map(lt, row, row[1:])):
         raise StrictIncreaseViolated(f"row not strictly increasing: {row}")
     if row and (row[0] < 1 or row[-1] > n):
         raise ShapeMismatch(f"row entries outside [1, {n}]: {row}")
+    return row
 
 
 def interlacing_successors(row: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
@@ -647,7 +682,7 @@ def interlacing_successors(row: tuple[int, ...], n: int) -> Iterator[tuple[int, 
     least value.  The ranges of the first i entries are never empty, because
     row strictly increases.
     """
-    _check_row("interlacing_successors", n, row)
+    row = _check_row("interlacing_successors", n, row)
     i = len(row)
     values = [0] * (i + 1)
     j = 0

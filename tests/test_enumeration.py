@@ -3,13 +3,15 @@
 import gc
 import hashlib
 import os
+import pickle
 import random
 import time
 import tracemalloc
 from array import array
 from bisect import bisect_right
+from collections import deque
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import lt
 
 import pytest
@@ -36,6 +38,7 @@ from goglattice import (
     sample_uniform,
     unrank,
 )
+from goglattice import triangles
 from goglattice.cli import main
 from goglattice.enumeration import (
     _BLOCK,
@@ -47,7 +50,13 @@ from goglattice.enumeration import (
     _index,
     _rows_by_mask,
 )
-from goglattice.triangles import _validate_rows, interlacing_successors
+from goglattice.errors import TriangleError
+from goglattice.triangles import (
+    _check_pair,
+    _validate_rows,
+    _validate_rows_slow,
+    interlacing_successors,
+)
 
 CENSUS3_TEXT = "MTCENSUS v1 n=3 total=7\n4 4\n5 1\n6 1\n7 1\n"
 
@@ -208,6 +217,93 @@ class TestEnumeration:
     def test_limit_beyond_the_index_cap(self, build):
         with pytest.raises(LimitExceeded, match=f"n <= {INDEX_MAX_N}"):
             build(INDEX_MAX_N + 1, limit=INDEX_MAX_N + 4)
+
+
+class TestWalkChecks:
+    """The walk checks each pair (row, successor) of the index by the pair
+    rule before it yields a triangle below it, so `enumerate_triangles`
+    yields only valid triangles whatever the index holds."""
+
+    @staticmethod
+    def corrupt_walks(n, cases):
+        """For each (position, id) in cases, enumerate through a private copy
+        of the size-n index with edges[position] set to id: whether the walk
+        raised, each yielded triangle checked by the reference loop.  The
+        shared index is back in `_INDEXES` afterwards."""
+        shared = _index(n)
+        outcomes = []
+        try:
+            for at, new in cases:
+                index = _SuccessorIndex(n)
+                index.edges[at] = new
+                _INDEXES[n] = index
+                try:
+                    for t in enumerate_triangles(n, limit=n):
+                        _validate_rows_slow(t.rows)
+                except TriangleError:
+                    outcomes.append(True)
+                else:
+                    outcomes.append(False)
+        finally:
+            _INDEXES[n] = shared
+        return outcomes
+
+    @staticmethod
+    def edge_cases(n):
+        """Every edge the walk reads, from a row above row n - 1, with every
+        other row id in its place; and whether that row can follow the edge's
+        row."""
+        index = _index(n)
+        cases, bad = [], []
+        for i in range(1 << n):
+            row = index.row(i)
+            if len(row) > n - 2:
+                continue
+            below = set(interlacing_successors(row, n))
+            for at in range(index.ends[i], index.ends[i + 1]):
+                for new in range(1 << n):
+                    if new != index.edges[at]:
+                        cases.append((at, new))
+                        bad.append(index.row(new) not in below)
+        return cases, bad
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_every_corrupt_edge_raises(self, n):
+        cases, bad = self.edge_cases(n)
+        assert any(bad) and not all(bad)
+        shared = _index(n)
+        assert self.corrupt_walks(n, cases) == bad
+        assert _INDEXES[n] is shared
+        assert [t.rows for t in enumerate_triangles(n)] == list(stack_walk(n))
+
+    def test_sampled_corrupt_edges_at_six(self):
+        cases, bad = self.edge_cases(6)
+        picked = random.Random(6).sample(range(len(cases)), 40)
+        assert self.corrupt_walks(6, [cases[k] for k in picked]) == [bad[k] for k in picked]
+
+    def test_verified_pairs_pass_the_pair_rule(self):
+        triangles._PAIRS.clear()
+        for n in range(1, 8):
+            deque(enumerate_triangles(n), maxlen=0)
+        pairs = set(triangles._PAIRS)
+        assert len(pairs) == sum(len(_index(7).successors(i)) for i in range(1, 1 << 7))
+        for upper, lower in pairs:
+            _check_pair(upper, lower)
+            assert lower in interlacing_successors(upper, 7)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_triangles_equal_validated_ones(self, n, universe):
+        for t in universe(n):
+            made = MonotoneTriangle(t.rows)
+            assert t == made and hash(t) == hash(made)
+            assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_rows_past_the_table(self):
+        ts = list(islice(enumerate_triangles(9, limit=9), 2000))
+        assert [t.rows for t in ts] == list(islice(stack_walk(9), 2000))
+        for t in ts:
+            _validate_rows_slow(t.rows)
+        assert not all(triangles._EXACT.issuperset(map(id, t.rows)) for t in ts)
 
 
 class TestCompletions:

@@ -27,7 +27,9 @@ from goglattice import (
     ShapeMismatch,
     SizeTooSmall,
     StrictIncreaseViolated,
+    TrianglePrefix,
     asm_number,
+    completions_count,
     enumerate_triangles,
     extremal_triangle,
     interlacing_successors,
@@ -134,6 +136,13 @@ class LyingInt(int):
 
     def __le__(self, other):
         return True
+
+
+class PeerLyingInt(int):
+    """An int for which x < y holds whenever y is one too."""
+
+    def __lt__(self, other):
+        return True if isinstance(other, PeerLyingInt) else int(self) < other
 
 
 class LyingRow(tuple):
@@ -731,10 +740,11 @@ class TestSuccessors:
             ((0,), 3, ShapeMismatch),
             ((5,), 3, ShapeMismatch),
             ((True,), 3, ShapeMismatch),
+            ((PeerLyingInt(2), PeerLyingInt(1)), 3, StrictIncreaseViolated),
             ((), -1, ValueError),
             ((), 3.0, TypeError),
         ],
-        ids=["decreasing", "repeated", "zero", "past-n", "bool", "negative-n", "float-n"],
+        ids=["decreasing", "repeated", "zero", "past-n", "bool", "lying-int", "negative-n", "float-n"],
     )
     def test_refuses_a_row_no_triangle_has(self, row, n, error):
         # The odometer never reaches the bound of a row that is not strictly
@@ -751,6 +761,18 @@ class TestSuccessors:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_int_subclass_is_compared_by_value(self):
+        # Its own operators would pass (2, 1), as the prefix row of a
+        # triangle prefix too, which counted the completions of (1, 2).
+        with pytest.raises(StrictIncreaseViolated):
+            TrianglePrefix(3, 2, (PeerLyingInt(2), PeerLyingInt(1)))
+        prefix = TrianglePrefix(3, 2, (PeerLyingInt(1), LyingInt(3)))
+        assert prefix.row == (1, 3) and {type(v) for v in prefix.row} == {int}
+        assert completions_count(prefix) == 1
+        succs = list(interlacing_successors((LyingInt(1), IntSubclass(3)), 4))
+        assert succs == list(interlacing_successors((1, 3), 4))
+        assert {type(v) for row in succs for v in row} == {int}
 
     def test_matches_brute_force_filter(self):
         # every strictly increasing row (the empty row too) up to n = 8:
