@@ -9,17 +9,21 @@ The cases, each timed in fresh interpreters by the round-robin runner of
   call (`first_s`), which makes room for the index's block marks and fills
   those of the rows it reaches, then a repeat;
 - round-trip: with the index built, `rank(unrank(n, k)) == k` for 1000
-  fixed k: a first pass, which fills marks likewise, then a repeat.
+  fixed k: a first pass, which fills marks likewise, then a repeat;
+- tuple: with the index built, the query of perfbench's sample workload
+  for seeds 0..999: `sample_uniform(n, 3, seed)`, each triangle ranked and
+  unranked, and the meet and join of the three: a first pass, which also
+  checks the edges its picks take, then a repeat.
 
 A case's traced interpreter starts `tracemalloc` after the untimed index
-build, so `kept_mib` is the index for `index` and the block marks for the
-other two.  Run from the repository root:
+build, so `kept_mib` is the index for `index`, and the block marks and
+edge flags for the other three.  Run from the repository root:
 
     python scripts/bench_index.py [--n N] [--runs RUNS] [--case NAME ...] [--output PATH]
 
 N defaults to 12, the size BENCH_index.json reports, and may be 1 to 16,
-the index's cap.  The cases default to all three with RUNS = 10, about
-half a minute on 2 vCPUs at n = 12, and PATH to BENCH_index.json.  The
+the index's cap.  The cases default to all four with RUNS = 10, about
+a minute on 2 vCPUs at n = 12, and PATH to BENCH_index.json.  The
 file has the layout of BENCH_sweep.json, with the case's name in place of
 (n, r), and names n in its `call`.
 """
@@ -33,7 +37,7 @@ from pathlib import Path
 from bench_sweep import ROOT, measure, write_report
 
 OUTPUT = ROOT / "BENCH_index.json"
-CASES = ["index", "sample", "round-trip"]
+CASES = ["index", "sample", "round-trip", "tuple"]
 N = 12
 RUNS = 10
 
@@ -41,6 +45,7 @@ RUNS = 10
 CHILD = """
 import json, random, sys, time
 from goglattice.enumeration import _index, rank, sample_uniform, unrank
+from goglattice.lattice import join, meet
 case, n, traced = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 if case == "index":
     calls = {"first_s": lambda: _index(n)}
@@ -52,7 +57,13 @@ else:
     def round_trip():
         if any(rank(unrank(n, k, limit=n), limit=n) != k for k in ks):
             sys.exit("rank(unrank(n, k)) != k")
-    call = sample if case == "sample" else round_trip
+    def tuples():
+        for seed in range(1000):
+            ts = sample_uniform(n, 3, seed, limit=n)
+            if [unrank(n, rank(t, limit=n), limit=n) for t in ts] != ts:
+                sys.exit("unrank(rank(t)) != t")
+            meet(ts), join(ts)
+    call = {"sample": sample, "round-trip": round_trip, "tuple": tuples}[case]
     calls = {"first_s": call, "repeat_s": call}
 if traced:
     import gc, tracemalloc

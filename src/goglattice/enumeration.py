@@ -32,22 +32,24 @@ successor, the bottom row, so the triangles below a prefix are it plus
 each tail (row n-1, bottom row) of its row n-2.  The walk yields each
 prefix with its tails, which are made once per walk: a triangle costs one
 concatenation, and the deepest level needs no stack frame.  Validation is
-per edge, not per triangle: the walk checks each pair (row, successor) of
-the index by the pair rule of the full check once per walk, before it
-yields anything below it, so `enumerate_triangles` builds its triangles
-through `MonotoneTriangle._checked`, which checks nothing more.  The rows
-with entries in 1..8 come from one table for the process,
-`triangles._SMALL_ROWS` (256 rows, by id), which every index uses for its
-low eight bits, so enumeration, `unrank` and `sample_uniform` at n <= 8
-hand out its objects alone.  A checked pair of them goes into a set for
-the process (at most (3^8 - 1)/2 pairs), where a later check finds it.
-Those rows are known to be exact tuples of exact ints, so for a tuple of
-them the constructor checks that the bottom row is the table's 1, ..., n,
-looks its adjacent row pairs up in that set, and keeps the tuple it was
-given.  The census compares each row of a prefix with its key row, and
-tallies the tails of a row n-2 by theirs once per walk: the key row i is
-1, ..., i for the distinguished row i, and n-i+1, ..., n for the row at
-its maximum that `meet_census.reversed_census` counts.  Ranking,
+per edge, not per triangle, once per index, per edge: the index keeps one
+flag per edge, set once its successor id names a row of [n] and the pair
+(row, successor) has passed the pair rule of the full check.  The walk
+checks a row's unflagged edges before it goes below that row, and a
+pick checks the one edge it takes.  The first of them makes the flags,
+about 260 KiB at n = 12, so counting alone makes none.  A triangle that
+enumeration, `unrank` or `sample_uniform` builds is n checked edges down
+from the empty top row: its rows have 1, ..., n entries, each pair passes
+the pair rule, and the last row, n increasing entries of [n], is 1, ..., n.
+So they build their triangles through `MonotoneTriangle._checked`, which
+checks nothing more.  The rows with entries in 1..8 come from one table for
+the process, `triangles._SMALL_ROWS` (256 rows, by id), which every index
+uses for its low eight bits, so enumeration, `unrank` and `sample_uniform`
+at n <= 8 hand out its objects alone.  The census compares each row of a
+prefix with its key row, and tallies the tails of a row n-2 by theirs once
+per walk: the key row i is 1, ..., i for the distinguished row i, and
+n-i+1, ..., n for the row at its maximum that `meet_census.reversed_census`
+counts.  Ranking,
 unranking and uniform sampling go down one path of the tree, weighted by
 the completion counts (the recursive method of Nijenhuis and Wilf).  A
 row's first pick scans its segment in C: it
@@ -99,7 +101,7 @@ from .triangles import (
     _check_row,
     _is_int,
     _rows_by_mask,
-    _verify_pair,
+    _triangle,
 )
 
 if TYPE_CHECKING:
@@ -107,7 +109,7 @@ if TYPE_CHECKING:
 
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
 _BLOCK = 16  # successors per cumulative mark of the successor index
-SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 9 s and 140 MiB
+SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 5.5 s and 141 MiB
 
 # The census lives in `meet_census`.  These names resolve here to its objects
 # on first use, so that enumerating or sampling does not load it.
@@ -152,10 +154,11 @@ def _id(row: tuple[int, ...]) -> int:
 
 class _SuccessorIndex:
     """For every row of a size-n triangle, by id: its completion count and
-    the ids of its interlacing successors in enumeration order; and, from
-    its first `pick` on, its block marks."""
+    the ids of its interlacing successors in enumeration order; from its
+    first `pick` on, its block marks; and, from the first pick or walk, a
+    flag per edge that has passed its check."""
 
-    __slots__ = ("counts", "edges", "ends", "low", "high", "marks")
+    __slots__ = ("counts", "edges", "ends", "low", "high", "marks", "flags")
 
     def __init__(self, n: int) -> None:
         # Imported here, so that a process that never builds an index (every
@@ -206,6 +209,7 @@ class _SuccessorIndex:
         self.low = _SMALL_ROWS
         self.high = _rows_by_mask(9, n)
         self.marks = None  # see _make_room
+        self.flags = None  # see _make_flags
 
     def _make_room(self) -> Sequence[int]:
         """Zeros for every row's marks, made on the first pick.
@@ -224,6 +228,31 @@ class _SuccessorIndex:
         self.marks = array("Q", bytes(8 * size)) if self.counts[0] >> 64 == 0 else [0] * size
         return self.marks
 
+    def _make_flags(self) -> bytearray:
+        """Zeros for every edge's flag, made on the first pick or walk:
+        flags[p] is set once `_check` has passed edges[p]."""
+        self.flags = bytearray(len(self.edges))
+        return self.flags
+
+    def _check(self, i: int, p: int) -> None:
+        """Raise unless edges[p], a successor of row i, is the id of a row
+        of [n] that passes the pair rule below row i; then flag it."""
+        j = self.edges[p]
+        if j >= len(self.counts):
+            raise ShapeMismatch(f"successor id {j} of row id {i} names no row of the index")
+        _check_pair(self.row(i), self.row(j))
+        self.flags[p] = 1
+
+    def checked(self, i: int) -> Sequence[int]:
+        """The successors of row i, each edge checked unless it is flagged."""
+        a, b = self.ends[i], self.ends[i + 1]
+        flags = self.flags or self._make_flags()
+        if flags.find(0, a, b) >= 0:
+            for p in range(a, b):
+                if not flags[p]:
+                    self._check(i, p)
+        return self.edges[a:b]
+
     def row(self, i: int) -> tuple[int, ...]:
         # For i < 256 this is the `_SMALL_ROWS` object itself: CPython's
         # `t + ()` returns t.
@@ -236,37 +265,45 @@ class _SuccessorIndex:
         """The successor of row i whose run of completions holds index k,
         in the enumeration order below row i, and k less the completions
         skipped to reach it.  Needs a row i with successors, so not the
-        bottom row, and 0 <= k < counts[i].
+        bottom row, and 0 <= k < counts[i].  The edge taken is checked
+        unless it is flagged.
 
         The row's first pick accumulates all its counts, keeps its marks and
         bisects the sums.  Every later pick bisects the marks for the block
         of _BLOCK successors that holds k, then steps through that block's
         counts until one exceeds what is left of k; a row with at most
-        _BLOCK successors, which has no marks, is one block."""
+        _BLOCK successors, which has no marks, is one block.  Either way
+        the position taken is inside row i's run, whatever the counts."""
         ends, edges, counts = self.ends, self.edges, self.counts
         a, b = ends[i], ends[i + 1]
         marks = self.marks or self._make_room()
         lo = a // _BLOCK + 1
         hi = lo + (b - a - 1) // _BLOCK  # row i's marks are marks[lo:hi]
-        if hi > lo:
-            if not marks[lo]:  # the row's first pick
-                succ = edges[a:b]
-                before = list(accumulate(map(counts.__getitem__, succ), initial=0))
-                for at, mark in zip(range(lo, hi), before[_BLOCK::_BLOCK]):
-                    marks[at] = mark
-                j = bisect_right(before, k) - 1
-                return succ[j], k - before[j]
-            block = bisect_right(marks, k, lo, hi)
-            if block > lo:
-                k -= marks[block - 1]
-                a += (block - lo) * _BLOCK
-            b = min(a + _BLOCK, b)
-        for j in edges[a : b - 1]:
-            c = counts[j]
-            if k < c:
-                return j, k
-            k -= c
-        return edges[b - 1], k
+        if hi > lo and not marks[lo]:  # the row's first pick
+            before = list(accumulate(map(counts.__getitem__, edges[a:b]), initial=0))
+            for at, mark in zip(range(lo, hi), before[_BLOCK::_BLOCK]):
+                marks[at] = mark
+            p = bisect_right(before, k, 0, b - a) - 1
+            k -= before[p]
+            p += a
+        else:
+            if hi > lo:
+                block = bisect_right(marks, k, lo, hi)
+                if block > lo:
+                    k -= marks[block - 1]
+                    a += (block - lo) * _BLOCK
+                b = min(a + _BLOCK, b)
+            p = a
+            for j in edges[a : b - 1]:
+                c = counts[j]
+                if k < c:
+                    break
+                k -= c
+                p += 1
+        flags = self.flags or self._make_flags()
+        if not flags[p]:
+            self._check(i, p)
+        return edges[p], k
 
     def skipped(self, i: int, j: int) -> int:
         """The completions below row i that come before those of its successor
@@ -314,62 +351,41 @@ def _walk(n: int) -> Iterator[tuple[Rows, tuple[Rows, ...]]]:
     of its tails.  At n = 1 the prefix is empty and the one tail is the
     bottom row.
 
-    Each pair (row, successor) of the index is checked by the pair rule once
-    per walk, the first time the walk goes below that row and before it
-    yields anything below it, so every adjacent pair of a triangle made from
-    the walk has passed the pair rule, whatever the index holds.  Row 1 is
-    checked as the row below the empty top row, which makes it one entry
-    long.  The rows are `index.row` objects, exact tuples of exact ints, and
-    the bottom row is the staircase `index.row(2^n - 1)`."""
+    Every edge the walk reads is checked once per index, per edge (see
+    `_SuccessorIndex.checked`), before the walk yields anything below it,
+    so every adjacent pair of a triangle made from the walk has passed the
+    pair rule, whatever the index holds.  Row 1 is checked as the row below
+    the empty top row, which makes it one entry long, and the bottom row is
+    the successor of a row n - 1, so it is 1, ..., n.  The rows are
+    `index.row` objects, exact tuples of exact ints."""
     index = _index(n)
-    row, successors = index.row, index.successors
-    last = row((1 << n) - 1)  # the bottom row is forced
-    bottom = (last,)
+    row, checked = index.row, index.checked
     if n == 1:
-        yield (), (bottom,)
+        yield (), ((row(1),),)
         return
-
-    def below(i: int) -> list[tuple[int, ...]]:
-        # The successor rows of row i, each checked as the row below row i.
-        # The empty top row is no triangle row, so its pairs are not kept.
-        upper = row(i)
-        lowers = list(map(row, successors(i)))
-        check = _verify_pair if upper else _check_pair
-        for lower in lowers:
-            check(upper, lower)
-        return lowers
 
     # Every row n - 1 has one successor, the bottom row, so each triangle is
     # its rows 1 .. n - 2, shared by every triangle below row n - 2, and one
     # tail (row n - 1, bottom row) of row n - 2.  The tails of a row n - 2 are
-    # made, and their pairs checked, once per walk, for at most n (n - 1)/2
-    # such rows; the successors of a row above it are checked on the walk's
-    # first visit to the row.
+    # made once per walk, for at most n (n - 1)/2 such rows.
     depth = n - 2
     prefix = [()] * (depth + 1)  # prefix[k]: rows 1 .. k of the current path
     tails: dict[int, tuple[Rows, ...]] = {}
-    checked: set[int] = set()  # rows above row n - 2 checked by below
     stack: list[Iterator[int]] = []  # the rows left at levels 1 .. len(stack)
     i = 0  # the empty top row
     while True:
         level = len(stack)
         if level < depth:
-            if i not in checked:
-                below(i)
-                checked.add(i)
-            stack.append(iter(successors(i)))
+            stack.append(iter(checked(i)))
         else:
             ends = tails.get(i)
             if ends is None:
-                lowers = below(i)
-                for lower in lowers:
-                    _verify_pair(lower, last)
                 # From a list, so that the tuple is made at its length.  A
                 # tuple of a generator starts at a guessed length and shrinks,
                 # and once freed it joins the free list of its final length,
                 # not the one it came from: the process grew by about 1 KB
                 # per walk, up to the free lists' cap.
-                ends = tails[i] = tuple([(lower, last) for lower in lowers])
+                ends = tails[i] = tuple([(row(j), row(checked(j)[0])) for j in checked(i)])
             yield prefix[level], ends
         # Step the deepest level that has rows left; stop when none has.
         while stack:
@@ -388,14 +404,14 @@ def enumerate_triangles(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[Mon
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("enumerate_triangles", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     _index(n)  # built, or refused past INDEX_MAX_N, on the call
-    # The walk checks every pair of its rows, so no triangle needs more.
+    # The walk checks every edge it reads, so no triangle needs more.
     rows = (prefix + tail for prefix, ends in _walk(n) for tail in ends)
     return map(MonotoneTriangle._checked, rows)
 
 
 def rank(t: MonotoneTriangle, limit: int = DP_LIMIT_DEFAULT) -> int:
     """Position of t in the enumeration order; rank of the minimal triangle is 0."""
-    if not 1 <= t.n <= limit:
+    if not 1 <= _triangle("rank", t).n <= limit:
         raise bound_error("rank", "n", t.n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     index = _index(t.n)
     r = 0
@@ -423,7 +439,7 @@ def unrank(n: int, k: int, limit: int = DP_LIMIT_DEFAULT) -> MonotoneTriangle:
     for _ in range(n):
         i, k = index.pick(i, k)
         rows.append(index.row(i))
-    return MonotoneTriangle(tuple(rows))
+    return MonotoneTriangle._checked(tuple(rows))  # n checked edges
 
 
 def sample_uniform(
@@ -438,6 +454,7 @@ def sample_uniform(
     Each row is chosen sequentially with probability proportional to the
     completion count below it, so no rejection and no rounding occur: one
     `randrange(completions of the previous row)` per level picks the row.
+    The seed is an exact int, of either sign.
     """
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("sample_uniform", "n", n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
@@ -446,6 +463,8 @@ def sample_uniform(
             "sample_uniform", "count", count, 1, count_limit,
             f"{SAMPLE_LIMIT_DEFAULT=}", knob="count_limit",
         )
+    if type(seed) is not int:  # None would draw from the system's entropy
+        raise bound_error("sample_uniform", "seed", seed, 0)
     index = _index(n)
     counts = index.counts
     randrange = random.Random(seed).randrange
@@ -456,7 +475,7 @@ def sample_uniform(
         for _ in range(n):
             i = index.pick(i, randrange(counts[i]))[0]
             rows.append(index.row(i))
-        out.append(MonotoneTriangle(tuple(rows)))
+        out.append(MonotoneTriangle._checked(tuple(rows)))  # n checked edges
     return out
 
 

@@ -99,9 +99,6 @@ def _is_valid_fast(rows: Rows, n: int) -> bool:
     return all(map(lt, a, b)) and all(map(le, a, c)) and all(map(le, c, b))
 
 
-_PAIRS: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-
 def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
     """The rows with entries in first..last, indexed by their bitmask (bit 0
     for entry `first`)."""
@@ -113,27 +110,6 @@ def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
 
 # The 256 rows of [8] by bitmask, which the successor index hands out.
 _SMALL_ROWS = tuple(_rows_by_mask(1, 8))
-_EXACT = frozenset(map(id, _SMALL_ROWS))
-
-
-def _pairs_known(rows: Rows) -> bool | None:
-    """The verified-pair check: None unless every row is one of the
-    `_SMALL_ROWS` objects and the bottom row is the table's 1, ..., n; then
-    whether every adjacent pair is in `_PAIRS`.
-
-    Those objects live for the process, so a row whose id is in `_EXACT` is
-    one of them, an exact tuple of exact ints whose equality and hash can be
-    trusted.  The set holds pairs of rows of [8] alone, at most
-    (3^8 - 1)/2 of them, so it needs no eviction."""
-    n = len(rows)
-    bottom = (1 << n) - 1  # the id of the row 1, ..., n
-    if not (
-        0 < bottom < len(_SMALL_ROWS)
-        and _EXACT.issuperset(map(id, rows))
-        and rows[-1] is _SMALL_ROWS[bottom]
-    ):
-        return None
-    return _PAIRS.issuperset(zip(rows, rows[1:]))
 
 
 def _validate_rows(rows: Rows) -> Rows:
@@ -220,16 +196,6 @@ def _check_pair(above: tuple[int, ...], row: tuple[int, ...]) -> None:
             )
 
 
-def _verify_pair(above: tuple[int, ...], row: tuple[int, ...]) -> None:
-    """Raise unless the pair (above, row) of exact tuples of exact ints passes
-    the pair rule: found in `_PAIRS`, or checked by `_check_pair` and then
-    added if both rows are `_SMALL_ROWS` objects."""
-    if (above, row) not in _PAIRS:
-        _check_pair(above, row)
-        if id(above) in _EXACT and id(row) in _EXACT:
-            _PAIRS.add((above, row))
-
-
 class _Frozen:
     """Base of the immutable records: `==`, `hash` and repr over the fields,
     as a frozen dataclass has them, and no assignment after construction.
@@ -270,31 +236,17 @@ class MonotoneTriangle(_Frozen):
     rows: Rows
 
     def __init__(self, rows: Rows) -> None:
-        # A tuple of table rows whose pairs are all verified is kept as it is,
-        # with no further check: `unrank` and `sample_uniform` at n <= 8 make
-        # such tuples.  Anything else is copied and validated, and a copy of
-        # table rows adds its pairs.  Copying a tuple keeps each row that is
-        # an exact tuple, and no other row can be a table object, so the
-        # verdict on the rows holds for their copy.  Enumeration checks each
-        # pair once per edge of its walk instead, and builds its triangles
-        # through `_checked`.
-        given = type(rows) is tuple
-        if not given:
-            rows = tuple(map(tuple, rows))
-        known = _pairs_known(rows)
-        if not known:
-            if given:
-                rows = tuple(map(tuple, rows))
-            rows = _validate_rows(rows)
-            if known is not None:
-                _PAIRS.update(zip(rows, rows[1:]))
-        object.__setattr__(self, "rows", rows)
+        # Copied, so that no row can change after the check.  What the
+        # package derives from checked triangles or checked index edges
+        # (enumeration, `unrank`, `sample_uniform`, meet and join) is built
+        # through `_checked` instead.
+        object.__setattr__(self, "rows", _validate_rows(tuple(map(tuple, rows))))
 
     @classmethod
     def _checked(cls, rows: Rows) -> "MonotoneTriangle":
         """The triangle of rows that are already known valid: exact tuples of
         exact ints, the bottom row 1, ..., n, and every adjacent pair passed
-        by the pair rule in this process.  Nothing is checked here."""
+        by the pair rule.  Nothing is checked here."""
         t = object.__new__(cls)
         object.__setattr__(t, "rows", rows)
         return t
@@ -383,6 +335,14 @@ class MonotoneTriangle(_Frozen):
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
+
+
+def _triangle(what: str, t: object) -> MonotoneTriangle:
+    """t, or a TypeError unless it is a `MonotoneTriangle`: an object that
+    only looks like one never passed the check."""
+    if not isinstance(t, MonotoneTriangle):
+        raise TypeError(f"{what} needs a MonotoneTriangle, got {type(t).__name__}")
+    return t
 
 
 def validate_triangle(n: int, rows: Sequence[Sequence[int]]) -> MonotoneTriangle:

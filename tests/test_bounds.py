@@ -18,6 +18,7 @@ from goglattice import (
     build_census,
     class_bound,
     class_sizes,
+    compare,
     completions_count,
     decompose,
     enumerate_triangles,
@@ -25,8 +26,11 @@ from goglattice import (
     extremal_triangle,
     gap_product_census,
     interlacing_successors,
+    is_trivial,
+    join,
     lemma_margins,
     load_or_build_census,
+    meet,
     n_min_census,
     n_min_exact,
     near_minimal_triangle,
@@ -168,8 +172,9 @@ def test_every_slot_is_read():
     assert [f"{where}.{slot}" for where, slot in slots if slot not in read] == []
 
 
-# One row per entry point with a size or count argument: a float, a bool or a
-# str in its place is refused before any work, with the argument named.
+# One row per entry point with a size, count or seed argument: a float, a
+# bool, a str or None in its place is refused before any work, with the
+# argument named.
 NOT_A_SIZE = {
     "enumerate_triangles": (lambda: enumerate_triangles(2.0), "n", "float 2.0"),
     "unrank": (lambda: unrank(3.0, 0), "n", "float 3.0"),
@@ -187,6 +192,10 @@ NOT_A_SIZE = {
     "run_histogram_report": (lambda: run_histogram_report(5.0), "n", "float 5.0"),
     "sample_uniform": (lambda: sample_uniform(True, 2, 1), "n", "bool True"),
     "sample_uniform-count": (lambda: sample_uniform(3, True, 1), "count", "bool True"),
+    "sample_uniform-seed": (lambda: sample_uniform(3, 2, None), "seed", "NoneType None"),
+    "sample_uniform-seed-float": (lambda: sample_uniform(3, 2, 1.5), "seed", "float 1.5"),
+    "sample_uniform-seed-str": (lambda: sample_uniform(3, 2, "x"), "seed", "str 'x'"),
+    "sample_uniform-seed-bool": (lambda: sample_uniform(3, 2, True), "seed", "bool True"),
     "build_census": (lambda: build_census(3.0), "n", "float 3.0"),
     "reversed_census": (lambda: reversed_census(3.0), "n", "float 3.0"),
     "n_min_census-r": (lambda: n_min_census(3, 2.0), "r", "float 2.0"),
@@ -232,3 +241,35 @@ def test_size_must_be_an_exact_int(key):
     with pytest.raises(TypeError) as exc:
         call()
     assert str(exc.value) == f"{DELEGATES.get(what, what)} needs an int {name}, got {got}"
+
+
+class Lookalike:
+    """A triangle's `n` and `rows`, with rows that no check passed: row 1
+    does not interlace row 2."""
+
+    n = 3
+    rows = ((3,), (1, 2), (1, 2, 3))
+
+
+T3 = extremal_triangle(3, "min")
+# One row per entry point that takes triangles: anything else in a
+# triangle's place is refused with a TypeError, never read as one.
+NOT_A_TRIANGLE = {
+    "compare": (lambda: compare(T3, T3.rows), "tuple"),
+    "compare-first": (lambda: compare(T3.rows, T3), "tuple"),
+    "meet": (lambda: meet([T3, T3.rows]), "tuple"),
+    "meet-lookalike": (lambda: meet([T3, Lookalike()]), "Lookalike"),
+    "meet-lookalike-alone": (lambda: meet([Lookalike()]), "Lookalike"),
+    "join": (lambda: join([T3.rows]), "tuple"),
+    "join-lookalike": (lambda: join([Lookalike(), T3]), "Lookalike"),
+    "is_trivial": (lambda: is_trivial([T3, T3.rows], "meet"), "tuple"),
+    "rank": (lambda: rank(T3.rows), "tuple"),
+}
+
+
+@pytest.mark.parametrize("key", NOT_A_TRIANGLE)
+def test_operand_must_be_a_triangle(key):
+    call, got = NOT_A_TRIANGLE[key]
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == f"{key.split('-')[0]} needs a MonotoneTriangle, got {got}"

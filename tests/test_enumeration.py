@@ -219,77 +219,97 @@ class TestEnumeration:
             build(INDEX_MAX_N + 1, limit=INDEX_MAX_N + 4)
 
 
+def corrupt_runs(n, cases, make):
+    """For each (position, id) in cases, the triangles of make(n) through a
+    private size-n index with edges[position] set to id: whether making them
+    raised `TriangleError`.  Each triangle made before that is checked by the
+    reference loop.  The shared index is back in `_INDEXES` afterwards."""
+    shared = _index(n)
+    outcomes = []
+    try:
+        for at, new in cases:
+            index = _INDEXES[n] = _SuccessorIndex(n)
+            index.edges[at] = new
+            made = []
+            try:
+                made.extend(make(n))
+            except TriangleError:
+                outcomes.append(True)
+            else:
+                outcomes.append(False)
+            for t in made:
+                _validate_rows_slow(t.rows)
+    finally:
+        _INDEXES[n] = shared
+    return outcomes
+
+
+def edge_cases(n):
+    """Every edge of the size-n index, with every other row id in its place;
+    and whether that row can follow the edge's row."""
+    index = _index(n)
+    cases, bad = [], []
+    for i in range((1 << n) - 1):  # every row but the bottom one
+        below = set(interlacing_successors(index.row(i), n))
+        for at in range(index.ends[i], index.ends[i + 1]):
+            for new in range(1 << n):
+                if new != index.edges[at]:
+                    cases.append((at, new))
+                    bad.append(index.row(new) not in below)
+    return cases, bad
+
+
+def sampled_edge_cases(n, count):
+    cases, bad = edge_cases(n)
+    picked = random.Random(n).sample(range(len(cases)), count)
+    return [cases[k] for k in picked], [bad[k] for k in picked]
+
+
 class TestWalkChecks:
-    """The walk checks each pair (row, successor) of the index by the pair
-    rule before it yields a triangle below it, so `enumerate_triangles`
-    yields only valid triangles whatever the index holds."""
+    """The index checks each edge (row, successor) once, before the first
+    walk yields a triangle below it, so `enumerate_triangles` yields only
+    valid triangles whatever the index holds."""
 
     @staticmethod
-    def corrupt_walks(n, cases):
-        """For each (position, id) in cases, enumerate through a private copy
-        of the size-n index with edges[position] set to id: whether the walk
-        raised, each yielded triangle checked by the reference loop.  The
-        shared index is back in `_INDEXES` afterwards."""
-        shared = _index(n)
-        outcomes = []
-        try:
-            for at, new in cases:
-                index = _SuccessorIndex(n)
-                index.edges[at] = new
-                _INDEXES[n] = index
-                try:
-                    for t in enumerate_triangles(n, limit=n):
-                        _validate_rows_slow(t.rows)
-                except TriangleError:
-                    outcomes.append(True)
-                else:
-                    outcomes.append(False)
-        finally:
-            _INDEXES[n] = shared
-        return outcomes
-
-    @staticmethod
-    def edge_cases(n):
-        """Every edge the walk reads, from a row above row n - 1, with every
-        other row id in its place; and whether that row can follow the edge's
-        row."""
-        index = _index(n)
-        cases, bad = [], []
-        for i in range(1 << n):
-            row = index.row(i)
-            if len(row) > n - 2:
-                continue
-            below = set(interlacing_successors(row, n))
-            for at in range(index.ends[i], index.ends[i + 1]):
-                for new in range(1 << n):
-                    if new != index.edges[at]:
-                        cases.append((at, new))
-                        bad.append(index.row(new) not in below)
-        return cases, bad
+    def walk(n):
+        return enumerate_triangles(n, limit=n)
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_every_corrupt_edge_raises(self, n):
-        cases, bad = self.edge_cases(n)
+        cases, bad = edge_cases(n)
         assert any(bad) and not all(bad)
         shared = _index(n)
-        assert self.corrupt_walks(n, cases) == bad
+        assert corrupt_runs(n, cases, self.walk) == bad
         assert _INDEXES[n] is shared
         assert [t.rows for t in enumerate_triangles(n)] == list(stack_walk(n))
 
     def test_sampled_corrupt_edges_at_six(self):
-        cases, bad = self.edge_cases(6)
-        picked = random.Random(6).sample(range(len(cases)), 40)
-        assert self.corrupt_walks(6, [cases[k] for k in picked]) == [bad[k] for k in picked]
+        cases, bad = sampled_edge_cases(6, 40)
+        assert corrupt_runs(6, cases, self.walk) == bad
 
-    def test_verified_pairs_pass_the_pair_rule(self):
-        triangles._PAIRS.clear()
-        for n in range(1, 8):
-            deque(enumerate_triangles(n), maxlen=0)
-        pairs = set(triangles._PAIRS)
-        assert len(pairs) == sum(len(_index(7).successors(i)) for i in range(1, 1 << 7))
-        for upper, lower in pairs:
-            _check_pair(upper, lower)
-            assert lower in interlacing_successors(upper, 7)
+    def test_verified_pairs_pass_the_pair_rule(self, monkeypatch):
+        # The first walk checks every edge of the index once, each one a pair
+        # that the pair rule passes, and flags it; a second walk checks none.
+        checks = []
+        check = _SuccessorIndex._check
+        monkeypatch.setattr(
+            _SuccessorIndex, "_check", lambda index, i, p: checks.append(p) or check(index, i, p)
+        )
+        index = _SuccessorIndex(7)
+        shared, _INDEXES[7] = _index(7), index
+        try:
+            assert index.flags is None
+            deque(enumerate_triangles(7), maxlen=0)
+            assert sorted(checks) == list(range(len(index.edges)))
+            assert index.flags == bytearray([1]) * len(index.edges)
+            deque(enumerate_triangles(7), maxlen=0)
+            assert len(checks) == len(index.edges)
+        finally:
+            _INDEXES[7] = shared
+        for i in range((1 << 7) - 1):
+            for j in index.successors(i):
+                _check_pair(index.row(i), index.row(j))
+                assert index.row(j) in interlacing_successors(index.row(i), 7)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_triangles_equal_validated_ones(self, n, universe):
@@ -303,7 +323,66 @@ class TestWalkChecks:
         assert [t.rows for t in ts] == list(islice(stack_walk(9), 2000))
         for t in ts:
             _validate_rows_slow(t.rows)
-        assert not all(triangles._EXACT.issuperset(map(id, t.rows)) for t in ts)
+        table = set(map(id, triangles._SMALL_ROWS))
+        assert not all(table.issuperset(map(id, t.rows)) for t in ts)
+
+
+class TestPickChecks:
+    """A pick checks the edge it takes once, so `unrank` and `sample_uniform`
+    return only valid triangles whatever the index holds."""
+
+    @staticmethod
+    def unrank_all(n):
+        return (unrank(n, k, limit=n) for k in range(asm_number(n)))
+
+    @staticmethod
+    def sample(n):
+        return sample_uniform(n, 300, n, limit=n)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_every_corrupt_edge_raises(self, n):
+        cases, bad = edge_cases(n)
+        shared = _index(n)
+        assert corrupt_runs(n, cases, self.unrank_all) == bad
+        # 300 samples at n <= 4 take every edge.
+        assert corrupt_runs(n, cases, self.sample) == bad
+        assert _INDEXES[n] is shared
+        assert [unrank(n, k).rows for k in range(asm_number(n))] == list(stack_walk(n))
+
+    def test_sampled_corrupt_edges_at_six(self):
+        cases, bad = sampled_edge_cases(6, 40)
+        assert corrupt_runs(6, cases, self.unrank_all) == bad
+        sampled = corrupt_runs(6, cases, self.sample)  # a bad edge may go untaken
+        assert not any(raised and not b for raised, b in zip(sampled, bad))
+
+    def test_successor_past_the_rows_raises(self):
+        # The table row (1, 2, 4) can follow (1, 2) by the pair rule, but it
+        # is no row of [3]: as the bottom row it would end an invalid
+        # triangle, in a walk and in a pick alike.
+        cases = [(_index(3).ends[0b011], 0b1011)]  # the one edge of (1, 2)
+        for make in (TestWalkChecks.walk, self.unrank_all, self.sample):
+            assert corrupt_runs(3, cases, make) == [True]
+
+    def test_picks_check_only_the_edges_they_take(self, monkeypatch):
+        # A cold `gog sample --n 10 --count 50` checks at most 500 edges.
+        taken = []
+        check = _SuccessorIndex._check
+        monkeypatch.setattr(
+            _SuccessorIndex, "_check", lambda index, i, p: taken.append(p) or check(index, i, p)
+        )
+        index = _SuccessorIndex(10)
+        shared, _INDEXES[10] = _index(10), index
+        try:
+            completions_count(TrianglePrefix(10, 0, ()))
+            assert index.flags is None and index.marks is None
+            ts = sample_uniform(10, 50, 2024)
+            assert 10 < len(taken) <= 500 and len(set(taken)) == len(taken)
+            assert sorted(taken) == [p for p, flag in enumerate(index.flags) if flag]
+            flagged = set(taken)
+            assert [unrank(10, rank(t)) for t in ts] == ts
+            assert set(taken) == flagged
+        finally:
+            _INDEXES[10] = shared
 
 
 class TestCompletions:
@@ -527,8 +606,12 @@ class TestSuccessorIndex:
         assert rank(extremal_triangle(12, "max")) == asm_number(12) - 1
         index = _INDEXES[12]
         assert index.marks is None  # counting and ranking make no room for marks
+        assert index.flags is None  # nor flags
         ends = index.ends
         widest = max(range(1 << 12), key=lambda i: ends[i + 1] - ends[i])
+        # The edge flags, one byte per edge (about 260 KiB), are made first,
+        # so that what the pick keeps is its marks.
+        assert len(index._make_flags()) == len(index.edges) == (3**12 - 1) // 2
         gc.collect()
         tracemalloc.start()
         try:

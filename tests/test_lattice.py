@@ -20,10 +20,12 @@ from goglattice import (
     meet,
     asm_number,
     perm_to_triangle,
+    sample_uniform,
     unrank,
 )
 from goglattice import triangles
 from goglattice.lattice import leq
+from goglattice.triangles import _validate_rows_slow
 
 TAU1 = MonotoneTriangle(((3,), (1, 3), (1, 2, 3)))
 TAU2 = MonotoneTriangle(((2,), (2, 3), (1, 2, 3)))
@@ -198,6 +200,17 @@ class TestLatticeLawProperties:
     def test_single_operand_is_returned(self, ts):
         (t,) = ts
         assert meet(ts) is t and join(ts) is t
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_sampled_meet_and_join_are_valid(self, n, r, seed):
+        # Meet and join build their result unchecked: it must pass the
+        # reference loop and equal the fold through the checking constructor.
+        ts = sample_uniform(n, r, seed)
+        for op, pick in ((meet, min), (join, max)):
+            made = op(ts)
+            _validate_rows_slow(made.rows)
+            assert made == pairwise(ts, pick)
 
     @settings(max_examples=100, deadline=None)
     @given(operands())

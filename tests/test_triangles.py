@@ -4,8 +4,7 @@ import hashlib
 import signal
 from collections import deque
 from fractions import Fraction
-from functools import cache
-from itertools import chain, combinations, islice, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +45,7 @@ from goglattice import (
     validate_triangle,
 )
 from goglattice import triangles
-from goglattice.enumeration import _index
+from goglattice.enumeration import _INDEXES, _SuccessorIndex, _index
 from goglattice.lattice import join, meet
 from goglattice.triangles import (
     _validate_rows,
@@ -122,6 +121,7 @@ class TestValidation:
 
 # The shared row table: S[mask] is the row of [8] with that bitmask.
 S = triangles._SMALL_ROWS
+TABLE = frozenset(map(id, S))  # the table's objects live for the process
 
 
 class IntSubclass(int):
@@ -165,53 +165,26 @@ def outcome(check, rows):
     return None
 
 
-@cache
-def pairs_up_to_six():
-    """The adjacent-row pairs of every triangle of size n <= 6."""
-    triangles._PAIRS.clear()
-    for n in range(1, 7):
-        deque(enumerate_triangles(n), maxlen=0)
-    return frozenset(triangles._PAIRS)
-
-
-def set_memo(memo):
-    """Empty the verified-pair set ("cold"), or fill it with every pair of
-    the triangles of size n <= 6 ("warm")."""
-    triangles._PAIRS.clear()
-    if memo == "warm":
-        triangles._PAIRS.update(pairs_up_to_six())
-
-
 def exact_rows(rows):
     """Whether every row is an exact tuple of exact ints."""
     return all(type(row) is tuple and set(map(type, row)) == {int} for row in rows)
 
 
-def assert_fast_path_agrees(rows, memo):
-    """`_validate_rows` and the constructor each against the reference loop,
-    from the same state of the verified-pair set."""
-    set_memo(memo)
+def assert_fast_path_agrees(rows):
+    """`_validate_rows` and the constructor each against the reference loop."""
     expected = outcome(_validate_rows_slow, rows)
     assert outcome(_validate_rows, rows) == expected, rows
-    if memo == "cold":  # the set now holds this triangle's pairs at most
-        assert all(map(exact_rows, triangles._PAIRS)), rows
-        assert expected is None or not triangles._PAIRS, rows
-    set_memo(memo)
     made = outcome(MonotoneTriangle, rows)
     if all(isinstance(row, (tuple, list)) for row in rows):
         assert made == expected, rows
     else:  # a row that is no sequence fails the constructor's copy, before any check
         assert made[0] is TypeError, rows
     if expected is not None:
-        assert memo == "warm" or not triangles._PAIRS, rows
         return
     t = MonotoneTriangle(rows)
     copy = tuple(map(tuple, rows))
     assert type(t.rows) is tuple and exact_rows(t.rows) and t.rows == copy, rows
-    if memo == "cold":  # the set holds this triangle's pairs at most
-        assert triangles._PAIRS <= set(zip(copy, copy[1:])), rows
-    if type(rows) is tuple and triangles._EXACT.issuperset(map(id, rows)):
-        assert t.rows is rows, rows  # table rows, whose pairs are now all verified
+    assert t.rows is not rows, rows  # copied, whatever its rows are
 
 
 def as_table_rows(rows):
@@ -261,27 +234,23 @@ def mutated_rows(draw):
 
 class TestValidatorFastPath:
     """`_validate_rows` and the constructor against the reading-order loop
-    that they fall back to, with the verified-pair set emptied before each
-    check."""
-
-    memo = "cold"
+    that they fall back to."""
 
     @settings(max_examples=400, deadline=None)
     @given(mutated_rows())
     def test_matches_the_loop(self, rows):
-        assert_fast_path_agrees(rows, self.memo)
+        assert_fast_path_agrees(rows)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_single_entry_shift(self, n):
         for t in enumerate_triangles(n):
-            set_memo(self.memo)
             assert outcome(_validate_rows, t.rows) is None
             for i, row in enumerate(t.rows):
                 for j in range(len(row)):
                     for step in (-1, 1):
                         changed = list(t.rows)
                         changed[i] = row[:j] + (row[j] + step,) + row[j + 1 :]
-                        assert_fast_path_agrees(tuple(changed), self.memo)
+                        assert_fast_path_agrees(tuple(changed))
 
     @pytest.mark.parametrize(
         "rows",
@@ -295,7 +264,7 @@ class TestValidatorFastPath:
             ((1,), [1, 2], [1, 2, 3]),
             ((2,), (1, 2), (1, 2, 3)),
             ((1,), (1, 2), (2, 3, 4)),
-            # equal in value to a triangle whose pairs are in the warm set
+            # equal in value to a valid triangle
             ((True,), (1, 2), (1, 2, 3)),
             ((1,), (1, 2.0), (1, 2, 3)),
             ((1,), (1, 2), (1, Fraction(2), 3)),
@@ -344,49 +313,63 @@ class TestValidatorFastPath:
         ],
     )
     def test_edge_cases(self, rows):
-        assert_fast_path_agrees(rows, self.memo)
+        assert_fast_path_agrees(rows)
 
 
 class TestValidatorFastPathWarm(TestValidatorFastPath):
-    """The same checks with the set holding every pair of the triangles of
-    size n <= 6, so that impostors meet pairs equal to theirs in value."""
+    """The same checks once every index of size n <= 6 has flagged its
+    edges: the constructor reads no state of the indexes, so impostors equal
+    in value to their rows are still refused."""
 
-    memo = "warm"
+    def setup_method(self):
+        for n in range(1, 7):
+            flags = _index(n).flags
+            if flags is None or not all(flags):
+                deque(enumerate_triangles(n), maxlen=0)  # a walk flags every edge
+            assert all(_index(n).flags)
 
     @settings(max_examples=400, deadline=None)
     @given(mutated_rows())
     def test_matches_the_loop(self, rows):  # Hypothesis runs a `given` test from one class only
-        assert_fast_path_agrees(rows, self.memo)
+        assert_fast_path_agrees(rows)
 
 
 class TestVerifiedPairs:
-    """The set of verified adjacent-row pairs behind `_validate_rows`."""
+    """The index's edge flags, the one record of checked row pairs."""
 
     def test_bound_and_contents(self):
-        # Only triangles made of `_SMALL_ROWS` objects read or fill the set.
-        triangles._PAIRS.clear()
-        parse_triangles("1\n1 2\n1 2 3\n\n3\n2 3\n1 2 3\n")
-        validate_triangle(4, [[2], [1, 3], [1, 2, 4], [1, 2, 3, 4]])
-        MonotoneTriangle([[1], [1, 3], [1, 2, 3]])
-        assert not triangles._PAIRS
-        for n in range(1, 8):
-            deque(enumerate_triangles(n), maxlen=0)
-        full = set(triangles._PAIRS)
-        assert full == {
-            (upper, lower)
-            for k in range(1, 7)
-            for upper in combinations(range(1, 8), k)
-            for lower in interlacing_successors(upper, 7)
-        }
-        unrank(8, asm_number(8) - 1), sample_uniform(8, 50, 8)
-        assert len(triangles._PAIRS) <= (3**8 - 1) // 2
-        assert triangles._EXACT.issuperset(map(id, chain.from_iterable(triangles._PAIRS)))
-        assert triangles._PAIRS > full
-        after_eight = set(triangles._PAIRS)
-        ts = sample_uniform(12, 3, 2024)
-        meet(ts), join(ts)
-        validate_triangle(12, [list(row) for row in ts[0].rows])
-        assert triangles._PAIRS == after_eight
+        # Only walks and picks check and flag edges: the flags are made by the
+        # first of them, and hold the edges they read or took.
+        shared = {n: _index(n) for n in (7, 8, 12)}
+        fresh = {n: _SuccessorIndex(n) for n in shared}
+        _INDEXES.update(fresh)
+        try:
+            completions_count(TrianglePrefix(7, 0, ()))
+            parse_triangles("1\n1 2\n1 2 3\n\n3\n2 3\n1 2 3\n")
+            validate_triangle(4, [[2], [1, 3], [1, 2, 4], [1, 2, 3, 4]])
+            MonotoneTriangle([[1], [1, 3], [1, 2, 3]])
+            assert all(index.flags is None for index in fresh.values())
+            deque(enumerate_triangles(7), maxlen=0)
+            index = fresh[7]
+            assert index.flags == bytearray([1]) * len(index.edges)
+            assert {
+                (index.row(i), index.row(j)) for i in range(1, 1 << 7) for j in index.successors(i)
+            } == {
+                (upper, lower)
+                for k in range(1, 7)
+                for upper in combinations(range(1, 8), k)
+                for lower in interlacing_successors(upper, 7)
+            }
+            unrank(8, asm_number(8) - 1), sample_uniform(8, 50, 8)
+            assert 8 <= sum(fresh[8].flags) <= 51 * 8
+            ts = sample_uniform(12, 3, 2024)
+            flagged = bytes(fresh[12].flags)
+            assert 12 <= sum(flagged) <= 3 * 12
+            meet(ts), join(ts)
+            validate_triangle(12, [list(row) for row in ts[0].rows])
+            assert fresh[12].flags == flagged
+        finally:
+            _INDEXES.update(shared)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_stream_text_cold_and_warm(self, n):
@@ -394,35 +377,36 @@ class TestVerifiedPairs:
             text = triangles_to_text(enumerate_triangles(n))
             return hashlib.sha256(text.encode()).hexdigest()
 
-        set_memo("cold")
-        cold = digest()
-        assert digest() == cold
-        set_memo("warm")
-        assert digest() == cold
+        warm = digest()
+        shared, _INDEXES[n] = _index(n), _SuccessorIndex(n)
+        try:
+            assert digest() == warm  # through a cold index
+            assert digest() == warm  # through its flags
+        finally:
+            _INDEXES[n] = shared
 
 
 class TestKnownRows:
-    """The shared row table, whose objects need no type pass in validation."""
+    """The shared row table, whose objects every index hands out."""
 
     def test_table(self):
-        assert len(S) == 256
+        assert len(S) == 256 == len(TABLE)
         for mask, row in enumerate(S):
             assert type(row) is tuple and set(map(type, row)) <= {int}
             assert row == tuple(v for v in range(1, 9) if mask >> (v - 1) & 1)
-        assert triangles._EXACT == frozenset(map(id, S))
         for n in (*range(1, 9), 12):
             assert _index(n).low is S
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_enumerated_rows_are_table_objects(self, n):
-        known = triangles._EXACT.issuperset
-        assert all(known(map(id, t.rows)) for t in enumerate_triangles(n))
+        assert all(TABLE.issuperset(map(id, t.rows)) for t in enumerate_triangles(n))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_unranked_and_sampled_rows_are_table_objects(self, n):
         last = asm_number(n) - 1
         ts = [unrank(n, k) for k in (0, last // 3, last)] + sample_uniform(n, 20, n)
-        assert all(triangles._EXACT.issuperset(map(id, t.rows)) for t in ts)
+        assert all(TABLE.issuperset(map(id, t.rows)) for t in ts)
+
 
 class TestParsersRaiseOnlyGogErrors:
     @settings(max_examples=300, deadline=None)
