@@ -33,19 +33,20 @@ each tail (row n-1, bottom row) of its row n-2.  The walk yields each
 prefix with its tails, which are made once per walk: a triangle costs one
 concatenation, and the deepest level needs no stack frame.  Validation is
 per edge, not per triangle, once per index, per edge: the index keeps one
-flag per edge, set once its successor id names a row of [n] and the pair
-(row, successor) has passed the pair rule of the full check.  The walk
-checks a row's unflagged edges before it goes below that row, and a
-pick checks the one edge it takes.  The first of them makes the flags,
-about 260 KiB at n = 12, so counting alone makes none.  A triangle that
-enumeration, `unrank` or `sample_uniform` builds is n checked edges down
-from the empty top row: its rows have 1, ..., n entries, each pair passes
-the pair rule, and the last row, n increasing entries of [n], is 1, ..., n.
-So they build their triangles through `MonotoneTriangle._checked`, which
-checks nothing more.  The rows with entries in 1..8 come from one table for
-the process, `triangles._SMALL_ROWS` (256 rows, by id), which every index
-uses for its low eight bits, so enumeration, `unrank` and `sample_uniform`
-at n <= 8 hand out its objects alone.  The census compares each row of a
+flag per edge, set once the pair (row, successor) has passed the pair
+rule of the full check.  The walk checks a row's unflagged edges before it
+goes below that row, and a pick checks the one edge it takes.  The first
+of them makes the flags, about 260 KiB at n = 12, so counting alone makes
+none, and first checks, in one pass, that every successor id names a row
+of [n].  A triangle that enumeration, `unrank` or `sample_uniform` builds
+is n checked edges down from the empty top row: its rows have 1, ..., n
+entries, each pair passes the pair rule, and the last row, n increasing
+entries of [n], is 1, ..., n.  So they build their triangles through
+`MonotoneTriangle._checked`, which checks nothing more.  The rows with
+entries in 1..8 come from one table for the process, `_SMALL_ROWS` (256
+rows, by id), which every index uses for its low eight bits, so
+enumeration, `unrank` and `sample_uniform` at n <= 8 hand out its objects
+alone.  The census compares each row of a
 prefix with its key row, and tallies the tails of a row n-2 by theirs once
 per walk: the key row i is 1, ..., i for the distinguished row i, and
 n-i+1, ..., n for the row at its maximum that `meet_census.reversed_census`
@@ -93,14 +94,12 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT
 from .errors import IndexOutOfRange, ShapeMismatch, bound_error
 from .triangles import (
-    _SMALL_ROWS,
     MonotoneTriangle,
     Rows,
     _Frozen,
     _check_pair,
     _check_row,
     _is_int,
-    _rows_by_mask,
     _triangle,
 )
 
@@ -150,6 +149,19 @@ _BIT = [0] + [1 << v for v in range(INDEX_MAX_N)]  # _BIT[v]: the id bit of entr
 
 def _id(row: tuple[int, ...]) -> int:
     return sum(map(_BIT.__getitem__, row))
+
+
+def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
+    """The rows with entries in first..last, indexed by their bitmask (bit 0
+    for entry `first`)."""
+    rows: list[tuple[int, ...]] = [()]
+    for v in range(first, last + 1):
+        rows += [row + (v,) for row in rows]
+    return rows
+
+
+# The 256 rows of [8] by id, which every index hands out for its low eight bits.
+_SMALL_ROWS = tuple(_rows_by_mask(1, 8))
 
 
 class _SuccessorIndex:
@@ -229,18 +241,20 @@ class _SuccessorIndex:
         return self.marks
 
     def _make_flags(self) -> bytearray:
-        """Zeros for every edge's flag, made on the first pick or walk:
-        flags[p] is set once `_check` has passed edges[p]."""
+        """Zeros for every edge's flag, made on the first pick or walk, once
+        every successor id is known to name a row of [n], so that no count
+        is read past the rows: flags[p] is set once `_check` has passed
+        edges[p]."""
+        j = max(self.edges)  # one pass in C
+        if j >= len(self.counts):
+            raise ShapeMismatch(f"successor id {j} names no row of the index")
         self.flags = bytearray(len(self.edges))
         return self.flags
 
     def _check(self, i: int, p: int) -> None:
-        """Raise unless edges[p], a successor of row i, is the id of a row
-        of [n] that passes the pair rule below row i; then flag it."""
-        j = self.edges[p]
-        if j >= len(self.counts):
-            raise ShapeMismatch(f"successor id {j} of row id {i} names no row of the index")
-        _check_pair(self.row(i), self.row(j))
+        """Raise unless row edges[p], a successor of row i, passes the pair
+        rule below row i; then flag it."""
+        _check_pair(self.row(i), self.row(self.edges[p]))
         self.flags[p] = 1
 
     def checked(self, i: int) -> Sequence[int]:
@@ -276,6 +290,7 @@ class _SuccessorIndex:
         the position taken is inside row i's run, whatever the counts."""
         ends, edges, counts = self.ends, self.edges, self.counts
         a, b = ends[i], ends[i + 1]
+        flags = self.flags or self._make_flags()
         marks = self.marks or self._make_room()
         lo = a // _BLOCK + 1
         hi = lo + (b - a - 1) // _BLOCK  # row i's marks are marks[lo:hi]
@@ -300,7 +315,6 @@ class _SuccessorIndex:
                     break
                 k -= c
                 p += 1
-        flags = self.flags or self._make_flags()
         if not flags[p]:
             self._check(i, p)
         return edges[p], k

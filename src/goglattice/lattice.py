@@ -76,7 +76,7 @@ def leq(a: MonotoneTriangle, b: MonotoneTriangle) -> bool:
 def _checked(ts: Iterable[MonotoneTriangle], what: str) -> Sequence[MonotoneTriangle]:
     ts = tuple(ts)
     if not ts:
-        raise EmptyInput("meet/join need at least one triangle")
+        raise EmptyInput(f"{what} needs at least one triangle")
     n = _triangle(what, ts[0]).n
     for k, t in enumerate(ts):
         if _triangle(what, t).n != n:

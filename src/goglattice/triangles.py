@@ -13,7 +13,12 @@ sums down each column form a column-sum matrix.
 
 All public interfaces and error positions are 1-based, matching the usual
 a(i,j) indexing; storage is 0-based tuples.  Values are immutable after
-construction and every constructor validates eagerly.
+construction and every constructor validates eagerly.  There is one
+triangle check, `_validate_rows`, a loop in reading order, and every
+triangle read from outside the package goes through it once.  Triangles
+that the package builds from checked edges of its successor index
+(enumeration, `unrank`, `sample_uniform`) or by meet and join are built
+through `MonotoneTriangle._checked` and go through none.
 
 >>> t = MonotoneTriangle(((3,), (2, 4), (1, 3, 4), (1, 2, 3, 4)))
 >>> t.to_asm().entries[1]
@@ -24,9 +29,8 @@ True
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, islice
-from operator import index, itemgetter, le, lt
+from operator import index, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -52,9 +56,6 @@ def _staircase(i: int) -> tuple[int, ...]:
     return tuple(range(1, i + 1))
 
 
-_INT = {int}
-
-
 def _is_int(value: object) -> bool:
     """An entry counts as an integer when it is an `int` and not a `bool`."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -64,84 +65,14 @@ def _non_int(values: Iterable[object]) -> list[object]:
     return [v for v in values if not _is_int(v)]
 
 
-@lru_cache(maxsize=32)
-def _fast_tables(n: int) -> tuple[tuple[int, ...], itemgetter, itemgetter, itemgetter]:
-    """For size n >= 3: the staircase 1, ..., n (the row lengths, and also the
-    bottom row), and item getters that take from the reading sequence the
-    entries a(i, j), a(i, j+1) and a(i-1, j) at every anchor (i, j),
-    2 <= i <= n, 1 <= j < i, in reading order."""
-    left: list[int] = []
-    above: list[int] = []
-    for i in range(2, n + 1):
-        start = i * (i - 1) // 2  # the flat position of a(i, 1)
-        left += range(start, start + i - 1)
-        above += range(start - (i - 1), start)  # all of row i - 1
-    return (
-        tuple(range(1, n + 1)),
-        itemgetter(*left),
-        itemgetter(*[p + 1 for p in left]),
-        itemgetter(*above),
-    )
-
-
-def _is_valid_fast(rows: Rows, n: int) -> bool:
-    """True only if `_validate_rows_slow` accepts rows, in a few C-level passes."""
-    staircase, left, right, above = _fast_tables(n)
-    try:
-        if tuple(map(len, rows)) != staircase:
-            return False
-        flat = tuple(chain.from_iterable(rows))
-    except TypeError:  # a row that is not a sized iterable
-        return False
-    if set(map(type, flat)) != _INT or flat[-n:] != staircase:
-        return False
-    a, b, c = left(flat), right(flat), above(flat)
-    return all(map(lt, a, b)) and all(map(le, a, c)) and all(map(le, c, b))
-
-
-def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
-    """The rows with entries in first..last, indexed by their bitmask (bit 0
-    for entry `first`)."""
-    rows: list[tuple[int, ...]] = [()]
-    for v in range(first, last + 1):
-        rows += [row + (v,) for row in rows]
-    return rows
-
-
-# The 256 rows of [8] by bitmask, which the successor index hands out.
-_SMALL_ROWS = tuple(_rows_by_mask(1, 8))
-
-
 def _validate_rows(rows: Rows) -> Rows:
-    """Raise the first violation in reading order (top to bottom, left to
-    right), or return rows with each entry of a subclass of `int` replaced
-    by the exact int of its value.
+    """The triangle check: raise the first violation in reading order (top
+    to bottom, left to right), or return rows as exact tuples of exact ints.
 
     A triangle is valid exactly when every entry is an `int`, the bottom row
     is 1, ..., n, and every adjacent pair (upper, lower) is valid on its own:
     lower strictly increases, has one entry more than upper, and interlaces
-    it.  A triangle of size n >= 3 goes through a few C-level passes over
-    its reading sequence: the row lengths equal the staircase, every entry's
-    type is exactly `int`, the bottom row is 1, ..., n, and at every anchor
-    (i, j) three `all(map(...))` passes check a(i, j) < a(i, j+1),
-    a(i, j) <= a(i-1, j) and a(i-1, j) <= a(i, j+1).  Whatever they reject,
-    and every triangle of size 1 or 2, goes to the reading-order loop
-    `_validate_rows_slow`, which accepts or raises, so the passes only save
-    time.
-    """
-    n = len(rows)
-    if n >= 3 and _is_valid_fast(rows, n):
-        return rows
-    _validate_rows_slow(rows)
-    if set(map(type, chain.from_iterable(rows))) <= _INT:
-        return rows
-    return tuple(tuple(map(index, row)) for row in rows)
-
-
-def _validate_rows_slow(rows: Rows) -> None:
-    """The reference check, one entry at a time in reading order.
-
-    The shape and the type of every entry are checked first, then each
+    it.  The shape and the type of every entry are checked first, then each
     adjacent pair by the pair rule `_check_pair`, and the bottom row last.
     Entries are compared as the exact ints of their values, since a subclass
     of `int` may redefine its comparisons.
@@ -160,7 +91,7 @@ def _validate_rows_slow(rows: Rows) -> None:
                     f"entry at ({i}, {j}) is not an integer: {entry!r}",
                     position=(i, j),
                 )
-    rows = [tuple(map(index, row)) for row in rows]
+    rows = tuple(tuple(map(index, row)) for row in rows)
     for above, row in zip(rows, rows[1:]):
         _check_pair(above, row)
     bottom = rows[n - 1]
@@ -170,6 +101,7 @@ def _validate_rows_slow(rows: Rows) -> None:
                 f"bottom row entry at ({n}, {j}) is {bottom[j - 1]}, expected {j}",
                 position=(n, j),
             )
+    return rows
 
 
 def _check_pair(above: tuple[int, ...], row: tuple[int, ...]) -> None:
@@ -236,9 +168,10 @@ class MonotoneTriangle(_Frozen):
     rows: Rows
 
     def __init__(self, rows: Rows) -> None:
-        # Copied, so that no row can change after the check.  What the
-        # package derives from checked triangles or checked index edges
-        # (enumeration, `unrank`, `sample_uniform`, meet and join) is built
+        # One copy, so that the check reads rows that nothing else holds
+        # (a row that is not iterable raises TypeError here); the check
+        # returns them as the exact tuples that are stored.  What the package
+        # derives from checked index edges or checked triangles is built
         # through `_checked` instead.
         object.__setattr__(self, "rows", _validate_rows(tuple(map(tuple, rows))))
 

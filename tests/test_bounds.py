@@ -110,6 +110,29 @@ def test_only_errors_constructs_limit_exceeded():
     assert found == []
 
 
+def test_only_checked_routes_build_unchecked_triangles():
+    # `MonotoneTriangle._checked` checks nothing, so only a route whose rows
+    # are already known valid may use it: checked index edges, or the meet
+    # or join of triangles.  A new caller is added here on purpose.
+    def uses(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_checked"
+
+    found, anywhere = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        anywhere += sum(map(uses, ast.walk(tree)))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.stem}.{function.name}" for node in _own_nodes(function) if uses(node)]
+    assert len(found) == anywhere  # none at module level or in a lambda
+    assert sorted(found) == [
+        "enumeration.enumerate_triangles",
+        "enumeration.sample_uniform",
+        "enumeration.unrank",
+        "lattice._entrywise",
+    ]
+
+
 def _own_nodes(function):
     """The nodes of a function's body outside nested function and class bodies."""
     todo = list(ast.iter_child_nodes(function))

@@ -38,25 +38,20 @@ from goglattice import (
     sample_uniform,
     unrank,
 )
-from goglattice import triangles
 from goglattice.cli import main
 from goglattice.enumeration import (
     _BLOCK,
     _INDEXES,
     INDEX_MAX_N,
     SAMPLE_LIMIT_DEFAULT,
+    _SMALL_ROWS,
     _SuccessorIndex,
     _id,
     _index,
     _rows_by_mask,
 )
-from goglattice.errors import TriangleError
-from goglattice.triangles import (
-    _check_pair,
-    _validate_rows,
-    _validate_rows_slow,
-    interlacing_successors,
-)
+from goglattice.errors import ShapeMismatch, TriangleError
+from goglattice.triangles import _check_pair, _validate_rows, interlacing_successors
 
 CENSUS3_TEXT = "MTCENSUS v1 n=3 total=7\n4 4\n5 1\n6 1\n7 1\n"
 
@@ -222,8 +217,8 @@ class TestEnumeration:
 def corrupt_runs(n, cases, make):
     """For each (position, id) in cases, the triangles of make(n) through a
     private size-n index with edges[position] set to id: whether making them
-    raised `TriangleError`.  Each triangle made before that is checked by the
-    reference loop.  The shared index is back in `_INDEXES` afterwards."""
+    raised `TriangleError`.  Each triangle made before that is checked by
+    `_validate_rows`.  The shared index is back in `_INDEXES` afterwards."""
     shared = _index(n)
     outcomes = []
     try:
@@ -238,7 +233,7 @@ def corrupt_runs(n, cases, make):
             else:
                 outcomes.append(False)
             for t in made:
-                _validate_rows_slow(t.rows)
+                _validate_rows(t.rows)
     finally:
         _INDEXES[n] = shared
     return outcomes
@@ -322,8 +317,8 @@ class TestWalkChecks:
         ts = list(islice(enumerate_triangles(9, limit=9), 2000))
         assert [t.rows for t in ts] == list(islice(stack_walk(9), 2000))
         for t in ts:
-            _validate_rows_slow(t.rows)
-        table = set(map(id, triangles._SMALL_ROWS))
+            _validate_rows(t.rows)
+        table = set(map(id, _SMALL_ROWS))
         assert not all(table.issuperset(map(id, t.rows)) for t in ts)
 
 
@@ -362,6 +357,24 @@ class TestPickChecks:
         cases = [(_index(3).ends[0b011], 0b1011)]  # the one edge of (1, 2)
         for make in (TestWalkChecks.walk, self.unrank_all, self.sample):
             assert corrupt_runs(3, cases, make) == [True]
+
+    def test_successor_id_past_the_index_raises(self):
+        # Id 8 names no row of [3]: every count read through it would be past
+        # the index's rows.  The first pick or walk refuses the index first.
+        calls = [
+            lambda: unrank(3, 0),
+            lambda: sample_uniform(3, 1, 1),
+            lambda: list(enumerate_triangles(3)),
+        ]
+        shared = _index(3)
+        try:
+            for call in calls:
+                index = _INDEXES[3] = _SuccessorIndex(3)
+                index.edges[0] = 8
+                with pytest.raises(ShapeMismatch, match="successor id 8 names no row"):
+                    call()
+        finally:
+            _INDEXES[3] = shared
 
     def test_picks_check_only_the_edges_they_take(self, monkeypatch):
         # A cold `gog sample --n 10 --count 50` checks at most 500 edges.

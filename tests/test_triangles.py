@@ -45,11 +45,11 @@ from goglattice import (
     validate_triangle,
 )
 from goglattice import triangles
-from goglattice.enumeration import _INDEXES, _SuccessorIndex, _index
+from goglattice.enumeration import _INDEXES, _SMALL_ROWS, _SuccessorIndex, _index
+from goglattice.errors import TriangleError
 from goglattice.lattice import join, meet
 from goglattice.triangles import (
     _validate_rows,
-    _validate_rows_slow,
     matrices_to_text,
     matrix_to_text,
     triangles_to_text_chunks,
@@ -120,7 +120,7 @@ class TestValidation:
 
 
 # The shared row table: S[mask] is the row of [8] with that bitmask.
-S = triangles._SMALL_ROWS
+S = _SMALL_ROWS
 TABLE = frozenset(map(id, S))  # the table's objects live for the process
 
 
@@ -170,10 +170,34 @@ def exact_rows(rows):
     return all(type(row) is tuple and set(map(type, row)) == {int} for row in rows)
 
 
-def assert_fast_path_agrees(rows):
-    """`_validate_rows` and the constructor each against the reference loop."""
-    expected = outcome(_validate_rows_slow, rows)
-    assert outcome(_validate_rows, rows) == expected, rows
+def is_triangle(rows):
+    """The oracle: whether rows, as exact ints, is a monotone triangle, read
+    off the odometer `interlacing_successors`, which goes through neither
+    `_validate_rows` nor the pair rule: each row is a successor of the one
+    above it (row 1 of the empty row), so the last, n increasing entries of
+    [n], is 1, ..., n."""
+    try:
+        rows = [tuple(row) for row in rows]
+    except TypeError:  # a row that is not iterable
+        return False
+    if not rows or not all(type(v) is not bool and isinstance(v, int) for row in rows for v in row):
+        return False
+    above = ()
+    for row in rows:
+        row = tuple(map(int, row))
+        if row not in interlacing_successors(above, len(rows)):
+            return False
+        above = row
+    return True
+
+
+def assert_checked(rows):
+    """`_validate_rows` against the oracle `is_triangle`, and the
+    constructor against `_validate_rows`: it refuses what the check refuses,
+    with the same error, and keeps an exact copy of what it accepts."""
+    expected = outcome(_validate_rows, rows)
+    assert (expected is None) == is_triangle(rows), rows
+    assert expected is None or issubclass(expected[0], (TriangleError, TypeError)), rows
     made = outcome(MonotoneTriangle, rows)
     if all(isinstance(row, (tuple, list)) for row in rows):
         assert made == expected, rows
@@ -203,7 +227,7 @@ def as_table_rows(rows):
 @st.composite
 def mutated_rows(draw):
     """An `unrank` triangle (n <= 12) after a few mutations of the kinds a
-    fast path could get wrong, as lists, as tuples, or as a tuple in which
+    check could get wrong, as lists, as tuples, or as a tuple in which
     each row that can be is a `_SMALL_ROWS` object."""
     n = draw(st.integers(1, 12))
     rows = [list(row) for row in unrank(n, draw(st.integers(0, asm_number(n) - 1))).rows]
@@ -233,24 +257,28 @@ def mutated_rows(draw):
 
 
 class TestValidatorFastPath:
-    """`_validate_rows` and the constructor against the reading-order loop
-    that they fall back to."""
+    """The one triangle check, `_validate_rows`, and the constructor that
+    copies into it, against independent oracles."""
 
     @settings(max_examples=400, deadline=None)
     @given(mutated_rows())
     def test_matches_the_loop(self, rows):
-        assert_fast_path_agrees(rows)
+        assert_checked(rows)
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_every_single_entry_shift(self, n):
-        for t in enumerate_triangles(n):
-            assert outcome(_validate_rows, t.rows) is None
-            for i, row in enumerate(t.rows):
+    def test_every_single_entry_shift(self, n, universe):
+        # A shift is accepted exactly when it is one of the enumerated triangles.
+        valid = {t.rows for t in universe(n)}
+        for rows in valid:
+            assert MonotoneTriangle(rows).rows == rows
+            for i, row in enumerate(rows):
                 for j in range(len(row)):
                     for step in (-1, 1):
-                        changed = list(t.rows)
+                        changed = list(rows)
                         changed[i] = row[:j] + (row[j] + step,) + row[j + 1 :]
-                        assert_fast_path_agrees(tuple(changed))
+                        made = outcome(MonotoneTriangle, tuple(changed))
+                        assert (made is None) == (tuple(changed) in valid), changed
+                        assert made is None or issubclass(made[0], TriangleError), changed
 
     @pytest.mark.parametrize(
         "rows",
@@ -313,7 +341,7 @@ class TestValidatorFastPath:
         ],
     )
     def test_edge_cases(self, rows):
-        assert_fast_path_agrees(rows)
+        assert_checked(rows)
 
 
 class TestValidatorFastPathWarm(TestValidatorFastPath):
@@ -331,7 +359,7 @@ class TestValidatorFastPathWarm(TestValidatorFastPath):
     @settings(max_examples=400, deadline=None)
     @given(mutated_rows())
     def test_matches_the_loop(self, rows):  # Hypothesis runs a `given` test from one class only
-        assert_fast_path_agrees(rows)
+        assert_checked(rows)
 
 
 class TestVerifiedPairs:
