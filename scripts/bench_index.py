@@ -10,6 +10,9 @@ The cases, each timed in fresh interpreters by the round-robin runner of
   those of the rows it reaches, then a repeat;
 - round-trip: with the index built, `rank(unrank(n, k)) == k` for 1000
   fixed k: a first pass, which fills marks likewise, then a repeat;
+- rank: `rank(t)` of the 1000 triangles unranked from those k, through an
+  index built again after them, so that the first pass fills marks by
+  rank alone, then a repeat;
 - tuple: with the index built, the query of perfbench's sample workload
   for seeds 0..999: `sample_uniform(n, 3, seed)`, each triangle ranked and
   unranked, and the meet and join of the three: a first pass, which also
@@ -17,12 +20,12 @@ The cases, each timed in fresh interpreters by the round-robin runner of
 
 A case's traced interpreter starts `tracemalloc` after the untimed index
 build, so `kept_mib` is the index for `index`, and the block marks and
-edge flags for the other three.  Run from the repository root:
+edge flags for the others.  Run from the repository root:
 
     python scripts/bench_index.py [--n N] [--runs RUNS] [--case NAME ...] [--output PATH]
 
 N defaults to 12, the size BENCH_index.json reports, and may be 1 to 16,
-the index's cap.  The cases default to all four with RUNS = 10, about
+the index's cap.  The cases default to all five with RUNS = 10, about
 a minute on 2 vCPUs at n = 12, and PATH to BENCH_index.json.  The
 file has the layout of BENCH_sweep.json, with the case's name in place of
 (n, r), and names n in its `call`.
@@ -37,14 +40,14 @@ from pathlib import Path
 from bench_sweep import ROOT, measure, write_report
 
 OUTPUT = ROOT / "BENCH_index.json"
-CASES = ["index", "sample", "round-trip", "tuple"]
+CASES = ["index", "sample", "round-trip", "rank", "tuple"]
 N = 12
 RUNS = 10
 
 # argv: case, n, traced.  Prints one JSON object.
 CHILD = """
 import json, random, sys, time
-from goglattice.enumeration import _index, rank, sample_uniform, unrank
+from goglattice.enumeration import _INDEXES, _index, rank, sample_uniform, unrank
 from goglattice.lattice import join, meet
 case, n, traced = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 if case == "index":
@@ -57,13 +60,20 @@ else:
     def round_trip():
         if any(rank(unrank(n, k, limit=n), limit=n) != k for k in ks):
             sys.exit("rank(unrank(n, k)) != k")
+    def ranks():
+        if [rank(t, limit=n) for t in ts] != ks:
+            sys.exit("rank(unrank(n, k)) != k")
     def tuples():
         for seed in range(1000):
             ts = sample_uniform(n, 3, seed, limit=n)
             if [unrank(n, rank(t, limit=n), limit=n) for t in ts] != ts:
                 sys.exit("unrank(rank(t)) != t")
             meet(ts), join(ts)
-    call = {"sample": sample, "round-trip": round_trip, "tuple": tuples}[case]
+    if case == "rank":
+        ts = [unrank(n, k, limit=n) for k in ks]
+        del _INDEXES[n]
+        _index(n)
+    call = {"sample": sample, "round-trip": round_trip, "rank": ranks, "tuple": tuples}[case]
     calls = {"first_s": call, "repeat_s": call}
 if traced:
     import gc, tracemalloc

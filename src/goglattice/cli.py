@@ -189,11 +189,12 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
     sizes = meet_census.class_sizes(args.n, args.r)
     print("label\tsize\tbound\tratio_decimal")
-    for label, size in sizes.labels():
-        if label.startswith("C_<="):
-            bound = None
-        else:
-            bound = meet_census.class_bound(args.n, args.r, int(label[2:]))
+    rows = [
+        (f"C_{v}", size, meet_census.class_bound(args.n, args.r, v))
+        for v, size in sorted(sizes.exact_sizes.items(), reverse=True)
+    ]
+    rows.append((f"C_<={sizes.tail_threshold}", sizes.tail_size, None))
+    for label, size, bound in rows:
         if bound is None or bound == 0:
             print(f"{label}\t{size}\t\t")
         else:

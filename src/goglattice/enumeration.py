@@ -36,38 +36,34 @@ per edge, not per triangle, once per index, per edge: the index keeps one
 flag per edge, set once the pair (row, successor) has passed the pair
 rule of the full check.  The walk checks a row's unflagged edges before it
 goes below that row, and a pick checks the one edge it takes.  The first
-of them makes the flags, about 260 KiB at n = 12, so counting alone makes
-none, and first checks, in one pass, that every successor id names a row
-of [n].  A triangle that enumeration, `unrank` or `sample_uniform` builds
-is n checked edges down from the empty top row: its rows have 1, ..., n
-entries, each pair passes the pair rule, and the last row, n increasing
-entries of [n], is 1, ..., n.  So they build their triangles through
-`MonotoneTriangle._checked`, which checks nothing more.  The rows with
-entries in 1..8 come from one table for the process, `_SMALL_ROWS` (256
-rows, by id), which every index uses for its low eight bits, so
-enumeration, `unrank` and `sample_uniform` at n <= 8 hand out its objects
-alone.  The census compares each row of a
-prefix with its key row, and tallies the tails of a row n-2 by theirs once
-per walk: the key row i is 1, ..., i for the distinguished row i, and
+pick, rank or walk makes the flags, about 260 KiB at n = 12, so counting
+alone makes none, and first checks, in one pass, that every successor id
+names a row of [n].  A triangle that enumeration, `unrank` or
+`sample_uniform` builds is n checked edges down from the empty top row:
+its rows have 1, ..., n entries, each pair passes the pair rule, and the
+last row, n increasing entries of [n], is 1, ..., n.  So they build their
+triangles through `MonotoneTriangle._checked`, which checks nothing more,
+from the objects of the index's one row table, `rows` (row i is
+rows[i]; 0.35 MiB at n = 12).  The census compares each row of a prefix
+with its key row, and tallies the tails of a row n-2 by theirs once per
+walk: the key row i is 1, ..., i for the distinguished row i, and
 n-i+1, ..., n for the row at its maximum that `meet_census.reversed_census`
-counts.  Ranking,
-unranking and uniform sampling go down one path of the tree, weighted by
-the completion counts (the recursive method of Nijenhuis and Wilf).  A
-row's first pick scans its segment in C: it
-accumulates the counts and bisects them for the successor whose run of
-completions holds an index, and keeps the row's marks, the completions
-of its first 16, 32, ... successors (a one-level cousin of Fenwick's
-cumulative-frequency table).  Every later pick at the row bisects its
-marks for the block of 16 successors that holds the index and steps
-through that block's counts, subtracting each from the index until one
-exceeds what is left, so it reads at most 16 counts and builds no list; a
-row with at most 16 successors has no marks and is stepped through whole
-on every pick.  A rank step adds the mark before the successor's block to
-at most 15 counts; at a row that no pick has reached, a rank step sums
-the counts before the successor.  Room for the marks, about
-130 KiB at n = 12, is made by the first pick, so counting alone makes
-none; they are `array("Q")` items while A(n) < 2^64, and Python ints past
-it (n >= 14).
+counts.
+
+Ranking, unranking and uniform sampling go down one path of the tree,
+weighted by the completion counts (the recursive method of Nijenhuis and
+Wilf).  A row with more than 16 successors has marks, the completions of
+its first 16, 32, ... successors (a one-level cousin of Fenwick's
+cumulative-frequency table), filled by the row's first pick or rank in
+one accumulation of its counts.  A pick bisects the row's marks for the
+block of 16 successors that holds the index and steps through that
+block's counts, subtracting each from the index until one exceeds what is
+left, so it reads at most 16 counts and builds no list; a row with at
+most 16 successors is one block.  A rank step adds the mark before the
+successor's block to at most 15 counts.  Room for the marks, about
+130 KiB at n = 12, is made by the first row that fills them, so counting
+alone makes none; they are `array("Q")` items while A(n) < 2^64, and
+Python ints past it (n >= 14).
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it.  Its production route, the
@@ -87,7 +83,7 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_right
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import eq
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -151,26 +147,22 @@ def _id(row: tuple[int, ...]) -> int:
     return sum(map(_BIT.__getitem__, row))
 
 
-def _rows_by_mask(first: int, last: int) -> list[tuple[int, ...]]:
-    """The rows with entries in first..last, indexed by their bitmask (bit 0
-    for entry `first`)."""
+def _rows_by_mask(n: int) -> list[tuple[int, ...]]:
+    """The rows of [n], indexed by their id."""
     rows: list[tuple[int, ...]] = [()]
-    for v in range(first, last + 1):
+    for v in range(1, n + 1):
         rows += [row + (v,) for row in rows]
     return rows
 
 
-# The 256 rows of [8] by id, which every index hands out for its low eight bits.
-_SMALL_ROWS = tuple(_rows_by_mask(1, 8))
-
-
 class _SuccessorIndex:
-    """For every row of a size-n triangle, by id: its completion count and
-    the ids of its interlacing successors in enumeration order; from its
-    first `pick` on, its block marks; and, from the first pick or walk, a
-    flag per edge that has passed its check."""
+    """For every row of a size-n triangle, by id: the row, its completion
+    count and the ids of its interlacing successors in enumeration order;
+    once a pick or rank step has needed them, its block marks; and, from
+    the first pick, rank or walk, a flag per edge that has passed its
+    check."""
 
-    __slots__ = ("counts", "edges", "ends", "low", "high", "marks", "flags")
+    __slots__ = ("counts", "edges", "ends", "rows", "marks", "flags")
 
     def __init__(self, n: int) -> None:
         # Imported here, so that a process that never builds an index (every
@@ -218,33 +210,40 @@ class _SuccessorIndex:
         counts[-1] = 1  # the forced bottom row
         for i in range(size - 2, -1, -1):
             counts[i] = sum(map(counts.__getitem__, edges[ends[i] : ends[i + 1]]))
-        self.low = _SMALL_ROWS
-        self.high = _rows_by_mask(9, n)
-        self.marks = None  # see _make_room
+        self.rows = _rows_by_mask(n)
+        self.marks = None  # see _fill
         self.flags = None  # see _make_flags
 
-    def _make_room(self) -> Sequence[int]:
-        """Zeros for every row's marks, made on the first pick.
+    def _fill(self, i: int) -> Sequence[int]:
+        """Fill row i's marks, after making room for every row's marks on
+        first use, and return the marks.
 
         The completions of a row's successors before edges[p], for p =
         a + _BLOCK, a + 2 _BLOCK, ... below b, where edges[a:b] are its
         successors, are its marks, at marks[p // _BLOCK]: from a // _BLOCK + 1
         on, without gaps, and before the next row's, which start past
-        b // _BLOCK.  A row's marks are filled by its first pick and are
-        then never 0, since each sums _BLOCK counts or more.  A mark is below
-        the row's count, so it fits in a "Q" item when A(n) does.
+        b // _BLOCK.  Once filled, a row's marks are never 0, since each sums
+        _BLOCK counts or more.  A mark is below the row's count, so it fits
+        in a "Q" item when A(n) does.
         """
-        from array import array
+        marks = self.marks
+        if marks is None:
+            from array import array
 
-        size = len(self.edges) // _BLOCK + 1
-        self.marks = array("Q", bytes(8 * size)) if self.counts[0] >> 64 == 0 else [0] * size
-        return self.marks
+            size = len(self.edges) // _BLOCK + 1
+            wide = self.counts[0] >> 64  # A(n) past a "Q" item
+            marks = self.marks = [0] * size if wide else array("Q", bytes(8 * size))
+        a, b = self.ends[i], self.ends[i + 1]
+        sums = accumulate(map(self.counts.__getitem__, self.edges[a : b - 1]))
+        for at, mark in enumerate(islice(sums, _BLOCK - 1, None, _BLOCK), a // _BLOCK + 1):
+            marks[at] = mark
+        return marks
 
     def _make_flags(self) -> bytearray:
-        """Zeros for every edge's flag, made on the first pick or walk, once
-        every successor id is known to name a row of [n], so that no count
-        is read past the rows: flags[p] is set once `_check` has passed
-        edges[p]."""
+        """Zeros for every edge's flag, made on the first pick, rank or
+        walk, once every successor id is known to name a row of [n], so that
+        no count is read past the rows: flags[p] is set once `_check` has
+        passed edges[p]."""
         j = max(self.edges)  # one pass in C
         if j >= len(self.counts):
             raise ShapeMismatch(f"successor id {j} names no row of the index")
@@ -254,7 +253,7 @@ class _SuccessorIndex:
     def _check(self, i: int, p: int) -> None:
         """Raise unless row edges[p], a successor of row i, passes the pair
         rule below row i; then flag it."""
-        _check_pair(self.row(i), self.row(self.edges[p]))
+        _check_pair(self.rows[i], self.rows[self.edges[p]])
         self.flags[p] = 1
 
     def checked(self, i: int) -> Sequence[int]:
@@ -267,11 +266,6 @@ class _SuccessorIndex:
                     self._check(i, p)
         return self.edges[a:b]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        # For i < 256 this is the `_SMALL_ROWS` object itself: CPython's
-        # `t + ()` returns t.
-        return self.low[i & 0xFF] + self.high[i >> 8]
-
     def successors(self, i: int) -> Sequence[int]:
         return self.edges[self.ends[i] : self.ends[i + 1]]
 
@@ -282,55 +276,53 @@ class _SuccessorIndex:
         bottom row, and 0 <= k < counts[i].  The edge taken is checked
         unless it is flagged.
 
-        The row's first pick accumulates all its counts, keeps its marks and
-        bisects the sums.  Every later pick bisects the marks for the block
-        of _BLOCK successors that holds k, then steps through that block's
-        counts until one exceeds what is left of k; a row with at most
-        _BLOCK successors, which has no marks, is one block.  Either way
-        the position taken is inside row i's run, whatever the counts."""
+        The pick bisects the row's marks, filled on its first use, for the
+        block of _BLOCK successors that holds k, then steps through that
+        block's counts until one exceeds what is left of k; a row with at
+        most _BLOCK successors, which has no marks, is one block.  Either
+        way the position taken is inside row i's run, whatever the counts."""
         ends, edges, counts = self.ends, self.edges, self.counts
         a, b = ends[i], ends[i + 1]
         flags = self.flags or self._make_flags()
-        marks = self.marks or self._make_room()
         lo = a // _BLOCK + 1
         hi = lo + (b - a - 1) // _BLOCK  # row i's marks are marks[lo:hi]
-        if hi > lo and not marks[lo]:  # the row's first pick
-            before = list(accumulate(map(counts.__getitem__, edges[a:b]), initial=0))
-            for at, mark in zip(range(lo, hi), before[_BLOCK::_BLOCK]):
-                marks[at] = mark
-            p = bisect_right(before, k, 0, b - a) - 1
-            k -= before[p]
-            p += a
-        else:
-            if hi > lo:
-                block = bisect_right(marks, k, lo, hi)
-                if block > lo:
-                    k -= marks[block - 1]
-                    a += (block - lo) * _BLOCK
-                b = min(a + _BLOCK, b)
-            p = a
-            for j in edges[a : b - 1]:
-                c = counts[j]
-                if k < c:
-                    break
-                k -= c
-                p += 1
+        if hi > lo:
+            marks = self.marks
+            if not (marks and marks[lo]):
+                marks = self._fill(i)
+            block = bisect_right(marks, k, lo, hi)
+            if block > lo:
+                k -= marks[block - 1]
+                a += (block - lo) * _BLOCK
+            b = min(a + _BLOCK, b)
+        p = a
+        for j in edges[a : b - 1]:
+            c = counts[j]
+            if k < c:
+                break
+            k -= c
+            p += 1
         if not flags[p]:
             self._check(i, p)
         return edges[p], k
 
     def skipped(self, i: int, j: int) -> int:
         """The completions below row i that come before those of its successor
-        j: the mark of the blocks before j's, plus fewer than _BLOCK counts,
-        once a pick has filled row i's marks; until then, every count
-        before j's."""
-        a, b = self.ends[i], self.ends[i + 1]
-        at = self.edges.index(j, a, b)
+        j: the mark of the blocks before j's, filled on the row's first use,
+        plus fewer than _BLOCK counts."""
+        if self.flags is None:
+            self._make_flags()  # so that no count is read past the rows
+        edges = self.edges
+        a = self.ends[i]
+        at = edges.index(j, a, self.ends[i + 1])
         start = at - (at - a) % _BLOCK
-        marks = self.marks
-        if start == a or marks is None or not marks[a // _BLOCK + 1]:
-            return sum(map(self.counts.__getitem__, self.edges[a:at]))
-        return marks[start // _BLOCK] + sum(map(self.counts.__getitem__, self.edges[start:at]))
+        before = 0
+        if start > a:
+            marks = self.marks
+            if not (marks and marks[a // _BLOCK + 1]):
+                marks = self._fill(i)
+            before = marks[start // _BLOCK]
+        return before + sum(map(self.counts.__getitem__, edges[start:at]))
 
 
 _INDEXES: dict[int, _SuccessorIndex] = {}  # n -> index, filled once per process
@@ -353,6 +345,8 @@ def completions_count(prefix: TrianglePrefix, limit: int = DP_LIMIT_DEFAULT) -> 
     >>> completions_count(TrianglePrefix(3, 1, (2,)))
     3
     """
+    if not isinstance(prefix, TrianglePrefix):  # only its constructor checks the row
+        raise TypeError(f"completions_count needs a TrianglePrefix, got {type(prefix).__name__}")
     if not 1 <= prefix.n <= limit:
         raise bound_error("completions_count", "n", prefix.n, 1, limit, f"{DP_LIMIT_DEFAULT=}")
     return _index(prefix.n).counts[_id(prefix.row)]
@@ -371,11 +365,11 @@ def _walk(n: int) -> Iterator[tuple[Rows, tuple[Rows, ...]]]:
     pair rule, whatever the index holds.  Row 1 is checked as the row below
     the empty top row, which makes it one entry long, and the bottom row is
     the successor of a row n - 1, so it is 1, ..., n.  The rows are
-    `index.row` objects, exact tuples of exact ints."""
+    objects of the index's row table, exact tuples of exact ints."""
     index = _index(n)
-    row, checked = index.row, index.checked
+    rows, checked = index.rows, index.checked
     if n == 1:
-        yield (), ((row(1),),)
+        yield (), ((rows[1],),)
         return
 
     # Every row n - 1 has one successor, the bottom row, so each triangle is
@@ -399,14 +393,14 @@ def _walk(n: int) -> Iterator[tuple[Rows, tuple[Rows, ...]]]:
                 # and once freed it joins the free list of its final length,
                 # not the one it came from: the process grew by about 1 KB
                 # per walk, up to the free lists' cap.
-                ends = tails[i] = tuple([(row(j), row(checked(j)[0])) for j in checked(i)])
+                ends = tails[i] = tuple([(rows[j], rows[checked(j)[0]]) for j in checked(i)])
             yield prefix[level], ends
         # Step the deepest level that has rows left; stop when none has.
         while stack:
             i = next(stack[-1], None)
             if i is not None:
                 level = len(stack)
-                prefix[level] = prefix[level - 1] + (row(i),)
+                prefix[level] = prefix[level - 1] + (rows[i],)
                 break
             stack.pop()
         else:
@@ -452,7 +446,7 @@ def unrank(n: int, k: int, limit: int = DP_LIMIT_DEFAULT) -> MonotoneTriangle:
     i = 0
     for _ in range(n):
         i, k = index.pick(i, k)
-        rows.append(index.row(i))
+        rows.append(index.rows[i])
     return MonotoneTriangle._checked(tuple(rows))  # n checked edges
 
 
@@ -480,7 +474,7 @@ def sample_uniform(
     if type(seed) is not int:  # None would draw from the system's entropy
         raise bound_error("sample_uniform", "seed", seed, 0)
     index = _index(n)
-    counts = index.counts
+    counts, table = index.counts, index.rows
     randrange = random.Random(seed).randrange
     out = []
     for _ in range(count):
@@ -488,7 +482,7 @@ def sample_uniform(
         i = 0
         for _ in range(n):
             i = index.pick(i, randrange(counts[i]))[0]
-            rows.append(index.row(i))
+            rows.append(table[i])
         out.append(MonotoneTriangle._checked(tuple(rows)))  # n checked edges
     return out
 

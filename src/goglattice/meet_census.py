@@ -452,11 +452,6 @@ class ClassSizes(_Record):
         self.tail_threshold = tail_threshold
         self.tail_size = tail_size
 
-    def labels(self) -> list[tuple[str, int]]:
-        rows = [(f"C_{v}", self.exact_sizes[v]) for v in sorted(self.exact_sizes, reverse=True)]
-        rows.append((f"C_<={self.tail_threshold}", self.tail_size))
-        return rows
-
 
 def class_bound(n: int, r: int, v: int) -> int | None:
     """The upper bound the counting argument assigns to class C_v, or None

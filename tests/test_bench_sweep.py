@@ -43,12 +43,12 @@ def test_writes_one_row_per_case(tmp_path, capsys, monkeypatch):
 def test_index_writes_one_row_per_case(tmp_path, capsys, monkeypatch):
     script = load("bench_index", monkeypatch)
     output = tmp_path / "BENCH_index.json"
-    cases = ["--case", "index", "--case", "round-trip", "--case", "tuple"]
+    cases = ["--case", "index", "--case", "round-trip", "--case", "rank", "--case", "tuple"]
     argv = ["--n", "5", "--runs", "2", *cases, "--output", str(output)]
     assert script.main(argv) == 0
-    labels = [{"case": "index"}, {"case": "round-trip"}, {"case": "tuple"}]
+    labels = [{"case": "index"}, {"case": "round-trip"}, {"case": "rank"}, {"case": "tuple"}]
     report = json.loads(output.read_text())
-    timed = [{"first_s"}, {"first_s", "repeat_s"}, {"first_s", "repeat_s"}]
+    timed = [{"first_s"}] + [{"first_s", "repeat_s"}] * 3
     check_rows(report, "index", 2, labels, timed)
     assert "at n = 5 " in report["call"]
     assert capsys.readouterr().out.splitlines()[1].startswith("round-trip\tfirst ")

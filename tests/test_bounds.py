@@ -296,3 +296,28 @@ def test_operand_must_be_a_triangle(key):
     with pytest.raises(TypeError) as exc:
         call()
     assert str(exc.value) == f"{key.split('-')[0]} needs a MonotoneTriangle, got {got}"
+
+
+class PrefixLookalike:
+    """A prefix's `n` and `row`, with a row that no check passed."""
+
+    def __init__(self, row):
+        self.n, self.level, self.row = 3, len(row), row
+
+
+# Anything but a `TrianglePrefix` in a prefix's place is refused with a
+# TypeError, never read as one: not a decreasing row (read as the id of
+# (1, 2)), nor one past [n], nor a tuple.
+NOT_A_PREFIX = {
+    "decreasing": (PrefixLookalike((2, 1)), "PrefixLookalike"),
+    "past-n": (PrefixLookalike((5,)), "PrefixLookalike"),
+    "tuple": ((3, 1, (2,)), "tuple"),
+}
+
+
+@pytest.mark.parametrize("key", NOT_A_PREFIX)
+def test_completions_count_needs_a_prefix(key):
+    prefix, got = NOT_A_PREFIX[key]
+    with pytest.raises(TypeError) as exc:
+        completions_count(prefix)
+    assert str(exc.value) == f"completions_count needs a TrianglePrefix, got {got}"

@@ -1,5 +1,6 @@
 """The command-line contract: outputs, exit codes, and byte determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -326,6 +327,19 @@ class TestClasses:
         assert lines[0] == "label\tsize\tbound\tratio_decimal"
         assert lines[1].startswith("C_3\t13\t14\t")
         assert lines[-1].startswith("C_<=")
+
+    def test_frozen_tables(self, capsys):
+        # Every (n, r) with r (n - 1) <= 16 (and r <= 4 at n = 1), as the
+        # command printed them when it read v back out of each label.
+        pairs = [(n, r) for n in range(1, 8) for r in range(1, 5 if n == 1 else 16 // (n - 1) + 1)]
+        outs = []
+        for n, r in pairs:
+            code, out, err = run(capsys, "classes", "--n", str(n), "--r", str(r))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+        assert len(pairs) == 42
+        assert digest == "c23d83d7cd6ef45b382561318bfd946330223a4b76fcd5db5de7a5a651000b5f"
 
 
 class TestSample:

@@ -44,7 +44,6 @@ from goglattice.enumeration import (
     _INDEXES,
     INDEX_MAX_N,
     SAMPLE_LIMIT_DEFAULT,
-    _SMALL_ROWS,
     _SuccessorIndex,
     _id,
     _index,
@@ -245,12 +244,12 @@ def edge_cases(n):
     index = _index(n)
     cases, bad = [], []
     for i in range((1 << n) - 1):  # every row but the bottom one
-        below = set(interlacing_successors(index.row(i), n))
+        below = set(interlacing_successors(index.rows[i], n))
         for at in range(index.ends[i], index.ends[i + 1]):
             for new in range(1 << n):
                 if new != index.edges[at]:
                     cases.append((at, new))
-                    bad.append(index.row(new) not in below)
+                    bad.append(index.rows[new] not in below)
     return cases, bad
 
 
@@ -303,8 +302,8 @@ class TestWalkChecks:
             _INDEXES[7] = shared
         for i in range((1 << 7) - 1):
             for j in index.successors(i):
-                _check_pair(index.row(i), index.row(j))
-                assert index.row(j) in interlacing_successors(index.row(i), 7)
+                _check_pair(index.rows[i], index.rows[j])
+                assert index.rows[j] in interlacing_successors(index.rows[i], 7)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_triangles_equal_validated_ones(self, n, universe):
@@ -314,12 +313,13 @@ class TestWalkChecks:
             assert pickle.loads(pickle.dumps(t)) == t
 
     def test_rows_past_the_table(self):
+        # Rows with entries past 8 come from the same table as the others.
         ts = list(islice(enumerate_triangles(9, limit=9), 2000))
         assert [t.rows for t in ts] == list(islice(stack_walk(9), 2000))
         for t in ts:
             _validate_rows(t.rows)
-        table = set(map(id, _SMALL_ROWS))
-        assert not all(table.issuperset(map(id, t.rows)) for t in ts)
+        table = set(map(id, _index(9).rows))
+        assert all(table.issuperset(map(id, t.rows)) for t in ts)
 
 
 class TestPickChecks:
@@ -360,11 +360,13 @@ class TestPickChecks:
 
     def test_successor_id_past_the_index_raises(self):
         # Id 8 names no row of [3]: every count read through it would be past
-        # the index's rows.  The first pick or walk refuses the index first.
+        # the index's rows.  The first pick, rank or walk refuses the index
+        # first.
         calls = [
             lambda: unrank(3, 0),
             lambda: sample_uniform(3, 1, 1),
             lambda: list(enumerate_triangles(3)),
+            lambda: rank(MonotoneTriangle(((3,), (2, 3), (1, 2, 3)))),
         ]
         shared = _index(3)
         try:
@@ -469,7 +471,7 @@ class TestRankUnrank:
         k = data.draw(st.integers(0, table[prev] - 1))
         index = _index(n)
         succ, residual = index.pick(_id(prev), k)
-        row = index.row(succ)
+        row = index.rows[succ]
         assert (row, residual) == linear_pick(n, prev, k)
         assert k - residual == linear_skipped(n, prev, row) == index.skipped(_id(prev), succ)
         assert 0 <= residual < table[row] == index.counts[succ]
@@ -499,7 +501,7 @@ class TestSuccessorIndex:
         index = _index(n)
         for row, count in table.items():
             i = _id(row)
-            assert index.row(i) == row
+            assert index.rows[i] == row
             assert index.counts[i] == count
             succ = [_id(cand) for cand in interlacing_successors(row, n)] if len(row) < n else []
             assert index.successors(i).tolist() == succ
@@ -514,7 +516,7 @@ class TestSuccessorIndex:
         edges, ends = index.edges, index.ends
         assert len(edges) == (3**n - 1) // 2
         assert index.counts[0] == asm_number(n)
-        rows = list(map(index.row, range(1 << n)))
+        rows = index.rows
         lex = [0] * len(rows)
         for at, i in enumerate(sorted(range(len(rows)), key=rows.__getitem__)):
             lex[i] = at
@@ -534,7 +536,7 @@ class TestSuccessorIndex:
             i = _id(prev)
             for k in range(count):
                 succ, residual = index.pick(i, k)
-                assert (index.row(succ), residual) == linear_pick(n, prev, k)
+                assert (index.rows[succ], residual) == linear_pick(n, prev, k)
             for cand in interlacing_successors(prev, n):
                 assert index.skipped(i, _id(cand)) == linear_skipped(n, prev, cand)
 
@@ -542,7 +544,7 @@ class TestSuccessorIndex:
     def test_pick_and_skipped_at_block_edges(self, n):
         # Rows with more than one block of successors: every row at n <= 10,
         # a fixed sample of them at n = 12.  skipped agrees with the linear
-        # walk before the row's first pick and after it; that pick leaves the
+        # walk as the row's first use and after it; that use leaves the
         # completions before each block but the first as the row's marks; and
         # an index at a mark or next to it is then picked as the walk picks it.
         table = linear_counts(n)
@@ -563,22 +565,22 @@ class TestSuccessorIndex:
             marks = before[_BLOCK : len(succ) : _BLOCK]
             skipped = [linear_skipped(n, prev, cand) for cand in succ]
             assert [index.skipped(i, _id(cand)) for cand in succ] == skipped
-            assert index.pick(i, table[prev] - 1) == (_id(succ[-1]), table[succ[-1]] - 1)
             lo = index.ends[i] // _BLOCK + 1
             assert index.marks[lo : lo + len(marks)].tolist() == marks
+            assert index.pick(i, table[prev] - 1) == (_id(succ[-1]), table[succ[-1]] - 1)
             for k in {k for mark in marks for k in (mark - 1, mark, mark + 1)} | {0, table[prev] - 1}:
                 if 0 <= k < table[prev]:
                     succ_id, residual = index.pick(i, k)
-                    assert (index.row(succ_id), residual) == linear_pick(n, prev, k)
+                    assert (index.rows[succ_id], residual) == linear_pick(n, prev, k)
             assert [index.skipped(i, _id(cand)) for cand in succ] == skipped
 
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_pick_against_the_whole_row(self, n):
-        # Each pick both as the row's first (its marks cleared) and as a
-        # later one (marks filled), against accumulating and bisecting the
-        # row's whole run: at both ends of the row and next to the boundary
-        # after each successor, on rows of one successor, of one full block,
-        # of one block and one successor more, and the widest.
+        # Each pick both as the row's first use (its marks cleared, or not
+        # yet made) and as a later one (marks filled), against accumulating
+        # and bisecting the row's whole run: at both ends of the row and next
+        # to the boundary after each successor, on rows of one successor, of
+        # one full block, of one block and one successor more, and the widest.
         index = _SuccessorIndex(n)
         counts, ends = index.counts, index.ends
         width = [ends[i + 1] - ends[i] for i in range(1 << n)]
@@ -591,10 +593,11 @@ class TestSuccessorIndex:
             for k in sorted(k for k in ks if 0 <= k < counts[i]):
                 j = bisect_right(before, k) - 1
                 expected = (succ[j], k - before[j])
-                if marks:
+                if marks and index.marks is not None:
                     index.marks[lo : lo + len(marks)] = array("Q", bytes(8 * len(marks)))
                 assert index.pick(i, k) == expected, (i, k)
-                assert index.marks[lo : lo + len(marks)].tolist() == marks
+                if marks:
+                    assert index.marks[lo : lo + len(marks)].tolist() == marks
                 assert index.pick(i, k) == expected, (i, k)
 
     def test_exact_past_two_to_the_64(self):
@@ -616,35 +619,56 @@ class TestSuccessorIndex:
     def test_marks_are_built_on_first_use_and_small(self, monkeypatch):
         monkeypatch.delitem(_INDEXES, 12, raising=False)
         assert completions_count(TrianglePrefix(12, 0, ())) == asm_number(12)
-        assert rank(extremal_triangle(12, "max")) == asm_number(12) - 1
         index = _INDEXES[12]
-        assert index.marks is None  # counting and ranking make no room for marks
+        assert index.marks is None  # counting makes no room for marks
         assert index.flags is None  # nor flags
-        ends = index.ends
-        widest = max(range(1 << 12), key=lambda i: ends[i + 1] - ends[i])
-        # The edge flags, one byte per edge (about 260 KiB), are made first,
-        # so that what the pick keeps is its marks.
-        assert len(index._make_flags()) == len(index.edges) == (3**12 - 1) // 2
+        # A triangle whose rank passes a row's first block, at (3, 6, 8).
+        t = MonotoneTriangle(UNRANK_12[4203770619892500])
         gc.collect()
         tracemalloc.start()
         try:
-            assert index.pick(widest, 0) == (index.edges[ends[widest]], 0)
+            assert rank(t) == 4203770619892500
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert type(index.marks) is array and index.marks.typecode == "Q"
-        assert kept <= 0.25 * 2**20
+        # The edge flags, one byte per edge (about 260 KiB); the rest is the
+        # room for the marks.
+        assert len(index.flags) == len(index.edges) == (3**12 - 1) // 2
+        assert kept - len(index.flags) <= 0.25 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pick_and_rank_in_either_order(self, data):
+        # On a fresh index, a pick and a rank step at one row, in either
+        # order and then again, agree with the linear walk: whichever comes
+        # first fills the row's marks for both.
+        n = data.draw(st.integers(1, 12))
+        index = _SuccessorIndex(n)
+        i = data.draw(st.integers(0, (1 << n) - 2))  # any row but the bottom one
+        prev = index.rows[i]
+        k = data.draw(st.integers(0, linear_counts(n)[prev] - 1))
+        cand = data.draw(st.sampled_from(list(interlacing_successors(prev, n))))
+
+        def pick():
+            succ, residual = index.pick(i, k)
+            assert (index.rows[succ], residual) == linear_pick(n, prev, k)
+
+        def skipped():
+            assert index.skipped(i, _id(cand)) == linear_skipped(n, prev, cand)
+
+        calls = [pick, skipped] if data.draw(st.booleans()) else [skipped, pick]
+        for call in calls * 2:
+            call()
 
     def test_ids_cover_every_row(self):
-        # each id is a strictly increasing row, and back; both row tables in use
-        index = _index(12)
-        for i in range(1 << 12):
-            row = index.row(i)
+        # each id is a strictly increasing row, and back, up to the cap
+        rows = _rows_by_mask(INDEX_MAX_N)
+        assert len(rows) == 1 << INDEX_MAX_N
+        for i, row in enumerate(rows):
             assert list(row) == sorted(set(row)) and _id(row) == i
-        # the high table at the cap
-        high = _rows_by_mask(9, INDEX_MAX_N)
-        assert [_id(row) for row in high] == list(range(0, 1 << 16, 1 << 8))
+        assert _index(12).rows == rows[: 1 << 12]
 
 
 class TestSampling:

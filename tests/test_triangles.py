@@ -45,7 +45,7 @@ from goglattice import (
     validate_triangle,
 )
 from goglattice import triangles
-from goglattice.enumeration import _INDEXES, _SMALL_ROWS, _SuccessorIndex, _index
+from goglattice.enumeration import _INDEXES, _SuccessorIndex, _index, _rows_by_mask
 from goglattice.errors import TriangleError
 from goglattice.lattice import join, meet
 from goglattice.triangles import (
@@ -119,9 +119,8 @@ class TestValidation:
                         assert j <= t.entry(i, j) <= n - i + j
 
 
-# The shared row table: S[mask] is the row of [8] with that bitmask.
-S = _SMALL_ROWS
-TABLE = frozenset(map(id, S))  # the table's objects live for the process
+# S[mask] is the row of [8] with that bitmask.
+S = _rows_by_mask(8)
 
 
 class IntSubclass(int):
@@ -212,8 +211,8 @@ def assert_checked(rows):
 
 
 def as_table_rows(rows):
-    """rows with each row that equals a `_SMALL_ROWS` row, entry for entry
-    as exact ints, replaced by that object."""
+    """rows with each row that equals an `S` row, entry for entry as exact
+    ints, replaced by that object."""
     table = []
     for row in rows:
         if all(type(v) is int and 1 <= v <= 8 for v in row):
@@ -228,7 +227,7 @@ def as_table_rows(rows):
 def mutated_rows(draw):
     """An `unrank` triangle (n <= 12) after a few mutations of the kinds a
     check could get wrong, as lists, as tuples, or as a tuple in which
-    each row that can be is a `_SMALL_ROWS` object."""
+    each row that can be is an `S` object."""
     n = draw(st.integers(1, 12))
     rows = [list(row) for row in unrank(n, draw(st.integers(0, asm_number(n) - 1))).rows]
     for _ in range(draw(st.integers(0, 3))):
@@ -381,7 +380,7 @@ class TestVerifiedPairs:
             index = fresh[7]
             assert index.flags == bytearray([1]) * len(index.edges)
             assert {
-                (index.row(i), index.row(j)) for i in range(1, 1 << 7) for j in index.successors(i)
+                (index.rows[i], index.rows[j]) for i in range(1, 1 << 7) for j in index.successors(i)
             } == {
                 (upper, lower)
                 for k in range(1, 7)
@@ -415,25 +414,27 @@ class TestVerifiedPairs:
 
 
 class TestKnownRows:
-    """The shared row table, whose objects every index hands out."""
+    """Each index's row table, whose objects its triangles are made of."""
 
     def test_table(self):
-        assert len(S) == 256 == len(TABLE)
-        for mask, row in enumerate(S):
-            assert type(row) is tuple and set(map(type, row)) <= {int}
-            assert row == tuple(v for v in range(1, 9) if mask >> (v - 1) & 1)
         for n in (*range(1, 9), 12):
-            assert _index(n).low is S
+            rows = _index(n).rows
+            assert len(rows) == 1 << n
+            for mask, row in enumerate(rows):
+                assert type(row) is tuple and set(map(type, row)) <= {int}
+                assert row == tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_enumerated_rows_are_table_objects(self, n):
-        assert all(TABLE.issuperset(map(id, t.rows)) for t in enumerate_triangles(n))
+        table = set(map(id, _index(n).rows))
+        assert all(table.issuperset(map(id, t.rows)) for t in enumerate_triangles(n))
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", (*range(1, 9), 12))
     def test_unranked_and_sampled_rows_are_table_objects(self, n):
         last = asm_number(n) - 1
         ts = [unrank(n, k) for k in (0, last // 3, last)] + sample_uniform(n, 20, n)
-        assert all(TABLE.issuperset(map(id, t.rows)) for t in ts)
+        table = set(map(id, _index(n).rows))
+        assert all(table.issuperset(map(id, t.rows)) for t in ts)
 
 
 class TestParsersRaiseOnlyGogErrors:
