@@ -7,6 +7,12 @@ fixed inputs and seeds: JSON is emitted with sorted keys and no whitespace,
 integers print as exact decimal strings, and rationals carry exact
 numerator/denominator columns with 12-significant-digit decimals as
 presentation only.  Large integers are JSON strings, never numbers.
+
+A cold `gog` process enters through `run`, which calls `main`, flushes
+stdout and stderr and ends with `os._exit`, skipping the interpreter's
+teardown of the modules it loaded: `atexit` handlers and finalizers
+registered in that process do not run.  `main` itself never ends the
+process, so calling it in process is unaffected.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .errors import GogError, VerificationFailure
 
@@ -322,11 +328,15 @@ def main(argv: list[str] | None = None) -> int:
     if cap:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A closed reader of the output still buffered is met here, where
+        # the handler below reports it, and not in a flush after `main`.
+        sys.stdout.flush()
+        return status
     except (GogError, ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
-            # The reader is gone: let the interpreter's final flush of the
-            # unwritten output go nowhere instead of failing again.
+            # The reader is gone: let the later flush of the unwritten
+            # output go nowhere instead of failing again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -335,5 +345,25 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(cap)
 
 
+def run() -> NoReturn:
+    """The process entry of `gog`: run `main` on the command line, flush
+    stdout and stderr and end the process with its status, skipping the
+    interpreter's teardown.  An argparse exit with an int code is such a
+    status; any other exit or exception, and a flush that fails, leave
+    through the interpreter as they would without this entry."""
+    try:
+        status = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        status = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,4 @@
-"""scripts/bench_sweep.py and scripts/bench_index.py on tiny sets of cases."""
+"""The bench scripts under scripts/ on tiny sets of cases."""
 
 import importlib.util
 import json
@@ -62,6 +62,26 @@ def test_enumerate_writes_one_row_per_case(tmp_path, capsys, monkeypatch):
     labels = [{"case": "text", "n": 3}, {"case": "text", "n": 4}]
     check_rows(json.loads(output.read_text()), "enumerate", 2, labels, [{"first_s", "repeat_s"}] * 2)
     assert capsys.readouterr().out.splitlines()[1].startswith("text n=4\tfirst ")
+
+
+def test_cli_writes_one_row_per_command(tmp_path, capsys, monkeypatch):
+    script = load("bench_cli", monkeypatch)
+    output = tmp_path / "BENCH_cli.json"
+    assert script.main(["--runs", "1", "--group", "asm-count-100", "--output", str(output)]) == 0
+    report = json.loads(output.read_text())
+    assert set(report) == {"bench", "call", "python", "platform", "cpus", "runs", "cases"}
+    assert (report["bench"], report["runs"]) == ("cli", 1)
+    labels = [
+        {"group": "reference", "index": 0, "argv": ["-c", "pass"]},
+        {"group": "asm-count-100", "index": 0, "argv": ["-m", "goglattice.cli", "asm-count", "--n", "100"]},
+    ]
+    assert [{key: row.pop(key) for key in label} for row, label in zip(report["cases"], labels)] == labels
+    for row in report["cases"]:
+        assert set(row) == {"wall_s", "peak_rss_mib"}
+        for summary in row.values():
+            assert summary["samples"] == [summary["min"]] == [summary["median"]] == [summary["max"]]
+            assert summary["min"] > 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("asm-count-100#0\twall ")
 
 
 # Prints the child's bytecode settings and what its cache directory holds

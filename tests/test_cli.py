@@ -1,9 +1,11 @@
 """The command-line contract: outputs, exit codes, and byte determinism."""
 
+import ast
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -21,6 +23,7 @@ from goglattice import (
     triangles_to_text,
     verify,
 )
+from goglattice import cli
 from goglattice.cli import main
 
 FIG1_TRIANGLE_TEXT = "3\n2 4\n1 3 4\n1 2 3 4\n"
@@ -33,6 +36,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(goglattice.__file__).resolve().parent.parent)
+
+
+def cold(argv, *, flags=(), **kwargs):
+    """Run `python -m goglattice.cli argv` as a cold process on this checkout's
+    package, with buffered stdout and no warning filters, whatever the
+    runner's environment sets."""
+    env = {key: value for key, value in os.environ.items() if key not in ("PYTHONUNBUFFERED", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, *flags, "-m", "goglattice.cli", *argv], env=env, **kwargs)
 
 
 class TestAsmCount:
@@ -172,15 +187,9 @@ class TestCensusCommand:
         stale = {"mtcensus-n5.txt": census5[: len(census5) // 2], "mtcensus-n3.txt": "5\n"}
         for name, text in stale.items():
             (tmp_path / name).write_text(text)
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        env.pop("PYTHONWARNINGS", None)
         for n, out in expected.items():
             argv = ["census", "--n", n, "--cache-dir", str(tmp_path)]
-            done = subprocess.run(
-                [sys.executable, "-m", "goglattice.cli", *argv],
-                capture_output=True, text=True, env=env, cwd=tmp_path,
-            )
+            done = cold(argv, capture_output=True, text=True, cwd=tmp_path)
             assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
         assert {path.name: path.read_text() for path in tmp_path.iterdir()} == stale
 
@@ -284,13 +293,9 @@ class TestPmin:
 def test_prints_past_the_int_str_digit_cap(argv):
     # A(60)^2 has 818 digits and N_min(100, 2) 1137: a cap of 640 must not
     # change what is printed.
-    src = str(Path(goglattice.__file__).resolve().parent.parent)
     outputs = []
     for flags in ((), ("-X", "int_max_str_digits=640")):
-        done = subprocess.run(
-            [sys.executable, *flags, "-m", "goglattice.cli", *argv], capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        done = cold(argv, flags=flags, capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
@@ -615,20 +620,86 @@ class TestInputOutputErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_closed_pipe_leaves_no_traceback(self):
-        # the reader takes one line and goes, as `gog enumerate --n 6 | head -1`
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "goglattice.cli", "enumerate", "--n", "6"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.stdout.readline() == "1\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait() == 1
-        assert "Traceback" not in err and "Exception ignored" not in err
+    @pytest.mark.parametrize(
+        "argv", [("asm-count", "--n", "100"), ("enumerate", "--n", "6")], ids=["asm-count", "enumerate"]
+    )
+    def test_closed_pipe_leaves_no_traceback(self, argv):
+        # The reader is gone before anything is written.  asm-count's output
+        # waits in the buffer until the command returns; enumerate's
+        # overflows the buffer while the command runs.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = cold(argv, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+class TestProcessEntry:
+    """`run`, which ends a cold `gog` process with `os._exit` once its output
+    is flushed, against `main` called in process."""
+
+    @pytest.mark.parametrize("n", ["4", "6"])
+    def test_stream_arrives_whole(self, capsys, n):
+        # n = 4's 881 bytes wait in the buffer to the end; n = 6 writes
+        # chunks of 44 KB, each larger than the buffer.
+        assert main(["enumerate", "--n", n]) == 0
+        expected = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        done = cold(("enumerate", "--n", n), capture_output=True)
+        assert done.returncode == 0
+        assert hashlib.sha256(done.stdout).hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(("--help",), 0), (("asm-count",), 2), (("enumerate", "--n", "8"), 1)],
+        ids=["help", "usage-error", "domain-error"],
+    )
+    def test_status_and_streams_match_main(self, capsys, monkeypatch, argv, status):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        done = cold(argv, capture_output=True, text=True)
+        assert (code, done.returncode, done.stdout, done.stderr) == (status, status, out, err)
+
+    def test_script_target_is_the_main_block_entry(self):
+        root = Path(cli.__file__).resolve().parents[2]
+        target = re.search(r'^gog = "(.+)"$', (root / "pyproject.toml").read_text(), re.M).group(1)
+        (block,) = [
+            node for node in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        (statement,) = block.body
+        assert target == f"goglattice.cli:{ast.unparse(statement.value.func)}" == "goglattice.cli:run"
+
+    def test_exits_it_cannot_end_leave_through_the_interpreter(self, monkeypatch):
+        class Unflushable:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def exit_now(status):
+            raise AssertionError(f"os._exit({status})")
+
+        monkeypatch.setattr(os, "_exit", exit_now)
+        monkeypatch.setattr(sys, "argv", ["gog", "--help"])
+        monkeypatch.setattr(sys, "stdout", Unflushable())
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+
+        def leave(argv=None):
+            raise SystemExit("stopped")
+
+        monkeypatch.setattr(cli, "main", leave)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == "stopped"
 
 
 class TestVerifySuitesRun:
