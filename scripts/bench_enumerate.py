@@ -3,16 +3,17 @@
 The cases, each at every size n and timed in fresh interpreters by the
 round-robin runner of `bench_sweep.py`:
 
-- list: `list(enumerate_triangles(n))`, every triangle built from rows
-  whose pairs the walk checked, each pair once per walk;
+- list: `list(enumerate_triangles(n))`, every triangle built from edges
+  of the successor index that the walk checked, each edge once per index;
 - text: `triangles_to_text(enumerate_triangles(n))`, the stdout of
   `gog enumerate --n n`.
 
 A run times a first call (`first_s`), which builds the successor index and
-fills the verified-pair set, then a repeat, and its peak RSS holds one
-call's result.  A case's traced interpreter makes both calls under
-`tracemalloc` and drops their results, so `kept_mib` is what enumeration
-keeps: the index and the verified pairs.  Run from the repository root:
+checks and flags each of its edges, then a repeat, which checks none, and
+its peak RSS holds one call's result.  A case's traced interpreter makes
+both calls under `tracemalloc` and drops their results, so `kept_mib` is
+what enumeration keeps: the index and its edge flags.  Run from the
+repository root:
 
     python scripts/bench_enumerate.py [--n N ...] [--runs RUNS] [--case NAME ...] [--output PATH]
 
@@ -29,37 +30,24 @@ import argparse
 import sys
 from pathlib import Path
 
-from bench_sweep import ROOT, measure, write_report
+from bench_sweep import ROOT, show, child, measure, write_report
 
 OUTPUT = ROOT / "BENCH_enumerate.json"
 CASES = ["list", "text"]
 SIZES = [5, 6, 7]
 RUNS = 10
 
-# argv: case, n, traced.  Prints one JSON object.
+# argv: case, n, traced.
 CHILD = """
-import json, sys, time
+import sys
 from goglattice.enumeration import enumerate_triangles
 from goglattice.triangles import triangles_to_text
-case, n, traced = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+case, n = sys.argv[1], int(sys.argv[2])
 def call():
     if case == "list":
         return list(enumerate_triangles(n))
     return triangles_to_text(enumerate_triangles(n))
-if traced:
-    import gc, tracemalloc
-    tracemalloc.start()
-    call()
-    call()
-    gc.collect()
-    print(json.dumps({"kept_mib": tracemalloc.get_traced_memory()[0] / 2**20}))
-else:
-    times = {}
-    for key in ("first_s", "repeat_s"):
-        start = time.perf_counter()
-        call()
-        times[key] = time.perf_counter() - start
-    print(json.dumps(times))
+calls = {"first_s": call, "repeat_s": call}
 """
 
 
@@ -76,16 +64,10 @@ def main(argv: list[str]) -> int:
     if not all(1 <= n <= 7 for n in sizes):
         parser.error(f"--n needs 1 to 7, the default limit of enumeration, got {sizes}")
     cases = [(case, n) for case in args.cases or CASES for n in sizes]
-    rows = [{"case": case, "n": n, **row} for (case, n), row in zip(cases, measure(CHILD, cases, args.runs))]
+    rows = [{"case": case, "n": n, **row} for (case, n), row in zip(cases, measure(cases, args.runs, child(CHILD)))]
     call = "enumeration at size n in a fresh interpreter: a first call, then a repeat"
     write_report(args.output, "enumerate", call, args.runs, rows)
-    for row in rows:
-        print(
-            f"{row['case']} n={row['n']}\tfirst {row['first_s']['median']:.4f} s"
-            f"\trepeat {row['repeat_s']['median']:.4f} s"
-            f"\tpeak RSS {row['peak_rss_mib']['median']:.1f} MiB\tkept {row['kept_mib']:.3f} MiB"
-            f"\treference {row['reference_s']['median'] * 1e3:.2f} ms"
-        )
+    show([f"{case} n={n}" for case, n in cases], rows)
     return 0
 
 

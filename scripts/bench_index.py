@@ -37,19 +37,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from bench_sweep import ROOT, measure, write_report
+from bench_sweep import ROOT, show, child, measure, write_report
 
 OUTPUT = ROOT / "BENCH_index.json"
 CASES = ["index", "sample", "round-trip", "rank", "tuple"]
 N = 12
 RUNS = 10
 
-# argv: case, n, traced.  Prints one JSON object.
+# argv: case, n, traced.
 CHILD = """
-import json, random, sys, time
+import random, sys
 from goglattice.enumeration import _INDEXES, _index, rank, sample_uniform, unrank
 from goglattice.lattice import join, meet
-case, n, traced = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+case, n = sys.argv[1], int(sys.argv[2])
 if case == "index":
     calls = {"first_s": lambda: _index(n)}
 else:
@@ -75,20 +75,6 @@ else:
         _index(n)
     call = {"sample": sample, "round-trip": round_trip, "rank": ranks, "tuple": tuples}[case]
     calls = {"first_s": call, "repeat_s": call}
-if traced:
-    import gc, tracemalloc
-    tracemalloc.start()
-    for call in calls.values():
-        call()
-    gc.collect()
-    print(json.dumps({"kept_mib": tracemalloc.get_traced_memory()[0] / 2**20}))
-else:
-    times = {}
-    for key, call in calls.items():
-        start = time.perf_counter()
-        call()
-        times[key] = time.perf_counter() - start
-    print(json.dumps(times))
 """
 
 
@@ -104,16 +90,10 @@ def main(argv: list[str]) -> int:
     if not 1 <= args.n <= 16:
         parser.error(f"--n needs 1 to 16, the successor index's cap, got {args.n}")
     cases = args.cases or CASES
-    rows = [{"case": case, **row} for case, row in zip(cases, measure(CHILD, [(case, args.n) for case in cases], args.runs))]
+    rows = [{"case": case, **row} for case, row in zip(cases, measure([(case, args.n) for case in cases], args.runs, child(CHILD)))]
     call = f"the successor index at n = {args.n} in a fresh interpreter: a first call, then a repeat"
     write_report(args.output, "index", call, args.runs, rows)
-    for row in rows:
-        repeat = f"\trepeat {row['repeat_s']['median']:.4f} s" if "repeat_s" in row else ""
-        print(
-            f"{row['case']}\tfirst {row['first_s']['median']:.4f} s{repeat}"
-            f"\tpeak RSS {row['peak_rss_mib']['median']:.1f} MiB\tkept {row['kept_mib']:.3f} MiB"
-            f"\treference {row['reference_s']['median'] * 1e3:.2f} ms"
-        )
+    show([row["case"] for row in rows], rows)
     return 0
 
 

@@ -4,8 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-TIMED = {"peak_rss_mib", "reference_s"}  # summarized in every row beside the case's own timings
+TIMED = {"wall_s", "peak_rss_mib", "reference_s"}  # summarized in every row beside the case's own timings
 
 
 def load(name, monkeypatch):
@@ -77,26 +79,48 @@ def test_cli_writes_one_row_per_command(tmp_path, capsys, monkeypatch):
     ]
     assert [{key: row.pop(key) for key in label} for row, label in zip(report["cases"], labels)] == labels
     for row in report["cases"]:
-        assert set(row) == {"wall_s", "peak_rss_mib"}
+        assert set(row) == TIMED
         for summary in row.values():
             assert summary["samples"] == [summary["min"]] == [summary["median"]] == [summary["max"]]
             assert summary["min"] > 0
     assert capsys.readouterr().out.splitlines()[1].startswith("asm-count-100#0\twall ")
 
 
-# Prints the child's bytecode settings and what its cache directory holds
-# once the package is imported.
+def test_failing_child_names_its_case(monkeypatch):
+    script = load("bench_sweep", monkeypatch)
+    with pytest.raises(RuntimeError) as failed:
+        script.measure([("index", 5)], 1, script.child('import sys\nsys.exit("boom")\n'))
+    assert "boom" in str(failed.value)
+    assert "('index', 5)" in str(failed.value)
+
+
+# Prints the child's bytecode settings and where it imported the package
+# from.
 BYTECODE_CHILD = """
 import json, os, sys
 import goglattice.enumeration
-prefix = sys.pycache_prefix
-print(json.dumps({"dont_write": sys.flags.dont_write_bytecode, "prefix": prefix, "held": os.listdir(prefix)}))
+package = os.path.dirname(goglattice.__file__)
+cached = os.path.exists(os.path.join(package, "__pycache__"))
+print(json.dumps({"prefix": sys.pycache_prefix, "dont_write": sys.flags.dont_write_bytecode, "package": package, "cached": cached}))
 """
 
 
-def test_child_compiles_from_source(monkeypatch):
+def test_child_compiles_from_source(tmp_path, monkeypatch):
     script = load("bench_sweep", monkeypatch)
-    row = script._child(BYTECODE_CHILD, (), False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    printed = []
+
+    def sample(src, case, traced):
+        out, figures = script.run(["-c", BYTECODE_CHILD], src, case)
+        printed.append(json.loads(out))
+        return figures
+
+    script.measure([()], 1, sample, traced=False)
+    [row] = printed
+    assert row["prefix"] is None  # the standard library loads from its own cache
     assert row["dont_write"] == 1
-    assert row["held"] == []
-    assert not Path(row["prefix"]).exists()  # a fresh directory per child, removed after it
+    package = Path(row["package"])
+    assert ROOT not in package.parents
+    assert not row["cached"]
+    assert not package.exists()  # the copy is removed after the script's runs
