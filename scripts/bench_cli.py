@@ -25,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from bench_sweep import ROOT, show, measure, run, write_report
+from bench_sweep import ROOT, measure, run, show, write_report
 
 OUTPUT = ROOT / "BENCH_cli.json"
 POOL = ROOT / "perfbench" / "data" / "expected.json"
@@ -45,8 +45,8 @@ def commands(pool: dict, groups: list[str]) -> list[dict]:
 
 
 def _cold(src: Path, command: dict, traced: bool) -> dict:
-    # A run's working directory is a fresh temporary one, so each run's
-    # census cache starts empty.
+    # A run's working directory is a fresh temporary one, so `{cache}`
+    # becomes an empty directory in it.
     label = f"{command['group']}#{command['index']}"
     argv = [arg.replace("{cache}", "census") for arg in command["argv"]]
     out, figures = run(argv, src, label, (command["stdin"] or "").encode())

@@ -37,7 +37,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from bench_sweep import ROOT, show, child, measure, write_report
+from bench_sweep import ROOT, child, measure, show, write_report
 
 OUTPUT = ROOT / "BENCH_index.json"
 CASES = ["index", "sample", "round-trip", "rank", "tuple"]
