@@ -74,6 +74,9 @@ TAIL = """
 import gc, json, sys, time
 if int(sys.argv[-1]):
     import tracemalloc
+    # Empties the free lists, so that every object the calls keep is
+    # allocated, and counted, after tracing starts.
+    gc.collect()
     tracemalloc.start()
     for call in calls.values():
         call()

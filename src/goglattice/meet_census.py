@@ -55,10 +55,10 @@ inclusion-exclusion over the 2^(n-1) row subsets,
 
 with g(T) the triangles whose distinguished set avoids T, once from the
 gap products and once from the enumerated census, both through one signed
-sum.  Rank reversal maps distinguished rows to rows at their maximum, so
-N_max = N_min; the reversed census counts rows at their maximum off the
-same walk as `enumeration.build_census`, and so checks the count on the
-join side.
+sum, which `class_sizes` also takes over the census keys of chosen runs.
+Rank reversal maps distinguished rows to rows at their maximum, so N_max =
+N_min; the reversed census counts rows at their maximum off the same walk
+as `enumeration.build_census`, and so checks the count on the join side.
 
 The census itself, the map from each exact distinguished set D to f(D),
 is computed here from the gap products (`gap_product_census`), the
@@ -79,7 +79,6 @@ where a bitmask has bit i-1 for row i.
 from __future__ import annotations
 
 import os
-from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -96,7 +95,7 @@ if TYPE_CHECKING:
 
 TRANSFER_LIMIT_DEFAULT = 77_000_000  # `_transfer.work` units: a first (223, 2), about 0.35 s
 CENSUS_LIMIT_DEFAULT = 18  # 2^17 distinguished sets, computed in about 0.02 s
-CLASS_TUPLES_MAX_BITS = 20  # class_sizes' 2^(r(n-1)) key tuples: 2^20 take 1-3.5 s
+CLASS_SIZES_MAX_RN = 60_000  # class_sizes' r(n-1): (7, 10000) takes about 0.7 s
 
 _P_CACHE: list[int] = [0]  # P(0); append-only, filled once per process
 
@@ -389,7 +388,7 @@ def n_min_census(
 ) -> int:
     """Oracle for `n_min_exact`: the inclusion-exclusion sum, with the
     avoidance counts read off the exact-set census instead of the gap
-    products."""
+    products.  A census passed in is held to `limit` as well."""
     if type(r) is not int or r < 1:
         raise bound_error("n_min_census", "r", r, 1)
     if census is None:
@@ -398,6 +397,8 @@ def n_min_census(
         census = build_census(n, limit=limit)
     elif census.n != n:
         raise ValueError(f"census is for n={census.n}, expected {n}")
+    elif n > limit:
+        raise bound_error("n_min_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     return _signed_sum(n, r, census.avoid_count)
 
 
@@ -438,9 +439,10 @@ class ClassSizes(_Record):
 
     exact_sizes[v] counts tuples in which some component's longest block of
     consecutive distinguished rows has length exactly v, for v from n down
-    to max(1, n - 6r).  tail_size counts tuples in which every component
-    stays at or below tail_threshold = n - 6r - 1 (zero when that is < 1).
-    Membership is non-exclusive; only the union of the classes is a cover.
+    to max(1, n - 6r); C_n, the tuples holding tau_min, has A(n)^r - (A(n)-1)^r.
+    tail_size counts tuples in which every component stays at or below
+    tail_threshold = n - 6r - 1 (zero when that is < 1).  Membership is
+    non-exclusive; only the union of the classes is a cover.
     """
 
     def __init__(
@@ -485,39 +487,35 @@ def class_bound(n: int, r: int, v: int) -> int | None:
 
 
 def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
-    """Exact class sizes, computed over tuples of census keys (the class of a
-    tuple depends only on the components' distinguished sets).  The 2^(r(n-1))
-    tuples keep the default limit at n = 7, and a hard cap, which no knob
-    raises, holds r(n-1) <= CLASS_TUPLES_MAX_BITS."""
+    """Exact class sizes by the signed sum of `n_min_census` over the census
+    keys of some runs (a tuple's class depends only on its components'
+    distinguished sets): exact_sizes[v] is N_min less the covering tuples
+    with no component of run v, and tail_size the covering tuples with every
+    run <= tail_threshold.  A sum reads 4^(n-1) keys, which the default limit
+    stops at n = 7, and raises 2^(n-1) counts to the r-th power, which a cap
+    that no knob raises holds to r(n-1) <= CLASS_SIZES_MAX_RN."""
     if type(r) is not int or r < 1:
         raise bound_error("class_sizes", "r", r, 1)
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("class_sizes", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
-    if r * (n - 1) > CLASS_TUPLES_MAX_BITS:
-        raise bound_error("class_sizes", "r(n-1)", r * (n - 1), 0, CLASS_TUPLES_MAX_BITS)
+    if r * (n - 1) > CLASS_SIZES_MAX_RN:
+        raise bound_error("class_sizes", "r(n-1)", r * (n - 1), 0, CLASS_SIZES_MAX_RN)
+    low = max(1, n - 6 * r)
+    tail_threshold = n - 6 * r - 1
+    if r == 1:  # only tau_min, of run n, meets trivially alone; no 4^(n-1) sums
+        return ClassSizes(n, r, {v: int(v == n) for v in range(low, n + 1)}, tail_threshold, 0)
     from .triangles import _mask_max_run
 
-    census = gap_product_census(n, limit=limit)
-    items = [(mask, count, _mask_max_run(mask)) for mask, count in census.counts.items()]
-    full = (1 << n) - 1
-    low = max(1, n - 6 * r)
-    exact = {v: 0 for v in range(low, n + 1)}
-    tail_threshold = n - 6 * r - 1
-    tail = 0
-    for combo in product(items, repeat=r):
-        union = 0
-        weight = 1
-        for mask, count, _ in combo:
-            union |= mask
-            weight *= count
-        if union != full:
-            continue
-        runs = {run for _, _, run in combo}
-        for v in runs:
-            exact[v] += weight
-        if max(runs) <= tail_threshold:
-            tail += weight
-    return ClassSizes(n, r, exact, tail_threshold, tail)
+    census = gap_product_census(n, limit=limit).counts
+    runs = {mask: _mask_max_run(mask) for mask in census}
+
+    def covering(keep: Callable[[int], bool]) -> int:
+        kept = {mask: count for mask, count in census.items() if keep(runs[mask])}
+        return n_min_census(n, r, census=CensusTable(n, kept), limit=limit)
+
+    n_min = covering(lambda run: True)
+    exact = {v: n_min - covering(lambda run: run != v) for v in range(low, n + 1)}
+    return ClassSizes(n, r, exact, tail_threshold, covering(lambda run: run <= tail_threshold))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ PAST_THE_DEFAULT = {
     "build_census": (lambda: build_census(8), "limit", ENUM),
     "reversed_census": (lambda: reversed_census(8), "limit", ENUM),
     "n_min_census": (lambda: n_min_census(8, 2), "limit", ENUM),
+    "n_min_census-census": (lambda: n_min_census(8, 2, census=gap_product_census(8)), "limit", ENUM),
     "class_sizes": (lambda: class_sizes(8, 2), "limit", ENUM),
     "completions_count": (lambda: completions_count(TrianglePrefix(13, 0, ())), "limit", DP),
     "rank": (lambda: rank(extremal_triangle(13, "min")), "limit", DP),

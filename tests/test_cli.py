@@ -346,6 +346,13 @@ class TestClasses:
         assert len(pairs) == 42
         assert digest == "c23d83d7cd6ef45b382561318bfd946330223a4b76fcd5db5de7a5a651000b5f"
 
+    def test_past_the_former_tuple_cap(self, capsys):
+        # r(n-1) = 24 was refused while the sizes were summed over key tuples
+        code, out, err = run(capsys, "classes", "--n", "7", "--r", "4")
+        assert (code, err) == (0, "")
+        a = asm_number(7)
+        assert out.splitlines()[1].startswith(f"C_7\t{a**4 - (a - 1) ** 4}\t")
+
 
 class TestSample:
     def test_seed_determinism(self, capsys):

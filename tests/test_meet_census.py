@@ -4,9 +4,10 @@ and census oracles and brute force."""
 import hashlib
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations_with_replacement, product
 from math import comb, prod
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from goglattice.meet_census import (
     CENSUS_LIMIT_DEFAULT,
     TRANSFER_LIMIT_DEFAULT,
     CensusTable,
+    ClassSizes,
     _n_min_ie,
     _n_min_sweep,
 )
@@ -518,6 +520,28 @@ class TestPExtreme:
         assert reversed_census(7).counts == gap_product_census(7).counts
 
 
+def class_sizes_by_key_tuples(n, r):
+    """Oracle for `class_sizes`: (exact_sizes, tail_threshold, tail_size)
+    summed over all 2^(r(n-1)) r-tuples of census keys, each weighted by
+    the product of its keys' counts."""
+    from goglattice.triangles import _mask_max_run
+
+    items = [(mask, count, _mask_max_run(mask)) for mask, count in gap_product_census(n).counts.items()]
+    exact = {v: 0 for v in range(max(1, n - 6 * r), n + 1)}
+    tail_threshold = n - 6 * r - 1
+    tail = 0
+    for combo in product(items, repeat=r):
+        if reduce(or_, (mask for mask, _, _ in combo)) != (1 << n) - 1:
+            continue
+        weight = prod(count for _, count, _ in combo)
+        runs = {run for _, _, run in combo}
+        for v in runs:
+            exact[v] += weight
+        if max(runs) <= tail_threshold:
+            tail += weight
+    return exact, tail_threshold, tail
+
+
 class TestClassSizes:
     def test_spec_example(self):
         sizes = class_sizes(3, 2)
@@ -535,18 +559,35 @@ class TestClassSizes:
                 class_bound(3, 2, v)
 
     def test_tuple_cap(self, monkeypatch):
-        # 2^(r(n-1)) key tuples: past r(n-1) = 20 the call is refused before
-        # the census is built
+        # the sums raise counts to the r-th power: past r(n-1) = 60000 the
+        # call is refused before the census is built
         def no_census(*args, **kwargs):
             raise AssertionError("census built past the cap")
 
         with monkeypatch.context() as m:
             m.setattr(meet_census, "gap_product_census", no_census)
-            for n, r in ((3, 11), (7, 4)):
-                message = rf"^class_sizes holds r\(n-1\) <= 20, got r\(n-1\)={r * (n - 1)}$"
+            for n, r in ((2, 60_001), (7, 10_001)):
+                message = rf"^class_sizes holds r\(n-1\) <= 60000, got r\(n-1\)={r * (n - 1)}$"
                 with pytest.raises(LimitExceeded, match=message):
                     class_sizes(n, r)
         assert class_sizes(6, 4).exact_sizes[6] <= class_bound(6, 4, 6)
+        # the former cap's r = 1 corner, past the default limit: tau_min alone
+        assert class_sizes(21, 1, limit=21) == ClassSizes(21, 1, {v: int(v == 21) for v in range(15, 22)}, 14, 0)
+
+    @pytest.mark.parametrize("n, r", [(7, 4), (3, 11), (2, 60_000), (7, 10_000)])
+    def test_tuples_holding_tau_min(self, n, r):
+        # C_n holds exactly the tuples with tau_min among their components
+        a = asm_number(n)
+        assert class_sizes(n, r).exact_sizes[n] == a**r - (a - 1) ** r
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_key_tuple_oracle(self, n):
+        # every r with r(n-1) <= 16, and r <= 4 at n = 1
+        for r in range(1, 5 if n == 1 else 16 // (n - 1) + 1):
+            exact, tail_threshold, tail = class_sizes_by_key_tuples(n, r)
+            sizes = class_sizes(n, r)
+            assert sizes.exact_sizes == exact
+            assert (sizes.tail_threshold, sizes.tail_size) == (tail_threshold, tail)
 
     def test_brute_force_oracle(self, universe):
         for n, r in ((3, 2), (3, 3), (4, 2)):
