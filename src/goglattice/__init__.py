@@ -22,9 +22,14 @@ only the modules it runs.
 import sys as _sys
 
 _EXPORTS = {
+    "census": (
+        "CensusTable", "ClassSizes", "RunHistogram", "RunHistogramReport", "avoid_count",
+        "class_bound", "class_sizes", "gap_product_census", "load_or_build_census",
+        "n_min_census", "reversed_census", "run_histogram_report",
+    ),
     "counting": (
         "LemmaMargins", "asm_number", "asm_number_dp", "bleher_fokin_estimate", "eta",
-        "lemma_margins",
+        "lemma_margins", "primitive_counts",
     ),
     "enumeration": (
         "TrianglePrefix", "build_census", "completions_count", "enumerate_triangles", "rank",
@@ -37,17 +42,15 @@ _EXPORTS = {
         "StrictIncreaseViolated", "TriangleError", "VerificationFailure",
     ),
     "lattice": ("OrderRelation", "compare", "is_trivial", "join", "meet"),
-    "meet_census": (
-        "CensusTable", "ClassSizes", "MeetCensusReport", "RunHistogram", "RunHistogramReport",
-        "avoid_count", "class_bound", "class_sizes", "decompose", "gap_product_census",
-        "load_or_build_census", "n_min_census", "n_min_exact", "p_extreme", "primitive_counts",
-        "reversed_census", "run_histogram_report", "theorem_report",
+    "matrices": (
+        "AlternatingSignMatrix", "ColumnSumMatrix", "Permutation", "parse_asms",
+        "parse_column_sums", "perm_to_triangle",
     ),
+    "meet_census": ("MeetCensusReport", "decompose", "n_min_exact", "p_extreme", "theorem_report"),
     "triangles": (
-        "AlternatingSignMatrix", "ColumnSumMatrix", "MonotoneTriangle", "Permutation",
-        "RowSet", "extremal_triangle", "interlacing_successors", "max_consecutive_run",
-        "near_minimal_triangle", "parse_asms", "parse_column_sums", "parse_triangles",
-        "perm_to_triangle", "triangle_to_text", "triangles_to_text", "validate_triangle",
+        "MonotoneTriangle", "RowSet", "extremal_triangle", "interlacing_successors",
+        "max_consecutive_run", "near_minimal_triangle", "parse_triangles", "triangle_to_text",
+        "triangles_to_text", "validate_triangle",
     ),
 }
 _SUBMODULES = (*_EXPORTS, "cli", "verify")

@@ -93,7 +93,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-# The parser in `triangles` for each `--from` format.
+# The parser for each `--from` format.  The matrix parsers and writers are
+# looked up on `triangles` too, which loads `matrices` for them on first use.
 _PARSERS = {
     "triangle": "parse_triangles",
     "column-sum": "parse_column_sums",
@@ -127,21 +128,25 @@ def cmd_meet(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    from . import meet_census
+    from . import census
 
-    sys.stdout.write(meet_census.gap_product_census(args.n).to_text())
+    sys.stdout.write(census.gap_product_census(args.n).to_text())
     return 0
 
 
 def cmd_pmin(args: argparse.Namespace) -> int:
     from fractions import Fraction
 
-    from . import counting, meet_census
+    from . import counting
 
     if args.method == "ie":
+        from . import meet_census
+
         n_min = meet_census.n_min_exact(args.n, args.r)
     else:
-        n_min = meet_census.n_min_census(args.n, args.r)
+        from . import census
+
+        n_min = census.n_min_census(args.n, args.r)
     p_min = Fraction(n_min, counting.asm_number(args.n) ** args.r)
     payload = {
         "n": args.n,
@@ -191,12 +196,12 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 def cmd_classes(args: argparse.Namespace) -> int:
     from fractions import Fraction
 
-    from . import meet_census
+    from . import census
 
-    sizes = meet_census.class_sizes(args.n, args.r)
+    sizes = census.class_sizes(args.n, args.r)
     print("label\tsize\tbound\tratio_decimal")
     rows = [
-        (f"C_{v}", size, meet_census.class_bound(args.n, args.r, v))
+        (f"C_{v}", size, census.class_bound(args.n, args.r, v))
         for v, size in sorted(sizes.exact_sizes.items(), reverse=True)
     ]
     rows.append((f"C_<={sizes.tail_threshold}", sizes.tail_size, None))

@@ -12,6 +12,12 @@ recurrence, and is its oracle in the tests.  `asm_number_dp` recomputes
 the same value by a row-interlacing dynamic program that never touches the
 formula, which is the in-process oracle for both.
 
+The primitive counts P(m), the size-m triangles whose only distinguished
+row is the bottom one, follow from A(m) = sum_k P(k) A(m-k).  They live
+here, beside A(n), with `_Record`, the base of the report records, because
+both the transfer-matrix count in `meet_census` and the census in `census`
+read them and neither loads the other.
+
 All counts are Python ints and all probabilities `fractions.Fraction`;
 nothing here rounds.
 """
@@ -32,6 +38,7 @@ ENUM_LIMIT_DEFAULT = 7  # enumeration and the census: A(7) = 218,348 triangles
 FORMULA_LIMIT_DEFAULT = 1000  # A(0..1000) fills in about 3 s, A(0..2000) in about 47 s
 
 _A_CACHE: list[int] = [1]  # A(0); append-only, filled once per process
+_P_CACHE: list[int] = [0]  # P(0); append-only, filled once per process
 
 
 def _asm_number_formula(n: int) -> int:
@@ -64,6 +71,26 @@ def asm_number(n: int, limit: int = FORMULA_LIMIT_DEFAULT) -> int:
             raise ArithmeticError(f"A({m + 1}) ratio recurrence did not divide exactly")
         _A_CACHE.append(value)
     return _A_CACHE[n]
+
+
+def primitive_counts(m_max: int) -> list[int]:
+    """[P(0), ..., P(m_max)]: P(m) counts the size-m triangles whose only
+    distinguished row is the bottom one (P(0) = 0 by convention).
+
+    The counts are computed once per process into an append-only list; each
+    call returns a fresh copy.
+
+    >>> primitive_counts(6)
+    [0, 1, 1, 4, 29, 343, 6536]
+    """
+    if type(m_max) is not int or m_max < 0:
+        raise bound_error("primitive_counts", "m_max", m_max, 0)
+    p = _P_CACHE
+    if len(p) <= m_max:
+        a = [asm_number(m) for m in range(m_max + 1)]
+        for m in range(len(p), m_max + 1):
+            p.append(a[m] - sum(p[k] * a[m - k] for k in range(1, m)))
+    return p[: m_max + 1]
 
 
 def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
@@ -116,6 +143,23 @@ def eta(n: int, rows: RowSet | Iterable[int]) -> int:
         prod *= asm_number(i - prev)
         prev = i
     return prod * asm_number(n - prev)
+
+
+class _Record:
+    """Base of the report records: field-wise `==` and repr, as a dataclass
+    has them.  Each `__init__` stores the fields in `__dict__`, in
+    declaration order; the records are plain classes so that loading them
+    does not load `dataclasses`.  Defining `__eq__` leaves them unhashable.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from the objects of the index's one row table, `rows` (row i is
 rows[i]; 0.35 MiB at n = 12).  The census compares each row of a prefix
 with its key row, and tallies the tails of a row n-2 by theirs once per
 walk: the key row i is 1, ..., i for the distinguished row i, and
-n-i+1, ..., n for the row at its maximum that `meet_census.reversed_census`
+n-i+1, ..., n for the row at its maximum that `census.reversed_census`
 counts.
 
 Ranking, unranking and uniform sampling go down one path of the tree,
@@ -67,7 +67,7 @@ Python ints past it (n >= 14).
 
 The census maps each exact distinguished-row set (as a bitmask, bit i-1 for
 row i) to the number of triangles realizing it.  Its production route, the
-gap products f(D), and its text format live in `meet_census`, and the
+gap products f(D), and its text format live in `census`, and the
 names `CensusTable`, `RunHistogram` and `load_or_build_census` resolve here
 to those objects.  `build_census`, the walk, is the census
 oracle.
@@ -100,23 +100,23 @@ from .triangles import (
 )
 
 if TYPE_CHECKING:
-    from .meet_census import CensusTable
+    from .census import CensusTable
 
 INDEX_MAX_N = 16  # successor ids are array("H") items, so 2^n <= 65536
 _BLOCK = 16  # successors per cumulative mark of the successor index
 SAMPLE_LIMIT_DEFAULT = 100_000  # samples per call; at n = 12 about 5.5 s and 141 MiB
 
-# The census lives in `meet_census`.  These names resolve here to its objects
-# on first use, so that enumerating or sampling does not load it.
-_FROM_MEET_CENSUS = ("CensusTable", "RunHistogram", "load_or_build_census")
+# The census lives in `census`.  These names resolve here to its objects on
+# first use, so that enumerating or sampling does not load it.
+_FROM_CENSUS = ("CensusTable", "RunHistogram", "load_or_build_census")
 
 
 def __getattr__(name: str):
-    if name not in _FROM_MEET_CENSUS:
+    if name not in _FROM_CENSUS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import meet_census
+    from . import census
 
-    return getattr(meet_census, name)
+    return getattr(census, name)
 
 
 class TrianglePrefix(_Frozen):
@@ -510,14 +510,14 @@ def _census(n: int, keys: list[tuple[int, ...]]) -> CensusTable:
         above = sum(compress(bits, map(eq, prefix, keys)))
         for mask, count in tally.items():
             counts[above | mask] = counts.get(above | mask, 0) + count
-    from .meet_census import CensusTable
+    from .census import CensusTable
 
     return CensusTable(n, dict(sorted(counts.items())))
 
 
 def build_census(n: int, limit: int = ENUM_LIMIT_DEFAULT) -> CensusTable:
     """Exact distinguished-set census of the size-n triangles, by walking
-    every triangle: the oracle for `meet_census.gap_product_census`."""
+    every triangle: the oracle for `census.gap_product_census`."""
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("build_census", "n", n, 1, limit, f"{ENUM_LIMIT_DEFAULT=}")
     # Row i is distinguished iff it is 1, ..., i.

@@ -20,7 +20,7 @@ Whether a meet is trivial needs no meet.  Row i of a triangle is 1, ..., i
 exactly when its last entry is i, and the meet's last entry in row i is the
 least of the operands', so the meet's distinguished rows are the union of
 the operands': D(t_1 ^ ... ^ t_r) = D(t_1) u ... u D(t_r), the fact that
-`meet_census` counts by.  Dually, row i is n-i+1, ..., n exactly when its
+`meet_census` and `census` count by.  Dually, row i is n-i+1, ..., n exactly when its
 first entry is n-i+1, and the join's first entry is the greatest, so the
 join's rows at their maximum are the union of the operands'.  So
 `is_trivial` asks, row by row, whether some operand has the extremal row,

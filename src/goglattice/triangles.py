@@ -1,15 +1,12 @@
-"""Monotone triangles, their companion matrix forms, and the maps between them.
+"""Monotone triangles, their row sets, their successor rows and their text.
 
 A monotone triangle of size n is a triangular array with i entries in row i,
 all taken from [n] = {1, ..., n}, whose rows strictly increase, whose
 adjacent rows interlace (a(i,j) <= a(i-1,j) <= a(i,j+1)), and whose bottom
-row is therefore forced to be 1, 2, ..., n.  The same data can be presented
-as an n x n column-sum matrix (0/1 entries; row i is the indicator vector of
-triangle row i) or as an alternating-sign matrix (successive differences of
-the column-sum rows).  Each form is checked through that definition: a 0/1
-matrix is a column-sum matrix exactly when its one-positions form a monotone
-triangle, and a matrix over {-1, 0, 1} is an ASM exactly when its partial
-sums down each column form a column-sum matrix.
+row is therefore forced to be 1, 2, ..., n.  Its companion matrix forms,
+the column-sum matrix and the alternating-sign matrix, and permutations
+live in `matrices`, which the `to_*` and `from_*` conversions here load when
+they are called; their names also resolve here, on first use.
 
 All public interfaces and error positions are 1-based, matching the usual
 a(i,j) indexing; storage is 0-based tuples.  Values are immutable after
@@ -21,35 +18,49 @@ that the package builds from checked edges of its successor index
 through `MonotoneTriangle._checked` and go through none.
 
 >>> t = MonotoneTriangle(((3,), (2, 4), (1, 3, 4), (1, 2, 3, 4)))
->>> t.to_asm().entries[1]
-(0, 1, -1, 1)
->>> MonotoneTriangle.from_asm(t.to_asm()) == t
-True
+>>> t.distinguished_rows().members, t.is_permutation_triangle()
+((4,), False)
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
 from operator import index, lt
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     BadBottomRow,
     FormatError,
-    GogError,
     InterlacingViolated,
-    NotAColumnSumMatrix,
-    NotAnASM,
-    NotAPermutation,
     RowOutOfRange,
     ShapeMismatch,
     SizeTooSmall,
     StrictIncreaseViolated,
-    TriangleError,
     bound_error,
 )
 
+if TYPE_CHECKING:
+    from .matrices import AlternatingSignMatrix, ColumnSumMatrix, Permutation
+
 Rows = tuple[tuple[int, ...], ...]
+
+# The matrix forms live in `matrices`.  These names resolve here to its
+# objects on first use, so that a command on triangles alone does not load it.
+_FROM_MATRICES = (
+    "AlternatingSignMatrix", "ColumnSumMatrix", "Permutation", "matrices_to_text",
+    "matrix_to_text", "parse_asms", "parse_column_sums", "perm_to_triangle",
+)
+
+
+def __getattr__(name: str):
+    if name not in _FROM_MATRICES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import matrices
+
+    # Bound here once resolved, so that a wrapper later set on this name (as
+    # the benchmark's layer tracer sets one) is what `gog convert` calls.
+    value = globals()[name] = getattr(matrices, name)
+    return value
 
 
 def _staircase(i: int) -> tuple[int, ...]:
@@ -236,32 +247,36 @@ class MonotoneTriangle(_Frozen):
             entries.append(tuple(1 if v in present else 0 for v in range(1, n + 1)))
         return tuple(entries)
 
-    def to_column_sum(self) -> "ColumnSumMatrix":
+    def to_column_sum(self) -> ColumnSumMatrix:
         """The 0/1 matrix whose row i is the indicator vector of row i."""
+        from .matrices import ColumnSumMatrix
+
         return ColumnSumMatrix(self._indicators())
 
-    def to_asm(self) -> "AlternatingSignMatrix":
+    def to_asm(self) -> AlternatingSignMatrix:
         """Successive row differences of the column-sum matrix."""
+        from .matrices import AlternatingSignMatrix, _differences
+
         return AlternatingSignMatrix(_differences(self._indicators()))
 
     @classmethod
-    def from_column_sum(cls, c: "ColumnSumMatrix") -> "MonotoneTriangle":
+    def from_column_sum(cls, c: ColumnSumMatrix) -> "MonotoneTriangle":
         """Row i lists the positions of the ones in matrix row i, ascending."""
+        from .matrices import _one_positions
+
         return cls(_one_positions(c.entries))
 
     @classmethod
-    def from_asm(cls, a: "AlternatingSignMatrix") -> "MonotoneTriangle":
+    def from_asm(cls, a: AlternatingSignMatrix) -> "MonotoneTriangle":
         """Row i lists the positions of the ones in row i of the partial
         column sums, ascending."""
+        from .matrices import _one_positions, _partial_sums
+
         return cls(_one_positions(_partial_sums(a.entries)))
 
     @classmethod
-    def from_permutation(cls, p: "Permutation") -> "MonotoneTriangle":
-        """Row i is the sorted set {p(1), ..., p(i)}.
-
-        >>> MonotoneTriangle.from_permutation(Permutation((3, 1, 2))).rows
-        ((3,), (1, 3), (1, 2, 3))
-        """
+    def from_permutation(cls, p: Permutation) -> "MonotoneTriangle":
+        """Row i is the sorted set {p(1), ..., p(i)}."""
         values = p.values
         rows = tuple(tuple(sorted(values[:i])) for i in range(1, p.n + 1))
         return cls(rows)
@@ -394,152 +409,6 @@ def max_consecutive_run(d: RowSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matrix forms
-
-
-def _check_square(entries: Rows, error: type[GogError], values: tuple[int, ...]) -> None:
-    """Raise `error` unless entries is a nonempty square of exact ints in `values`."""
-    n = len(entries)
-    if n == 0:
-        raise error("matrix is empty")
-    for i, row in enumerate(entries, start=1):
-        if len(row) != n:
-            raise error(f"row {i} has {len(row)} entries, expected {n}")
-        if odd := _non_int(row):
-            raise error(f"row {i} has a non-integer entry: {odd[0]!r}")
-        if any(v not in values for v in row):
-            raise error(f"row {i} has an entry outside {{{', '.join(map(str, values))}}}")
-
-
-def _differences(entries: Rows) -> Rows:
-    """The first row, then each row less the one above it."""
-    out = [entries[0]]
-    for prev, row in zip(entries, entries[1:]):
-        out.append(tuple(b - a for a, b in zip(prev, row)))
-    return tuple(out)
-
-
-def _partial_sums(entries: Rows) -> Rows:
-    """The sums down each column of the rows up to each row: the inverse of
-    `_differences`."""
-    total = [0] * len(entries)
-    out = []
-    for row in entries:
-        total = [a + b for a, b in zip(total, row)]
-        out.append(tuple(total))
-    return tuple(out)
-
-
-def _one_positions(entries: Rows) -> Rows:
-    """For each row of a 0/1 matrix, the 1-based positions of its ones."""
-    return tuple(tuple(j for j, v in enumerate(row, start=1) if v == 1) for row in entries)
-
-
-class ColumnSumMatrix(_Frozen):
-    """An n x n 0/1 matrix whose row i marks the entries of triangle row i."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
-        entries = tuple(tuple(row) for row in entries)
-        object.__setattr__(self, "entries", entries)
-        _check_square(entries, NotAColumnSumMatrix, (0, 1))
-        try:
-            _validate_rows(_one_positions(entries))
-        except TriangleError as exc:
-            raise NotAColumnSumMatrix(f"one-positions are not a monotone triangle: {exc}") from exc
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def to_triangle(self) -> MonotoneTriangle:
-        return MonotoneTriangle.from_column_sum(self)
-
-    def to_asm(self) -> "AlternatingSignMatrix":
-        return AlternatingSignMatrix(_differences(self.entries))
-
-
-class AlternatingSignMatrix(_Frozen):
-    """An n x n matrix over {-1, 0, 1} whose partial sums down each column
-    form a column-sum matrix; it is that matrix's successive row differences.
-
-    This is the textbook rule, that the nonzero entries of every row and
-    every column read +1, -1, ..., +1: a column's do exactly when its partial
-    sums stay in {0, 1} and end at 1, and a row's do exactly when it is the
-    difference of the indicator vectors of two interlacing triangle rows.
-    """
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
-        entries = tuple(tuple(row) for row in entries)
-        object.__setattr__(self, "entries", entries)
-        _check_square(entries, NotAnASM, (-1, 0, 1))
-        try:
-            self.to_column_sum()
-        except NotAColumnSumMatrix as exc:
-            raise NotAnASM(f"partial column sums are not a column-sum matrix: {exc}") from exc
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def to_column_sum(self) -> ColumnSumMatrix:
-        """Partial sums down each column, the matrix whose row differences this is."""
-        return ColumnSumMatrix(_partial_sums(self.entries))
-
-    def to_triangle(self) -> MonotoneTriangle:
-        return MonotoneTriangle.from_asm(self)
-
-    def has_negative_entry(self) -> bool:
-        return any(-1 in row for row in self.entries)
-
-
-# ---------------------------------------------------------------------------
-# Permutations
-
-
-class Permutation(_Frozen):
-    """A permutation of [n] in one-line notation, 1-based values."""
-
-    values: tuple[int, ...]
-
-    def __init__(self, values: Sequence[int]) -> None:
-        values = tuple(values)
-        object.__setattr__(self, "values", values)
-        if odd := _non_int(values):
-            raise NotAPermutation(f"{values} has a non-integer entry: {odd[0]!r}")
-        if sorted(values) != list(range(1, len(values) + 1)):
-            raise NotAPermutation(f"{values} is not a rearrangement of 1..{len(values)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def to_asm(self) -> AlternatingSignMatrix:
-        """The permutation matrix, which is an ASM with no -1 entries."""
-        n = self.n
-        entries = tuple(
-            tuple(1 if self.values[i] == j else 0 for j in range(1, n + 1))
-            for i in range(n)
-        )
-        return AlternatingSignMatrix(entries)
-
-    def to_triangle(self) -> MonotoneTriangle:
-        return MonotoneTriangle.from_permutation(self)
-
-
-def perm_to_triangle(p: Permutation) -> MonotoneTriangle:
-    """Row i of the result is the sorted prefix set {p(1), ..., p(i)}."""
-    return MonotoneTriangle.from_permutation(p)
-
-
-# ---------------------------------------------------------------------------
 # Row-by-row construction
 
 
@@ -600,11 +469,9 @@ def interlacing_successors(row: tuple[int, ...], n: int) -> Iterator[tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# Text formats (bit-exact CLI interchange)
-#
-# Triangle format: n lines, line i holding i space-separated integers;
-# triangles separated by a single blank line.  Matrix format: n lines of n
-# space-separated integers, same separator convention for streams.
+# Text format (bit-exact CLI interchange): n lines, line i holding i
+# space-separated integers; triangles separated by a single blank line.  The
+# matrix format in `matrices` reads its lines with the same helpers.
 
 
 def triangle_to_text(t: MonotoneTriangle) -> str:
@@ -636,16 +503,6 @@ def triangles_to_text_chunks(ts: Iterable[MonotoneTriangle]) -> Iterator[str]:
     while chunk := list(islice(texts, _CHUNK_TRIANGLES)):
         yield separator + "\n\n".join(chunk) + "\n"
         separator = "\n"
-
-
-def matrix_to_text(m: ColumnSumMatrix | AlternatingSignMatrix) -> str:
-    return matrices_to_text((m,))
-
-
-def matrices_to_text(ms: Iterable[ColumnSumMatrix | AlternatingSignMatrix]) -> str:
-    return "\n\n".join(
-        "\n".join(" ".join(str(v) for v in row) for row in m.entries) for m in ms
-    ) + "\n"
 
 
 def _blocks(text: str) -> list[list[str]]:
@@ -684,15 +541,3 @@ def parse_triangles(text: str) -> list[MonotoneTriangle]:
         rows = _parse_int_lines(lines)
         out.append(validate_triangle(len(rows), rows))
     return out
-
-
-def _parse_matrices(text: str, cls: type) -> list:
-    return [cls(tuple(map(tuple, _parse_int_lines(lines)))) for lines in _blocks(text)]
-
-
-def parse_column_sums(text: str) -> list[ColumnSumMatrix]:
-    return _parse_matrices(text, ColumnSumMatrix)
-
-
-def parse_asms(text: str) -> list[AlternatingSignMatrix]:
-    return _parse_matrices(text, AlternatingSignMatrix)

@@ -12,16 +12,11 @@ import math
 from itertools import permutations, product
 from typing import Iterator
 
-from . import counting, enumeration, lattice, meet_census
+from . import census, counting, enumeration, lattice, meet_census
 from .errors import GogError, VerificationFailure
 from .lattice import OrderRelation, compare, is_trivial, join, meet
-from .triangles import (
-    MonotoneTriangle,
-    Permutation,
-    RowSet,
-    extremal_triangle,
-    near_minimal_triangle,
-)
+from .matrices import Permutation
+from .triangles import MonotoneTriangle, RowSet, extremal_triangle, near_minimal_triangle
 
 FIG1_TRIANGLE = MonotoneTriangle(((3,), (2, 4), (1, 3, 4), (1, 2, 3, 4)))
 FIG1_COLUMN_SUM = ((0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1))
@@ -177,7 +172,7 @@ def verify_census(n_max: int = 6) -> int:
         table = enumeration.build_census(n)
         if table.total() != counting.asm_number(n):
             _fail(suite, f"census values at n={n} do not sum to A({n})")
-        if meet_census.gap_product_census(n) != table:
+        if census.gap_product_census(n) != table:
             _fail(suite, f"the gap-product census differs from the enumerated one at n={n}")
         checks += 2
         for mask in range(1 << (n - 1)):
@@ -185,7 +180,7 @@ def verify_census(n_max: int = 6) -> int:
             if table.containment_count(mask) != counting.eta(n, members):
                 _fail(suite, f"containment sum != eta at n={n}, I={members}")
             checks += 1
-        if meet_census.CensusTable.from_text(table.to_text()).counts != table.counts:
+        if census.CensusTable.from_text(table.to_text()).counts != table.counts:
             _fail(suite, f"census text roundtrip broke at n={n}")
         checks += 1
     table3 = enumeration.build_census(3)
@@ -203,9 +198,9 @@ def verify_theorems(n_max: int = 6) -> int:
 
     for n, r in product(range(1, min(n_max, 6) + 1), (1, 2, 3)):
         n_min = meet_census.n_min_exact(n, r)
-        if n_min != meet_census._n_min_ie(n, r):
+        if n_min != census._n_min_ie(n, r):
             _fail(suite, f"transfer count and IE oracle disagree at (n={n}, r={r})")
-        if n_min != meet_census.n_min_census(n, r):
+        if n_min != census.n_min_census(n, r):
             _fail(suite, f"transfer count and census oracle disagree at (n={n}, r={r})")
         checks += 2
 
@@ -220,9 +215,9 @@ def verify_theorems(n_max: int = 6) -> int:
 
     # p_max = p_min by rank reversal: count the join side on reversed keys.
     for n in range(1, min(n_max, 5) + 1):
-        table = meet_census.reversed_census(n)
+        table = census.reversed_census(n)
         for r in (1, 2, 3):
-            if meet_census.n_min_census(n, r, census=table) != meet_census.n_min_exact(n, r):
+            if census.n_min_census(n, r, census=table) != meet_census.n_min_exact(n, r):
                 _fail(suite, f"reversed census gives N_max != N_min at (n={n}, r={r})")
             checks += 1
 
@@ -241,11 +236,11 @@ def verify_theorems(n_max: int = 6) -> int:
             checks += 1
 
     for n in range(4, min(n_max, 7) + 1):
-        block = meet_census.run_histogram_report(n)
+        block = census.run_histogram_report(n)
         if not (block.head_matches and block.tail_matches):
             _fail(suite, f"block counts 1, 1, 6 / A(n)-8 broke at n={n}")
         checks += 1
-    report3 = meet_census.run_histogram_report(3)
+    report3 = census.run_histogram_report(3)
     if report3.histogram.counts != {1: 5, 2: 1, 3: 1} or report3.head_matches:
         _fail(suite, "the documented n=3 deviation changed")
     checks += 1

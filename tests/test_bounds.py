@@ -2,6 +2,7 @@
 that raises it and the knob's default, and only `errors` words it."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,9 @@ NOT_A_SIZE = {
     "class_bound-v": (lambda: class_bound(3, 2, 3.0), "v", "float 3.0"),
     "decompose": (lambda: decompose(3.0, 2, 15), "n", "float 3.0"),
     "decompose-r": (lambda: decompose(3, 2.0, 15), "r", "float 2.0"),
+    "decompose-n_min": (lambda: decompose(3, 2, True), "n_min", "bool True"),
+    "decompose-n_min-float": (lambda: decompose(3, 2, 1.5), "n_min", "float 1.5"),
+    "decompose-n_min-fraction": (lambda: decompose(3, 2, Fraction(1, 2)), "n_min", "Fraction Fraction(1, 2)"),
 }
 # The entry points whose refusal is worded by the function they call first.
 DELEGATES = {
@@ -265,6 +269,12 @@ def test_size_must_be_an_exact_int(key):
     with pytest.raises(TypeError) as exc:
         call()
     assert str(exc.value) == f"{DELEGATES.get(what, what)} needs an int {name}, got {got}"
+
+
+def test_decompose_needs_a_count():
+    with pytest.raises(ValueError, match=r"^decompose needs n_min >= 0, got -1$"):
+        decompose(3, 2, -1)
+    assert decompose(3, 2, 0).n_min == 0
 
 
 class Lookalike:

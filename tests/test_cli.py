@@ -495,7 +495,7 @@ class TestImport:
     def test_census_loads_only_the_gap_products(self, tmp_path):
         argv = ["census", "--n", "6", "--cache-dir", str(tmp_path)]
         loaded = self._modules_after_main(*argv)
-        assert loaded == {"goglattice", "cli", "errors", "counting", "meet_census"}
+        assert loaded == {"goglattice", "cli", "errors", "counting", "census"}
         # nor the exact-fraction modules, which only the reports use
         code = (
             f"import sys; from goglattice.cli import main; main({argv!r}); "
@@ -507,6 +507,34 @@ class TestImport:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stderr == "[]\n"
+
+    # The other cold commands of the benchmark (`asm-count --n 100` and
+    # `census` are pinned above), and `convert` from a matrix form: a command
+    # on triangles alone loads no `matrices`, `census` or `meet_census`, and
+    # the sweep commands no `census`, `triangles`, `matrices` or `enumeration`.
+    @pytest.mark.parametrize(
+        "argv, stdin, modules",
+        [
+            (("asm-count", "--n", "9", "--method", "dp"), "", {"counting", "triangles"}),
+            (("convert", "--from", "triangle", "--to", "asm"), FIG1_TRIANGLE_TEXT, {"triangles", "matrices"}),
+            (("convert", "--from", "asm", "--to", "triangle"), FIG1_ASM_TEXT, {"triangles", "matrices"}),
+            (("convert", "--from", "triangle", "--to", "triangle"), FIG1_TRIANGLE_TEXT, {"triangles"}),
+            (("meet",), FIG1_TRIANGLE_TEXT, {"triangles", "lattice"}),
+            (("pmin", "--n", "14", "--r", "2", "--json"), "", {"counting", "meet_census", "_transfer"}),
+            (
+                ("sample", "--n", "10", "--count", "50", "--seed", "3142267078"), "",
+                {"counting", "enumeration", "triangles"},
+            ),
+            (("theorem2", "--r", "3", "--n-max", "12"), "", {"counting", "meet_census", "_transfer"}),
+        ],
+        ids=[
+            "asm-count-dp", "convert", "convert-from-asm", "convert-triangles-only", "meet",
+            "pmin", "sample", "theorem2",
+        ],
+    )
+    def test_cold_commands_load_exactly_their_modules(self, argv, stdin, modules):
+        loaded = self._modules_after_main(*argv, stdin=stdin)
+        assert loaded == {"goglattice", "cli", "errors", *modules}
 
     @pytest.mark.parametrize(
         "argv, stdin",

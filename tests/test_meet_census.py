@@ -33,14 +33,14 @@ from goglattice import (
     run_histogram_report,
     theorem_report,
 )
-from goglattice import _transfer, meet_census
+from goglattice import _transfer, counting, meet_census
 from goglattice._transfer import work
+from goglattice.census import _avoid_counts, _n_min_ie
 from goglattice.meet_census import (
     CENSUS_LIMIT_DEFAULT,
     TRANSFER_LIMIT_DEFAULT,
     CensusTable,
     ClassSizes,
-    _n_min_ie,
     _n_min_sweep,
 )
 
@@ -113,6 +113,17 @@ class TestAvoidCount:
                 brute = sum(1 for m in masks if m & t_mask == 0)
                 assert avoid_count(n, members) == brute
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_subset_sum_transform_matches_the_key_scan(self, n):
+        # every mask's avoidance count, for the whole census and for one kept
+        # to some keys, as `class_sizes` passes it
+        table = gap_product_census(n)
+        kept = CensusTable(n, {m: c for m, c in table.counts.items() if m % 3})
+        for census in (table, kept):
+            assert _avoid_counts(n, census.counts) == [
+                census.avoid_count(mask) for mask in range(1 << (n - 1))
+            ]
+
     def test_out_of_range(self):
         with pytest.raises(RowOutOfRange):
             avoid_count(3, (3,))
@@ -125,10 +136,10 @@ class TestNMin:
     def test_r_one_is_always_one(self):
         # answered before any program or P fill, up to the boundary (260, 1)
         meet_census._PROGRAMS.clear()
-        del meet_census._P_CACHE[1:]
+        del counting._P_CACHE[1:]
         for n in (1, 2, 5, 9, 260):
             assert n_min_exact(n, 1) == 1
-        assert meet_census._PROGRAMS == {} and meet_census._P_CACHE == [0]
+        assert meet_census._PROGRAMS == {} and counting._P_CACHE == [0]
 
     def test_spot_values_against_brute_force(self, universe):
         for n, r in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)):
@@ -197,11 +208,11 @@ class TestNMin:
 
     def test_refusal_builds_nothing(self):
         meet_census._PROGRAMS.clear()
-        del meet_census._P_CACHE[1:]
+        del counting._P_CACHE[1:]
         for call in (lambda: n_min_exact(300, 2), lambda: theorem_report(91, 3)):
             with pytest.raises(LimitExceeded):
                 call()
-        assert meet_census._PROGRAMS == {} and meet_census._P_CACHE == [0]
+        assert meet_census._PROGRAMS == {} and counting._P_CACHE == [0]
 
     def test_gates_stay_admitted(self):
         for key in SWEEP_DIGESTS:
@@ -266,7 +277,7 @@ class TestPrimitiveCountsCache:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 60), min_size=1, max_size=8))
     def test_any_call_order_matches_scratch(self, calls):
-        del meet_census._P_CACHE[1:]  # start this example from a cold cache
+        del counting._P_CACHE[1:]  # start this example from a cold cache
         for m_max in calls:
             p = primitive_counts(m_max)
             assert p == PRIMITIVE_60[: m_max + 1]
