@@ -32,10 +32,12 @@ with g(T) the triangles whose distinguished set avoids T, once from the gap
 products (`_n_min_ie`) and once from a census (`n_min_census`), both
 through one signed sum.  A census gives every g(T) at once by one
 subset-sum transform over the masks.  `class_sizes` takes the same sum over
-the census keys of chosen runs.  Rank reversal maps distinguished rows to
-rows at their maximum, so N_max = N_min; the reversed census counts rows at
-their maximum off the same walk as `enumeration.build_census`, and so
-checks the count on the join side.
+the census keys of chosen runs.  The records take `==` and repr from
+`counting._Record`, and a key's rows and longest run come from the mask
+loops there, so the census and its class sizes load no `triangles`.  Rank
+reversal maps distinguished rows to rows at their maximum, so N_max =
+N_min; the reversed census counts rows at their maximum off the same walk
+as `enumeration.build_census`, and so checks the count on the join side.
 """
 
 from __future__ import annotations
@@ -45,7 +47,15 @@ from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .counting import ENUM_LIMIT_DEFAULT, _Record, _sorted_members, asm_number, primitive_counts
+from .counting import (
+    ENUM_LIMIT_DEFAULT,
+    _Record,
+    _mask_max_run,
+    _mask_rows,
+    _sorted_members,
+    asm_number,
+    primitive_counts,
+)
 from .errors import FormatError, bound_error
 
 if TYPE_CHECKING:
@@ -119,13 +129,7 @@ class CensusTable(_Record):
         """Triangles whose distinguished set contains every row in `mask`."""
         return sum(c for m, c in self.counts.items() if m & mask == mask)
 
-    def avoid_count(self, mask: int) -> int:
-        """Triangles whose distinguished set avoids every row in `mask`."""
-        return sum(c for m, c in self.counts.items() if m & mask == 0)
-
     def run_histogram(self) -> RunHistogram:
-        from .triangles import _mask_max_run
-
         hist: dict[int, int] = {}
         for mask, c in self.counts.items():
             run = _mask_max_run(mask)
@@ -257,11 +261,9 @@ def _signed_sum(r: int, avoid: Iterable[int]) -> int:
 def _n_min_ie(n: int, r: int) -> int:
     """Oracle for `n_min_exact`: inclusion-exclusion over the 2^(n-1) row
     subsets, with the avoidance counts from the gap products."""
-    from .triangles import RowSet
-
     a = [asm_number(i) for i in range(n + 1)]
     return _signed_sum(
-        r, (_avoid_from_table(n, RowSet(n, mask).members, a) for mask in range(1 << (n - 1)))
+        r, (_avoid_from_table(n, _mask_rows(mask), a) for mask in range(1 << (n - 1)))
     )
 
 
@@ -365,7 +367,7 @@ def class_bound(n: int, r: int, v: int) -> int | None:
 
 
 def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
-    """Exact class sizes by the signed sum of `n_min_census` over the census
+    """Exact class sizes by the inclusion-exclusion signed sum over the census
     keys of some runs (a tuple's class depends only on its components'
     distinguished sets): exact_sizes[v] is N_min less the covering tuples
     with no component of run v, and tail_size the covering tuples with every
@@ -382,14 +384,12 @@ def class_sizes(n: int, r: int, limit: int = ENUM_LIMIT_DEFAULT) -> ClassSizes:
     tail_threshold = n - 6 * r - 1
     if r == 1:  # only tau_min, of run n, meets trivially alone; no sums
         return ClassSizes(n, r, {v: int(v == n) for v in range(low, n + 1)}, tail_threshold, 0)
-    from .triangles import _mask_max_run
-
     census = gap_product_census(n, limit=limit).counts
     runs = {mask: _mask_max_run(mask) for mask in census}
 
     def covering(keep: Callable[[int], bool]) -> int:
         kept = {mask: count for mask, count in census.items() if keep(runs[mask])}
-        return n_min_census(n, r, census=CensusTable(n, kept), limit=limit)
+        return _signed_sum(r, _avoid_counts(n, kept))
 
     n_min = covering(lambda run: True)
     exact = {v: n_min - covering(lambda run: run != v) for v in range(low, n + 1)}

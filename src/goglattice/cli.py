@@ -29,18 +29,21 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _decimal(value: Fraction, sig: int = 12) -> str:
+_SIG = 12  # significant digits of a printed decimal
+
+
+def _decimal(value: Fraction) -> str:
     approx = float(value)
     if abs(approx) >= sys.float_info.min or not value:
-        return f"{approx:.{sig}g}"
-    # Zero or subnormal as a double, which holds fewer than `sig` digits:
+        return f"{approx:.{_SIG}g}"
+    # Zero or subnormal as a double, which holds fewer than `_SIG` digits:
     # round the exact value instead.
     from decimal import Decimal, localcontext
 
     with localcontext() as context:
-        context.prec = sig
+        context.prec = _SIG
         exact = Decimal(value.numerator) / Decimal(value.denominator)
-    return f"{exact.normalize():.{sig}g}"
+    return f"{exact.normalize():.{_SIG}g}"
 
 
 def _int_arg(low: int, high: float, rejected: str) -> Callable[[str], int]:

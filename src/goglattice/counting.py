@@ -14,9 +14,11 @@ formula, which is the in-process oracle for both.
 
 The primitive counts P(m), the size-m triangles whose only distinguished
 row is the bottom one, follow from A(m) = sum_k P(k) A(m-k).  They live
-here, beside A(n), with `_Record`, the base of the report records, because
-both the transfer-matrix count in `meet_census` and the census in `census`
-read them and neither loads the other.
+here, beside A(n), because the transfer-matrix count in `meet_census` and
+the census in `census` read them and neither loads the other.  So do the
+record bases `_Record` and `_Frozen` and the row-mask loops `_mask_rows`
+and `_mask_max_run`: `triangles` loads them from here, so the census and
+its class sizes need not compile it.
 
 All counts are Python ints and all probabilities `fractions.Fraction`;
 nothing here rounds.
@@ -146,7 +148,7 @@ def eta(n: int, rows: RowSet | Iterable[int]) -> int:
 
 
 class _Record:
-    """Base of the report records: field-wise `==` and repr, as a dataclass
+    """Base of the record classes: field-wise `==` and repr, as a dataclass
     has them.  Each `__init__` stores the fields in `__dict__`, in
     declaration order; the records are plain classes so that loading them
     does not load `dataclasses`.  Defining `__eq__` leaves them unhashable.
@@ -162,33 +164,67 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+class _Frozen(_Record):
+    """Base of the immutable records: a `_Record` with a hash over the fields,
+    as a frozen dataclass has it, and no assignment after construction.
+
+    Each `__init__` validates its arguments and stores the fields through
+    `object.__setattr__`.  A `__dict__` rather than `__slots__` keeps pickle
+    and copy working, since they restore a `__dict__` without calling
+    `__setattr__`.
+    """
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _mask_rows(mask: int) -> tuple[int, ...]:
+    """The rows of a row mask, bit i-1 for row i, ascending."""
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+
+
+def _mask_max_run(mask: int) -> int:
+    """The length of the longest block of consecutive rows in a row mask."""
+    # Each step keeps the set bits whose next higher bit is set too, so a
+    # block of L bits is gone after L steps: one step per unit of the
+    # longest block, not one per bit.
+    best = 0
+    while mask:
+        mask &= mask >> 1
+        best += 1
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Lemma-level inequalities, in exact integer form
 
 
-class LemmaMargins:
+class LemmaMargins(_Record):
     """Exact margins for the three count inequalities used by the bounds.
 
     increase:  (i1, i2, A(i1+1)A(i2-1) - A(i1)A(i2)) for 1 <= i2 <= i1 <= n_max
     ratio:     (n, c, lhs, rhs) with lhs = A(n-c) * 3^(c(2n-c-1)/2) and
                rhs = A(n) * 2^(c(2n-c-1)/2); the claim is lhs <= rhs
     corollary: (n, members, A(n-k) - eta_n(members)) over sampled subsets
-
-    A plain class, not a dataclass, so that importing `counting` (every cold
-    `gog` command does) does not load `dataclasses`.
     """
 
     def __init__(
         self,
         n_max: int,
-        increase: list[tuple[int, int, int]] | None = None,
-        ratio: list[tuple[int, int, int, int]] | None = None,
-        corollary: list[tuple[int, tuple[int, ...], int]] | None = None,
+        increase: list[tuple[int, int, int]],
+        ratio: list[tuple[int, int, int, int]],
+        corollary: list[tuple[int, tuple[int, ...], int]],
     ) -> None:
         self.n_max = n_max
-        self.increase = [] if increase is None else increase
-        self.ratio = [] if ratio is None else ratio
-        self.corollary = [] if corollary is None else corollary
+        self.increase = increase
+        self.ratio = ratio
+        self.corollary = corollary
 
     def violations(self) -> list[str]:
         bad = [
@@ -217,42 +253,41 @@ class LemmaMargins:
         return len(self.increase) + len(self.ratio) + len(self.corollary)
 
 
-def lemma_margins(n_max: int, subset_limit: int = 64, seed: int = 20240817) -> LemmaMargins:
+_LEMMA_SUBSETS = 64  # corollary subsets per n: all of them while they fit
+_LEMMA_SEED = 20240817
+
+
+def lemma_margins(n_max: int) -> LemmaMargins:
     """Sweep the lemma inequalities up to n_max; exact integers throughout.
 
     The ratio bound is checked in cross-multiplied form, avoiding any
     floating-point tolerance.  Subsets for the corollary margin are
-    exhaustive while 2^(n-1) <= subset_limit and seeded samples beyond,
+    exhaustive while 2^(n-1) - 1 <= _LEMMA_SUBSETS and seeded samples beyond,
     always including the prefix sets {1..k} (which attain equality).
     """
     if type(n_max) is not int or n_max < 2:
         raise bound_error("lemma_margins", "n_max", n_max, 2)
-    from .triangles import RowSet
-
-    report = LemmaMargins(n_max)
+    increase, ratio, corollary = [], [], []
     for i1 in range(1, n_max + 1):
         for i2 in range(1, i1 + 1):
             margin = asm_number(i1 + 1) * asm_number(i2 - 1) - asm_number(i1) * asm_number(i2)
-            report.increase.append((i1, i2, margin))
+            increase.append((i1, i2, margin))
     for n in range(1, n_max + 1):
         for c in range(1, n + 1):
             e = c * (2 * n - c - 1) // 2
-            lhs = asm_number(n - c) * 3**e
-            rhs = asm_number(n) * 2**e
-            report.ratio.append((n, c, lhs, rhs))
-    rng = random.Random(seed)
+            ratio.append((n, c, asm_number(n - c) * 3**e, asm_number(n) * 2**e))
+    rng = random.Random(_LEMMA_SEED)
     for n in range(2, n_max + 1):
-        if 2 ** (n - 1) - 1 <= subset_limit:
+        if 2 ** (n - 1) - 1 <= _LEMMA_SUBSETS:
             masks: set[int] = set(range(1, 2 ** (n - 1)))
         else:
             masks = {2**k - 1 for k in range(1, n)}  # prefix sets {1..k}
-            while len(masks) < subset_limit:
+            while len(masks) < _LEMMA_SUBSETS:
                 masks.add(rng.randrange(1, 2 ** (n - 1)))
         for mask in sorted(masks):
-            members = RowSet(n, mask).members
-            margin = asm_number(n - len(members)) - eta(n, members)
-            report.corollary.append((n, members, margin))
-    return report
+            members = _mask_rows(mask)
+            corollary.append((n, members, asm_number(n - len(members)) - eta(n, members)))
+    return LemmaMargins(n_max, increase, ratio, corollary)
 
 
 def bleher_fokin_estimate(n: int) -> float:

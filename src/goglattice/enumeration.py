@@ -87,17 +87,9 @@ from itertools import accumulate, compress, islice
 from operator import eq
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT
+from .counting import DP_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, _Frozen
 from .errors import IndexOutOfRange, ShapeMismatch, bound_error
-from .triangles import (
-    MonotoneTriangle,
-    Rows,
-    _Frozen,
-    _check_pair,
-    _check_row,
-    _is_int,
-    _triangle,
-)
+from .triangles import MonotoneTriangle, Rows, _check_pair, _check_row, _is_int, _triangle
 
 if TYPE_CHECKING:
     from .census import CensusTable

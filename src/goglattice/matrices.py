@@ -27,8 +27,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import triangles
+from .counting import _Frozen
 from .errors import GogError, NotAColumnSumMatrix, NotAnASM, NotAPermutation, TriangleError
-from .triangles import MonotoneTriangle, Rows, _blocks, _Frozen, _non_int, _parse_int_lines
+from .triangles import MonotoneTriangle, Rows, _blocks, _non_int, _parse_int_lines
 
 
 def _check_square(entries: Rows, error: type[GogError], values: tuple[int, ...]) -> None:

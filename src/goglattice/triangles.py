@@ -17,6 +17,9 @@ that the package builds from checked edges of its successor index
 (enumeration, `unrank`, `sample_uniform`) or by meet and join are built
 through `MonotoneTriangle._checked` and go through none.
 
+The record base `_Frozen` and the row-mask loops live in `counting`, which
+the census loads without this module.
+
 >>> t = MonotoneTriangle(((3,), (2, 4), (1, 3, 4), (1, 2, 3, 4)))
 >>> t.distinguished_rows().members, t.is_permutation_triangle()
 ((4,), False)
@@ -28,6 +31,7 @@ from itertools import chain, islice
 from operator import index, lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from .counting import _Frozen, _mask_max_run, _mask_rows
 from .errors import (
     BadBottomRow,
     FormatError,
@@ -137,36 +141,6 @@ def _check_pair(above: tuple[int, ...], row: tuple[int, ...]) -> None:
                 f"need {row[j - 1]} <= {above[j - 1]} <= {row[j]}",
                 position=(i, j),
             )
-
-
-class _Frozen:
-    """Base of the immutable records: `==`, `hash` and repr over the fields,
-    as a frozen dataclass has them, and no assignment after construction.
-
-    Each `__init__` validates its arguments and stores the fields in
-    `__dict__`, in declaration order, through `object.__setattr__`; the
-    records are plain classes so that loading them does not load
-    `dataclasses`.  A `__dict__` rather than `__slots__` keeps pickle and copy
-    working, since they restore a `__dict__` without calling `__setattr__`.
-    """
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class MonotoneTriangle(_Frozen):
@@ -344,17 +318,6 @@ def near_minimal_triangle(n: int, which: str) -> MonotoneTriangle:
 # Row sets
 
 
-def _mask_max_run(mask: int) -> int:
-    # Each step keeps the set bits whose next higher bit is set too, so a
-    # block of L bits is gone after L steps: one step per unit of the
-    # longest block, not one per bit.
-    best = 0
-    while mask:
-        mask &= mask >> 1
-        best += 1
-    return best
-
-
 class RowSet(_Frozen):
     """A subset of row indices [n], stored as a bitmask with bit i-1 for row i."""
 
@@ -386,7 +349,7 @@ class RowSet(_Frozen):
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.mask >> (i - 1) & 1)
+        return _mask_rows(self.mask)
 
     def __contains__(self, i: int) -> bool:
         return 1 <= i <= self.n and bool(self.mask >> (i - 1) & 1)

@@ -414,38 +414,34 @@ class TestVerifyCommand:
 
 
 class TestImport:
+    @staticmethod
+    def _cold(code, stdin=""):
+        # Run `code` in a fresh interpreter on this checkout's package; it
+        # must exit 0.  Return the finished process.
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.returncode == 0, done.stderr
+        return done
+
     def test_no_process_pool_modules(self):
         code = (
             "import sys, goglattice.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
         )
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        ).stdout
-        assert out == "[]\n"
+        assert self._cold(code).stdout == "[]\n"
 
     def test_index_extension_module_loads_lazily(self):
         # `array` is imported when a successor index is built, not on import.
         code = "import sys, goglattice.cli; print('array' in sys.modules)"
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        ).stdout
-        assert out == "False\n"
+        assert self._cold(code).stdout == "False\n"
 
     def _package_modules(self, code, stdin=""):
         # The `goglattice` modules a cold interpreter holds after `code`, which
         # prints nothing to stderr.
         code += "; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'goglattice'), file=sys.stderr)"
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", code], input=stdin, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.returncode == 0, done.stderr
+        done = self._cold(code, stdin)
         return {name.removeprefix("goglattice.") for name in done.stderr.split()}
 
     def _modules_after_main(self, *argv, stdin=""):
@@ -462,12 +458,7 @@ class TestImport:
 
     def test_asm_count_loads_no_dataclasses(self):
         code = "import sys; from goglattice.cli import main; main(['asm-count', '--n', '12']); print('dataclasses' in sys.modules)"
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        ).stdout
-        assert out.splitlines() == ["12611311859677500", "False"]
+        assert self._cold(code).stdout.splitlines() == ["12611311859677500", "False"]
 
     @pytest.mark.parametrize(
         "argv, stdin",
@@ -501,25 +492,32 @@ class TestImport:
             f"import sys; from goglattice.cli import main; main({argv!r}); "
             "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules), file=sys.stderr)"
         )
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.stderr == "[]\n"
+        assert self._cold(code).stderr == "[]\n"
 
     # The other cold commands of the benchmark (`asm-count --n 100` and
-    # `census` are pinned above), and `convert` from a matrix form: a command
-    # on triangles alone loads no `matrices`, `census` or `meet_census`, and
-    # the sweep commands no `census`, `triangles`, `matrices` or `enumeration`.
+    # `census` are pinned above), `convert` from a matrix form, and `classes`:
+    # a command on triangles alone loads no `matrices`, `census` or
+    # `meet_census`, the sweep commands no `census`, `triangles`, `matrices`
+    # or `enumeration`, and `classes` no `triangles`.  `counting`, which
+    # holds the record bases, is loaded by every command that builds a record.
     @pytest.mark.parametrize(
         "argv, stdin, modules",
         [
             (("asm-count", "--n", "9", "--method", "dp"), "", {"counting", "triangles"}),
-            (("convert", "--from", "triangle", "--to", "asm"), FIG1_TRIANGLE_TEXT, {"triangles", "matrices"}),
-            (("convert", "--from", "asm", "--to", "triangle"), FIG1_ASM_TEXT, {"triangles", "matrices"}),
-            (("convert", "--from", "triangle", "--to", "triangle"), FIG1_TRIANGLE_TEXT, {"triangles"}),
-            (("meet",), FIG1_TRIANGLE_TEXT, {"triangles", "lattice"}),
+            (("classes", "--n", "6", "--r", "2"), "", {"counting", "census"}),
+            (
+                ("convert", "--from", "triangle", "--to", "asm"), FIG1_TRIANGLE_TEXT,
+                {"counting", "triangles", "matrices"},
+            ),
+            (
+                ("convert", "--from", "asm", "--to", "triangle"), FIG1_ASM_TEXT,
+                {"counting", "triangles", "matrices"},
+            ),
+            (
+                ("convert", "--from", "triangle", "--to", "triangle"), FIG1_TRIANGLE_TEXT,
+                {"counting", "triangles"},
+            ),
+            (("meet",), FIG1_TRIANGLE_TEXT, {"counting", "triangles", "lattice"}),
             (("pmin", "--n", "14", "--r", "2", "--json"), "", {"counting", "meet_census", "_transfer"}),
             (
                 ("sample", "--n", "10", "--count", "50", "--seed", "3142267078"), "",
@@ -528,8 +526,8 @@ class TestImport:
             (("theorem2", "--r", "3", "--n-max", "12"), "", {"counting", "meet_census", "_transfer"}),
         ],
         ids=[
-            "asm-count-dp", "convert", "convert-from-asm", "convert-triangles-only", "meet",
-            "pmin", "sample", "theorem2",
+            "asm-count-dp", "classes", "convert", "convert-from-asm", "convert-triangles-only",
+            "meet", "pmin", "sample", "theorem2",
         ],
     )
     def test_cold_commands_load_exactly_their_modules(self, argv, stdin, modules):
@@ -561,12 +559,7 @@ class TestImport:
             "import sys; from goglattice.cli import main; "
             f"main({argv!r}); print('dataclasses' in sys.modules, file=sys.stderr)"
         )
-        src = str(Path(goglattice.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", code], input=stdin, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert (done.returncode, done.stderr) == (0, "False\n")
+        assert self._cold(code, stdin).stderr == "False\n"
 
     def test_no_module_imports_dataclasses(self):
         import ast

@@ -124,9 +124,7 @@ class TestLemmaMargins:
         }
 
     def test_sampling_is_deterministic(self):
-        a = lemma_margins(14)
-        b = lemma_margins(14)
-        assert a.corollary == b.corollary
+        assert lemma_margins(14) == lemma_margins(14)
 
 
 class TestBleherFokin:

@@ -13,6 +13,7 @@ from goglattice import (
     ClassSizes,
     ColumnSumMatrix,
     InterlacingViolated,
+    LemmaMargins,
     MeetCensusReport,
     MonotoneTriangle,
     NotAColumnSumMatrix,
@@ -26,6 +27,7 @@ from goglattice import (
     ShapeMismatch,
     TrianglePrefix,
 )
+from goglattice.counting import _Frozen, _Record
 
 HISTOGRAM = {"n": 3, "counts": {1: 5, 2: 1, 3: 1}}
 
@@ -68,6 +70,12 @@ RECORDS = [
         },
         False,
     ),
+    (
+        LemmaMargins,
+        {"n_max": 2, "increase": [(1, 1, 1)], "ratio": [(1, 1, 1, 1)], "corollary": [(2, (1,), 0)]},
+        {"n_max": 2, "increase": [(1, 1, 1)], "ratio": [(1, 1, 1, 1)], "corollary": [(2, (1,), 1)]},
+        False,
+    ),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 FROZEN = [record for record in RECORDS if record[3]]
@@ -78,6 +86,14 @@ PLAIN_IDS = [cls.__name__ for cls, *_ in PLAIN]
 
 def fields_of(record):
     return {name: getattr(record, name) for name in vars(record)}
+
+
+@pytest.mark.parametrize("cls, kwargs, other, frozen", RECORDS, ids=IDS)
+def test_records_share_one_base(cls, kwargs, other, frozen):
+    # one `==` and one repr for every record; the frozen ones add the rest
+    assert issubclass(cls, _Record)
+    assert issubclass(cls, _Frozen) == frozen
+    assert cls.__eq__ is _Record.__eq__ and cls.__repr__ is _Record.__repr__
 
 
 @pytest.mark.parametrize("cls, kwargs, other, frozen", RECORDS, ids=IDS)
