@@ -9,14 +9,17 @@ are multiplicative over the gaps between distinguished rows, so
     f(D) = prod over gaps g of D of P(g),
 
 with P(m) = `counting.primitive_counts` the size-m triangles whose only
-distinguished row is the bottom one.  `gap_product_census` computes it, the
-production route behind `load_or_build_census` and `gog census`: a DP on
-the highest member of D costs one multiply per set, with 2^(n-1) sets up to
-n = CENSUS_LIMIT_DEFAULT.  Computing it is faster than reading its text
-back, so nothing here stores a census.  `enumeration.build_census`, which
-walks every triangle and so stops at n = 7, is its oracle in `verify` and
-the tests.  A census has a text form, which is read back by comparing it
-with the census computed for its n:
+distinguished row is the bottom one.  Every count over all masks reads two
+primitives: `_gap_products(n, w)`, the product of w over the gaps of each
+set (f(D) for w = P, `counting.eta` for w = A), and `_subset_sums`, the
+fast zeta transform, which gives each mask the sum over its subsets.
+`gap_product_census` is the production route behind `load_or_build_census`
+and `gog census`, with 2^(n-1) sets up to n = CENSUS_LIMIT_DEFAULT.
+Computing it is faster than reading its text back, so nothing here stores
+a census.  `enumeration.build_census`, which walks every triangle and so
+stops at n = 7, is its oracle in `verify` and the tests.  A census has a
+text form, which is read back by comparing it with the census computed
+for its n:
 
     MTCENSUS v1 n=<n> total=<decimal A(n)>
     <bitmask-hex> <decimal count>          (ascending bitmask)
@@ -28,16 +31,18 @@ the tests: the double inclusion-exclusion over the 2^(n-1) row subsets,
 
     N_min(n, r) = sum over T subset of [n-1] of (-1)^|T| g(T)^r,
 
-with g(T) the triangles whose distinguished set avoids T, once from the gap
-products (`_n_min_ie`) and once from a census (`n_min_census`), both
-through one signed sum.  A census gives every g(T) at once by one
-subset-sum transform over the masks.  `class_sizes` takes the same sum over
-the census keys of chosen runs.  The records take `==` and repr from
-`counting._Record`, and a key's rows and longest run come from the mask
-loops there, so the census and its class sizes load no `triangles`.  Rank
-reversal maps distinguished rows to rows at their maximum, so N_max =
-N_min; the reversed census counts rows at their maximum off the same walk
-as `enumeration.build_census`, and so checks the count on the join side.
+with g(T) the triangles whose distinguished set avoids T, both through one
+signed sum.  `_n_min_ie` takes every g(T) = sum over S subset of T of
+(-1)^|S| eta(S) as the subset sums of the signed gap products of A, with
+no census; `n_min_census` reads it off the subset sums of a census
+(`_avoid_counts`), and `class_sizes` off those of its keys of chosen runs.
+`avoid_count`, the g(T) of one T, splits the sum on T's highest member.
+The records take `==` and repr from `counting._Record`, and a key's
+longest run comes from the mask loop there, so the census and its class
+sizes load no `triangles`.  Rank reversal maps distinguished rows to rows
+at their maximum, so N_max = N_min; the reversed census counts rows at
+their maximum off the same walk as `enumeration.build_census`, and so
+checks the count on the join side.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .counting import (
     ENUM_LIMIT_DEFAULT,
     _Record,
     _mask_max_run,
-    _mask_rows,
     _sorted_members,
     asm_number,
     primitive_counts,
@@ -65,21 +69,6 @@ CENSUS_LIMIT_DEFAULT = 18  # 2^17 distinguished sets, computed in about 0.02 s
 CLASS_SIZES_MAX_RN = 60_000  # class_sizes' r(n-1): (7, 10000) takes about 0.8 s
 
 
-def _avoid_from_table(n: int, ts: tuple[int, ...], a: list[int]) -> int:
-    # s[j] collects the signed gap products over subsets of ts with maximum
-    # ts[j]; splitting on the maximum turns the 2^m subset sum into O(m^2).
-    s: list[int] = []
-    for j, t in enumerate(ts):
-        sj = -a[t]
-        for i in range(j):
-            sj -= s[i] * a[t - ts[i]]
-        s.append(sj)
-    g = a[n]
-    for j, t in enumerate(ts):
-        g += s[j] * a[n - t]
-    return g
-
-
 def avoid_count(n: int, t_set: RowSet | tuple[int, ...] | list[int]) -> int:
     """Triangles of size n with no distinguished row inside t_set (subset of [n-1]).
 
@@ -88,9 +77,17 @@ def avoid_count(n: int, t_set: RowSet | tuple[int, ...] | list[int]) -> int:
     """
     if type(n) is not int or n < 0:
         raise bound_error("avoid_count", "n", n, 0)
-    members = _sorted_members("avoid_count", n, t_set)
+    ts = _sorted_members("avoid_count", n, t_set)
     a = [asm_number(i) for i in range(n + 1)]
-    return _avoid_from_table(n, members, a)
+    # s[j] collects the signed gap products over subsets of ts with maximum
+    # ts[j]; splitting on the maximum turns the 2^m subset sum into O(m^2).
+    s: list[int] = []
+    for j, t in enumerate(ts):
+        sj = -a[t]
+        for i in range(j):
+            sj -= s[i] * a[t - ts[i]]
+        s.append(sj)
+    return a[n] + sum(sj * a[n - t] for sj, t in zip(s, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ class CensusTable(_Record):
         if (
             not 1 <= n <= len(pairs).bit_length()
             or total != asm_number(n)
-            or pairs != list(zip(range(1 << (n - 1), 1 << n), _exact_set_counts(n)))
+            or pairs != list(gap_product_census(n, limit=n).counts.items())
         ):
             raise FormatError(
                 f"census for n={n} is not its gap product census, f(D) for each D by mask"
@@ -188,25 +185,35 @@ class CensusTable(_Record):
         return cls.from_text(Path(path).read_text())
 
 
-def _exact_set_counts(n: int) -> list[int]:
-    """f(D) for each distinguished set D of the size-n triangles, ordered by
-    the mask of D, which always holds the bottom row n.
+def _gap_products(n: int, w: list[int]) -> list[int]:
+    """For each mask of rows in [n-1], the product of w over the gaps of its
+    rows and the bottom row n: f(D) for w = P, eta(T) for w = A.
 
-    g(mask) is the product of P over the gaps of mask's rows from 0 up to
-    its highest row t, so g(mask) = g(rest) P(t - s), where rest is mask
-    without t and s its highest row (0 if rest is empty); f(D) is g(D).
+    g(mask) = g(rest) w(t - s), with t the highest row of mask, rest the
+    mask without t and s its highest row (0 if rest is empty).
     """
-    p = primitive_counts(n)
     g = [1]  # g of the empty mask
     for t in range(1, n + 1):
         # The masks with highest row t, ascending: t over each rest < 2^(t-1),
-        # taken in blocks of one highest row s.  P(1) = P(2) = 1 spares the
-        # multiply for three quarters of them.
+        # taken in blocks of one highest row s.  A weight of 1 spares the
+        # multiply: P(1) = P(2) = 1 for three quarters of them, A(1) = 1 for half.
         for s in range(t):
             block = g[(1 << s) >> 1 : 1 << s]
-            factor = p[t - s]
+            factor = w[t - s]
             g += block if factor == 1 else [factor * x for x in block]
     return g[1 << (n - 1) :]
+
+
+def _subset_sums(z: list[int]) -> list[int]:
+    """Replace each z[S] by the sum of z over the subsets of S, in place, by
+    one pass per row: k 2^(k-1) additions for 2^k masks.  Returns z."""
+    step = 1
+    while step < len(z):
+        for low in range(0, len(z), 2 * step):
+            high = low + step
+            z[high : high + step] = map(add, z[high : high + step], z[low:high])
+        step *= 2
+    return z
 
 
 def gap_product_census(n: int, limit: int = CENSUS_LIMIT_DEFAULT) -> CensusTable:
@@ -217,7 +224,8 @@ def gap_product_census(n: int, limit: int = CENSUS_LIMIT_DEFAULT) -> CensusTable
     """
     if type(n) is not int or not 1 <= n <= limit:
         raise bound_error("census", "n", n, 1, limit, f"{CENSUS_LIMIT_DEFAULT=}")
-    return CensusTable(n, dict(zip(range(1 << (n - 1), 1 << n), _exact_set_counts(n))))
+    counts = _gap_products(n, primitive_counts(n))
+    return CensusTable(n, dict(zip(range(1 << (n - 1), 1 << n), counts)))
 
 
 def load_or_build_census(
@@ -259,36 +267,23 @@ def _signed_sum(r: int, avoid: Iterable[int]) -> int:
 
 
 def _n_min_ie(n: int, r: int) -> int:
-    """Oracle for `n_min_exact`: inclusion-exclusion over the 2^(n-1) row
-    subsets, with the avoidance counts from the gap products."""
-    a = [asm_number(i) for i in range(n + 1)]
-    return _signed_sum(
-        r, (_avoid_from_table(n, _mask_rows(mask), a) for mask in range(1 << (n - 1)))
-    )
+    """Oracle for `n_min_exact`: the inclusion-exclusion sum, with every g(T)
+    from the gap products of A and no census."""
+    eta = _gap_products(n, [asm_number(i) for i in range(n + 1)])
+    signed = [-x if mask.bit_count() & 1 else x for mask, x in enumerate(eta)]
+    return _signed_sum(r, _subset_sums(signed))
 
 
 def _avoid_counts(n: int, counts: dict[int, int]) -> list[int]:
     """For each mask T of rows in [n-1], the census count of the keys that
-    avoid T, by one subset-sum transform.
-
-    A key avoids T exactly when its rows in [n-1] lie in full ^ T, the rows
-    outside T, so the count is z[full ^ T], with z[S] the count of the keys
-    whose rows in [n-1] lie in S.  Starting from the count of each exact set,
-    one pass per row adds z[S without the row] to z[S] for each S holding it:
-    (n-1) 2^(n-2) additions, where reading every key for every T takes
-    4^(n-1) steps.
+    avoid T: those whose rows in [n-1] lie in full ^ T, the rows outside T,
+    so the count is entry full ^ T of `_subset_sums` of the exact-set counts.
     """
     full = (1 << (n - 1)) - 1
     z = [0] * (full + 1)
     for mask, count in counts.items():
         z[mask & full] += count
-    step = 1
-    while step <= full:
-        for low in range(0, full + 1, 2 * step):
-            high = low + step
-            z[high : high + step] = map(add, z[high : high + step], z[low:high])
-        step *= 2
-    return z[::-1]  # full ^ T is full - T
+    return _subset_sums(z)[::-1]  # full ^ T is full - T
 
 
 def n_min_census(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import RowOutOfRange, bound_error
@@ -112,9 +113,9 @@ def asm_number_dp(n: int, limit: int = DP_LIMIT_DEFAULT) -> int:
 
 
 def _sorted_members(what: str, n: int, rows: RowSet | Iterable[int]) -> tuple[int, ...]:
-    from .triangles import RowSet
-
-    if isinstance(rows, RowSet):
+    # A RowSet exists only once `triangles` is loaded: no import is needed.
+    triangles = sys.modules.get(f"{__package__}.triangles")
+    if triangles is not None and isinstance(rows, triangles.RowSet):
         members = rows.members
     else:
         members = tuple(rows)

@@ -82,6 +82,21 @@ def test_submodules_resolve_after_bare_import():
     assert cold(code).split() == [f"goglattice.{m}" for m in SUBMODULES]
 
 
+def test_plain_rows_load_no_triangles():
+    # eta and avoid_count tell a RowSet apart without importing `triangles`,
+    # and count one passed in once it is loaded as they count a tuple.
+    code = (
+        "import sys\n"
+        "from goglattice import avoid_count, eta\n"
+        "counts = eta(5, (1, 3)), avoid_count(5, (1, 3))\n"
+        "print('goglattice.triangles' in sys.modules, counts)\n"
+        "from goglattice import RowSet\n"
+        "rows = RowSet.from_members(5, (1, 3))\n"
+        "print(eta(5, rows), avoid_count(5, rows))\n"
+    )
+    assert cold(code) == "False (4, 377)\n4 377\n"
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         goglattice.no_such_name

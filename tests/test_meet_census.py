@@ -124,6 +124,11 @@ class TestAvoidCount:
                 sum(c for m, c in counts.items() if m & mask == 0) for mask in range(1 << (n - 1))
             ]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_per_set_dp_matches_the_transform(self, n):
+        avoid = _avoid_counts(n, gap_product_census(n).counts)
+        assert [avoid_count(n, counting._mask_rows(mask)) for mask in range(1 << (n - 1))] == avoid
+
     def test_out_of_range(self):
         with pytest.raises(RowOutOfRange):
             avoid_count(3, (3,))
@@ -162,7 +167,7 @@ class TestNMin:
         for n in range(1, 7):
             assert n_min_exact(n, r) == n_min_census(n, r, census=censuses(n))
 
-    @pytest.mark.parametrize("r, n_top", [(1, 12), (2, 12), (3, 12), (4, 10)])
+    @pytest.mark.parametrize("r, n_top", [(1, 12), (2, 16), (3, 14), (4, 10)])
     def test_ie_oracle(self, r, n_top):
         for n in range(1, n_top + 1):
             assert n_min_exact(n, r) == _n_min_ie(n, r)
