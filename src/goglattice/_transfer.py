@@ -10,6 +10,12 @@ is D^r Q / r! = U_{r-1}, and the next state is
 
     S' = sum over a of x_0^a shift(U_a + x_0 U_{a+1}).
 
+After the loop, the last position, n_max - 1, runs its passes and forms no
+S': N_min(n_max) = S'(P(1), P(2), ...), with x_0 at P(1) = 1 and each
+shifted x_{d+1} at P(d+2), weighs U_0 once and U_1, ..., U_{r-1} at
+1 + P(2), a monomial at the product of P(d+2) over its x_d.  A program
+keeps those weights for one end position, the latest asked for.
+
 Once x_0, ..., x_{w-1} are in play, every list holds every monomial of its
 degree e in them, R(e, w), in lex order on the sorted distances: the order
 of `itertools.combinations_with_replacement(range(w), e)`.  In that order
@@ -50,7 +56,7 @@ from operator import add, getitem, itemgetter, mul
 
 
 class Program:
-    """The sweep for one r, grown one position at a time.
+    """The sweep for one r >= 2 and any P with P(1) = 1, grown one position at a time.
 
     `kernels[pos]`, for every pos from 2 to `top`, holds the passes into
     U_1, ..., U_{r-2} at pos: for degree e = r - 2, ..., 1, an `itemgetter`
@@ -59,10 +65,10 @@ class Program:
     order.  `top` is the widest position passed, and `rows` keeps, by
     degree from 1, the rank tuple there (the one its `itemgetter` holds)
     and each entry's multiplicity c + 1, for `kernels_at` to build the
-    kernels at top + 1 from.  `closings[pos]` holds, for a last step
-    at pos, the weights that evaluate it.  Every rank a kernel holds is an
-    entry of the one table `ints`, and every factor one of `scales[d]`, the
-    c P(d+1) for c < r, so that each int exists once per program.
+    kernels at top + 1 from.  `closings` holds one end position and the
+    weights of a last step there.  Every rank a kernel holds is an entry of
+    the one table `ints`, and every factor one of `scales[d]`, the c P(d+1)
+    for c < r, so that each int exists once per program.
     """
 
     __slots__ = ("r", "top", "rows", "ints", "scales", "kernels", "closings")
@@ -74,27 +80,24 @@ class Program:
         self.ints: list[int] = []
         self.scales: list[list[int]] = []
         self.kernels: dict[int, list[tuple[itemgetter, list[int]]]] = {}
-        self.closings: dict[int, list[int]] = {}
+        self.closings: tuple[int, list[int]] = (0, [])
 
     def closing(self, pos: int, p: list[int]) -> list[int]:
-        """Weights of U_0, ..., U_{r-1} at pos, in order: the closing for the
-        next position is S'(P(1), P(2), ...), where x_0 goes to P(1) = 1 and
-        each shifted x_{d+1} to P(d+2), so a monomial weighs the product of
-        P(d+2) over its x_d; `sweep` counts shift(x_0 U_{a+1}) twice."""
-        weights = self.closings.get(pos)
-        if weights is None:
-            # In lex order, the monomials of degree k are x_t times those of
-            # degree k - 1 in x_t, ..., x_{pos-1}, for t = 0, 1, ...: for each
-            # t, a suffix of the list of degree k - 1.  For t = 0 that is the
-            # whole list, and x_0 weighs P(2) = 1.
+        """Weights of U_0, ..., U_{r-1} at pos, in order: a monomial weighs
+        the product of P(d+2) over its x_d.  In lex order, degree k is x_t
+        times a suffix of degree k - 1, the part in x_t, ..., x_{pos-1}."""
+        at, weights = self.closings
+        if at != pos:
             levels = [[1]]
             for k in range(1, self.r):
-                levels.append(levels[-1] + list(chain.from_iterable(
-                    map(mul, levels[-1][-comb(pos - t + k - 2, k - 1) :], repeat(p[t + 2]))
+                below = levels[-1]
+                head = below if p[2] == 1 else list(map(p[2].__mul__, below))
+                levels.append(head + list(chain.from_iterable(
+                    map(mul, below[-comb(pos - t + k - 2, k - 1) :], repeat(p[t + 2]))
                     for t in range(1, pos)
                 )))
             weights = list(chain.from_iterable(reversed(levels)))
-            self.closings[pos] = weights
+            self.closings = pos, weights
         return weights
 
     def kernels_at(self, pos: int, p: list[int]) -> list[tuple[itemgetter, list[int]]]:
@@ -132,40 +135,32 @@ class Program:
         P(n_max)."""
         r = self.r
         p1 = p[1:]  # P(d+1) for d = 0, 1, ...
+
+        def passes(pos: int, level: list[int]):  # U_1, ..., U_{r-1} from U_0 = level
+            for j, (get, factors) in enumerate(self.kernels_at(pos, p), 1):
+                sums = map(sum, zip(*[map(mul, factors, get(level))] * pos))
+                level = list(map(j.__rfloordiv__, sums) if j > 1 else sums)
+                yield level
+            yield [sum(map(mul, level, p1)) // (r - 1)]
+
         # At pos = 1, S = x_0^(r-1) and U_j = C(r-1, j) x_0^(r-1-j), so S' =
-        # sum over a of C(r, a+1) x_0^a x_1^(r-1-a), which weighs 2^r - 1 at
-        # the P, as P(1) = P(2) = 1: that is N_min(2, r).
+        # sum over a of C(r, a+1) x_0^a x_1^(r-1-a).
         state = [comb(r, a) for a in range(r, 0, -1)]
         values = []
-        for pos in range(2, n_max):
-            last = pos == n_max - 1
-            if last:
-                # The last step moves nothing: it evaluates S' at the P.
-                weights = iter(self.closing(pos, p))
-                total = sum(map(mul, state, weights))
-            kernels = self.kernels_at(pos, p)
-            level, parts = state, [state]
-            for j in range(1, r):
-                if j < r - 1:
-                    get, factors = kernels[j - 1]
-                    sums = map(sum, zip(*[map(mul, factors, get(level))] * pos))
-                    level = list(map(j.__rfloordiv__, sums) if j > 1 else sums)
-                else:
-                    level = [sum(map(mul, level, p1)) // j]
-                if last:
-                    total += 2 * sum(map(mul, level, weights))
-                else:
-                    # U_{j-1} + x_0 U_j: x_0 U_j is the head of U_{j-1}
-                    parts[-1][: len(level)] = map(add, parts[-1], level)
-                    parts.append(level)
-            # U_{r-1} = Q(P(1), P(2), ...), the weight of every component
-            # jumping to pos: the closing for n = pos.
+        for pos in range(2, n_max - 1):
+            parts = [state]
+            for level in passes(pos, state):
+                # U_{j-1} + x_0 U_j: x_0 U_j is the head of U_{j-1}
+                parts[-1][: len(level)] = map(add, parts[-1], level)
+                parts.append(level)
+            # U_{r-1} = Q(P(1), P(2), ...): the closing for n = pos
             values.append(level[0])
-            if last:
-                values.append(total)
-            else:
-                state = list(chain.from_iterable(reversed(parts)))
-        return values
+            state = list(chain.from_iterable(reversed(parts)))
+        # The last step evaluates S' at the P; U_{r-1}, of degree 0, weighs 1.
+        weights = iter(self.closing(n_max - 1, p))
+        total = sum(map(mul, state, weights))
+        moved = [sum(map(mul, level, weights)) for level in passes(n_max - 1, state)]
+        return [*values, moved[-1], total + (1 + p[2]) * sum(moved)]
 
 
 def work(n: int, r: int) -> int:

@@ -20,6 +20,13 @@ record bases `_Record` and `_Frozen` and the row-mask loops `_mask_rows`
 and `_mask_max_run`: `triangles` loads them from here, so the census and
 its class sizes need not compile it.
 
+The lemma families of `lemma_margins` hold for every n: R(m) = A(m+1)/A(m)
+has R(0) = 1 and R(m+1)/R(m) = 3(3m+2)(3m+4)/(4(2m+1)(2m+3)) > 3/2, since
+2*3(3m+2)(3m+4) - 3*4(2m+1)(2m+3) = 6m^2 + 12m + 12 > 0.  So R increases
+and R(m) >= (3/2)^m, whence the increase (R(i1) >= R(i2-1)), the ratio
+claim (A(n)/A(n-c) is the product of R(m) for n-c <= m < n) and
+A(a) A(b) <= A(a+b-1), so eta_n(I) <= A(n - |I|) (R(b+j) >= R(1+j), j < a-1).
+
 All counts are Python ints and all probabilities `fractions.Fraction`;
 nothing here rounds.
 """

@@ -29,16 +29,13 @@ Taylor's formula that is
 with D = sum_d P(d+1) d/dx_d and every x_d shifted to x_{d+1}.  The closing
 for n is Q(P(1), P(2), ...), which is D^r Q / r!, the weight of every path
 jumping to n; one sweep to n_max - 1 gives N_min(n, r) for every
-n <= n_max, and its last step evaluates Q' at the P instead of storing it.
+n <= n_max, and its last step, after the loop, evaluates Q' at the P.
 
 Neither D nor the shift depends on the position or on n_max, and once
 x_0, ..., x_{pos-1} are in play a step works on every monomial of each
 degree in them, so `_transfer` keeps one program per r per process, grown
-one position at a time, the first time a call reaches it.  It lists each
-degree's monomials in lex order on their sorted distances, in which each
-position's kernels are built from the previous position's and the next
-state is the passes' results laid end to end, so each step runs as a few
-list-wide maps, with no Python step per edge.  The program holds no
+one position at a time the first time a call reaches it.  Its steps run as
+a few list-wide maps, with no Python step per edge, and it holds no
 coefficient: every call redoes all the arithmetic, and no N_min value
 persists between calls.  One charge, `_transfer.work`, counts the kernel
 entries a sweep reads, weighted by the size of its integers: a call is

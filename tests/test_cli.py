@@ -23,8 +23,9 @@ from goglattice import (
     triangles_to_text,
     verify,
 )
-from goglattice import cli
+from goglattice import census, cli, counting, lattice, meet_census
 from goglattice.cli import main
+from goglattice.counting import LemmaMargins
 
 FIG1_TRIANGLE_TEXT = "3\n2 4\n1 3 4\n1 2 3 4\n"
 FIG1_COLUMN_SUM_TEXT = "0 0 1 0\n0 1 0 1\n1 0 1 1\n1 1 1 1\n"
@@ -116,6 +117,12 @@ class TestConvert:
         )
         assert code == 0
         assert out == "1 0\n1 1\n\n0 1\n1 1\n"
+
+    @pytest.mark.parametrize("source", sorted(FIG1_TEXTS))
+    def test_empty_input_prints_nothing(self, capsys, monkeypatch, source):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, err = run(capsys, "convert", "--from", source, "--to", "asm")
+        assert (code, out, err) == (0, "", "")
 
     def test_invalid_input_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n2 1\n"))
@@ -371,6 +378,35 @@ class TestSample:
         assert "raise `count_limit` (default SAMPLE_LIMIT_DEFAULT = 100000)" in err
 
 
+def _plant_census_fault(n, limit=census.CENSUS_LIMIT_DEFAULT, real=census.gap_product_census):
+    # the gap-product census with one triangle too many on the bottom row's key
+    counts = real(n, limit).counts
+    return census.CensusTable(n, {**counts, 1 << (n - 1): counts[1 << (n - 1)] + 1})
+
+
+# One fault per suite, planted where the suite reads it: (module, name,
+# replacement, the first check it breaks).
+PLANTED_FAULTS = {
+    "bijections": (
+        verify, "FIG1_COLUMN_SUM", ((1, 0, 0, 0),) * 4,
+        "column-sum form of the reference triangle is wrong",
+    ),
+    "lattice": (verify, "meet", lattice.join, "meet of the reference pair is wrong"),
+    "lemmas": (
+        counting, "lemma_margins", lambda n_max: LemmaMargins(n_max, [(2, 1, -1)], [], []),
+        "increase margin < 0 at (i1=2, i2=1): -1",
+    ),
+    "census": (
+        census, "gap_product_census", _plant_census_fault,
+        "the gap-product census differs from the enumerated one at n=1",
+    ),
+    "theorems": (
+        meet_census, "n_min_exact", lambda n, r: n_min_exact(n, r) + 1,
+        "transfer count and IE oracle disagree at (n=1, r=1)",
+    ),
+}
+
+
 class TestVerifyCommand:
     def test_bijections(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bijections", "--n-max", "4")
@@ -403,6 +439,21 @@ class TestVerifyCommand:
         assert code == 1
         assert streamed == ["OK bijections checks=2\nOK lattice checks=5\n"]
         assert out == "FAIL lemmas: lemmas: margin < 0 at n=3\n"
+
+    @pytest.mark.parametrize("suite", PLANTED_FAULTS)
+    def test_planted_fault_fails_its_suite(self, capsys, monkeypatch, suite):
+        module, name, fault, detail = PLANTED_FAULTS[suite]
+        monkeypatch.setattr(module, name, fault)
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--n-max", "4")
+        assert (code, out) == (1, f"FAIL {suite}: {suite}: {detail}\n")
+        # every suite before it passes and prints its line; none after it runs
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "4")
+        before = list(verify.SUITES)[: list(verify.SUITES).index(suite)]
+        assert code == 1
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            *(["OK", s] for s in before), ["FAIL", f"{suite}:"]
+        ]
+        assert out.endswith(f"FAIL {suite}: {suite}: {detail}\n")
 
     def test_any_domain_error_fails_the_suite(self, capsys, monkeypatch):
         def too_big(n_max):

@@ -1,6 +1,7 @@
 """The count sequence A(n), the gap-product counts, and the lemma margins."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +126,27 @@ class TestLemmaMargins:
 
     def test_sampling_is_deterministic(self):
         assert lemma_margins(14) == lemma_margins(14)
+
+    def test_ratio_certificate_for_every_n(self):
+        # The argument in `counting`'s docstring: R(m) = A(m+1)/A(m) has
+        # R(m+1)/R(m) = 3(3m+2)(3m+4) / (4(2m+1)(2m+3)) > 3/2.  Polynomials
+        # in m are coefficient lists, constant term first.
+        def times(f, g):
+            out = [0] * (len(f) + len(g) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+            return out
+
+        upper = [6 * c for c in times([2, 3], [4, 3])]  # 2 * 3(3m+2)(3m+4)
+        lower = [12 * c for c in times([1, 2], [3, 2])]  # 3 * 4(2m+1)(2m+3)
+        assert [u - w for u, w in zip(upper, lower)] == [12, 12, 6]  # 6m^2 + 12m + 12
+        ratio = [Fraction(asm_number(m + 1), asm_number(m)) for m in range(202)]
+        assert ratio[0] == 1
+        for m in range(201):
+            step = ratio[m + 1] / ratio[m]
+            assert step == Fraction(3 * (3 * m + 2) * (3 * m + 4), 4 * (2 * m + 1) * (2 * m + 3))
+            assert step > Fraction(3, 2)
 
 
 class TestBleherFokin:

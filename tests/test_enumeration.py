@@ -834,6 +834,7 @@ class TestCensusFile:
         path = tmp_path / "mtcensus-n3.txt"
         censuses(3).write(path)
         assert path.read_text() == CENSUS3_TEXT
+        assert CensusTable.read(path) == censuses(3)
 
         def fail(src, dst):
             raise OSError("disk full")

@@ -228,6 +228,8 @@ class TestLatticeLawProperties:
 class TestTrivial:
     def test_figure_two_pair(self):
         assert is_trivial(FIG2_PAIR, "meet")
+        with pytest.raises(ValueError, match="which must be 'meet' or 'join', got 'both'"):
+            is_trivial(FIG2_PAIR, "both")
 
     def test_single_non_minimal(self):
         assert not is_trivial((TAU1,), "meet")

@@ -45,11 +45,13 @@ from goglattice.meet_census import (
 )
 
 
-def product_sweep(n_max, r):
+def product_sweep(n_max, r, p=None):
     """Oracle for `_n_min_sweep`: the transfer matrix over the multiset of the
     components' last positions, expanding each state into all Prod(c + 1) - 1
-    ways some of its components move to the next position."""
-    p = primitive_counts(n_max)
+    ways some of its components move to the next position.  A jump of g
+    positions weighs p[g], by default P(g)."""
+    if p is None:
+        p = primitive_counts(n_max)
     # A state is the multiset of the components' last distinguished
     # positions, as ascending (position, multiplicity) pairs.  Its weight
     # counts labelled tuples, so moving k of the c components sitting at v
@@ -166,6 +168,8 @@ class TestNMin:
     def test_census_oracle(self, r, censuses):
         for n in range(1, 7):
             assert n_min_exact(n, r) == n_min_census(n, r, census=censuses(n))
+        with pytest.raises(ValueError, match="census is for n=4, expected 5"):
+            n_min_census(5, r, census=censuses(4))
 
     @pytest.mark.parametrize("r, n_top", [(1, 12), (2, 16), (3, 14), (4, 10)])
     def test_ie_oracle(self, r, n_top):
@@ -295,6 +299,29 @@ class TestPrimitiveCountsCache:
         assert _n_min_sweep(6, 2) == [1, 3, 15, 107, 1103, 17767]
 
 
+def dyck_returns(n):
+    """For each Dyck path of semilength n, the mask of its interior returns:
+    bit i - 1 when it is at height 0 after step 2i, 0 < i < n."""
+    masks = []
+
+    def walk(step, height, mask):
+        if step == 2 * n:
+            masks.append(mask)
+            return
+        if height < 2 * n - step:
+            walk(step + 1, height + 1, mask)
+        if height == 1 and step + 1 < 2 * n:
+            walk(step + 1, 0, mask | 1 << ((step + 1) // 2 - 1))
+        elif height:
+            walk(step + 1, height - 1, mask)
+
+    walk(0, 0, 0)
+    return masks
+
+
+CATALAN = [comb(2 * k, k) // (k + 1) for k in range(12)]
+
+
 @cache
 def swept_oracle(r, n_max=14):
     """[N_min(1, r), ..., N_min(n_max, r)] from the product oracle, once per r."""
@@ -334,13 +361,14 @@ def check_kernels(program, p):
 
 
 def check_closings(program, p):
-    # The closing at pos weighs each monomial of U_0, ..., U_{r-1} (degrees
-    # r - 1 down to 0, lex order within each) by the product of P(d+2)
-    # over its distances d.
-    for pos, weights in program.closings.items():
-        assert weights == [
-            prod(p[d + 2] for d in m) for e in range(program.r - 1, -1, -1) for m in lex(e, pos)
-        ]
+    # The one closing a program holds, for the position the last sweep ended
+    # on, weighs each monomial of U_0, ..., U_{r-1} there (degrees r - 1 down
+    # to 0, lex order within each) by the product of P(d+2) over its
+    # distances d.
+    pos, weights = program.closings
+    assert weights == [
+        prod(p[d + 2] for d in m) for e in range(program.r - 1, -1, -1) for m in lex(e, pos)
+    ]
 
 
 SWEEP_DIGESTS = json.loads(
@@ -369,10 +397,11 @@ class TestTransferProgram:
     @example(4, [9, 12, 14])
     @example(3, [12, 2, 6])
     def test_widening_keeps_every_position(self, r, ns):
-        # Calls at one r, in order: a kernel and a closing equal their
+        # Calls at one r, in order: a kernel and the closing equal their
         # definitions, a kernel equals the one a program built straight to
-        # its position holds, and a position, once served, keeps the same
-        # objects.
+        # its position holds, a position, once served, keeps the same
+        # kernels, and the one closing is the last call's, kept while calls
+        # end on the same position.
         meet_census._PROGRAMS.clear()
         served = {}
         for n in ns:
@@ -380,9 +409,13 @@ class TestTransferProgram:
             program = meet_census._PROGRAMS.get(r)
             if program is not None:
                 assert served.setdefault("program", program) is program
-                for key, store in (("kernel", program.kernels), ("closing", program.closings)):
-                    for pos, held in store.items():
-                        assert served.setdefault((key, pos), held) is held
+                for pos, held in program.kernels.items():
+                    assert served.setdefault(pos, held) is held
+                if n > 2:
+                    closing = served.get("closing", (None, None))
+                    assert program.closings[0] == n - 1
+                    assert closing[0] != n - 1 or program.closings[1] is closing[1]
+                    served["closing"] = program.closings
         if max(ns) <= 2 or r == 1:
             assert r not in meet_census._PROGRAMS  # n <= 2 and r = 1 build nothing
             return
@@ -390,7 +423,7 @@ class TestTransferProgram:
         top = max(ns) - 1
         assert program.top == top and store_charge() == work(top + 1, r)
         assert list(program.kernels) == list(range(2, top + 1))
-        assert list(program.closings) == list(dict.fromkeys(n - 1 for n in ns if n > 2))
+        assert program.closings[0] == [n - 1 for n in ns if n > 2][-1]
         p = primitive_counts(max(ns))
         check_kernels(program, p)
         check_closings(program, p)
@@ -421,7 +454,7 @@ class TestTransferProgram:
             steps = [(m, d) for m in monomials for d in range(width)]
             assert ranks == tuple(sources[tuple(sorted(m + (d,)))] for m, d in steps)
             assert mults == [m.count(d) + 1 for m, d in steps]
-        assert list(program.closings) == [width]
+        assert program.closings[0] == width
         check_closings(program, primitive_counts(n))
         # What `work` counts: position pos reads pos C(pos+r-2, r-2) entries,
         # those its kernels hold and pos for the last pass, and position 1,
@@ -432,7 +465,7 @@ class TestTransferProgram:
             for pos, kernels in program.kernels.items()
         )
         assert read == (r - 1) * comb(n + r - 2, r)
-        assert len(program.closings[width]) == comb(n + r - 2, r - 1)
+        assert len(program.closings[1]) == comb(n + r - 2, r - 1)
         assert work(n, r) % (read + 4 * comb(n + r - 2, r - 1)) == 0
 
     def test_trivial_meet_set_stays(self):
@@ -441,23 +474,23 @@ class TestTransferProgram:
             theorem_report(16, r)
         kept = dict(meet_census._PROGRAMS)
         assert {r: program.top for r, program in kept.items()} == {2: 15, 3: 15, 4: 15}
-        assert {r: list(program.closings) for r, program in kept.items()} == {
-            2: [15], 3: [15], 4: [15]
-        }
+        assert {r: program.closings[0] for r, program in kept.items()} == {2: 15, 3: 15, 4: 15}
         # one pass kernel per degree 1..r-2 at each position from 2
         kernels = {r: dict(program.kernels) for r, program in kept.items()}
         assert {r: list(held) for r, held in kernels.items()} == dict.fromkeys(kept, list(range(2, 16)))
         assert {r: {len(k) for k in held.values()} for r, held in kernels.items()} == {
             2: {0}, 3: {1}, 4: {2}
         }
-        closing = kept[4].closings[15]
+        closings = {r: program.closings for r, program in kept.items()}
         for r in (2, 3, 4):
             theorem_report(16, r)
+        # a warm call compiles nothing: the same programs, kernels and closings
+        assert all(program.closings is closings[r] for r, program in kept.items())
         theorem_report(12, 4)  # a shorter call reads the same program
-        # a warm call compiles nothing: the same programs and kernels, and
-        # one closing for each position a call ended on
+        # and holds one closing, for the position it ended on
         assert all(meet_census._PROGRAMS[r] is program for r, program in kept.items())
-        assert list(kept[4].closings) == [15, 11] and kept[4].closings[15] is closing
+        assert kept[4].closings[0] == 11
+        check_closings(kept[4], primitive_counts(12))
         for r, program in kept.items():
             assert program.kernels == kernels[r]
             assert all(program.kernels[pos] is held for pos, held in kernels[r].items())
@@ -480,6 +513,30 @@ class TestTransferProgram:
         program = meet_census._PROGRAMS[r]
         assert list(program.kernels) == list(range(2, n))
         check_kernels(program, primitive_counts(n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 8), st.integers(2, 4), st.lists(st.integers(0, 9), min_size=7, max_size=7))
+    @example(3, 2, [0] * 7)
+    @example(5, 3, [2, 4, 29, 343, 0, 0, 0])
+    def test_any_weights_with_p1_one(self, n, r, rest):
+        # The sweep assumes only P(1) = 1: weights that are not ASM counts,
+        # P(2) != 1 among them, give the product oracle's counts.
+        p = [0, 1, *rest][: n + 1]
+        assert _transfer.Program(r).sweep(n, p) == list(product_sweep(n, r, p))[1:]
+
+    @pytest.mark.parametrize("r, n_brute", [(2, 6), (3, 5)])
+    def test_catalan_weights_count_dyck_tuples(self, r, n_brute):
+        # Dyck paths under containment meet at the zigzag exactly when every
+        # interior even point is a return of some component, and the paths
+        # with returns exactly D number the product of C(g - 1) over the gaps
+        # g of D: the same count, with P(g) = C(g - 1).
+        p = [0, *CATALAN]
+        swept = _transfer.Program(r).sweep(12, p)
+        assert swept == list(product_sweep(12, r, p))[1:]
+        for n in range(2, n_brute + 1):
+            full = (1 << (n - 1)) - 1
+            brute = sum(reduce(or_, masks) == full for masks in product(dyck_returns(n), repeat=r))
+            assert swept[n - 2] == brute
 
     @pytest.mark.parametrize("key", SWEEP_DIGESTS)
     def test_sweep_gates_keep_their_digests(self, key):
@@ -506,6 +563,8 @@ class TestTransferProgram:
 class TestPExtreme:
     def test_spec_value(self):
         assert p_extreme(3, 2, "min") == Fraction(15, 49)
+        with pytest.raises(ValueError, match="which must be 'min' or 'max', got 'mid'"):
+            p_extreme(3, 2, "mid")
 
     def test_r_one(self):
         for n in (2, 4, 7):
@@ -563,6 +622,8 @@ class TestClassSizes:
         sizes = class_sizes(3, 2)
         assert sizes.exact_sizes[3] == 13
         assert sizes.exact_sizes[3] <= class_bound(3, 2, 3) == 14
+        # past n - v = 6r the argument claims no bound
+        assert class_bound(16, 2, 4) is not None and class_bound(16, 2, 3) is None
 
     def test_bound_rejects_r_below_one(self):
         # r = 0 would give the main bound as the float 0 * A(n) ** -1
@@ -680,6 +741,7 @@ class TestRunHistogramReport:
     def test_size_three_deviation(self):
         report = run_histogram_report(3)
         assert report.histogram.counts == {1: 5, 2: 1, 3: 1}
+        assert report.histogram.total() == 7
         assert not report.head_matches
 
     @pytest.mark.parametrize("n", range(4, 19))
@@ -689,6 +751,7 @@ class TestRunHistogramReport:
         counts = report.histogram.counts
         assert (counts[n], counts[n - 1], counts[n - 2]) == (1, 1, 6)
         assert report.histogram.at_most(n - 3) == asm_number(n) - 8
+        assert report.histogram.total() == asm_number(n)
 
 
 class TestTheoremReport:
