@@ -10,11 +10,11 @@ is D^r Q / r! = U_{r-1}, and the next state is
 
     S' = sum over a of x_0^a shift(U_a + x_0 U_{a+1}).
 
-After the loop, the last position, n_max - 1, runs its passes and forms no
-S': N_min(n_max) = S'(P(1), P(2), ...), with x_0 at P(1) = 1 and each
-shifted x_{d+1} at P(d+2), weighs U_0 once and U_1, ..., U_{r-1} at
-1 + P(2), a monomial at the product of P(d+2) over its x_d.  A program
-keeps those weights for one end position, the latest asked for.
+Every position from 2 to n_max - 1 runs that one step.  After the loop,
+N_min(n_max) = S'(P(1), P(2), ...) for the last S', of degree r - 1 in
+x_0, ..., x_{n_max-1}: a monomial weighs the product of P(d+1) over its
+x_d, and the sweep assumes of P only that P(1) = 1.  A program keeps those
+weights for one end position, the latest asked for.
 
 Once x_0, ..., x_{w-1} are in play, every list holds every monomial of its
 degree e in them, R(e, w), in lex order on the sorted distances: the order
@@ -65,10 +65,11 @@ class Program:
     order.  `top` is the widest position passed, and `rows` keeps, by
     degree from 1, the rank tuple there (the one its `itemgetter` holds)
     and each entry's multiplicity c + 1, for `kernels_at` to build the
-    kernels at top + 1 from.  `closings` holds one end position and the
-    weights of a last step there.  Every rank a kernel holds is an entry of
-    the one table `ints`, and every factor one of `scales[d]`, the c P(d+1)
-    for c < r, so that each int exists once per program.
+    kernels at top + 1 from.  `closings` holds one position and the
+    weights that evaluate the state formed there.  Every rank a kernel
+    holds is an entry of the one table `ints`, and every factor one of
+    `scales[d]`, the c P(d+1) for c < r, so that each int exists once per
+    program.
     """
 
     __slots__ = ("r", "top", "rows", "ints", "scales", "kernels", "closings")
@@ -83,22 +84,21 @@ class Program:
         self.closings: tuple[int, list[int]] = (0, [])
 
     def closing(self, pos: int, p: list[int]) -> list[int]:
-        """Weights of U_0, ..., U_{r-1} at pos, in order: a monomial weighs
-        the product of P(d+2) over its x_d.  In lex order, degree k is x_t
-        times a suffix of degree k - 1, the part in x_t, ..., x_{pos-1}."""
-        at, weights = self.closings
-        if at != pos:
-            levels = [[1]]
+        """Weights of the state formed at pos, the monomials of degree r - 1
+        in x_0, ..., x_pos in lex order: a monomial weighs the product of
+        P(d+1) over its x_d.  In lex order, degree k is x_t times a suffix
+        of degree k - 1, the part in x_t, ..., x_pos.  A suffix whose x_t
+        weighs 1, as x_0 does (and x_1 for ASM counts), is shared, not
+        copied: its ints are kept once, not once per degree."""
+        if self.closings[0] != pos:
+            level = [1]
             for k in range(1, self.r):
-                below = levels[-1]
-                head = below if p[2] == 1 else list(map(p[2].__mul__, below))
-                levels.append(head + list(chain.from_iterable(
-                    map(mul, below[-comb(pos - t + k - 2, k - 1) :], repeat(p[t + 2]))
-                    for t in range(1, pos)
-                )))
-            weights = list(chain.from_iterable(reversed(levels)))
-            self.closings = pos, weights
-        return weights
+                suffixes = (level[-comb(pos - t + k - 1, k - 1) :] for t in range(pos + 1))
+                level = list(chain.from_iterable(
+                    part if w == 1 else map(w.__mul__, part) for part, w in zip(suffixes, p[1:])
+                ))
+            self.closings = pos, level
+        return self.closings[1]
 
     def kernels_at(self, pos: int, p: list[int]) -> list[tuple[itemgetter, list[int]]]:
         """The passes into U_1, ..., U_{r-2} at 2 <= pos <= top + 1, built on
@@ -135,32 +135,24 @@ class Program:
         P(n_max)."""
         r = self.r
         p1 = p[1:]  # P(d+1) for d = 0, 1, ...
-
-        def passes(pos: int, level: list[int]):  # U_1, ..., U_{r-1} from U_0 = level
-            for j, (get, factors) in enumerate(self.kernels_at(pos, p), 1):
-                sums = map(sum, zip(*[map(mul, factors, get(level))] * pos))
-                level = list(map(j.__rfloordiv__, sums) if j > 1 else sums)
-                yield level
-            yield [sum(map(mul, level, p1)) // (r - 1)]
-
         # At pos = 1, S = x_0^(r-1) and U_j = C(r-1, j) x_0^(r-1-j), so S' =
         # sum over a of C(r, a+1) x_0^a x_1^(r-1-a).
         state = [comb(r, a) for a in range(r, 0, -1)]
         values = []
-        for pos in range(2, n_max - 1):
-            parts = [state]
-            for level in passes(pos, state):
+        for pos in range(2, n_max):
+            level, parts = state, [state]  # U_0, then U_1, ..., U_{r-2}
+            for j, (get, factors) in enumerate(self.kernels_at(pos, p), 1):
+                sums = map(sum, zip(*[map(mul, factors, get(level))] * pos))
+                level = list(map(j.__rfloordiv__, sums) if j > 1 else sums)
                 # U_{j-1} + x_0 U_j: x_0 U_j is the head of U_{j-1}
                 parts[-1][: len(level)] = map(add, parts[-1], level)
                 parts.append(level)
             # U_{r-1} = Q(P(1), P(2), ...): the closing for n = pos
-            values.append(level[0])
-            state = list(chain.from_iterable(reversed(parts)))
-        # The last step evaluates S' at the P; U_{r-1}, of degree 0, weighs 1.
-        weights = iter(self.closing(n_max - 1, p))
-        total = sum(map(mul, state, weights))
-        moved = [sum(map(mul, level, weights)) for level in passes(n_max - 1, state)]
-        return [*values, moved[-1], total + (1 + p[2]) * sum(moved)]
+            values.append(sum(map(mul, level, p1)) // (r - 1))
+            level[0] += values[-1]
+            state = list(chain(values[-1:], *reversed(parts)))
+        # N_min(n_max) = S'(P(1), P(2), ...), S' the last state
+        return [*values, sum(map(mul, state, self.closing(n_max - 1, p)))]
 
 
 def work(n: int, r: int) -> int:

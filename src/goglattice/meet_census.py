@@ -29,7 +29,7 @@ Taylor's formula that is
 with D = sum_d P(d+1) d/dx_d and every x_d shifted to x_{d+1}.  The closing
 for n is Q(P(1), P(2), ...), which is D^r Q / r!, the weight of every path
 jumping to n; one sweep to n_max - 1 gives N_min(n, r) for every
-n <= n_max, and its last step, after the loop, evaluates Q' at the P.
+n <= n_max, and after its loop it evaluates the last Q' at the P.
 
 Neither D nor the shift depends on the position or on n_max, and once
 x_0, ..., x_{pos-1} are in play a step works on every monomial of each

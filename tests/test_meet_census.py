@@ -362,13 +362,11 @@ def check_kernels(program, p):
 
 def check_closings(program, p):
     # The one closing a program holds, for the position the last sweep ended
-    # on, weighs each monomial of U_0, ..., U_{r-1} there (degrees r - 1 down
-    # to 0, lex order within each) by the product of P(d+2) over its
+    # on, weighs each monomial of the state formed there (degree r - 1 in
+    # x_0, ..., x_pos, lex order) by the product of P(d+1) over its
     # distances d.
     pos, weights = program.closings
-    assert weights == [
-        prod(p[d + 2] for d in m) for e in range(program.r - 1, -1, -1) for m in lex(e, pos)
-    ]
+    assert weights == [prod(p[d + 1] for d in m) for m in lex(program.r - 1, pos + 1)]
 
 
 SWEEP_DIGESTS = json.loads(
@@ -437,7 +435,7 @@ class TestTransferProgram:
 
     @pytest.mark.parametrize("n, r", [(3, 300), (4, 31)])
     def test_store_holds_pair_keys(self, n, r):
-        # The last step moves nothing, so the program covers the monomials of
+        # The widest position is n - 1, so the program covers the monomials of
         # degree e < r in the n - 1 distances 0..n-2, C(e + n - 2, n - 2) of
         # them.  It holds n - 1 ranks and multiplicities per monomial of
         # degree 1..r-2 at its widest position.
