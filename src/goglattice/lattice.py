@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from operator import contains
+from itertools import chain
+from operator import contains, ge, le
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, SizeMismatch
@@ -55,18 +56,14 @@ def compare(a: MonotoneTriangle, b: MonotoneTriangle) -> OrderRelation:
     """
     if _triangle("compare", a).n != _triangle("compare", b).n:
         raise SizeMismatch(f"cannot compare sizes {a.n} and {b.n}")
-    le = ge = True
-    for row_a, row_b in zip(a.rows, b.rows):
-        for x, y in zip(row_a, row_b):
-            if x < y:
-                ge = False
-            elif x > y:
-                le = False
-        if not le and not ge:
-            return OrderRelation.INCOMPARABLE
-    if le and ge:
+    if a.rows == b.rows:
         return OrderRelation.EQUAL
-    return OrderRelation.LESS if le else OrderRelation.GREATER
+    # One size, so one shape: the flattened rows pair entry with entry.
+    if all(map(le, chain.from_iterable(a.rows), chain.from_iterable(b.rows))):
+        return OrderRelation.LESS
+    if all(map(ge, chain.from_iterable(a.rows), chain.from_iterable(b.rows))):
+        return OrderRelation.GREATER
+    return OrderRelation.INCOMPARABLE
 
 
 def leq(a: MonotoneTriangle, b: MonotoneTriangle) -> bool:

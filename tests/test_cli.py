@@ -418,12 +418,23 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("OK lemmas checks=")
 
+    def test_all_suites_at_six(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "6")
+        assert code == 0
+        assert out == (
+            "OK bijections checks=16393\n"
+            "OK lattice checks=9098\n"
+            "OK lemmas checks=110\n"
+            "OK census checks=83\n"
+            "OK theorems checks=96\n"
+        )
+
     def test_failure_after_passing_suites(self, capsys, monkeypatch):
         streamed = []
 
         def counterexample(n_max):
             streamed.append(capsys.readouterr().out)
-            raise VerificationFailure("lemmas: margin < 0 at n=3")
+            raise VerificationFailure("margin < 0 at n=3")
 
         def unreachable(n_max):
             raise AssertionError("a suite ran after the failure")
@@ -438,15 +449,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "5")
         assert code == 1
         assert streamed == ["OK bijections checks=2\nOK lattice checks=5\n"]
-        assert out == "FAIL lemmas: lemmas: margin < 0 at n=3\n"
+        assert out == "FAIL lemmas: margin < 0 at n=3\n"
 
     @pytest.mark.parametrize("suite", PLANTED_FAULTS)
     def test_planted_fault_fails_its_suite(self, capsys, monkeypatch, suite):
         module, name, fault, detail = PLANTED_FAULTS[suite]
         monkeypatch.setattr(module, name, fault)
         code, out, _ = run(capsys, "verify", "--suite", suite, "--n-max", "4")
-        assert code == 1
-        assert out.startswith(f"FAIL {suite}: ") and out.endswith(f"{detail}\n")
+        assert (code, out) == (1, f"FAIL {suite}: {detail}\n")
+        assert out.count(f"{suite}:") == 1
         # every suite before it passes and prints its line; none after it runs
         code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "4")
         before = list(verify.SUITES)[: list(verify.SUITES).index(suite)]
@@ -454,7 +465,8 @@ class TestVerifyCommand:
         assert [line.split()[:2] for line in out.splitlines()] == [
             *(["OK", s] for s in before), ["FAIL", f"{suite}:"]
         ]
-        assert out.endswith(f"{detail}\n")
+        assert out.endswith(f"FAIL {suite}: {detail}\n")
+        assert out.count(f"{suite}:") == 1
 
     def test_any_domain_error_fails_the_suite(self, capsys, monkeypatch):
         def too_big(n_max):

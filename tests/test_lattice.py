@@ -51,6 +51,18 @@ def operands(r_min=1, r_max=4):
     )
 
 
+def entrywise_relation(a, b):
+    """The order's definition: every entry <=, every entry >=, both or neither."""
+    pairs = [(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)]
+    le, ge = all(x <= y for x, y in pairs), all(x >= y for x, y in pairs)
+    return {
+        (True, True): OrderRelation.EQUAL,
+        (True, False): OrderRelation.LESS,
+        (False, True): OrderRelation.GREATER,
+        (False, False): OrderRelation.INCOMPARABLE,
+    }[le, ge]
+
+
 FIG2_PAIR = (
     MonotoneTriangle(((1,), (1, 2), (1, 2, 4), (1, 2, 3, 4))),
     MonotoneTriangle(((2,), (1, 3), (1, 2, 3), (1, 2, 3, 4))),
@@ -79,6 +91,24 @@ class TestCompare:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             compare(extremal_triangle(2, "min"), extremal_triangle(3, "min"))
+
+    def test_matches_definition_on_every_pair_at_four(self, universe):
+        seen = set()
+        for a, b in product(universe(4), repeat=2):
+            relation = compare(a, b)
+            assert relation is entrywise_relation(a, b), (a.rows, b.rows)
+            seen.add(relation)
+        assert seen == set(OrderRelation)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands(2, 2))
+    def test_matches_definition_on_drawn_pairs(self, ts):
+        # A drawn pair at n <= 12 is mostly incomparable; its meet, its join
+        # and itself give the other three relations.
+        a, b = ts
+        low, high = meet(ts), join(ts)
+        for x, y in ((a, b), (b, a), (low, a), (a, low), (high, b), (b, high), (a, a)):
+            assert compare(x, y) is entrywise_relation(x, y), (x.rows, y.rows)
 
 
 class TestMeetJoin:

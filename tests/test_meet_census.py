@@ -269,6 +269,28 @@ class TestSweepOracles:
         assert _n_min_sweep(n, r)[-1] == n_min_census(n, r, census=censuses(n))
 
 
+def pair_series(n_max):
+    """Oracle for N_min(n, 2), n = 1..n_max, from the closed form
+    sum_n N_min(n, 2) y^n = y B / (2 - (1 - y) B), B(y) = sum_k A(k+1) y^k:
+    one power-series division, the divisor's constant term being 1."""
+    b = [asm_number(k + 1) for k in range(n_max)]
+    divisor = [1] + [-(b[k] - b[k - 1]) for k in range(1, n_max)]  # 2 - (1 - y) B
+    quotient = []
+    for k in range(n_max):  # the coefficient of y^(k+1) in y B is b[k]
+        quotient.append(b[k] - sum(divisor[j] * quotient[k - j] for j in range(1, k + 1)))
+    return quotient
+
+
+class TestPairClosedForm:
+    def test_matches_n_min_exact_to_the_gate(self):
+        # n_min_exact(n, 2) is the last value of the sweep to n, whose
+        # earlier values are n_min_exact at every smaller n.
+        series = pair_series(223)
+        assert series == _n_min_sweep(223, 2)
+        assert series[-1] == n_min_exact(223, 2)
+        assert series[:6] == [n_min_exact(n, 2) for n in range(1, 7)] == [1, 3, 15, 107, 1103, 17767]
+
+
 def series_primitive_counts(m_max):
     """Oracle for `primitive_counts`, from scratch: A(x) = 1 + P(x) A(x), so
     P = 1 - 1/A, with 1/A inverted term by term."""
