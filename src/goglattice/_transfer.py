@@ -13,8 +13,8 @@ is D^r Q / r! = U_{r-1}, and the next state is
 Every position from 2 to n_max - 1 runs that one step.  After the loop,
 N_min(n_max) = S'(P(1), P(2), ...) for the last S', of degree r - 1 in
 x_0, ..., x_{n_max-1}: a monomial weighs the product of P(d+1) over its
-x_d, and the sweep assumes of P only that P(1) = 1.  A program keeps those
-weights for one end position, the latest asked for.
+x_d, and the sweep assumes of P only that P(1) = 1.  A program is built for
+one weight sequence and fills its caches from it alone.
 
 Once x_0, ..., x_{w-1} are in play, every list holds every monomial of its
 degree e in them, R(e, w), in lex order on the sorted distances: the order
@@ -50,68 +50,52 @@ call (`meet_census.n_min_exact`) and the programs a process keeps.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import chain, cycle, repeat
 from math import comb, isqrt
 from operator import add, getitem, itemgetter, mul
 
 
 class Program:
-    """The sweep for one r >= 2 and any P with P(1) = 1, grown one position at a time.
+    """The sweep for one r >= 2 and one weight sequence, grown one position at a time.
 
-    `kernels[pos]`, for every pos from 2 to `top`, holds the passes into
-    U_1, ..., U_{r-2} at pos: for degree e = r - 2, ..., 1, an `itemgetter`
-    over the ranks of m x_0, ..., m x_{pos-1} in U of degree e + 1, for each
-    monomial m of degree e in lex order, and their factors in the same
-    order.  `top` is the widest position passed, and `rows` keeps, by
-    degree from 1, the rank tuple there (the one its `itemgetter` holds)
-    and each entry's multiplicity c + 1, for `kernels_at` to build the
-    kernels at top + 1 from.  `closings` holds one position and the
-    weights that evaluate the state formed there.  Every rank a kernel
-    holds is an entry of the one table `ints`, and every factor one of
-    `scales[d]`, the c P(d+1) for c < r, so that each int exists once per
-    program.
+    `weights(m)` returns [P(0), ..., P(m)], P(1) = 1; `sweep` reads it once
+    per call, and every cache below is filled from it alone.  `kernels[pos]`,
+    for every pos from 2 to `top`, holds the passes into U_1, ..., U_{r-2}
+    at pos: for degree e = r - 2, ..., 1, an `itemgetter` over the ranks of
+    m x_0, ..., m x_{pos-1} in U of degree e + 1, for each monomial m of
+    degree e in lex order, and their factors in the same order.  `top` is
+    the widest position passed, and `rows` keeps, by degree from 1, the rank
+    tuple there (the one its `itemgetter` holds) and each entry's
+    multiplicity c + 1, for `kernels_at` to build the kernels at top + 1
+    from.  `closings` holds one position and the weights for the state formed
+    there.  Every rank a kernel holds is an entry of the one table `ints`, and
+    every factor one of `scales[d]`, the c P(d+1) for c < r and d < top.
     """
 
-    __slots__ = ("r", "top", "rows", "ints", "scales", "kernels", "closings")
+    __slots__ = ("r", "weights", "top", "rows", "ints", "scales", "kernels", "closings")
 
-    def __init__(self, r: int) -> None:
+    def __init__(self, r: int, weights: Callable[[int], list[int]]) -> None:
         self.r = r
+        self.weights = weights
         self.top = 1
-        self.rows: list[tuple[tuple[int, ...], list[int]]] = []
+        self.rows: list[tuple[tuple[int, ...], list[int]]] = [
+            ((0,), [e + 1]) for e in range(1, r - 1)  # x_0^e reads x_0^(e+1), rank 0
+        ]
         self.ints: list[int] = []
         self.scales: list[list[int]] = []
         self.kernels: dict[int, list[tuple[itemgetter, list[int]]]] = {}
         self.closings: tuple[int, list[int]] = (0, [])
 
-    def closing(self, pos: int, p: list[int]) -> list[int]:
-        """Weights of the state formed at pos, the monomials of degree r - 1
-        in x_0, ..., x_pos in lex order: a monomial weighs the product of
-        P(d+1) over its x_d.  In lex order, degree k is x_t times a suffix
-        of degree k - 1, the part in x_t, ..., x_pos.  A suffix whose x_t
-        weighs 1, as x_0 does (and x_1 for ASM counts), is shared, not
-        copied: its ints are kept once, not once per degree."""
-        if self.closings[0] != pos:
-            level = [1]
-            for k in range(1, self.r):
-                suffixes = (level[-comb(pos - t + k - 1, k - 1) :] for t in range(pos + 1))
-                level = list(chain.from_iterable(
-                    part if w == 1 else map(w.__mul__, part) for part, w in zip(suffixes, p[1:])
-                ))
-            self.closings = pos, level
-        return self.closings[1]
-
-    def kernels_at(self, pos: int, p: list[int]) -> list[tuple[itemgetter, list[int]]]:
+    def kernels_at(self, pos: int) -> list[tuple[itemgetter, list[int]]]:
         """The passes into U_1, ..., U_{r-2} at 2 <= pos <= top + 1, built on
-        first use from `rows`, the kernels at pos - 1 = top."""
+        first use from `rows`, the kernels at top, and `scales`, which `sweep` fills."""
         if pos > self.top:
             r, ints, scales, q = self.r, self.ints, self.scales, pos - 1
             self.top = pos
-            if pos == 2:  # at pos = 1, x_0^e reads x_0^(e+1), rank 0, with multiplicity e + 1
-                self.rows = [((0,), [e + 1]) for e in range(1, r - 1)]
             if self.rows:
                 # every rank at pos is below |R(r-1, pos)|
                 ints += range(len(ints), comb(pos + r - 2, r - 1))
-                scales += ([c * p[d + 1] for c in range(r)] for d in range(len(scales), pos))
                 ranks, mults = tuple(ints[:pos]), [1] * pos  # degree 0 at pos
                 for e, (old_ranks, old_mults) in enumerate(self.rows, 1):
                     # R(e, pos) is x_0 R(e-1, pos), then shift(R(e, q))
@@ -130,18 +114,19 @@ class Program:
             ]
         return self.kernels[pos]
 
-    def sweep(self, n_max: int, p: list[int]) -> list[int]:
-        """Return N_min(n, r) for n = 2..n_max, n_max >= 3; p must reach
-        P(n_max)."""
-        r = self.r
-        p1 = p[1:]  # P(d+1) for d = 0, 1, ...
+    def sweep(self, n_max: int) -> list[int]:
+        """Return N_min(n, r) for n = 2..n_max, n_max >= 2."""
+        r, scales = self.r, self.scales
+        p1 = self.weights(n_max)[1:]  # P(d+1) for d = 0, 1, ..., n_max - 1
+        if self.rows:  # the kernels' factors, to position n_max - 1
+            scales += ([c * w for c in range(r)] for w in p1[len(scales) : n_max - 1])
         # At pos = 1, S = x_0^(r-1) and U_j = C(r-1, j) x_0^(r-1-j), so S' =
         # sum over a of C(r, a+1) x_0^a x_1^(r-1-a).
         state = [comb(r, a) for a in range(r, 0, -1)]
         values = []
         for pos in range(2, n_max):
             level, parts = state, [state]  # U_0, then U_1, ..., U_{r-2}
-            for j, (get, factors) in enumerate(self.kernels_at(pos, p), 1):
+            for j, (get, factors) in enumerate(self.kernels_at(pos), 1):
                 sums = map(sum, zip(*[map(mul, factors, get(level))] * pos))
                 level = list(map(j.__rfloordiv__, sums) if j > 1 else sums)
                 # U_{j-1} + x_0 U_j: x_0 U_j is the head of U_{j-1}
@@ -151,8 +136,22 @@ class Program:
             values.append(sum(map(mul, level, p1)) // (r - 1))
             level[0] += values[-1]
             state = list(chain(values[-1:], *reversed(parts)))
-        # N_min(n_max) = S'(P(1), P(2), ...), S' the last state
-        return [*values, sum(map(mul, state, self.closing(n_max - 1, p)))]
+        # N_min(n_max) = S'(P(1), P(2), ...), S' the last state, formed at
+        # end = n_max - 1.  Its monomials, of degree r - 1 in x_0, ..., x_end,
+        # each weigh the product of P(d+1) over their x_d.  In lex order,
+        # degree k is x_t times a suffix of degree k - 1, the part in x_t, ...,
+        # x_end.  A suffix whose x_t weighs 1, as x_0 does (and x_1 for ASM
+        # counts), is shared, not copied: its ints are kept once.
+        end = n_max - 1
+        if self.closings[0] != end:
+            closing = [1]
+            for k in range(1, r):
+                suffixes = (closing[-comb(end - t + k - 1, k - 1) :] for t in range(end + 1))
+                closing = list(chain.from_iterable(
+                    part if w == 1 else map(w.__mul__, part) for part, w in zip(suffixes, p1)
+                ))
+            self.closings = end, closing
+        return [*values, sum(map(mul, state, self.closings[1]))]
 
 
 def work(n: int, r: int) -> int:
@@ -164,10 +163,11 @@ def work(n: int, r: int) -> int:
     is closed form, as is N_min(2, r) = 2^r - 1, yet its r - 1 entries keep
     n = 2 bounded in r.  Past n = 2 the closing multiplies each of the
     C(n+r-2, r-1) monomials of the last state by a weight of its own size,
-    about four entries' work.  The integers grow to about 0.375 n^2 r bits,
-    the size of A(n)^r, and an entry on L 64-bit limbs costs 32 + L +
-    L^1.5/16: a fixed part, the additions and the products.  A program grown
-    to `top` keeps about work(top + 1, r) of entries and weights.
+    about four entries' work.  The integers are sized as A(n)^r, about
+    0.375 n^2 r bits, whatever the weights (ROADMAP item 11 revisits this),
+    and an entry on L 64-bit limbs costs 32 + L + L^1.5/16: a fixed part,
+    the additions and the products.  A program grown to `top` keeps about
+    work(top + 1, r) of entries and weights.
 
     >>> work(1, 9), work(2, 1), work(3, 2)
     (0, 0, 495)

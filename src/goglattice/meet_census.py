@@ -33,14 +33,14 @@ n <= n_max, and after its loop it evaluates the last Q' at the P.
 
 Neither D nor the shift depends on the position or on n_max, and once
 x_0, ..., x_{pos-1} are in play a step works on every monomial of each
-degree in them, so `_transfer` keeps one program per r per process, grown
-one position at a time the first time a call reaches it.  Its steps run as
-a few list-wide maps, with no Python step per edge, and it holds no
-coefficient: every call redoes all the arithmetic, and no N_min value
-persists between calls.  One charge, `_transfer.work`, counts the kernel
-entries a sweep reads, weighted by the size of its integers: a call is
-refused before any work when its sweep and the fill of P(1..n) together
-exceed its `limit`, and a call that ends with more than
+degree in them, so the process keeps one `_transfer` program per r, built
+for the weights P and grown one position at a time the first time a call
+reaches it.  Its steps run as a few list-wide maps, with no Python step per
+edge, and it holds no coefficient: every call redoes all the arithmetic,
+and no N_min value persists between calls.  One charge, `_transfer.work`,
+counts the kernel entries a sweep reads, weighted by the size of its
+integers: a call is refused before any work when its sweep and the fill of
+P(1..n) together exceed its `limit`, and a call that ends with more than
 TRANSFER_LIMIT_DEFAULT charged across all programs empties the store, so a
 process keeps at most what the largest admitted call builds.  N_min(1, r)
 = N_min(n, 1) = 1 and N_min(2, r) = 2^r - 1 build no program and fill no P.
@@ -85,9 +85,9 @@ def __getattr__(name: str):
 
 
 TRANSFER_LIMIT_DEFAULT = 77_000_000  # `_transfer.work` units: a first (223, 2), about 0.35 s
-# One program per r (see `_transfer`), grown by each call that goes further
-# than the calls before it.  A call that ends with more work charged to the
-# programs across all r than TRANSFER_LIMIT_DEFAULT empties the store.
+# One program per r for P (see `_transfer`), grown by each call that goes
+# further than the calls before it.  A call that ends with more work charged
+# to the programs across all r than TRANSFER_LIMIT_DEFAULT empties the store.
 _PROGRAMS: dict[int, _transfer.Program] = {}
 
 
@@ -97,6 +97,8 @@ def _n_min_sweep(n_max: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> lis
     >>> _n_min_sweep(6, 2)
     [1, 3, 15, 107, 1103, 17767]
     """
+    if type(limit) is not int:
+        raise bound_error("N_min", "limit", limit, 0)
     # Loaded here, so that a command that never sweeps never loads it.
     from ._transfer import Program, work
 
@@ -118,10 +120,9 @@ def _n_min_sweep(n_max: int, r: int, limit: int = TRANSFER_LIMIT_DEFAULT) -> lis
     if n_max == 2:
         return [1, 2**r - 1]  # some component has row 1 distinguished
     try:
-        program = _PROGRAMS.get(r)
-        if program is None:
-            program = _PROGRAMS[r] = Program(r)
-        return [1, *program.sweep(n_max, primitive_counts(n_max))]
+        if r not in _PROGRAMS:
+            _PROGRAMS[r] = Program(r, primitive_counts)
+        return [1, *_PROGRAMS[r].sweep(n_max)]
     finally:
         if sum(work(q.top + 1, q.r) for q in _PROGRAMS.values()) > TRANSFER_LIMIT_DEFAULT:
             _PROGRAMS.clear()

@@ -223,6 +223,18 @@ class TestNMin:
                 call()
         assert meet_census._PROGRAMS == {} and counting._P_CACHE == [0]
 
+    @pytest.mark.parametrize("limit", [1e9, None, "x", True])
+    def test_limit_must_be_an_int(self, limit):
+        # refused before any program or P fill, at n <= 2 as past it
+        meet_census._PROGRAMS.clear()
+        del counting._P_CACHE[1:]
+        calls = (n_min_exact, theorem_report, lambda n, r, limit: p_extreme(n, r, "max", limit))
+        for call, n in product(calls, (2, 5)):
+            with pytest.raises(TypeError) as refused:
+                call(n, 2, limit=limit)
+            assert str(refused.value) == f"N_min needs an int limit, got {type(limit).__name__} {limit!r}"
+        assert meet_census._PROGRAMS == {} and counting._P_CACHE == [0]
+
     def test_gates_stay_admitted(self):
         for key in SWEEP_DIGESTS:
             n, r = map(int, key.split(","))
@@ -447,8 +459,8 @@ class TestTransferProgram:
         p = primitive_counts(max(ns))
         check_kernels(program, p)
         check_closings(program, p)
-        straight = _transfer.Program(r)
-        assert straight.sweep(max(ns), p) == swept_oracle(r)[1 : max(ns)]
+        straight = _transfer.Program(r, primitive_counts)
+        assert straight.sweep(max(ns)) == swept_oracle(r)[1 : max(ns)]
         assert list(straight.kernels) == list(program.kernels)
         for pos, kernels in program.kernels.items():
             assert [(get(EVERY_RANK), factors) for get, factors in kernels] == [
@@ -464,6 +476,7 @@ class TestTransferProgram:
         meet_census._PROGRAMS.clear()
         assert n_min_exact(n, r) == _n_min_ie(n, r)
         program = meet_census._PROGRAMS[r]
+        assert program.weights is primitive_counts  # built for P, and read no other list
         width = n - 1
         assert program.top == width
         assert len(program.rows) == r - 2
@@ -535,14 +548,25 @@ class TestTransferProgram:
         check_kernels(program, primitive_counts(n))
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(3, 8), st.integers(2, 4), st.lists(st.integers(0, 9), min_size=7, max_size=7))
+    @given(st.integers(2, 8), st.integers(2, 4), st.lists(st.integers(0, 9), min_size=7, max_size=7))
     @example(3, 2, [0] * 7)
     @example(5, 3, [2, 4, 29, 343, 0, 0, 0])
+    @example(2, 4, [3, 0, 0, 0, 0, 0, 0])  # n = 2 reads the closing alone: (1 + P(2))^r - P(2)^r
     def test_any_weights_with_p1_one(self, n, r, rest):
         # The sweep assumes only P(1) = 1: weights that are not ASM counts,
         # P(2) != 1 among them, give the product oracle's counts.
         p = [0, 1, *rest][: n + 1]
-        assert _transfer.Program(r).sweep(n, p) == list(product_sweep(n, r, p))[1:]
+        assert _transfer.Program(r, lambda m: p[: m + 1]).sweep(n) == list(product_sweep(n, r, p))[1:]
+
+    def test_programs_keep_their_own_weights(self):
+        # Two programs at one r, swept in turn to ends that widen and shrink:
+        # each answers for the weights it was built for, whatever the other read.
+        catalan = [0, *CATALAN]
+        programs = [(_transfer.Program(3, primitive_counts), primitive_counts(12))]
+        programs.append((_transfer.Program(3, lambda m: catalan[: m + 1]), catalan))
+        for n in (4, 12, 8, 12):
+            for program, p in programs:
+                assert program.sweep(n) == list(product_sweep(n, 3, p[: n + 1]))[1:]
 
     @pytest.mark.parametrize("r, n_brute", [(2, 6), (3, 5)])
     def test_catalan_weights_count_dyck_tuples(self, r, n_brute):
@@ -551,7 +575,7 @@ class TestTransferProgram:
         # with returns exactly D number the product of C(g - 1) over the gaps
         # g of D: the same count, with P(g) = C(g - 1).
         p = [0, *CATALAN]
-        swept = _transfer.Program(r).sweep(12, p)
+        swept = _transfer.Program(r, lambda m: p[: m + 1]).sweep(12)
         assert swept == list(product_sweep(12, r, p))[1:]
         for n in range(2, n_brute + 1):
             full = (1 << (n - 1)) - 1
